@@ -1,6 +1,7 @@
 package bbv
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -59,7 +60,7 @@ func buildLTS(b *testing.B, id string, threads, ops int, vals []int32) *lts.LTS 
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, err := machine.Explore(alg.Build(algorithms.Config{Threads: threads, Ops: ops, Vals: vals}),
+	l, _, err := machine.ExploreWithInfoContext(context.Background(), alg.Build(algorithms.Config{Threads: threads, Ops: ops, Vals: vals}),
 		machine.Options{Threads: threads, Ops: ops})
 	if err != nil {
 		b.Fatal(err)
@@ -77,7 +78,7 @@ func BenchmarkExploreMSQueue(b *testing.B) {
 	prog := alg.Build(algorithms.Config{Threads: 2, Ops: 2})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l, err := machine.Explore(prog, machine.Options{Threads: 2, Ops: 2})
+		l, _, err := machine.ExploreWithInfoContext(context.Background(), prog, machine.Options{Threads: 2, Ops: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func BenchmarkExploreParallel(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					l, err := machine.Explore(prog, machine.Options{
+					l, _, err := machine.ExploreWithInfoContext(context.Background(), prog, machine.Options{
 						Threads: c.threads, Ops: c.ops, Workers: workers,
 					})
 					if err != nil {
@@ -193,11 +194,11 @@ func BenchmarkTraceInclusionQuotients(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := algorithms.Config{Threads: 2, Ops: 3, Vals: []int32{1}}
-	impl, err := machine.Explore(alg.Build(cfg), machine.Options{Threads: 2, Ops: 3, Acts: acts})
+	impl, _, err := machine.ExploreWithInfoContext(context.Background(), alg.Build(cfg), machine.Options{Threads: 2, Ops: 3, Acts: acts})
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec, err := machine.Explore(alg.Spec(cfg), machine.Options{Threads: 2, Ops: 3, Acts: acts})
+	spec, _, err := machine.ExploreWithInfoContext(context.Background(), alg.Spec(cfg), machine.Options{Threads: 2, Ops: 3, Acts: acts})
 	if err != nil {
 		b.Fatal(err)
 	}

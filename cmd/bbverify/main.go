@@ -168,7 +168,6 @@ type commonFlags struct {
 	refiner   *string
 	model     *string
 	membudget *string
-	encoding  *string
 	// modelSrc holds the -model file's source after resolve, so check
 	// -json can forward it as a model_source job.
 	modelSrc []byte
@@ -188,7 +187,6 @@ func newFlags(name string) *commonFlags {
 		refiner:   fs.String("refiner", "auto", "branching-bisimulation refiner: auto, signature or splitter — verdicts are identical for any choice"),
 		model:     fs.String("model", "", "verify a BBVL model file instead of a registry algorithm"),
 		membudget: fs.String("membudget", "", "resident state-storage budget per exploration, e.g. 64MiB or 2GiB; past it, state storage spills to temp files (default: all in RAM) — results are identical for any budget"),
-		encoding:  fs.String("encoding", "", "state codec: packed (interval bit-packing, the default) or legacy (one byte per slot) — LTSs are identical for either"),
 	}
 }
 
@@ -252,8 +250,7 @@ func (c *commonFlags) resolve() (*algorithms.Algorithm, algorithms.Config, core.
 		Workers:   *c.workers,
 		Refiner:   ref,
 		MemBudget: c.memBytes,
-		Encoding:  *c.encoding,
-		// Narrow packed layouts with vet's interval facts, exactly as the
+		// Narrow state layouts with vet's interval facts, exactly as the
 		// bbvd service does, and wire the platform backend (spill-capable
 		// store, real RSS probe) the pure core deliberately lacks.
 		LayoutProvider: api.LayoutProvider(*c.threads, *c.ops),
@@ -272,9 +269,9 @@ func (c *commonFlags) memBudgetMB() int {
 	return int((c.memBytes + (1 << 20) - 1) >> 20)
 }
 
-// machineOpts builds direct machine.Explore options from a resolved
+// machineOpts builds direct exploration options from a resolved
 // core.Config (for the subcommands that explore outside a core.Session),
-// carrying the memory budget, codec choice and vet-narrowed layout.
+// carrying the memory budget and the vet-narrowed layout.
 func machineOpts(ccfg core.Config, p *machine.Program) machine.Options {
 	opt := machine.Options{
 		Threads:   ccfg.Threads,
@@ -282,7 +279,6 @@ func machineOpts(ccfg core.Config, p *machine.Program) machine.Options {
 		MaxStates: ccfg.MaxStates,
 		Workers:   ccfg.Workers,
 		MemBudget: ccfg.MemBudget,
-		Encoding:  ccfg.Encoding,
 		Backend:   ccfg.Backend,
 	}
 	if p != nil && ccfg.LayoutProvider != nil {
@@ -482,7 +478,7 @@ func printStageTable(stats []core.StageStat) {
 }
 
 // printStorageTable renders the explore stages' state-storage telemetry
-// (encoding, bytes per state, throughput, spilling, peak RSS), skipped
+// (bytes per state, throughput, spilling, peak RSS), skipped
 // entirely when no stage carries any. The peak-RSS column only appears
 // when some stage actually measured one: a zero reading means the
 // platform probe is unavailable (non-Linux, js/wasm, pure backend), and
@@ -490,7 +486,7 @@ func printStageTable(stats []core.StageStat) {
 func printStorageTable(w io.Writer, stats []core.StageStat) {
 	any, anyRSS := false, false
 	for _, st := range stats {
-		if st.Encoding != "" {
+		if st.Stage == core.StageExplore {
 			any = true
 		}
 		if st.PeakRSSBytes > 0 {
@@ -501,21 +497,21 @@ func printStorageTable(w io.Writer, stats []core.StageStat) {
 		return
 	}
 	fmt.Fprintln(w, "\nstate storage:")
-	fmt.Fprintf(w, "  %-34s %8s %8s %12s %6s", "target", "codec", "B/state", "states/s", "spill")
+	fmt.Fprintf(w, "  %-34s %8s %12s %6s", "target", "B/state", "states/s", "spill")
 	if anyRSS {
 		fmt.Fprintf(w, " %12s", "peak RSS")
 	}
 	fmt.Fprintln(w)
 	for _, st := range stats {
-		if st.Encoding == "" {
+		if st.Stage != core.StageExplore {
 			continue
 		}
 		spill := "-"
 		if st.SpillFiles > 0 {
 			spill = fmt.Sprint(st.SpillFiles)
 		}
-		fmt.Fprintf(w, "  %-34s %8s %8.2f %12.0f %6s",
-			st.Target, st.Encoding, st.BytesPerState, st.StatesPerSec, spill)
+		fmt.Fprintf(w, "  %-34s %8.2f %12.0f %6s",
+			st.Target, st.BytesPerState, st.StatesPerSec, spill)
 		if anyRSS {
 			fmt.Fprintf(w, " %12s", statecodec.FormatBytes(st.PeakRSSBytes))
 		}
@@ -532,7 +528,7 @@ func exploreCmd(args []string) error {
 		return err
 	}
 	prog := alg.Build(acfg)
-	l, info, err := machine.ExploreWithInfo(prog, machineOpts(ccfg, prog))
+	l, info, err := machine.ExploreWithInfoContext(context.Background(), prog, machineOpts(ccfg, prog))
 	if err != nil {
 		return err
 	}
@@ -543,8 +539,8 @@ func exploreCmd(args []string) error {
 	fmt.Printf("%s (%d threads x %d ops)\n", alg.Display, ccfg.Threads, ccfg.Ops)
 	fmt.Printf("states:       %d\n", l.NumStates())
 	fmt.Printf("transitions:  %d (%d tau)\n", l.NumTransitions(), l.CountTau())
-	fmt.Printf("memory:       %s codec, %.2f B/state, %.0f states/s",
-		info.Stats.Encoding, info.Stats.BytesPerState(), info.Stats.StatesPerSec())
+	fmt.Printf("memory:       %.2f B/state, %.0f states/s",
+		info.Stats.BytesPerState(), info.Stats.StatesPerSec())
 	if rss := info.Stats.PeakRSSBytes; rss > 0 {
 		fmt.Printf(", peak RSS %s", statecodec.FormatBytes(rss))
 	}
@@ -593,7 +589,7 @@ func ktraceCmd(args []string) error {
 		return err
 	}
 	prog := alg.Build(acfg)
-	l, err := machine.Explore(prog, machineOpts(ccfg, prog))
+	l, _, err := machine.ExploreWithInfoContext(context.Background(), prog, machineOpts(ccfg, prog))
 	if err != nil {
 		return err
 	}
@@ -632,13 +628,13 @@ func compareCmd(args []string) error {
 	implProg, specProg := alg.Build(acfg), alg.Spec(acfg)
 	opts := machineOpts(ccfg, implProg)
 	opts.Acts, opts.Labels = acts, labels
-	impl, err := machine.Explore(implProg, opts)
+	impl, _, err := machine.ExploreWithInfoContext(context.Background(), implProg, opts)
 	if err != nil {
 		return err
 	}
 	specOpts := machineOpts(ccfg, specProg)
 	specOpts.Acts, specOpts.Labels = acts, labels
-	specLTS, err := machine.Explore(specProg, specOpts)
+	specLTS, _, err := machine.ExploreWithInfoContext(context.Background(), specProg, specOpts)
 	if err != nil {
 		return err
 	}
@@ -706,13 +702,13 @@ func explainCmd(args []string) error {
 	implProg, specProg := alg.Build(acfg), alg.Spec(acfg)
 	opts := machineOpts(ccfg, implProg)
 	opts.Acts, opts.Labels = acts, labels
-	impl, err := machine.Explore(implProg, opts)
+	impl, _, err := machine.ExploreWithInfoContext(context.Background(), implProg, opts)
 	if err != nil {
 		return err
 	}
 	specOpts := machineOpts(ccfg, specProg)
 	specOpts.Acts, specOpts.Labels = acts, labels
-	specLTS, err := machine.Explore(specProg, specOpts)
+	specLTS, _, err := machine.ExploreWithInfoContext(context.Background(), specProg, specOpts)
 	if err != nil {
 		return err
 	}
@@ -752,7 +748,7 @@ func ltlCmd(args []string) error {
 		return fmt.Errorf("unknown formula %q (use lockfree or completes:<Method>)", *formula)
 	}
 	prog := alg.Build(acfg)
-	l, err := machine.Explore(prog, machineOpts(ccfg, prog))
+	l, _, err := machine.ExploreWithInfoContext(context.Background(), prog, machineOpts(ccfg, prog))
 	if err != nil {
 		return err
 	}
@@ -796,7 +792,7 @@ func sweepCmd(args []string) error {
 		// The layout must match this iteration's ops bound, not the base
 		// flag value.
 		sweepCfg.LayoutProvider = api.LayoutProvider(ccfg.Threads, ops)
-		l, err := machine.Explore(prog, machineOpts(sweepCfg, prog))
+		l, _, err := machine.ExploreWithInfoContext(context.Background(), prog, machineOpts(sweepCfg, prog))
 		if err != nil {
 			var lim *machine.StateLimitError
 			if errors.As(err, &lim) {

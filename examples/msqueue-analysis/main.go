@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -39,7 +40,7 @@ func main() {
 	const threads, ops = 2, 4
 	cfg := bbv.Instance{Threads: threads, Ops: ops, Vals: []int32{1}}
 
-	l, err := machine.Explore(alg.Build(cfg.Algorithm()), machine.Options{Threads: threads, Ops: ops})
+	l, _, err := machine.ExploreWithInfoContext(context.Background(), alg.Build(cfg.Algorithm()), machine.Options{Threads: threads, Ops: ops})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -247,7 +248,7 @@ func TestHPStackReusesMemory(t *testing.T) {
 	cfg := Config{Threads: 2, Ops: 2}
 	acts := lts.NewAlphabet()
 	labels := lts.NewAlphabet()
-	plain, err := machine.Explore(Treiber(cfg), machine.Options{Threads: 2, Ops: 2, Acts: acts, Labels: labels})
+	plain, _, err := machine.ExploreWithInfoContext(context.Background(), Treiber(cfg), machine.Options{Threads: 2, Ops: 2, Acts: acts, Labels: labels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestHPStackReusesMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hp, err := machine.Explore(hpAlg.Build(cfg), machine.Options{Threads: 2, Ops: 2, Acts: acts, Labels: labels})
+	hp, _, err := machine.ExploreWithInfoContext(context.Background(), hpAlg.Build(cfg), machine.Options{Threads: 2, Ops: 2, Acts: acts, Labels: labels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,11 +446,11 @@ func TestTheorem53QuotientSoundness(t *testing.T) {
 		acts := lts.NewAlphabet()
 		labels := lts.NewAlphabet()
 		opts := machine.Options{Threads: 2, Ops: 2, Acts: acts, Labels: labels}
-		impl, err := machine.Explore(a.Build(cfg), opts)
+		impl, _, err := machine.ExploreWithInfoContext(context.Background(), a.Build(cfg), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		specLTS, err := machine.Explore(a.Spec(cfg), opts)
+		specLTS, _, err := machine.ExploreWithInfoContext(context.Background(), a.Spec(cfg), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -484,7 +484,6 @@ type StageJSON struct {
 	Rounds         int    `json:"rounds,omitempty"`
 	Cached         bool   `json:"cached,omitempty"`
 	// Explore-stage storage telemetry; see core.StageStat.
-	Encoding      string  `json:"encoding,omitempty"`
 	BytesPerState float64 `json:"bytes_per_state,omitempty"`
 	PeakRSSBytes  int64   `json:"peak_rss_bytes,omitempty"`
 	SpillFiles    int     `json:"spill_files,omitempty"`
@@ -504,7 +503,6 @@ func StageJSONOf(st core.StageStat) StageJSON {
 		TransitionsOut: st.TransitionsOut,
 		Rounds:         st.Rounds,
 		Cached:         st.Cached,
-		Encoding:       st.Encoding,
 		BytesPerState:  st.BytesPerState,
 		PeakRSSBytes:   st.PeakRSSBytes,
 		SpillFiles:     st.SpillFiles,
@@ -605,25 +603,12 @@ func RunBackend(ctx context.Context, spec JobSpec, backend statecodec.Backend, o
 	if err != nil {
 		return nil, err
 	}
-	if spec.ModelSource != "" {
-		return runGuarded(ctx, alg, spec, backend, observe)
-	}
 	return run(ctx, alg, spec, backend, observe)
 }
 
-// runGuarded executes a model job with a panic guard: a well-typed model
-// can still fail at runtime (nil dereference, heap exhaustion), and the
-// compiled program reports those as panics carrying the source position.
-// Registry algorithms run unguarded — a panic there is a bug, not input.
-func runGuarded(ctx context.Context, alg *algorithms.Algorithm, spec JobSpec, backend statecodec.Backend, observe func(StageJSON)) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("api: model runtime error: %v", r)
-		}
-	}()
-	return run(ctx, alg, spec, backend, observe)
-}
-
+// run executes a resolved job. A model that faults at run time (a nil
+// dereference, an exhausted heap) fails the job with the explorer's
+// positioned *machine.ModelFaultError.
 func run(ctx context.Context, alg *algorithms.Algorithm, spec JobSpec, backend statecodec.Backend, observe func(StageJSON)) (*Result, error) {
 	cfg := spec.coreConfig(backend)
 	if observe != nil {

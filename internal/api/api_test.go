@@ -172,7 +172,7 @@ func TestRunMemBudgetSameVerdict(t *testing.T) {
 			continue
 		}
 		sawExplore = true
-		if st.Encoding == "" || st.BytesPerState <= 0 {
+		if st.BytesPerState <= 0 {
 			t.Fatalf("explore stage missing storage telemetry: %+v", st)
 		}
 	}

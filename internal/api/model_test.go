@@ -105,9 +105,10 @@ func TestRunModelCheck(t *testing.T) {
 }
 
 func TestRunModelRuntimePanicRecovered(t *testing.T) {
-	_, err := Run(context.Background(), JobSpec{
-		Kind: KindCheck,
-		ModelSource: `model broken
+	for _, workers := range []int{1, 2} {
+		_, err := Run(context.Background(), JobSpec{
+			Kind: KindCheck,
+			ModelSource: `model broken
 node cell { val: val  next: ptr }
 globals { Top: ptr }
 spec stack
@@ -118,12 +119,13 @@ method Push(v: vals) {
 }
 method Pop() { P9: return empty }
 `,
-		Threads: 1, Ops: 1, Workers: 1,
-	})
-	if err == nil {
-		t.Fatal("runtime nil deref did not fail the job")
-	}
-	if !strings.Contains(err.Error(), "model runtime error") || !strings.Contains(err.Error(), "model.bbvl:7:11") {
-		t.Errorf("err = %v, want positioned model runtime error", err)
+			Threads: 1, Ops: 1, Workers: workers,
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: runtime nil deref did not fail the job", workers)
+		}
+		if !strings.Contains(err.Error(), "model runtime error") || !strings.Contains(err.Error(), "model.bbvl:7:11") {
+			t.Errorf("workers=%d: err = %v, want positioned model runtime error", workers, err)
+		}
 	}
 }

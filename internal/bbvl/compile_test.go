@@ -1,6 +1,8 @@
 package bbvl
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -10,8 +12,8 @@ import (
 
 // TestNilDerefPanicsWithPosition checks that running a well-typed but
 // wrong model (dereferencing nil at runtime) panics with the source
-// position of the offending access, which the api layer converts into a
-// job error.
+// position of the offending access, which the explorer returns as a
+// *machine.ModelFaultError naming the statement.
 func TestNilDerefPanicsWithPosition(t *testing.T) {
 	src := `model broken
 node cell { val: val  next: ptr }
@@ -28,18 +30,19 @@ method Pop() { P9: return empty }
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no panic from nil dereference")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "broken.bbvl:7:11") || !strings.Contains(msg, "nil or invalid pointer dereference") {
-			t.Fatalf("panic = %v, want positioned nil-deref message", r)
-		}
-	}()
-	_, _ = machine.Explore(m.Build(algorithms.Config{Threads: 1, Ops: 1}),
+	_, _, err = machine.ExploreWithInfoContext(context.Background(), m.Build(algorithms.Config{Threads: 1, Ops: 1}),
 		machine.Options{Threads: 1, Ops: 1, Workers: 1})
+	var fault *machine.ModelFaultError
+	if !errors.As(err, &fault) {
+		t.Fatalf("err = %v, want a model fault from the nil dereference", err)
+	}
+	msg := fault.Cause.Error()
+	if !strings.Contains(msg, "broken.bbvl:7:11") || !strings.Contains(msg, "nil or invalid pointer dereference") {
+		t.Fatalf("cause = %q, want positioned nil-deref message", msg)
+	}
+	if fault.Thread != 0 || fault.Method != "Push" || fault.Label != "P1" || fault.Pos.Line != 7 {
+		t.Fatalf("fault site = t%d %s.%s at %v, want t1 Push.P1 on line 7", fault.Thread+1, fault.Method, fault.Label, fault.Pos)
+	}
 }
 
 // TestArgSetModel runs a model whose method argument ranges over an
@@ -63,7 +66,7 @@ method Pop() {
 	if got := p.Methods[0].Args; len(got) != 2 || got[0] != 5 || got[1] != 9 {
 		t.Fatalf("Push args = %v, want [5 9]", got)
 	}
-	l, err := machine.Explore(p, machine.Options{Threads: 1, Ops: 1, Workers: 1})
+	l, _, err := machine.ExploreWithInfoContext(context.Background(), p, machine.Options{Threads: 1, Ops: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +94,7 @@ method Pop() { P9: return empty }
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if _, err := machine.Explore(m.Build(algorithms.Config{Threads: 2, Ops: 1}),
+	if _, _, err := machine.ExploreWithInfoContext(context.Background(), m.Build(algorithms.Config{Threads: 2, Ops: 1}),
 		machine.Options{Threads: 2, Ops: 1, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +118,7 @@ method Pop() { P9: return empty }
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if _, err := machine.Explore(m.Build(algorithms.Config{Threads: 1, Ops: 2}),
+	if _, _, err := machine.ExploreWithInfoContext(context.Background(), m.Build(algorithms.Config{Threads: 1, Ops: 2}),
 		machine.Options{Threads: 1, Ops: 2, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package bbvl
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -38,7 +39,7 @@ func registryAlg(t *testing.T, id string) *algorithms.Algorithm {
 // the LTS byte for byte.
 func exportBytes(t *testing.T, p *machine.Program, threads, ops int) (string, string) {
 	t.Helper()
-	l, err := machine.Explore(p, machine.Options{Threads: threads, Ops: ops, Workers: 1})
+	l, _, err := machine.ExploreWithInfoContext(context.Background(), p, machine.Options{Threads: threads, Ops: ops, Workers: 1})
 	if err != nil {
 		t.Fatalf("explore %s: %v", p.Name, err)
 	}

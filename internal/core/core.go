@@ -60,10 +60,7 @@ type Config struct {
 	// SpillDir is the parent directory for spill temp files; empty uses
 	// the OS temp dir.
 	SpillDir string
-	// Encoding selects the state codec (machine.EncodingAuto/Packed/
-	// Legacy); it never changes any result.
-	Encoding string
-	// LayoutProvider, when set, supplies a packed state layout for each
+	// LayoutProvider, when set, supplies a narrowed state layout for each
 	// program explored under this configuration (typically vet interval
 	// narrowing via vet.StateLayout). Returning nil falls back to the
 	// structural layout. Layouts never change any result, only bytes per
@@ -101,7 +98,6 @@ func (c Config) options(p *machine.Program, acts, labels *lts.Alphabet) machine.
 		Labels:    labels,
 		MemBudget: c.MemBudget,
 		SpillDir:  c.SpillDir,
-		Encoding:  c.Encoding,
 		Backend:   c.Backend,
 	}
 	if p != nil && c.LayoutProvider != nil {
@@ -124,11 +120,13 @@ func Explore(p *machine.Program, cfg Config, acts, labels *lts.Alphabet) (*lts.L
 	return ExploreContext(context.Background(), p, cfg, acts, labels)
 }
 
-// ExploreContext is Explore with cancellation; see machine.ExploreContext.
+// ExploreContext is Explore with cancellation; see
+// machine.ExploreWithInfoContext.
 func ExploreContext(ctx context.Context, p *machine.Program, cfg Config, acts, labels *lts.Alphabet) (*lts.LTS, error) {
 	opt := cfg.options(p, acts, labels)
 	opt.Reduction = cfg.reduction(p)
-	return machine.ExploreContext(ctx, p, opt)
+	l, _, err := machine.ExploreWithInfoContext(ctx, p, opt)
+	return l, err
 }
 
 // LinearizabilityResult reports a Theorem 5.3 check.

@@ -199,7 +199,6 @@ func (s *Session) explore(ctx context.Context, r *recorder, p *machine.Program) 
 		Elapsed:        time.Since(start),
 		StatesOut:      l.NumStates(),
 		TransitionsOut: l.NumTransitions(),
-		Encoding:       info.Stats.Encoding,
 		BytesPerState:  info.Stats.BytesPerState(),
 		PeakRSSBytes:   info.Stats.PeakRSSBytes,
 		SpillFiles:     info.Stats.SpillFiles,

@@ -64,8 +64,6 @@ type StageStat struct {
 	Cached bool `json:"cached,omitempty"`
 	// Explore-stage storage telemetry (zero for other stages).
 	//
-	// Encoding names the state codec ("packed" or "legacy").
-	Encoding string `json:"encoding,omitempty"`
 	// BytesPerState is the effective encoded size of one interned state.
 	BytesPerState float64 `json:"bytes_per_state,omitempty"`
 	// PeakRSSBytes is the OS-reported process peak RSS at the end of the

@@ -1,6 +1,7 @@
 package exhibits
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -20,7 +21,7 @@ var oneVal = []int32{1}
 // explore builds the LTS of one algorithm instance, reporting capped=true
 // (and no error) when the state budget is exceeded.
 func explore(p *machine.Program, threads, ops int, opt Options, acts, labels *lts.Alphabet) (l *lts.LTS, wasCapped bool, err error) {
-	l, err = machine.Explore(p, machine.Options{
+	l, _, err = machine.ExploreWithInfoContext(context.Background(), p, machine.Options{
 		Threads:   threads,
 		Ops:       ops,
 		MaxStates: opt.maxStates(),

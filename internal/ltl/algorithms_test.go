@@ -1,6 +1,7 @@
 package ltl_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -12,7 +13,7 @@ import (
 
 func explore(t *testing.T, p *machine.Program, threads, ops int, acts *lts.Alphabet) *lts.LTS {
 	t.Helper()
-	l, err := machine.Explore(p, machine.Options{Threads: threads, Ops: ops, Acts: acts})
+	l, _, err := machine.ExploreWithInfoContext(context.Background(), p, machine.Options{Threads: threads, Ops: ops, Acts: acts})
 	if err != nil {
 		t.Fatal(err)
 	}

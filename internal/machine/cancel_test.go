@@ -52,7 +52,7 @@ func TestExploreContextCanceled(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, err := ExploreContext(ctx, bigProgram(), Options{Threads: 3, Ops: 40, Workers: workers})
+			_, _, err := ExploreWithInfoContext(ctx, bigProgram(), Options{Threads: 3, Ops: 40, Workers: workers})
 			done <- err
 		}()
 		time.Sleep(20 * time.Millisecond)
@@ -80,7 +80,7 @@ func TestExploreContextCanceled(t *testing.T) {
 func TestExploreContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
-	_, err := ExploreContext(ctx, bigProgram(), Options{Threads: 3, Ops: 40, Workers: 1})
+	_, _, err := ExploreWithInfoContext(ctx, bigProgram(), Options{Threads: 3, Ops: 40, Workers: 1})
 	if err == nil {
 		t.Fatal("timed-out exploration must error")
 	}
@@ -89,21 +89,23 @@ func TestExploreContextDeadline(t *testing.T) {
 	}
 }
 
-// TestExploreContextCompletes pins that a background context changes
-// nothing: the context-aware entry point produces the same LTS as the
-// plain one.
+// TestExploreContextCompletes pins that a live cancelable context
+// changes nothing: the exploration produces the same LTS as under the
+// background context.
 func TestExploreContextCompletes(t *testing.T) {
 	opt := Options{Threads: 2, Ops: 2, Workers: 1}
-	plain, err := Explore(counterProgram(), opt)
+	plain, _, err := ExploreWithInfoContext(context.Background(), counterProgram(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCtx, err := ExploreContext(context.Background(), counterProgram(), opt)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	viaCtx, _, err := ExploreWithInfoContext(ctx, counterProgram(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.NumStates() != viaCtx.NumStates() || plain.NumTransitions() != viaCtx.NumTransitions() {
-		t.Fatalf("context entry point changed the LTS: %d/%d vs %d/%d states/transitions",
+		t.Fatalf("a live context changed the LTS: %d/%d vs %d/%d states/transitions",
 			plain.NumStates(), plain.NumTransitions(), viaCtx.NumStates(), viaCtx.NumTransitions())
 	}
 }

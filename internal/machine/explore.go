@@ -2,6 +2,7 @@ package machine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -47,6 +48,83 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 // done, preferring the cancel cause when one was recorded.
 func canceled(ctx context.Context, prog string) error {
 	return &CanceledError{Program: prog, Cause: context.Cause(ctx)}
+}
+
+// ModelFaultError reports that the model itself failed while its state
+// space was generated: a statement panicked (a nil or dangling
+// dereference, an exhausted heap, a foreign unlock, a goto past the end of
+// its body), Program.Init panicked, or a successor held a value outside
+// the state layout. Both explorers return the fault of the lowest state in
+// discovery order, so the error is the same for every worker count and
+// memory budget.
+type ModelFaultError struct {
+	Program string
+	// Thread is the zero-based index of the faulting thread; -1 for a
+	// fault in Program.Init.
+	Thread int
+	// Method and Label name the faulting step: the statement's label, or
+	// "call" / "return" for the client's own bookkeeping steps, or "init".
+	Method string
+	Label  string
+	// Pos is the statement's source position; the zero Pos for hand-coded
+	// programs and bookkeeping steps.
+	Pos Pos
+	// Cause is the panic value, as an error.
+	Cause error
+}
+
+// Error implements the error interface.
+func (e *ModelFaultError) Error() string {
+	site := "init"
+	if e.Thread >= 0 {
+		site = fmt.Sprintf("t%d %s.%s", e.Thread+1, e.Method, e.Label)
+	}
+	if e.Pos.IsValid() {
+		site += " (" + e.Pos.String() + ")"
+	}
+	return fmt.Sprintf("machine: %s: model runtime error in %s: %v", e.Program, site, e.Cause)
+}
+
+// Unwrap exposes the cause.
+func (e *ModelFaultError) Unwrap() error { return e.Cause }
+
+// initSite is the fault site of Program.Init.
+var initSite = symTrans{t: -1}
+
+// newFault builds the typed fault for panic value r raised at step at.
+func newFault(p *Program, at symTrans, r any) *ModelFaultError {
+	cause, ok := r.(error)
+	if !ok {
+		cause = errors.New(fmt.Sprint(r))
+	}
+	e := &ModelFaultError{Program: p.Name, Thread: int(at.t), Label: "init", Cause: cause}
+	if at.t < 0 {
+		return e
+	}
+	m := &p.Methods[at.m]
+	e.Method = m.Name
+	switch at.kind {
+	case symCall:
+		e.Label = "call"
+	case symRet:
+		e.Label = "return"
+	default:
+		stmt := &m.Body[at.pc]
+		e.Label, e.Pos = stmt.Label, stmt.Pos
+		if e.Label == "" {
+			e.Label = fmt.Sprint(at.pc)
+		}
+	}
+	return e
+}
+
+// contain runs fn and returns the value of a panic raised inside it, or
+// nil when fn returns normally. It is the fault boundary for model code
+// run outside expander.expand: Program.Init and the pilots' single steps.
+func contain(fn func()) (fault any) {
+	defer func() { fault = recover() }()
+	fn()
+	return nil
 }
 
 // cancelCheckMask throttles context polling in exploration hot loops: the
@@ -107,15 +185,11 @@ type Options struct {
 	// removed when the exploration ends, on every exit path. Ignored by
 	// the in-memory backend.
 	SpillDir string
-	// Encoding selects the state codec: EncodingAuto/EncodingPacked bit-
-	// pack states using Layout or the structural layout; EncodingLegacy
-	// forces the original one-byte-per-slot encoding. The choice never
-	// affects the produced LTS.
-	Encoding string
-	// Layout optionally supplies a narrowed packed layout (vet interval
-	// facts via vet.StateLayout). It must be derived from this program
-	// under the same Threads and Ops; a mis-shaped layout is ignored in
-	// favor of the structural one.
+	// Layout optionally supplies a narrowed state layout (vet interval
+	// facts via vet.StateLayout); nil uses StructuralLayout. It must be
+	// derived from this program under the same Threads and Ops; a
+	// mis-shaped layout is ignored in favor of the structural one. The
+	// layout never affects the produced LTS, only the bytes per state.
 	Layout *statecodec.Layout
 	// Reduction optionally supplies the τ-confluence partial-order
 	// reduction artifact (vet's independence/confluence analysis via
@@ -142,8 +216,6 @@ type Options struct {
 
 // ExploreStats is the storage telemetry of one exploration.
 type ExploreStats struct {
-	// Encoding names the state codec used: "packed" or "legacy".
-	Encoding string
 	// States is the number of distinct states interned.
 	States int
 	// EncodedBytes is the summed encoded size of all interned states.
@@ -198,32 +270,18 @@ type Info struct {
 	Stats ExploreStats
 }
 
-// Explore generates the LTS of the program under most general clients:
-// every reachable interleaving of Threads clients each performing up to
-// Ops method invocations, with every method and argument choice.
+// ExploreWithInfoContext generates the LTS of the program under most
+// general clients: every reachable interleaving of Threads clients each
+// performing up to Ops method invocations, with every method and argument
+// choice. Call and return actions are visible; every statement execution
+// is a τ transition labeled (for diagnostics) with "t<i>.<stmt label>".
 //
-// Call and return actions are visible; every statement execution is a τ
-// transition labeled (for diagnostics) with "t<i>.<stmt label>".
-func Explore(p *Program, opt Options) (*lts.LTS, error) {
-	l, _, err := ExploreWithInfoContext(context.Background(), p, opt)
-	return l, err
-}
-
-// ExploreContext is Explore with cancellation: when ctx is canceled or
-// times out mid-exploration, it stops promptly — both the sequential BFS
-// and every parallel worker poll the context — and returns a
-// *CanceledError wrapping the context cause.
-func ExploreContext(ctx context.Context, p *Program, opt Options) (*lts.LTS, error) {
-	l, _, err := ExploreWithInfoContext(ctx, p, opt)
-	return l, err
-}
-
-// ExploreWithInfo is Explore plus deadlock information.
-func ExploreWithInfo(p *Program, opt Options) (*lts.LTS, *Info, error) {
-	return ExploreWithInfoContext(context.Background(), p, opt)
-}
-
-// ExploreWithInfoContext is ExploreContext plus deadlock information.
+// When ctx is canceled or times out mid-exploration, it stops promptly —
+// the sequential BFS and every parallel worker poll the context — and
+// returns a *CanceledError wrapping the context cause. A model that
+// faults returns a *ModelFaultError; a state space past MaxStates returns
+// a *StateLimitError. Info carries the deadlock states and the storage
+// telemetry.
 func ExploreWithInfoContext(ctx context.Context, p *Program, opt Options) (*lts.LTS, *Info, error) {
 	if err := validateOptions(p, opt); err != nil {
 		return nil, nil, err
@@ -243,10 +301,7 @@ func ExploreWithInfoContext(ctx context.Context, p *Program, opt Options) (*lts.
 	if labels == nil {
 		labels = lts.NewAlphabet()
 	}
-	cdc, err := newCodec(p, opt)
-	if err != nil {
-		return nil, nil, err
-	}
+	cdc := newCodec(p, opt)
 	if opt.Reduction != nil && !opt.Reduction.Matches(p) {
 		opt.Reduction = nil
 	}
@@ -292,7 +347,8 @@ func bytesString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// initialState builds the start state of the most general client.
+// initialState builds the start state of the most general client. It
+// runs Program.Init, which may panic; callers contain it.
 func initialState(p *Program, opt Options) *state {
 	init := newScratchState(p, opt.Threads)
 	if p.Init != nil {
@@ -302,6 +358,20 @@ func initialState(p *Program, opt Options) *state {
 		init.th[i].ops = int32(opt.Ops)
 	}
 	return init
+}
+
+// initialKey returns the canonical encoding of the start state. A panic
+// in Program.Init, or an initial value outside the layout, is returned as
+// a *ModelFaultError.
+func initialKey(p *Program, opt Options, cdc codec) (key []byte, err error) {
+	if r := contain(func() {
+		init := initialState(p, opt)
+		newCanonicalizer(p, p.HeapCap+1).run(init)
+		key = cdc.encode(nil, init)
+	}); r != nil {
+		return nil, newFault(p, initSite, r)
+	}
+	return key, nil
 }
 
 // explorer is the sequential state-space generator: a BFS over interned
@@ -425,19 +495,17 @@ func (ai *actionInterner) resolve(tr symTrans) (lts.ActionID, lts.LabelID) {
 	}
 }
 
-// internState canonicalizes, encodes and interns st, returning its ID.
-// The state budget is enforced here, at the moment the offending state is
-// interned, so one state's expansion cannot run arbitrarily far past
-// MaxStates before the error surfaces: e.err carries the StateLimitError
-// as soon as the limit is crossed and callers stop promptly.
-func (e *explorer) internState(st *state) int32 {
-	e.x.canon.run(st)
-	e.buf = e.cdc.encode(e.buf[:0], st)
-	if id, ok := e.ids[string(e.buf)]; ok {
+// intern interns the encoded state k, returning its ID. The state budget
+// is enforced here, at the moment the offending state is interned, so one
+// state's expansion cannot run arbitrarily far past MaxStates before the
+// error surfaces: e.err carries the StateLimitError as soon as the limit
+// is crossed and callers stop promptly.
+func (e *explorer) intern(k []byte) int32 {
+	if id, ok := e.ids[string(k)]; ok {
 		return id
 	}
 	id := int32(len(e.keys))
-	key := append([]byte(nil), e.buf...)
+	key := append([]byte(nil), k...)
 	e.ids[bytesString(key)] = id
 	e.keys = append(e.keys, key)
 	e.keyBytes += int64(len(key))
@@ -465,7 +533,11 @@ func (e *explorer) run(limit int) (*lts.LTS, *Info, error) {
 	e.limit = limit
 	e.x = newExpander(p, e.opt.Threads)
 	e.x.red = e.opt.Reduction
-	e.internState(initialState(p, e.opt))
+	key, err := initialKey(p, e.opt, e.cdc)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.intern(key)
 	if e.err != nil {
 		return nil, nil, e.err
 	}
@@ -481,7 +553,10 @@ func (e *explorer) run(limit int) (*lts.LTS, *Info, error) {
 		if err := e.csr.BeginState(int32(si)); err != nil {
 			return nil, nil, err
 		}
-		emitted := e.x.expandState(cur, e)
+		emitted, err := e.x.expand(cur, e)
+		if err != nil {
+			return nil, nil, err
+		}
 		if e.err != nil {
 			return nil, nil, e.err
 		}
@@ -490,7 +565,6 @@ func (e *explorer) run(limit int) (*lts.LTS, *Info, error) {
 		}
 	}
 	info.Stats = ExploreStats{
-		Encoding:          e.cdc.name(),
 		States:            len(e.keys),
 		EncodedBytes:      e.keyBytes,
 		PeakResidentBytes: e.keyBytes,
@@ -501,11 +575,14 @@ func (e *explorer) run(limit int) (*lts.LTS, *Info, error) {
 	return e.csr.Build(len(e.keys), 0), info, nil
 }
 
-// emit implements transSink for the sequential explorer: intern the
-// successor, resolve the action, and write the transition to the CSR
-// builder. Expansion aborts once the state budget has been crossed.
+// emit implements transSink for the sequential explorer: canonicalize,
+// encode and intern the successor, resolve the action, and write the
+// transition to the CSR builder. Expansion aborts once the state budget
+// has been crossed.
 func (e *explorer) emit(x *expander, tr symTrans) bool {
-	dst := e.internState(x.succ)
+	x.canon.run(x.succ)
+	e.buf = e.cdc.encode(e.buf[:0], x.succ)
+	dst := e.intern(e.buf)
 	if e.err != nil {
 		return false
 	}
@@ -560,6 +637,10 @@ type expander struct {
 	work, succ *state
 	ctx        Ctx
 	canon      *canonicalizer
+	// at is the step being taken — the statement running or the
+	// bookkeeping transition being emitted — which names the site of a
+	// fault.
+	at symTrans
 	// red, when non-nil, licenses confluent-τ pruning in expandState;
 	// pruned counts the prioritized expansions it replaced (one per
 	// compressed chain step). chain is the private scratch the
@@ -588,6 +669,48 @@ func newExpander(p *Program, threads int) expander {
 
 // zeroArg is the argument list of no-argument methods.
 var zeroArg = []int32{0}
+
+// expand is expandState behind the fault boundary: a panic while
+// expanding cur — in a statement, in canonicalization, or in the codec
+// encoding a successor outside its layout — is returned as a
+// *ModelFaultError naming the step that raised it. Transitions handed to
+// the sink before the fault stay handed.
+func (x *expander) expand(cur *state, sink transSink) (n int, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = newFault(x.prog, x.at, r)
+		}
+	}()
+	return x.expandState(cur, sink), nil
+}
+
+// step runs thread t's current statement on st in place, leaving its
+// outcomes in x.ctx.outs.
+func (x *expander) step(st *state, t int) {
+	th := &st.th[t]
+	x.at = symTrans{kind: symTau, t: int32(t), m: th.method, pc: th.pc}
+	x.ctx = Ctx{T: t, Arg: th.arg, G: st.g, L: th.locals, outs: x.ctx.outs[:0]}
+	x.prog.Methods[th.method].Body[th.pc].Exec(&x.ctx)
+}
+
+// advance applies one statement outcome to thread t of st: a return moves
+// the thread to statusReturning with its frame cleared, a goto moves its
+// pc.
+func (x *expander) advance(st *state, t int, out outcome) {
+	th := &st.th[t]
+	if out.pc < 0 {
+		th.status = statusReturning
+		th.ret = out.ret
+		th.pc = 0
+		th.arg = 0
+		clear(th.locals)
+		return
+	}
+	if int(out.pc) >= len(x.prog.Methods[th.method].Body) {
+		panic(fmt.Sprintf("goto %d beyond the end of the body", out.pc))
+	}
+	th.pc = out.pc
+}
 
 // expandState enumerates all transitions of cur in the deterministic
 // order the LTS stores them — threads ascending; within a thread, methods
@@ -635,21 +758,10 @@ func (x *expander) expandState(cur *state, sink transSink) int {
 // produce exactly one outcome — the artifact mis-licensed it and the
 // caller must fall back to full expansion.
 func (x *expander) expandChain(cur *state, t int, sink transSink) (int, bool) {
-	p := x.prog
 	cur.copyInto(x.chain)
 	var first symTrans
 	for steps := 0; ; {
-		th := &x.chain.th[t]
-		mi, pc := int(th.method), int(th.pc)
-		stmt := &p.Methods[mi].Body[pc]
-		x.ctx = Ctx{
-			T:    t,
-			Arg:  th.arg,
-			G:    x.chain.g,
-			L:    th.locals,
-			outs: x.ctx.outs[:0],
-		}
-		stmt.Exec(&x.ctx)
+		x.step(x.chain, t)
 		if len(x.ctx.outs) != 1 {
 			if steps == 0 {
 				return 0, false
@@ -660,23 +772,9 @@ func (x *expander) expandChain(cur *state, t int, sink transSink) (int, bool) {
 			break
 		}
 		if steps == 0 {
-			first = symTrans{kind: symTau, t: int32(t), m: int32(mi), pc: int32(pc)}
+			first = x.at
 		}
-		out := x.ctx.outs[0]
-		if out.pc < 0 {
-			th.status = statusReturning
-			th.ret = out.ret
-			th.pc = 0
-			th.arg = 0
-			for i := range th.locals {
-				th.locals[i] = 0
-			}
-		} else {
-			if int(out.pc) >= len(p.Methods[mi].Body) {
-				panic(fmt.Sprintf("machine: %s.%s: goto %d beyond body", p.Name, p.Methods[mi].Name, out.pc))
-			}
-			th.pc = out.pc
-		}
+		x.advance(x.chain, t, x.ctx.outs[0])
 		x.canon.run(x.chain)
 		steps++
 		x.pruned++
@@ -716,62 +814,36 @@ func (x *expander) expandThread(cur *state, t int, sink transSink) (int, bool) {
 				nt.arg = arg
 				nt.pc = 0
 				nt.ops--
-				for i := range nt.locals {
-					nt.locals[i] = 0
-				}
+				clear(nt.locals)
+				x.at = symTrans{kind: symCall, t: int32(t), m: int32(mi), val: arg}
 				emitted++
-				if !sink.emit(x, symTrans{kind: symCall, t: int32(t), m: int32(mi), val: arg}) {
+				if !sink.emit(x, x.at) {
 					return emitted, false
 				}
 			}
 		}
 	case statusRunning:
-		mi := int(th.method)
-		pc := int(th.pc)
-		stmt := &p.Methods[mi].Body[pc]
 		// The statement runs on the reusable work copy; its (shared)
 		// mutations are visible to every outcome, per the Stmt contract.
 		cur.copyInto(x.work)
-		x.ctx = Ctx{
-			T:    t,
-			Arg:  th.arg,
-			G:    x.work.g,
-			L:    x.work.th[t].locals,
-			outs: x.ctx.outs[:0],
-		}
-		stmt.Exec(&x.ctx)
+		x.step(x.work, t)
 		for _, out := range x.ctx.outs {
 			x.work.copyInto(x.succ)
-			nt := &x.succ.th[t]
-			if out.pc < 0 {
-				nt.status = statusReturning
-				nt.ret = out.ret
-				nt.pc = 0
-				nt.arg = 0
-				for i := range nt.locals {
-					nt.locals[i] = 0
-				}
-			} else {
-				if int(out.pc) >= len(p.Methods[mi].Body) {
-					panic(fmt.Sprintf("machine: %s.%s: goto %d beyond body", p.Name, p.Methods[mi].Name, out.pc))
-				}
-				nt.pc = out.pc
-			}
+			x.advance(x.succ, t, out)
 			emitted++
-			if !sink.emit(x, symTrans{kind: symTau, t: int32(t), m: int32(mi), pc: int32(pc)}) {
+			if !sink.emit(x, x.at) {
 				return emitted, false
 			}
 		}
 	case statusReturning:
 		cur.copyInto(x.succ)
 		nt := &x.succ.th[t]
-		mi := int(th.method)
-		ret := th.ret
 		nt.status = statusIdle
 		nt.method = 0
 		nt.ret = 0
+		x.at = symTrans{kind: symRet, t: int32(t), m: th.method, val: th.ret}
 		emitted++
-		if !sink.emit(x, symTrans{kind: symRet, t: int32(t), m: int32(mi), val: ret}) {
+		if !sink.emit(x, x.at) {
 			return emitted, false
 		}
 	}

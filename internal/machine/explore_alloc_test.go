@@ -13,10 +13,12 @@ import (
 // table converted every key with []byte(key) — one copy per BFS pop.
 func TestDecodeKeysAllocFree(t *testing.T) {
 	p := counterProgram()
+	opt := Options{Threads: 2, Ops: 2, Workers: 1}
 	e := &explorer{
 		ctx:  context.Background(),
 		prog: p,
-		opt:  Options{Threads: 2, Ops: 2, Workers: 1},
+		opt:  opt,
+		cdc:  newCodec(p, opt),
 		ai:   newActionInterner(p, lts.NewAlphabet(), lts.NewAlphabet()),
 		ids:  make(map[string]int32),
 	}
@@ -29,7 +31,7 @@ func TestDecodeKeysAllocFree(t *testing.T) {
 	cur := newScratchState(p, 2)
 	allocs := testing.AllocsPerRun(10, func() {
 		for _, k := range e.keys {
-			decode(k, cur)
+			e.cdc.decode(k, cur)
 		}
 	})
 	if allocs != 0 {

@@ -36,7 +36,12 @@ import (
 // Consequently the produced LTS — state numbering, transition order,
 // alphabet interning, deadlock list — is identical to the sequential
 // explorer's for every worker count and every memory budget; only
-// wall-clock time and memory residency change.
+// wall-clock time and memory residency change. A model fault travels
+// through the level barrier the same way: each worker stops at its first
+// faulting state, and the merge replays the level up to the lowest
+// faulting frontier index — including the transitions that state emitted
+// before the fault, which may cross the state budget first — and then
+// returns that fault, exactly what the sequential explorer returns.
 
 // ptrans is one worker-recorded transition: the symbolic action plus
 // the successor's store reference, resolved to IDs during the merge.
@@ -62,6 +67,10 @@ type pworker struct {
 	cdc   codec
 	store statecodec.Store
 	chunk statecodec.ChunkReader
+	// fault is the model fault this worker hit in the current level, at
+	// frontier index faultAt; the worker stops there.
+	fault   error
+	faultAt int
 }
 
 // emit implements transSink: canonicalize and encode the successor,
@@ -91,10 +100,11 @@ func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, ac
 	ai := newActionInterner(p, acts, labels)
 
 	// Intern the initial state as state 0 and seed the first frontier.
-	init := initialState(p, opt)
-	canon := newCanonicalizer(p, p.HeapCap+1)
-	canon.run(init)
-	ref := store.Intern(cdc.encode(nil, init))
+	key, err := initialKey(p, opt, cdc)
+	if err != nil {
+		return nil, nil, err
+	}
+	ref := store.Intern(key)
 	ref.Ent.ID = 0
 	numStates := 1
 	if err := store.PushFrontier(ref.Ent.Key); err != nil {
@@ -141,6 +151,7 @@ func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, ac
 		for wi := 0; wi < nw; wi++ {
 			w := ws[wi]
 			w.trs = w.trs[:0]
+			w.fault = nil
 			wg.Add(1)
 			go func(windex int32, w *pworker) {
 				defer wg.Done()
@@ -167,12 +178,16 @@ func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, ac
 					for i, key := range keys {
 						w.cdc.decode(key, w.cur)
 						t0 := len(w.trs)
-						cnt := w.x.expandState(w.cur, w)
+						cnt, err := w.x.expand(w.cur, w)
 						rows[start+i] = rowRef{
 							start:    t0,
 							end:      len(w.trs),
 							worker:   windex,
 							deadlock: cnt == 0 && !allDone(w.cur),
+						}
+						if err != nil {
+							w.fault, w.faultAt = err, start+i
+							return
 						}
 					}
 				}
@@ -188,11 +203,19 @@ func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, ac
 			}
 		}
 
-		// Merge phase: deterministic ID assignment and bulk CSR emission.
+		// Every row below the lowest faulting index was expanded: a worker
+		// only stops early at its own fault, and claims chunks in order.
+		faultAt := n
+		var fault error
 		total := 0
-		for wi := 0; wi < nw; wi++ {
-			total += len(ws[wi].trs)
+		for _, w := range ws[:nw] {
+			total += len(w.trs)
+			if w.fault != nil && w.faultAt < faultAt {
+				fault, faultAt = w.fault, w.faultAt
+			}
 		}
+
+		// Merge phase: deterministic ID assignment and bulk CSR emission.
 		csr.Reserve(n, total)
 		for i := range rows {
 			if i&cancelCheckMask == 0 && ctx.Err() != nil {
@@ -227,6 +250,9 @@ func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, ac
 			if err := csr.EmitRow(int32(base+i), row); err != nil {
 				return nil, nil, err
 			}
+			if i == faultAt {
+				return nil, nil, fault
+			}
 			if r.deadlock {
 				info.Deadlocks = append(info.Deadlocks, int32(base+i))
 			}
@@ -245,7 +271,6 @@ func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, ac
 		pruned += w.x.pruned
 	}
 	info.Stats = ExploreStats{
-		Encoding:          cdc.name(),
 		States:            numStates,
 		EncodedBytes:      st.InternedBytes,
 		PeakResidentBytes: st.PeakResidentBytes,

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -41,7 +42,7 @@ func counterProgram() *Program {
 
 func TestExploreSingleThreadShape(t *testing.T) {
 	p := counterProgram()
-	l, err := Explore(p, Options{Threads: 1, Ops: 1})
+	l, _, err := ExploreWithInfoContext(context.Background(), p, Options{Threads: 1, Ops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestExploreSingleThreadShape(t *testing.T) {
 
 func TestExploreInterleavings(t *testing.T) {
 	p := counterProgram()
-	l, err := Explore(p, Options{Threads: 2, Ops: 1})
+	l, _, err := ExploreWithInfoContext(context.Background(), p, Options{Threads: 2, Ops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestBlockingStatement(t *testing.T) {
 			},
 		},
 	}
-	l, err := Explore(p, Options{Threads: 2, Ops: 1})
+	l, _, err := ExploreWithInfoContext(context.Background(), p, Options{Threads: 2, Ops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestSpinStatementCreatesTauCycle(t *testing.T) {
 			},
 		},
 	}
-	l, err := Explore(p, Options{Threads: 1, Ops: 1})
+	l, _, err := ExploreWithInfoContext(context.Background(), p, Options{Threads: 1, Ops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestSpinStatementCreatesTauCycle(t *testing.T) {
 
 func TestStateLimit(t *testing.T) {
 	p := counterProgram()
-	_, err := Explore(p, Options{Threads: 2, Ops: 2, MaxStates: 10})
+	_, _, err := ExploreWithInfoContext(context.Background(), p, Options{Threads: 2, Ops: 2, MaxStates: 10})
 	var lim *StateLimitError
 	if !errors.As(err, &lim) {
 		t.Fatalf("expected StateLimitError, got %v", err)
@@ -237,7 +238,7 @@ func TestValidate(t *testing.T) {
 	if err := counterProgram().Validate(); err != nil {
 		t.Errorf("valid program rejected: %v", err)
 	}
-	if _, err := Explore(counterProgram(), Options{Threads: 0, Ops: 1}); err == nil {
+	if _, _, err := ExploreWithInfoContext(context.Background(), counterProgram(), Options{Threads: 0, Ops: 1}); err == nil {
 		t.Error("expected error for zero threads")
 	}
 }
@@ -274,7 +275,7 @@ func TestCanonicalizationMergesSymmetricHeaps(t *testing.T) {
 			},
 		},
 	}
-	l, err := Explore(p, Options{Threads: 2, Ops: 1})
+	l, _, err := ExploreWithInfoContext(context.Background(), p, Options{Threads: 2, Ops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,20 +298,24 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		Globals: Schema{Names: []string{"a", "b"}, Kinds: []VarKind{KVal, KPtr}},
 		HeapCap: 3,
 		NLocals: 2,
-		Methods: []Method{{Name: "m", Body: []Stmt{{Exec: func(c *Ctx) { c.Return(0) }}}}},
+		Methods: []Method{{Name: "m", Args: []int32{1, 3}, Body: []Stmt{
+			{Exec: func(c *Ctx) { c.Goto(1) }},
+			{Exec: func(c *Ctx) { c.Return(0) }},
+		}}},
 	}
+	cdc := newCodec(p, Options{Threads: 1, Ops: 2})
 	st := &state{
 		g:  &Global{Vars: []int32{-2, 1}, Heap: make([]Node, 4)},
 		th: []thread{{status: statusRunning, method: 0, arg: 3, pc: 1, ret: -2, ops: 2, locals: []int32{5, -1}}},
 	}
 	st.g.Heap[1] = Node{Kind: 2, Val: 7, Key: -3, Next: 2, Mark: true, Lock: 1}
 	st.g.Heap[2] = Node{Kind: 1, C: 9, D: -8}
-	buf := encode(nil, st)
+	buf := cdc.encode(nil, st)
 	got := &state{
 		g:  &Global{Vars: make([]int32, 2), Heap: make([]Node, 4)},
 		th: []thread{{locals: make([]int32, 2)}},
 	}
-	decode(buf, got)
+	cdc.decode(buf, got)
 	if got.g.Vars[0] != -2 || got.g.Vars[1] != 1 {
 		t.Fatalf("vars = %v", got.g.Vars)
 	}
@@ -324,7 +329,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if th.locals[0] != 5 || th.locals[1] != -1 {
 		t.Fatalf("locals mismatch: %v", th.locals)
 	}
-	_ = p
 }
 
 func TestCanonicalizerDropsGarbageKeepsReferenced(t *testing.T) {
@@ -417,7 +421,7 @@ func TestNondeterministicStatement(t *testing.T) {
 			},
 		}},
 	}
-	l, err := Explore(p, Options{Threads: 1, Ops: 1})
+	l, _, err := ExploreWithInfoContext(context.Background(), p, Options{Threads: 1, Ops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,11 +440,11 @@ func TestNondeterministicStatement(t *testing.T) {
 // byte-identical structure (state and transition counts, action sets).
 func TestExploreDeterministic(t *testing.T) {
 	p := counterProgram()
-	a, err := Explore(p, Options{Threads: 2, Ops: 2})
+	a, _, err := ExploreWithInfoContext(context.Background(), p, Options{Threads: 2, Ops: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Explore(counterProgram(), Options{Threads: 2, Ops: 2})
+	b, _, err := ExploreWithInfoContext(context.Background(), counterProgram(), Options{Threads: 2, Ops: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,14 +478,14 @@ func TestDeadlockInfo(t *testing.T) {
 			}}},
 		}},
 	}
-	_, info, err := ExploreWithInfo(blocked, Options{Threads: 1, Ops: 1})
+	_, info, err := ExploreWithInfoContext(context.Background(), blocked, Options{Threads: 1, Ops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(info.Deadlocks) == 0 {
 		t.Fatal("the blocked program must report a deadlock")
 	}
-	_, info, err = ExploreWithInfo(counterProgram(), Options{Threads: 2, Ops: 1})
+	_, info, err = ExploreWithInfoContext(context.Background(), counterProgram(), Options{Threads: 2, Ops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

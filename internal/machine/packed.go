@@ -1,22 +1,6 @@
 package machine
 
-import (
-	"fmt"
-
-	"repro/internal/statecodec"
-)
-
-// Encoding values for Options.Encoding.
-const (
-	// EncodingAuto picks the packed codec with the best available layout:
-	// Options.Layout when one was supplied (vet interval narrowing),
-	// otherwise the structural layout derived from the program shape.
-	EncodingAuto = ""
-	// EncodingPacked is EncodingAuto spelled explicitly.
-	EncodingPacked = "packed"
-	// EncodingLegacy forces the original one-byte-per-slot encoding.
-	EncodingLegacy = "legacy"
-)
+import "repro/internal/statecodec"
 
 // StructuralLayout derives a packed state layout for p from program
 // structure alone, with no dataflow information:
@@ -28,9 +12,7 @@ const (
 //     three status codes, method by the method count, pc by the longest
 //     body, ops by the operation budget, arg by the declared argument
 //     domains, lock owners by the thread count, mark bits by one bit;
-//   - every other value slot falls back to the legacy byte window
-//     [EncodeMin, EncodeMax], so the packed codec accepts exactly the
-//     states the legacy codec accepts.
+//   - every other value slot gets the value window [EncodeMin, EncodeMax].
 //
 // It applies to every program, including registry programs without IR.
 // vet.StateLayout narrows the value slots further using its interval
@@ -114,51 +96,32 @@ func layoutFits(p *Program, lay *statecodec.Layout, threads, ops int) bool {
 		lay.Thread[statecodec.ThreadOps].Contains(int32(ops))
 }
 
-// codec encodes canonical states to intern keys and back. The zero
-// codec is the legacy one-byte-per-slot encoder; with a layout it is
-// the fixed-width bit-packed encoder. Both are injective on canonical
-// states (for the packed codec: all slots before the heap watermark are
-// fixed-width, so equal encodings agree on the watermark, hence on
-// every field boundary), both are allocation-free once buffers are
-// warm, and the choice is invisible in the produced LTS — only the
-// intern keys differ.
+// codec encodes canonical states to intern keys and back: a fixed-width
+// bit-packed encoder over a statecodec.Layout. It is injective on
+// canonical states (all slots before the heap watermark are fixed-width,
+// so equal encodings agree on the watermark, hence on every field
+// boundary) and allocation-free once buffers are warm. The layout only
+// changes the intern keys, never the produced LTS. A value outside its
+// slot makes encode panic, which the explorer reports as a
+// *ModelFaultError.
 type codec struct {
 	lay *statecodec.Layout
 }
 
-// newCodec resolves the codec for one exploration of p.
-func newCodec(p *Program, opt Options) (codec, error) {
-	switch opt.Encoding {
-	case EncodingLegacy:
-		return codec{}, nil
-	case EncodingAuto, EncodingPacked:
-		lay := opt.Layout
-		if lay != nil && !layoutFits(p, lay, opt.Threads, opt.Ops) {
-			lay = nil
-		}
-		if lay == nil {
-			lay = StructuralLayout(p, opt.Threads, opt.Ops)
-		}
-		return codec{lay: lay}, nil
-	default:
-		return codec{}, fmt.Errorf("machine: %s: unknown state encoding %q", p.Name, opt.Encoding)
+// newCodec resolves the codec for one exploration of p: Options.Layout
+// when it fits the program and instance, the structural layout otherwise.
+func newCodec(p *Program, opt Options) codec {
+	lay := opt.Layout
+	if !layoutFits(p, lay, opt.Threads, opt.Ops) {
+		lay = StructuralLayout(p, opt.Threads, opt.Ops)
 	}
+	return codec{lay: lay}
 }
 
-// name reports the codec for telemetry.
-func (c codec) name() string {
-	if c.lay == nil {
-		return "legacy"
-	}
-	return "packed"
-}
-
-// encode serializes a canonicalized state, in exactly the traversal
-// order of the legacy encoder.
+// encode serializes a canonicalized state: globals, the heap watermark,
+// the cells up to it (canonicalization makes them a dense prefix), then
+// every thread.
 func (c codec) encode(buf []byte, st *state) []byte {
-	if c.lay == nil {
-		return encode(buf, st)
-	}
 	lay := c.lay
 	var w statecodec.BitWriter
 	w.Reset(buf)
@@ -209,10 +172,6 @@ func (c codec) encode(buf []byte, st *state) []byte {
 // decode reconstructs a state into st, which must be shaped for the
 // program.
 func (c codec) decode(buf []byte, st *state) {
-	if c.lay == nil {
-		decode(buf, st)
-		return
-	}
 	lay := c.lay
 	var r statecodec.BitReader
 	r.Reset(buf)

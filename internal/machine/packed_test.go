@@ -38,10 +38,11 @@ func statesEqual(a, b *state) bool {
 }
 
 // TestPackedCodecRoundTrip drives 500 random canonical states per
-// example program through the packed codec and checks three properties:
+// example program through the codec and checks three properties:
 // decode(encode(s)) == s, re-encoding the decode reproduces the same
-// bytes (determinism), and packed keys collide exactly when legacy keys
-// do (injectivity agreement, so state identity is codec-independent).
+// bytes (determinism), and packed keys collide exactly when the raw
+// full-width pilot keys do (injectivity, so state identity is
+// layout-independent).
 func TestPackedCodecRoundTrip(t *testing.T) {
 	programs := []*Program{
 		quickProgram(3, 2, []VarKind{KVal, KPtr, KTagged}),
@@ -55,23 +56,16 @@ func TestPackedCodecRoundTrip(t *testing.T) {
 		p := p
 		p.HeapCap = heapCap
 		t.Run(fmt.Sprintf("%s-%d", p.Name, pi), func(t *testing.T) {
-			cdc, err := newCodec(p, Options{Threads: 2, Ops: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cdc.name() != "packed" {
-				t.Fatalf("auto encoding resolved to %q", cdc.name())
-			}
-			leg := codec{}
+			cdc := newCodec(p, Options{Threads: 2, Ops: 2})
 			rng := rand.New(rand.NewSource(int64(pi) + 1))
 			can := newCanonicalizer(p, heapCap+1)
-			p2l := map[string]string{} // packed key -> legacy key
-			l2p := map[string]string{} // legacy key -> packed key
+			p2r := map[string]string{} // packed key -> raw key
+			r2p := map[string]string{} // raw key -> packed key
 			for trial := 0; trial < 500; trial++ {
 				st := randomState(rng, p, heapCap)
 				can.run(st)
 				packed := append([]byte(nil), cdc.encode(nil, st)...)
-				legacy := append([]byte(nil), leg.encode(nil, st)...)
+				raw := string(encodeRaw(nil, st, -1))
 				got := &state{
 					g:  &Global{Vars: make([]int32, len(p.Globals.Kinds)), Heap: make([]Node, heapCap+1)},
 					th: []thread{{locals: make([]int32, p.NLocals)}},
@@ -83,59 +77,62 @@ func TestPackedCodecRoundTrip(t *testing.T) {
 				if again := cdc.encode(nil, got); !bytes.Equal(again, packed) {
 					t.Fatalf("trial %d: re-encode differs: %x vs %x", trial, again, packed)
 				}
-				if prev, ok := p2l[string(packed)]; ok && prev != string(legacy) {
-					t.Fatalf("trial %d: one packed key maps to two legacy keys", trial)
+				if prev, ok := p2r[string(packed)]; ok && prev != raw {
+					t.Fatalf("trial %d: one packed key maps to two raw keys", trial)
 				}
-				p2l[string(packed)] = string(legacy)
-				if prev, ok := l2p[string(legacy)]; ok && prev != string(packed) {
-					t.Fatalf("trial %d: one legacy key maps to two packed keys", trial)
+				p2r[string(packed)] = raw
+				if prev, ok := r2p[raw]; ok && prev != string(packed) {
+					t.Fatalf("trial %d: one raw key maps to two packed keys", trial)
 				}
-				l2p[string(legacy)] = string(packed)
+				r2p[raw] = string(packed)
 			}
 		})
 	}
 }
 
 // TestPackedSmallerThanLegacy pins the point of the packed codec: on the
-// property-test schema its keys are strictly smaller than the legacy
-// one-byte-per-slot keys.
+// property-test schema its keys are strictly smaller than one byte per
+// state-vector slot, the footprint of a byte-per-slot encoding.
 func TestPackedSmallerThanLegacy(t *testing.T) {
 	p := quickProgram(3, 2, []VarKind{KVal, KPtr, KTagged})
 	p.HeapCap = 6
-	cdc, err := newCodec(p, Options{Threads: 2, Ops: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cdc := newCodec(p, Options{Threads: 2, Ops: 2})
 	rng := rand.New(rand.NewSource(7))
 	can := newCanonicalizer(p, 7)
 	st := randomState(rng, p, 6)
 	can.run(st)
-	packed := cdc.encode(nil, st)
-	legacy := encode(nil, st)
-	if len(packed) >= len(legacy) {
-		t.Fatalf("packed key (%dB) not smaller than legacy key (%dB)", len(packed), len(legacy))
+	hw := 0
+	for i := range st.g.Heap {
+		if st.g.Heap[i] != (Node{}) {
+			hw = i
+		}
+	}
+	slots := len(st.g.Vars) + 1 + 10*hw
+	for _, th := range st.th {
+		slots += 6 + len(th.locals)
+	}
+	if packed := cdc.encode(nil, st); len(packed) >= slots {
+		t.Fatalf("packed key (%dB) not smaller than one byte per slot (%dB)", len(packed), slots)
 	}
 }
 
-// TestNewCodecFallbacks pins codec resolution: legacy by request, an
-// unknown encoding errors, and a mis-shaped layout is dropped for the
-// structural one instead of mis-encoding.
+// TestNewCodecFallbacks pins layout resolution: no layout and a
+// mis-shaped layout both fall back to the structural one instead of
+// mis-encoding, and a fitting layout is used as given.
 func TestNewCodecFallbacks(t *testing.T) {
 	p := quickProgram(3, 2, []VarKind{KVal, KPtr, KTagged})
 	p.HeapCap = 6
-	if cdc, err := newCodec(p, Options{Encoding: EncodingLegacy}); err != nil || cdc.name() != "legacy" {
-		t.Fatalf("legacy request: %v %q", err, cdc.name())
+	if cdc := newCodec(p, Options{Threads: 2, Ops: 2}); cdc.lay == nil || len(cdc.lay.Globals) != len(p.Globals.Kinds) {
+		t.Fatalf("no-layout fallback does not match the program: %+v", cdc.lay)
 	}
-	if _, err := newCodec(p, Options{Encoding: "zip"}); err == nil {
-		t.Fatal("unknown encoding accepted")
+	fits := StructuralLayout(p, 2, 2)
+	if cdc := newCodec(p, Options{Threads: 2, Ops: 2, Layout: fits}); cdc.lay != fits {
+		t.Fatal("a fitting layout was not used")
 	}
 	other := quickProgram(1, 0, []VarKind{KVal})
 	other.HeapCap = 2
 	misfit := StructuralLayout(other, 2, 2)
-	cdc, err := newCodec(p, Options{Threads: 2, Ops: 2, Layout: misfit})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cdc := newCodec(p, Options{Threads: 2, Ops: 2, Layout: misfit})
 	if cdc.lay == misfit {
 		t.Fatal("mis-shaped layout was not discarded")
 	}

@@ -8,6 +8,7 @@ package machine_test
 // verdicts must not depend on the worker count.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -24,7 +25,7 @@ import (
 func exploreWith(t *testing.T, alg *algorithms.Algorithm, threads, ops, workers int) (*lts.LTS, *machine.Info) {
 	t.Helper()
 	prog := alg.Build(algorithms.Config{Threads: threads, Ops: ops})
-	l, info, err := machine.ExploreWithInfo(prog, machine.Options{
+	l, info, err := machine.ExploreWithInfoContext(context.Background(), prog, machine.Options{
 		Threads: threads, Ops: ops, Workers: workers,
 	})
 	if err != nil {
@@ -165,7 +166,7 @@ func TestParallelStateLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := alg.Build(algorithms.Config{Threads: 2, Ops: 1})
-	exact, err := machine.Explore(prog, machine.Options{Threads: 2, Ops: 1, Workers: 1})
+	exact, _, err := machine.ExploreWithInfoContext(context.Background(), prog, machine.Options{Threads: 2, Ops: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +176,11 @@ func TestParallelStateLimit(t *testing.T) {
 			opt := machine.Options{Threads: 2, Ops: 1, Workers: workers, MemBudget: memBudget, SpillDir: t.TempDir(), Backend: statestore.Runtime()}
 			ctx := fmt.Sprintf("workers=%d membudget=%d", workers, memBudget)
 			opt.MaxStates = n
-			if _, err := machine.Explore(prog, opt); err != nil {
+			if _, _, err := machine.ExploreWithInfoContext(context.Background(), prog, opt); err != nil {
 				t.Fatalf("%s: budget of exactly %d states should succeed: %v", ctx, n, err)
 			}
 			opt.MaxStates = n - 1
-			_, err := machine.Explore(prog, opt)
+			_, _, err := machine.ExploreWithInfoContext(context.Background(), prog, opt)
 			lim, ok := err.(*machine.StateLimitError)
 			if !ok {
 				t.Fatalf("%s: expected StateLimitError at budget %d, got %v", ctx, n-1, err)

@@ -52,12 +52,82 @@ type TauCycle struct {
 	Labels []string
 }
 
+// withDefaults fills the zero fields of o with the pilot defaults.
+func (o PilotOptions) withDefaults() PilotOptions {
+	if o.Threads <= 0 {
+		o.Threads = 2
+	}
+	if o.Ops <= 0 {
+		o.Ops = 2
+	}
+	if o.MaxStates <= 0 {
+		o.MaxStates = 60000
+	}
+	if o.MaxViews <= 0 {
+		o.MaxViews = 200000
+	}
+	return o
+}
+
+// walkPilot is the breadth-first walk over the reachable states of a
+// pilot instance that the τ-cycle probe and both dynamic validators
+// share. States are interned under the raw encoding (encodeRaw), so
+// values outside any layout never stop it, and the collection stops
+// growing at opt.MaxStates. visit sees each state as it is dequeued,
+// before its successors are enumerated; a non-nil error from visit ends
+// the walk with that error. A model fault blocks the faulting state where
+// it happened (the successors emitted before it are kept), and a faulting
+// Program.Init leaves nothing to visit.
+func walkPilot(p *Program, opt PilotOptions, visit func(cur *state) error) error {
+	w := &pilotWalker{x: newExpander(p, opt.Threads), ids: make(map[string]struct{}), max: opt.MaxStates}
+	if contain(func() { w.intern(initialState(p, Options{Threads: opt.Threads, Ops: opt.Ops})) }) != nil {
+		return nil
+	}
+	cur := newScratchState(p, opt.Threads)
+	for si := 0; si < len(w.keys); si++ {
+		decodeRaw(w.keys[si], cur)
+		if err := visit(cur); err != nil {
+			return err
+		}
+		_, _ = w.x.expand(cur, w)
+	}
+	return nil
+}
+
+// pilotWalker carries the BFS set of one walkPilot run.
+type pilotWalker struct {
+	x    expander
+	ids  map[string]struct{}
+	keys [][]byte
+	buf  []byte
+	max  int
+}
+
+// emit implements transSink: intern the successor while the state budget
+// lasts.
+func (w *pilotWalker) emit(x *expander, _ symTrans) bool {
+	if len(w.keys) < w.max {
+		w.intern(x.succ)
+	}
+	return true
+}
+
+func (w *pilotWalker) intern(st *state) {
+	w.x.canon.run(st)
+	w.buf = encodeRaw(w.buf[:0], st, -1)
+	if _, ok := w.ids[string(w.buf)]; ok {
+		return
+	}
+	key := append([]byte(nil), w.buf...)
+	w.ids[bytesString(key)] = struct{}{}
+	w.keys = append(w.keys, key)
+}
+
 // FindTauCycles probes p for solo τ-cycles and returns them sorted by
 // (method index, first statement index). It returns nil for programs the
-// pilot cannot encode (oversized schemas) and swallows statement panics
-// — a statement that faults during the probe is treated as blocked, and
-// an unexpected failure aborts the probe with the cycles found so far.
-func FindTauCycles(p *Program, opt PilotOptions) (cycles []TauCycle) {
+// pilot cannot encode (oversized schemas); a statement that faults during
+// the probe counts as blocked.
+func FindTauCycles(p *Program, opt PilotOptions) []TauCycle {
 	if p.Validate() != nil {
 		return nil
 	}
@@ -67,52 +137,34 @@ func FindTauCycles(p *Program, opt PilotOptions) (cycles []TauCycle) {
 	if p.HeapCap > 255 || p.NLocals > 255 || len(p.Globals.Names) > 255 {
 		return nil
 	}
-	if opt.Threads <= 0 {
-		opt.Threads = 2
-	}
-	if opt.Ops <= 0 {
-		opt.Ops = 2
-	}
-	if opt.MaxStates <= 0 {
-		opt.MaxStates = 60000
-	}
-	if opt.MaxViews <= 0 {
-		opt.MaxViews = 200000
-	}
-
+	opt = opt.withDefaults()
 	d := &tauProbe{
 		prog:        p,
 		opt:         opt,
-		x:           newExpander(p, opt.Threads),
 		solo:        newExpander(p, opt.Threads),
-		ids:         make(map[string]struct{}),
 		color:       make(map[string]int8),
 		gray:        make(map[string]int),
 		found:       make(map[string][]int),
 		foundMethod: make(map[string]int),
 	}
-	defer func() {
-		// A panic anywhere in the probe (program Init, a statement run
-		// outside its explored envelope) aborts it but keeps what was
-		// already found: vet is advisory and must never take down the
-		// caller.
-		_ = recover()
-		cycles = d.collect()
-	}()
-	d.run()
+	// Every running thread of every reachable state starts a solo walk.
+	_ = walkPilot(p, opt, func(cur *state) error {
+		for t := range cur.th {
+			if cur.th[t].status == statusRunning && d.views < opt.MaxViews {
+				d.stack = d.stack[:0]
+				d.walk(cur, t, int(cur.th[t].method))
+			}
+		}
+		return nil
+	})
 	return d.collect()
 }
 
-// tauProbe carries the probe state: the BFS frontier of canonical pilot
-// states and the solo-walk memo tables.
+// tauProbe carries the solo-walk state of one FindTauCycles run.
 type tauProbe struct {
 	prog *Program
 	opt  PilotOptions
-	x    expander // BFS expansion scratch
-	solo expander // solo-walk scratch (separate: walks run mid-BFS state list)
-
-	ids  map[string]struct{}
-	keys [][]byte
+	solo expander
 	buf  []byte
 
 	// Solo-walk memo. A "view" is the full canonical state plus the
@@ -127,52 +179,6 @@ type tauProbe struct {
 
 	found       map[string][]int // cycle key -> PCs; de-duplicated
 	foundMethod map[string]int
-}
-
-// run collects reachable pilot states breadth-first, probing each state's
-// running threads as it is dequeued.
-func (d *tauProbe) run() {
-	init := initialState(d.prog, Options{Threads: d.opt.Threads, Ops: d.opt.Ops})
-	d.intern(init)
-	cur := newScratchState(d.prog, d.opt.Threads)
-	for si := 0; si < len(d.keys); si++ {
-		decodeRaw(d.keys[si], cur)
-		for t := range cur.th {
-			if cur.th[t].status == statusRunning && d.views < d.opt.MaxViews {
-				mi := int(cur.th[t].method)
-				d.stack = d.stack[:0]
-				d.walk(cur, t, mi)
-			}
-		}
-		d.expand(cur)
-	}
-}
-
-// expand enumerates cur's successors into the BFS set, swallowing
-// statement panics (the state is then expanded only partially).
-func (d *tauProbe) expand(cur *state) {
-	defer func() { _ = recover() }()
-	d.x.expandState(cur, d)
-}
-
-// emit implements transSink for the BFS: canonicalize and intern the
-// successor, dropping it once the state budget is exhausted.
-func (d *tauProbe) emit(x *expander, tr symTrans) bool {
-	if len(d.keys) < d.opt.MaxStates {
-		d.intern(x.succ)
-	}
-	return true
-}
-
-func (d *tauProbe) intern(st *state) {
-	d.x.canon.run(st)
-	d.buf = encodeRaw(d.buf[:0], st, -1)
-	if _, ok := d.ids[string(d.buf)]; ok {
-		return
-	}
-	key := append([]byte(nil), d.buf...)
-	d.ids[bytesString(key)] = struct{}{}
-	d.keys = append(d.keys, key)
 }
 
 // walk runs the memoized depth-first solo walk of thread t from the
@@ -204,43 +210,24 @@ func (d *tauProbe) walk(st *state, t, mi int) {
 	d.gray[key] = len(d.stack)
 	d.stack = append(d.stack, pc)
 
-	p := d.prog
-	stmt := &p.Methods[mi].Body[pc]
-	st.copyInto(d.solo.work)
-	d.solo.ctx = Ctx{
-		T:    t,
-		Arg:  th.arg,
-		G:    d.solo.work.g,
-		L:    d.solo.work.th[t].locals,
-		outs: d.solo.ctx.outs[:0],
-	}
-	if func() (panicked bool) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		stmt.Exec(&d.solo.ctx)
-		return false
-	}() {
-		// A faulting statement cannot continue the solo path.
-		d.solo.ctx.outs = d.solo.ctx.outs[:0]
-	}
 	// Successors are materialized before any recursion: the recursive
 	// walks reuse d.solo (its work state and outcome buffer), so neither
 	// may be read after the first recursive call.
 	var succs []*state
-	for _, out := range d.solo.ctx.outs {
-		if out.pc < 0 {
-			continue // return: visible boundary, path ends
+	st.copyInto(d.solo.work)
+	if contain(func() {
+		d.solo.step(d.solo.work, t)
+		for _, out := range d.solo.ctx.outs {
+			if out.pc < 0 || int(out.pc) >= len(d.prog.Methods[mi].Body) {
+				continue // a return is a visible boundary: the path ends
+			}
+			next := d.solo.work.clone()
+			next.th[t].pc = out.pc
+			d.solo.canon.run(next)
+			succs = append(succs, next)
 		}
-		if int(out.pc) >= len(p.Methods[mi].Body) {
-			continue
-		}
-		next := d.solo.work.clone()
-		next.th[t].pc = out.pc
-		d.solo.canon.run(next)
-		succs = append(succs, next)
+	}) != nil {
+		succs = nil // a faulting statement cannot continue the solo path
 	}
 	for _, next := range succs {
 		d.walk(next, t, mi)

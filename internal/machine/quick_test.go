@@ -90,15 +90,17 @@ func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := quickProgram(3, 2, []VarKind{KVal, KPtr, KTagged})
+		p.HeapCap = 6
+		cdc := newCodec(p, Options{Threads: 2, Ops: 2})
 		st := randomState(r, p, 6)
 		c := newCanonicalizer(p, 7)
 		c.run(st)
-		buf := encode(nil, st)
+		buf := cdc.encode(nil, st)
 		got := &state{
 			g:  &Global{Vars: make([]int32, 3), Heap: make([]Node, 7)},
 			th: []thread{{locals: make([]int32, 2)}},
 		}
-		decode(buf, got)
+		cdc.decode(buf, got)
 		if len(got.g.Vars) != len(st.g.Vars) {
 			return false
 		}
@@ -137,9 +139,9 @@ func TestQuickCanonicalizationIdempotent(t *testing.T) {
 		st := randomState(r, p, 6)
 		c := newCanonicalizer(p, 7)
 		c.run(st)
-		first := string(encode(nil, st))
+		first := string(encodeRaw(nil, st, -1))
 		c.run(st)
-		second := string(encode(nil, st))
+		second := string(encodeRaw(nil, st, -1))
 		return first == second
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -199,9 +201,9 @@ func TestQuickCanonicalizationPermutationInvariant(t *testing.T) {
 
 		c := newCanonicalizer(p, heapCap+1)
 		c.run(st)
-		a := string(encode(nil, st))
+		a := string(encodeRaw(nil, st, -1))
 		c.run(permuted)
-		b := string(encode(nil, permuted))
+		b := string(encodeRaw(nil, permuted, -1))
 		return a == b
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {

@@ -139,73 +139,17 @@ func ValidateIndependence(p *Program, opt PilotOptions, indep IndependenceOracle
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if opt.Threads <= 0 {
-		opt.Threads = 2
-	}
-	if opt.Ops <= 0 {
-		opt.Ops = 2
-	}
-	if opt.MaxStates <= 0 {
-		opt.MaxStates = 60000
-	}
-	v := &indepValidator{
-		prog:  p,
-		opt:   opt,
-		x:     newExpander(p, opt.Threads),
-		canon: newCanonicalizer(p, p.HeapCap+1),
-		ids:   make(map[string]struct{}),
-		indep: indep,
-	}
-	v.intern(initialState(p, Options{Threads: opt.Threads, Ops: opt.Ops}))
-	cur := newScratchState(p, opt.Threads)
-	for si := 0; si < len(v.keys); si++ {
-		decodeRaw(v.keys[si], cur)
-		if err := v.checkState(cur); err != nil {
-			return err
-		}
-		v.expand(cur)
-	}
-	return nil
+	opt = opt.withDefaults()
+	v := &indepValidator{prog: p, x: newExpander(p, opt.Threads), indep: indep}
+	return walkPilot(p, opt, v.checkState)
 }
 
-// indepValidator carries the BFS frontier and scratch of one
+// indepValidator carries the statement-execution scratch of one
 // ValidateIndependence run.
 type indepValidator struct {
 	prog  *Program
-	opt   PilotOptions
 	x     expander
-	canon *canonicalizer
-	ids   map[string]struct{}
-	keys  [][]byte
-	buf   []byte
 	indep IndependenceOracle
-}
-
-func (v *indepValidator) intern(st *state) {
-	v.canon.run(st)
-	v.buf = encodeRaw(v.buf[:0], st, -1)
-	if _, ok := v.ids[string(v.buf)]; ok {
-		return
-	}
-	key := append([]byte(nil), v.buf...)
-	v.ids[bytesString(key)] = struct{}{}
-	v.keys = append(v.keys, key)
-}
-
-// expand enumerates cur's successors into the BFS set, swallowing
-// statement panics (degenerate randomized programs may fault; the state
-// is then expanded only partially).
-func (v *indepValidator) expand(cur *state) {
-	defer func() { _ = recover() }()
-	v.x.expandState(cur, v)
-}
-
-// emit implements transSink for the BFS.
-func (v *indepValidator) emit(x *expander, tr symTrans) bool {
-	if len(v.keys) < v.opt.MaxStates {
-		v.intern(x.succ)
-	}
-	return true
 }
 
 // MutexViolation reports a dynamic refutation of a claimed mutual
@@ -237,123 +181,43 @@ func ValidateMutualExclusion(p *Program, opt PilotOptions, held func(mi, pc int)
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if opt.Threads <= 0 {
-		opt.Threads = 2
-	}
-	if opt.Ops <= 0 {
-		opt.Ops = 2
-	}
-	if opt.MaxStates <= 0 {
-		opt.MaxStates = 60000
-	}
-	v := &mutexValidator{
-		prog: p,
-		opt:  opt,
-		x:    newExpander(p, opt.Threads),
-		ids:  make(map[string]struct{}),
-		held: held,
-	}
-	v.intern(initialState(p, Options{Threads: opt.Threads, Ops: opt.Ops}))
-	cur := newScratchState(p, opt.Threads)
-	for si := 0; si < len(v.keys); si++ {
-		decodeRaw(v.keys[si], cur)
-		if err := v.checkState(cur); err != nil {
-			return err
+	return walkPilot(p, opt.withDefaults(), func(cur *state) error {
+		first := -1
+		for t := range cur.th {
+			th := &cur.th[t]
+			if th.status != statusRunning || !held(int(th.method), int(th.pc)) {
+				continue
+			}
+			if first < 0 {
+				first = t
+				continue
+			}
+			f := &cur.th[first]
+			return &MutexViolation{
+				Program: p.Name,
+				Thread1: first, Thread2: t,
+				Method1: p.Methods[f.method].Name, Method2: p.Methods[th.method].Name,
+				PC1: int(f.pc), PC2: int(th.pc),
+			}
 		}
-		v.expand(cur)
-	}
-	return nil
-}
-
-// mutexValidator carries the BFS frontier of one
-// ValidateMutualExclusion run.
-type mutexValidator struct {
-	prog *Program
-	opt  PilotOptions
-	x    expander
-	ids  map[string]struct{}
-	keys [][]byte
-	buf  []byte
-	held func(mi, pc int) bool
-}
-
-func (v *mutexValidator) intern(st *state) {
-	v.x.canon.run(st)
-	v.buf = encodeRaw(v.buf[:0], st, -1)
-	if _, ok := v.ids[string(v.buf)]; ok {
-		return
-	}
-	key := append([]byte(nil), v.buf...)
-	v.ids[bytesString(key)] = struct{}{}
-	v.keys = append(v.keys, key)
-}
-
-func (v *mutexValidator) expand(cur *state) {
-	defer func() { _ = recover() }()
-	v.x.expandState(cur, v)
-}
-
-// emit implements transSink for the BFS.
-func (v *mutexValidator) emit(x *expander, tr symTrans) bool {
-	if len(v.keys) < v.opt.MaxStates {
-		v.intern(x.succ)
-	}
-	return true
-}
-
-func (v *mutexValidator) checkState(cur *state) error {
-	first := -1
-	for t := range cur.th {
-		th := &cur.th[t]
-		if th.status != statusRunning || !v.held(int(th.method), int(th.pc)) {
-			continue
-		}
-		if first < 0 {
-			first = t
-			continue
-		}
-		p := v.prog
-		f, s := &cur.th[first], th
-		return &MutexViolation{
-			Program: p.Name,
-			Thread1: first, Thread2: t,
-			Method1: p.Methods[f.method].Name, Method2: p.Methods[s.method].Name,
-			PC1: int(f.pc), PC2: int(s.pc),
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // execStmt runs thread t's current statement on a clone of st, applying
-// the single outcome the way the explorer does. ok is false when the
+// the first outcome the way the explorer does. ok is false when the
 // statement blocks (no outcome) or faults. IR-backed statements emit at
 // most one outcome, which is all the validator supports.
 func (v *indepValidator) execStmt(st *state, t int) (next *state, ok bool) {
-	defer func() {
-		if recover() != nil {
-			next, ok = nil, false
-		}
-	}()
-	th := &st.th[t]
-	stmt := &v.prog.Methods[th.method].Body[th.pc]
 	work := st.clone()
-	ctx := Ctx{T: t, Arg: th.arg, G: work.g, L: work.th[t].locals}
-	stmt.Exec(&ctx)
-	if len(ctx.outs) == 0 {
-		return nil, false
-	}
-	out := ctx.outs[0]
-	nt := &work.th[t]
-	if out.pc < 0 {
-		nt.status = statusReturning
-		nt.ret = out.ret
-		nt.pc = 0
-		nt.arg = 0
-		for i := range nt.locals {
-			nt.locals[i] = 0
+	if contain(func() {
+		v.x.step(work, t)
+		if len(v.x.ctx.outs) > 0 {
+			v.x.advance(work, t, v.x.ctx.outs[0])
+			ok = true
 		}
-	} else {
-		nt.pc = out.pc
+	}) != nil || !ok {
+		return nil, false
 	}
 	return work, true
 }
@@ -361,7 +225,7 @@ func (v *indepValidator) execStmt(st *state, t int) (next *state, ok bool) {
 // canonicalKey canonicalizes a clone of st and returns its raw encoding.
 func (v *indepValidator) canonicalKey(st *state) string {
 	c := st.clone()
-	v.canon.run(c)
+	v.x.canon.run(c)
 	return string(encodeRaw(nil, c, -1))
 }
 

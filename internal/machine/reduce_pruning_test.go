@@ -8,6 +8,7 @@ package machine_test
 // or empty artifact must change nothing.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestReductionShrinksAndStaysDeterministic(t *testing.T) {
 			// The full and reduced explorations share one alphabet so the
 			// bisimulation check below can take their disjoint union.
 			acts, labels := lts.NewAlphabet(), lts.NewAlphabet()
-			full, fullInfo, err := machine.ExploreWithInfo(p, machine.Options{Threads: 2, Ops: 2, Workers: 1, Acts: acts, Labels: labels})
+			full, fullInfo, err := machine.ExploreWithInfoContext(context.Background(), p, machine.Options{Threads: 2, Ops: 2, Workers: 1, Acts: acts, Labels: labels})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +77,7 @@ func TestReductionShrinksAndStaysDeterministic(t *testing.T) {
 				t.Fatalf("full exploration pruned %d states", fullInfo.Stats.PrunedStates)
 			}
 
-			base, baseInfo, err := machine.ExploreWithInfo(p, machine.Options{Threads: 2, Ops: 2, Workers: 1, Acts: acts, Labels: labels, Reduction: red})
+			base, baseInfo, err := machine.ExploreWithInfoContext(context.Background(), p, machine.Options{Threads: 2, Ops: 2, Workers: 1, Acts: acts, Labels: labels, Reduction: red})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +117,7 @@ func TestReductionShrinksAndStaysDeterministic(t *testing.T) {
 					MemBudget: 8 << 20, SpillDir: t.TempDir(), Backend: statestore.Runtime()},
 			}
 			for i, opt := range variants {
-				got, gotInfo, err := machine.ExploreWithInfo(p, opt)
+				got, gotInfo, err := machine.ExploreWithInfoContext(context.Background(), p, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -136,7 +137,7 @@ func TestReductionShrinksAndStaysDeterministic(t *testing.T) {
 // to full exploration rather than misapply it.
 func TestReductionMisshapenArtifactIgnored(t *testing.T) {
 	p, _ := buildExample(t, "treiber")
-	full, _, err := machine.ExploreWithInfo(p, machine.Options{Threads: 2, Ops: 2})
+	full, _, err := machine.ExploreWithInfoContext(context.Background(), p, machine.Options{Threads: 2, Ops: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestReductionMisshapenArtifactIgnored(t *testing.T) {
 	if bad.Matches(p) {
 		t.Fatal("mis-shaped artifact claims to match")
 	}
-	got, info, err := machine.ExploreWithInfo(p, machine.Options{Threads: 2, Ops: 2, Reduction: bad})
+	got, info, err := machine.ExploreWithInfoContext(context.Background(), p, machine.Options{Threads: 2, Ops: 2, Reduction: bad})
 	if err != nil {
 		t.Fatal(err)
 	}

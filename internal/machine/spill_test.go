@@ -1,7 +1,7 @@
 package machine_test
 
 // Budget-independence of the explorer: the LTS must be byte-identical —
-// down to the Aldebaran (.aut) rendering — whichever codec encodes the
+// down to the Aldebaran (.aut) rendering — whichever layout encodes the
 // states, however many workers expand the frontier and however small the
 // memory budget forces the intern table and frontier to spill, and every
 // spill temp file must be gone when exploration ends, however it ends.
@@ -23,14 +23,15 @@ import (
 )
 
 // autBytes explores one benchmark instance and renders the LTS in .aut
-// form, failing the test on any error.
-func autBytes(t *testing.T, alg *algorithms.Algorithm, opt machine.Options) []byte {
+// form, failing the test on any error. narrowed selects the vet interval
+// layout; otherwise the explorer uses the structural layout.
+func autBytes(t *testing.T, alg *algorithms.Algorithm, opt machine.Options, narrowed bool) []byte {
 	t.Helper()
 	prog := alg.Build(algorithms.Config{Threads: opt.Threads, Ops: opt.Ops})
-	if opt.Encoding != machine.EncodingLegacy {
+	if narrowed {
 		opt.Layout = vet.StateLayout(prog, vet.Options{Threads: opt.Threads, Ops: opt.Ops})
 	}
-	l, err := machine.Explore(prog, opt)
+	l, _, err := machine.ExploreWithInfoContext(context.Background(), prog, opt)
 	if err != nil {
 		t.Fatalf("%s (%+v): %v", alg.ID, opt, err)
 	}
@@ -42,24 +43,22 @@ func autBytes(t *testing.T, alg *algorithms.Algorithm, opt machine.Options) []by
 }
 
 // TestPackedMatchesLegacyAUT checks, for every Table II benchmark at
-// 2 threads x 2 ops, that the packed codec (with vet-narrowed layouts)
-// reproduces the legacy exploration byte for byte in .aut form, at one
-// worker and at eight.
+// 2 threads x 2 ops, that the vet-narrowed layout reproduces the
+// un-narrowed reference — the structural layout, whose value window is
+// the one-byte-per-slot range — byte for byte in .aut form, at one worker
+// and at eight.
 func TestPackedMatchesLegacyAUT(t *testing.T) {
 	for _, alg := range algorithms.TableII() {
 		alg := alg
 		t.Run(alg.ID, func(t *testing.T) {
 			t.Parallel()
-			legacy := autBytes(t, alg, machine.Options{
-				Threads: 2, Ops: 2, Workers: 1, Encoding: machine.EncodingLegacy,
-			})
 			for _, workers := range []int{1, 8} {
-				packed := autBytes(t, alg, machine.Options{
-					Threads: 2, Ops: 2, Workers: workers, Encoding: machine.EncodingPacked,
-				})
-				if !bytes.Equal(legacy, packed) {
-					t.Fatalf("workers=%d: packed .aut differs from legacy (%dB vs %dB)",
-						workers, len(packed), len(legacy))
+				opt := machine.Options{Threads: 2, Ops: 2, Workers: workers}
+				structural := autBytes(t, alg, opt, false)
+				narrowed := autBytes(t, alg, opt, true)
+				if !bytes.Equal(structural, narrowed) {
+					t.Fatalf("workers=%d: narrowed .aut differs from structural (%dB vs %dB)",
+						workers, len(narrowed), len(structural))
 				}
 			}
 		})
@@ -89,7 +88,7 @@ func TestSpillIdenticalLTS(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := alg.Build(algorithms.Config{Threads: 2, Ops: 2})
-	ref, err := machine.Explore(prog, machine.Options{Threads: 2, Ops: 2, Workers: 1})
+	ref, _, err := machine.ExploreWithInfoContext(context.Background(), prog, machine.Options{Threads: 2, Ops: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +98,7 @@ func TestSpillIdenticalLTS(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		dir := t.TempDir()
-		l, info, err := machine.ExploreWithInfo(prog, machine.Options{
+		l, info, err := machine.ExploreWithInfoContext(context.Background(), prog, machine.Options{
 			Threads: 2, Ops: 2, Workers: workers, MemBudget: 1, SpillDir: dir,
 			Backend: statestore.Runtime(),
 		})
@@ -132,7 +131,7 @@ func TestSpillCleanupOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := machine.ExploreContext(ctx, prog, machine.Options{
+		_, _, err := machine.ExploreWithInfoContext(ctx, prog, machine.Options{
 			Threads: 3, Ops: 3, Workers: 4, MemBudget: 1, SpillDir: dir,
 			Backend: statestore.Runtime(),
 		})
@@ -167,7 +166,7 @@ func TestSpillCleanupOnStateLimit(t *testing.T) {
 	}
 	prog := alg.Build(algorithms.Config{Threads: 2, Ops: 2})
 	dir := t.TempDir()
-	_, err = machine.Explore(prog, machine.Options{
+	_, _, err = machine.ExploreWithInfoContext(context.Background(), prog, machine.Options{
 		Threads: 2, Ops: 2, Workers: 4, MaxStates: 500, MemBudget: 1, SpillDir: dir,
 		Backend: statestore.Runtime(),
 	})
@@ -190,7 +189,7 @@ func benchExplore(b *testing.B, opt machine.Options) {
 	prog := alg.Build(algorithms.Config{Threads: opt.Threads, Ops: opt.Ops})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l, info, err := machine.ExploreWithInfo(prog, opt)
+		l, info, err := machine.ExploreWithInfoContext(context.Background(), prog, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,13 +200,9 @@ func benchExplore(b *testing.B, opt machine.Options) {
 	}
 }
 
-// BenchmarkExplorePacked is the CI smoke benchmark for the packed codec.
+// BenchmarkExplorePacked is the CI smoke benchmark for the state codec.
 func BenchmarkExplorePacked(b *testing.B) {
-	benchExplore(b, machine.Options{Threads: 2, Ops: 2, Encoding: machine.EncodingPacked})
-}
-
-func BenchmarkExploreLegacy(b *testing.B) {
-	benchExplore(b, machine.Options{Threads: 2, Ops: 2, Encoding: machine.EncodingLegacy})
+	benchExplore(b, machine.Options{Threads: 2, Ops: 2})
 }
 
 func BenchmarkExplorePackedSpill(b *testing.B) {

@@ -1,7 +1,5 @@
 package machine
 
-import "fmt"
-
 // Thread execution status.
 const (
 	statusIdle int32 = iota
@@ -128,118 +126,14 @@ func (c *canonicalizer) run(st *state) {
 	g.Heap, c.newHeap = c.newHeap[:len(g.Heap)], g.Heap
 }
 
-// Encoding: one byte per field with a +64 bias, so any field value in
-// [EncodeMin, EncodeMax] round-trips. Exploration states of the bounded
-// instances in this library stay far inside that range; the helper panics
-// otherwise to catch mis-sized models immediately.
-const encBias = 64
-
-// EncodeMin and EncodeMax bound the field values the state encoder can
-// represent. A program whose statements can store values outside this
-// range corrupts its state encoding at exploration time; the vet
-// domain-overflow analyzer warns about such statements statically.
+// EncodeMin and EncodeMax bound the structural value window: the range
+// StructuralLayout gives every value slot the program's structure does
+// not bound more tightly. A state holding a value outside the window can
+// only be encoded under a layout that widens the slot (vet.StateLayout
+// does so for values its interval analysis proves reachable); without
+// one, the explorer reports the offending successor as a
+// *ModelFaultError.
 const (
-	EncodeMin = -encBias
-	EncodeMax = 255 - encBias
+	EncodeMin = -64
+	EncodeMax = 191
 )
-
-func encByte(buf []byte, v int32) []byte {
-	b := v + encBias
-	if b < 0 || b > 255 {
-		panic(fmt.Sprintf("machine: field value %d outside encodable range", v))
-	}
-	return append(buf, byte(b))
-}
-
-func decByte(buf []byte, i *int) int32 {
-	v := int32(buf[*i]) - encBias
-	*i++
-	return v
-}
-
-// encode serializes a canonicalized state. The heap is written up to its
-// highest live-or-referenced cell; canonicalization guarantees those form
-// a dense prefix.
-func encode(buf []byte, st *state) []byte {
-	g := st.g
-	for _, v := range g.Vars {
-		buf = encByte(buf, v)
-	}
-	hw := 0
-	for i := len(g.Heap) - 1; i >= 1; i-- {
-		if g.Heap[i] != (Node{}) {
-			hw = i
-			break
-		}
-	}
-	buf = encByte(buf, int32(hw))
-	for i := 1; i <= hw; i++ {
-		n := &g.Heap[i]
-		buf = encByte(buf, n.Kind)
-		buf = encByte(buf, n.Val)
-		buf = encByte(buf, n.Key)
-		buf = encByte(buf, n.Next)
-		buf = encByte(buf, n.A)
-		buf = encByte(buf, n.B)
-		buf = encByte(buf, n.C)
-		buf = encByte(buf, n.D)
-		m := int32(0)
-		if n.Mark {
-			m = 1
-		}
-		buf = encByte(buf, m)
-		buf = encByte(buf, n.Lock)
-	}
-	for ti := range st.th {
-		th := &st.th[ti]
-		buf = encByte(buf, th.status)
-		buf = encByte(buf, th.method)
-		buf = encByte(buf, th.arg)
-		buf = encByte(buf, th.pc)
-		buf = encByte(buf, th.ret)
-		buf = encByte(buf, th.ops)
-		for _, l := range th.locals {
-			buf = encByte(buf, l)
-		}
-	}
-	return buf
-}
-
-// decode reconstructs a state into st, which must be shaped for the
-// program (vector lengths allocated).
-func decode(buf []byte, st *state) {
-	i := 0
-	g := st.g
-	for vi := range g.Vars {
-		g.Vars[vi] = decByte(buf, &i)
-	}
-	hw := int(decByte(buf, &i))
-	for hi := 1; hi <= hw; hi++ {
-		n := &g.Heap[hi]
-		n.Kind = decByte(buf, &i)
-		n.Val = decByte(buf, &i)
-		n.Key = decByte(buf, &i)
-		n.Next = decByte(buf, &i)
-		n.A = decByte(buf, &i)
-		n.B = decByte(buf, &i)
-		n.C = decByte(buf, &i)
-		n.D = decByte(buf, &i)
-		n.Mark = decByte(buf, &i) != 0
-		n.Lock = decByte(buf, &i)
-	}
-	for hi := hw + 1; hi < len(g.Heap); hi++ {
-		g.Heap[hi] = Node{}
-	}
-	for ti := range st.th {
-		th := &st.th[ti]
-		th.status = decByte(buf, &i)
-		th.method = decByte(buf, &i)
-		th.arg = decByte(buf, &i)
-		th.pc = decByte(buf, &i)
-		th.ret = decByte(buf, &i)
-		th.ops = decByte(buf, &i)
-		for li := range th.locals {
-			th.locals[li] = decByte(buf, &i)
-		}
-	}
-}

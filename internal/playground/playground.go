@@ -196,7 +196,7 @@ func Explain(ctx context.Context, req CheckRequest, kindName string) (*ExplainRe
 	acfg := algorithms.Config{Threads: spec.Threads, Ops: spec.Ops}
 	acts, labels := lts.NewAlphabet(), lts.NewAlphabet()
 	explore := func(p *machine.Program) (*lts.LTS, error) {
-		return machine.ExploreContext(ctx, p, machine.Options{
+		l, _, err := machine.ExploreWithInfoContext(ctx, p, machine.Options{
 			Threads:   spec.Threads,
 			Ops:       spec.Ops,
 			MaxStates: spec.MaxStates,
@@ -204,6 +204,7 @@ func Explain(ctx context.Context, req CheckRequest, kindName string) (*ExplainRe
 			Labels:    labels,
 			Layout:    api.LayoutProvider(spec.Threads, spec.Ops)(p),
 		})
+		return l, err
 	}
 	impl, err := explore(alg.Build(acfg))
 	if err != nil {

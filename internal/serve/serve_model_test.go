@@ -142,14 +142,8 @@ func TestSubmitTrailingDataRejected(t *testing.T) {
 	}
 }
 
-// TestModelRuntimeErrorSurfaces submits a well-typed model that
-// dereferences nil at run time; the job must fail with a positioned
-// model runtime error rather than killing the worker.
-func TestModelRuntimeErrorSurfaces(t *testing.T) {
-	_, hs := newTestServer(t, Config{Workers: 1})
-	view := postJob(t, hs.URL, api.JobSpec{
-		Kind: api.KindCheck,
-		ModelSource: `model broken
+// brokenModel is a well-typed model that dereferences nil at run time.
+const brokenModel = `model broken
 node cell { val: val  next: ptr }
 globals { Top: ptr }
 spec stack
@@ -159,9 +153,18 @@ method Push(v: vals) {
   P2: if cas(Top, t, nil) { return ok } else { goto P1 }
 }
 method Pop() { P9: return empty }
-`,
-		ModelName: "broken.bbvl",
-		Threads:   1, Ops: 1, Workers: 1,
+`
+
+// TestModelRuntimeErrorSurfaces submits a well-typed model that
+// dereferences nil at run time at workers 0 (all cores, so the parallel
+// explorer runs it): the job must fail with a positioned model runtime
+// error rather than killing the worker, the daemon stays healthy, and the
+// next job completes.
+func TestModelRuntimeErrorSurfaces(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1})
+	view := postJob(t, hs.URL, api.JobSpec{
+		Kind: api.KindCheck, ModelSource: brokenModel, ModelName: "broken.bbvl",
+		Threads: 2, Ops: 2, Workers: 0,
 	}, http.StatusAccepted)
 	view = pollDone(t, hs.URL, view.ID)
 	if view.Status != StatusFailed {
@@ -169,5 +172,20 @@ method Pop() { P9: return empty }
 	}
 	if !strings.Contains(view.Error, "model runtime error") || !strings.Contains(view.Error, "broken.bbvl:7:11") {
 		t.Errorf("error = %q, want positioned model runtime error", view.Error)
+	}
+
+	resp, err := http.Get(hs.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz = %d after a model fault", resp.StatusCode)
+	}
+	good := postJob(t, hs.URL, api.JobSpec{
+		Kind: api.KindCheck, Algorithm: "treiber", Threads: 2, Ops: 1, Workers: 0,
+	}, http.StatusAccepted)
+	if good = pollDone(t, hs.URL, good.ID); good.Status != StatusDone {
+		t.Fatalf("job after the fault: %s: %s", good.Status, good.Error)
 	}
 }

@@ -1,6 +1,9 @@
 package spec
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,7 +13,7 @@ import (
 
 func explore(t *testing.T, p *machine.Program, threads, ops int) *lts.LTS {
 	t.Helper()
-	l, err := machine.Explore(p, machine.Options{Threads: threads, Ops: ops})
+	l, _, err := machine.ExploreWithInfoContext(context.Background(), p, machine.Options{Threads: threads, Ops: ops})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +190,21 @@ func TestRegisterSpecs(t *testing.T) {
 	}
 }
 
+// TestCapacityPanics: overflowing the spec queue panics (a mis-sized
+// instance), and the explorer reports the panic as a model fault at any
+// worker count.
 func TestCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("overflowing the spec queue must panic (mis-sized instance)")
-		}
-	}()
 	q := Queue([]int32{1}, 1)
-	_, _ = machine.Explore(q, machine.Options{Threads: 1, Ops: 3})
+	for _, workers := range []int{1, 2} {
+		_, _, err := machine.ExploreWithInfoContext(context.Background(), q, machine.Options{Threads: 1, Ops: 3, Workers: workers})
+		var fault *machine.ModelFaultError
+		if !errors.As(err, &fault) {
+			t.Fatalf("workers=%d: overflowing the spec queue must fail as a model fault, got %v", workers, err)
+		}
+		if !strings.Contains(fmt.Sprint(fault.Cause), "queue capacity exceeded") {
+			t.Errorf("workers=%d: fault cause = %v", workers, fault.Cause)
+		}
+	}
 }
 
 func TestBoolRendering(t *testing.T) {

@@ -114,8 +114,8 @@ func (w *BitWriter) Reset(buf []byte) {
 }
 
 // Put appends v encoded per s. It panics when v is outside the slot's
-// range: an unsound layout must fail loudly at encode time, exactly as
-// the legacy byte encoder does for values outside its window.
+// range: an unsound layout must fail loudly at encode time (the explorer
+// reports the panic as a model fault).
 func (w *BitWriter) Put(s Slot, v int32) {
 	if v < s.Lo || v > s.Hi {
 		panic(fmt.Sprintf("statecodec: value %d outside slot range [%d, %d]", v, s.Lo, s.Hi))

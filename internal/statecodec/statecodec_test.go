@@ -15,7 +15,7 @@ func TestBitRoundTrip(t *testing.T) {
 		statecodec.MakeSlot(0, 0),     // singleton, 0 bits
 		statecodec.MakeSlot(-5, -5),   // negative singleton
 		statecodec.MakeSlot(0, 1),     // 1 bit
-		statecodec.MakeSlot(-64, 191), // the legacy byte window
+		statecodec.MakeSlot(-64, 191), // the structural value window
 		statecodec.MakeSlot(-3, 12),   // small signed range
 		statecodec.MakeSlot(0, 1<<20), // wide slot spanning several bytes
 	}
@@ -45,7 +45,7 @@ func TestBitRoundTrip(t *testing.T) {
 }
 
 // TestBitWriterRejectsOutOfRange checks the loud-failure contract: an
-// out-of-range value must panic at encode time, like the legacy encoder.
+// out-of-range value must panic at encode time.
 func TestBitWriterRejectsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {

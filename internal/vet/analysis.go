@@ -551,7 +551,7 @@ func (v *findingsVisitor) atStore(in *machine.Instr, val interval) {
 		what = "return value"
 	}
 	v.out = append(v.out, v.a.finding("overflow", Warning, v.mi, v.si, in.Pos,
-		fmt.Sprintf("%s can be %s, outside the encodable range [%d, %d]; exploration would panic on state encoding",
+		fmt.Sprintf("%s can be %s, outside the structural value window [%d, %d]; only the interval state layout can encode it, and exploration without that layout fails with a model runtime error",
 			what, fmtRange(val), machine.EncodeMin, machine.EncodeMax)))
 }
 
@@ -597,7 +597,7 @@ func (a *analysis) runOverflow() []Finding {
 		for _, arg := range m.Args {
 			if arg < machine.EncodeMin || arg > machine.EncodeMax {
 				out = append(out, a.finding("overflow", Warning, mi, -1, m.Pos,
-					fmt.Sprintf("argument value %d of method %s is outside the encodable range [%d, %d]",
+					fmt.Sprintf("argument value %d of method %s is outside the structural value window [%d, %d]",
 						arg, m.Name, machine.EncodeMin, machine.EncodeMax)))
 				break
 			}

@@ -1,6 +1,7 @@
 package vet_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -268,19 +269,6 @@ func genProgram(seed int64) *machine.Program {
 	}
 }
 
-// exploreSafe runs a full exploration but converts runtime faults of
-// the random program (nil dereferences panic with a positioned error)
-// into a skip signal instead of crashing the test.
-func exploreSafe(p *machine.Program, opt machine.Options) (l *lts.LTS, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("fault: %v", r)
-		}
-	}()
-	l, _, err = machine.ExploreWithInfo(p, opt)
-	return l, err
-}
-
 // TestIndependencePropertyRandomized: 200 seeds, every declared
 // independence dynamically validated over the full pilot state space.
 func TestIndependencePropertyRandomized(t *testing.T) {
@@ -315,12 +303,12 @@ func TestIndependencePropertyRandomized(t *testing.T) {
 			continue
 		}
 		acts, labels := lts.NewAlphabet(), lts.NewAlphabet()
-		full, err := exploreSafe(p, machine.Options{
+		full, _, err := machine.ExploreWithInfoContext(context.Background(), p, machine.Options{
 			Threads: 2, Ops: 2, MaxStates: 50000, Acts: acts, Labels: labels})
 		if err != nil {
 			continue // faulting or over-budget program: nothing to compare
 		}
-		reduced, err := exploreSafe(p, machine.Options{
+		reduced, _, err := machine.ExploreWithInfoContext(context.Background(), p, machine.Options{
 			Threads: 2, Ops: 2, MaxStates: 50000, Acts: acts, Labels: labels, Reduction: red})
 		if err != nil {
 			t.Errorf("seed %d: reduced exploration failed where full succeeded: %v", seed, err)

@@ -2,6 +2,7 @@ package vet_test
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -97,7 +98,7 @@ func TestStateLayoutPreservesLTS(t *testing.T) {
 			}
 			alg := m.Algorithm()
 			aut := func(lay *statecodec.Layout) []byte {
-				l, err := machine.Explore(alg.Build(algCfg()), machine.Options{
+				l, _, err := machine.ExploreWithInfoContext(context.Background(), alg.Build(algCfg()), machine.Options{
 					Threads: 2, Ops: 2, Layout: lay,
 				})
 				if err != nil {

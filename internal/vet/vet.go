@@ -103,7 +103,7 @@ type AnalyzerInfo struct {
 func Catalog() []AnalyzerInfo {
 	return []AnalyzerInfo{
 		{ID: "deadguard", Severity: Warning, Description: "branch condition is constant under interval analysis (one branch can never run)", NeedsIR: true},
-		{ID: "overflow", Severity: Warning, Description: fmt.Sprintf("stored value can fall outside the encodable range [%d, %d] and would corrupt the state encoding", machine.EncodeMin, machine.EncodeMax), NeedsIR: true},
+		{ID: "overflow", Severity: Warning, Description: fmt.Sprintf("stored value can fall outside the structural value window [%d, %d]: only the interval state layout can encode it, and exploration without that layout fails with a model runtime error", machine.EncodeMin, machine.EncodeMax), NeedsIR: true},
 		{ID: "specshape", Severity: Error, Description: "structural spec mismatch: a method with no reachable return, or an abstract block that does not mirror the implementation", NeedsIR: true},
 		{ID: "taucycle", Severity: Warning, Description: "solo τ-cycle: a thread can loop on internal statements forever with all other threads frozen (candidate lock-freedom divergence)", NeedsIR: false},
 		{ID: "unreachable", Severity: Warning, Description: "statement unreachable from its method entry", NeedsIR: true},

@@ -146,8 +146,7 @@ function renderResult(res, raw) {
 
   const rows = (res.stages || []).map((s) => {
     const sizes = s.states_out ? `${s.states_out} st / ${s.transitions_out} tr` : "";
-    const extra = s.encoding
-      ? `${s.encoding}, ${(s.bytes_per_state || 0).toFixed(1)} B/state` : "";
+    const extra = s.bytes_per_state ? `${s.bytes_per_state.toFixed(1)} B/state` : "";
     return `<tr><td>${s.stage}</td><td>${s.target || ""}</td>` +
       `<td>${(s.elapsed_us / 1000).toFixed(2)} ms</td><td>${sizes}</td><td>${extra}</td></tr>`;
   });
