@@ -10,16 +10,16 @@
 //     sequences of atomic statements over a shared heap; a most general
 //     client explores every interleaving, producing a labeled transition
 //     system whose only visible actions are method calls and returns.
-//   - CheckLinearizability (Theorem 5.3) decides trace refinement between
-//     the branching-bisimulation quotients of the object and its
+//   - CheckLinearizabilityContext (Theorem 5.3) decides trace refinement
+//     between the branching-bisimulation quotients of the object and its
 //     single-atomic-block specification — no linearization-point
 //     annotations required — and yields a non-linearizable history on
 //     failure.
-//   - CheckLockFree (Theorem 5.9) decides divergence-sensitive branching
-//     bisimilarity between the object and its own quotient, yielding a
-//     divergence (τ-lasso) on failure; CheckLockFreeAbstract (Theorem
-//     5.8) instead compares against a hand-written coarser abstract
-//     program.
+//   - CheckLockFreeContext (Theorem 5.9) decides divergence-sensitive
+//     branching bisimilarity between the object and its own quotient,
+//     yielding a divergence (τ-lasso) on failure;
+//     CheckLockFreeAbstractContext (Theorem 5.8) instead compares against
+//     a hand-written coarser abstract program.
 //
 // Fourteen benchmark algorithms from the paper's Table II ship in the
 // registry (Algorithms, AlgorithmByID), and the exhibits (Exhibits) can
@@ -27,9 +27,10 @@
 //
 // A minimal session:
 //
+//	ctx := context.Background()
 //	alg, _ := bbv.AlgorithmByID("ms-queue")
 //	cfg := bbv.Instance{Threads: 2, Ops: 2}
-//	res, err := bbv.CheckLinearizability(alg.Build(cfg.Algorithm()), alg.Spec(cfg.Algorithm()), cfg)
+//	res, err := bbv.CheckLinearizabilityContext(ctx, alg.Build(cfg.Algorithm()), alg.Spec(cfg.Algorithm()), cfg)
 //	// res.Linearizable == true
 package bbv
 
@@ -124,58 +125,36 @@ func Algorithms() []*Algorithm { return algorithms.All() }
 // (e.g. "treiber", "ms-queue", "hm-list-buggy").
 func AlgorithmByID(id string) (*Algorithm, error) { return algorithms.ByID(id) }
 
-// CheckLinearizability verifies impl against spec by quotient trace
-// refinement (Theorem 5.3).
-func CheckLinearizability(impl, spec *Program, in Instance) (*LinearizabilityResult, error) {
-	return core.CheckLinearizability(impl, spec, in.core())
-}
-
-// CheckLinearizabilityContext is CheckLinearizability with cancellation:
-// when ctx is canceled or times out, exploration and refinement stop
-// promptly and a typed cancellation error (machine.CanceledError or
-// bisim.CanceledError, both unwrapping to the context cause) is
-// returned.
+// CheckLinearizabilityContext verifies impl against spec by quotient
+// trace refinement (Theorem 5.3). When ctx is canceled or times out,
+// exploration and refinement stop promptly and a typed cancellation error
+// (machine.CanceledError or bisim.CanceledError, both unwrapping to the
+// context cause) is returned.
 func CheckLinearizabilityContext(ctx context.Context, impl, spec *Program, in Instance) (*LinearizabilityResult, error) {
-	return core.CheckLinearizabilityContext(ctx, impl, spec, in.core())
+	return NewSession(in).CheckLinearizabilityContext(ctx, impl, spec)
 }
 
-// CheckLockFree verifies lock-freedom fully automatically by comparing
-// the object with its own branching-bisimulation quotient under
+// CheckLockFreeContext verifies lock-freedom fully automatically by
+// comparing the object with its own branching-bisimulation quotient under
 // divergence-sensitive branching bisimilarity (Theorem 5.9).
-func CheckLockFree(impl *Program, in Instance) (*LockFreedomResult, error) {
-	return core.CheckLockFreeAuto(impl, in.core())
-}
-
-// CheckLockFreeContext is CheckLockFree with cancellation.
 func CheckLockFreeContext(ctx context.Context, impl *Program, in Instance) (*LockFreedomResult, error) {
-	return core.CheckLockFreeAutoContext(ctx, impl, in.core())
+	return NewSession(in).CheckLockFreeAutoContext(ctx, impl)
 }
 
-// CheckLockFreeAbstract verifies lock-freedom against a hand-written
-// abstract program (Theorem 5.8).
-func CheckLockFreeAbstract(impl, abstract *Program, in Instance) (*LockFreedomResult, error) {
-	return core.CheckLockFreeAbstract(impl, abstract, in.core())
-}
-
-// CheckLockFreeAbstractContext is CheckLockFreeAbstract with
-// cancellation.
+// CheckLockFreeAbstractContext verifies lock-freedom against a
+// hand-written abstract program (Theorem 5.8).
 func CheckLockFreeAbstractContext(ctx context.Context, impl, abstract *Program, in Instance) (*LockFreedomResult, error) {
-	return core.CheckLockFreeAbstractContext(ctx, impl, abstract, in.core())
+	return NewSession(in).CheckLockFreeAbstractContext(ctx, impl, abstract)
 }
 
 // DeadlockResult reports a deadlock-freedom check.
 type DeadlockResult = core.DeadlockResult
 
-// CheckDeadlockFree searches the object's state space for reachable
-// states in which some client is blocked forever — the sanity property
-// for lock-based objects.
-func CheckDeadlockFree(impl *Program, in Instance) (*DeadlockResult, error) {
-	return core.CheckDeadlockFree(impl, in.core())
-}
-
-// CheckDeadlockFreeContext is CheckDeadlockFree with cancellation.
+// CheckDeadlockFreeContext searches the object's state space for
+// reachable states in which some client is blocked forever — the sanity
+// property for lock-based objects.
 func CheckDeadlockFreeContext(ctx context.Context, impl *Program, in Instance) (*DeadlockResult, error) {
-	return core.CheckDeadlockFreeContext(ctx, impl, in.core())
+	return NewSession(in).CheckDeadlockFreeContext(ctx, impl)
 }
 
 // Session is a per-instance artifact store: explored state spaces,
@@ -195,8 +174,8 @@ type StageStat = core.StageStat
 //
 //	s := bbv.NewSession(in)
 //	impl := alg.Build(in.Algorithm())
-//	lin, _ := s.CheckLinearizability(impl, alg.Spec(in.Algorithm()))
-//	lf, _ := s.CheckLockFreeAuto(impl) // reuses impl's LTS and quotient
+//	lin, _ := s.CheckLinearizabilityContext(ctx, impl, alg.Spec(in.Algorithm()))
+//	lf, _ := s.CheckLockFreeAutoContext(ctx, impl) // reuses impl's LTS and quotient
 func NewSession(in Instance) *Session { return core.NewSession(in.core()) }
 
 // Exhibit regenerates one table or figure of the paper.
@@ -217,7 +196,7 @@ func ExhibitByName(name string) (Exhibit, error) { return exhibits.ByName(name) 
 // of the paper). The object is explored under this instance's most
 // general clients.
 func CheckLTL(impl *Program, f *ltl.Formula, in Instance) (*ltl.Result, error) {
-	l, err := core.Explore(impl, in.core(), nil, nil)
+	l, err := core.ExploreContext(context.Background(), impl, in.core())
 	if err != nil {
 		return nil, err
 	}
@@ -228,16 +207,11 @@ func CheckLTL(impl *Program, f *ltl.Formula, in Instance) (*ltl.Result, error) {
 // and branching bisimilarity (one row of the paper's Table VII).
 type EquivalenceReport = core.EquivalenceReport
 
-// CompareWithSpec computes the sizes of the object, its specification and
-// both branching-bisimulation quotients, and decides Δ ~w Θsp and
-// Δ ~br Θsp (on the quotients, which is sound).
-func CompareWithSpec(impl, spec *Program, in Instance) (*EquivalenceReport, error) {
-	return core.CompareWithSpec(impl, spec, in.core())
-}
-
-// CompareWithSpecContext is CompareWithSpec with cancellation.
+// CompareWithSpecContext computes the sizes of the object, its
+// specification and both branching-bisimulation quotients, and decides
+// Δ ~w Θsp and Δ ~br Θsp (on the quotients, which is sound).
 func CompareWithSpecContext(ctx context.Context, impl, spec *Program, in Instance) (*EquivalenceReport, error) {
-	return core.CompareWithSpecContext(ctx, impl, spec, in.core())
+	return NewSession(in).CompareWithSpecContext(ctx, impl, spec)
 }
 
 // Explanation describes why two systems are not branching bisimilar.
@@ -248,17 +222,17 @@ type Explanation = bisim.Explanation
 // states separate and the capabilities only one side has. ok is false
 // when the two are in fact bisimilar.
 func ExplainSpecMismatch(impl, spec *Program, in Instance) (*Explanation, bool, error) {
-	acts := lts.NewAlphabet()
-	labels := lts.NewAlphabet()
-	implLTS, err := core.Explore(impl, in.core(), acts, labels)
-	if err != nil {
-		return nil, false, err
+	ctx := context.Background()
+	s := NewSession(in)
+	var qs [2]*lts.LTS
+	for i, p := range []*Program{impl, spec} {
+		l, _, err := s.ExploreWithInfoContext(ctx, p)
+		if err != nil {
+			return nil, false, err
+		}
+		if qs[i], err = s.QuotientContext(ctx, l); err != nil {
+			return nil, false, err
+		}
 	}
-	specLTS, err := core.Explore(spec, in.core(), acts, labels)
-	if err != nil {
-		return nil, false, err
-	}
-	implQ, _ := bisim.ReduceBranching(implLTS)
-	specQ, _ := bisim.ReduceBranching(specLTS)
-	return bisim.Explain(implQ, specQ, bisim.KindBranching)
+	return s.ExplainContext(ctx, qs[0], qs[1], bisim.KindBranching)
 }

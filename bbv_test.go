@@ -1,6 +1,7 @@
 package bbv_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -40,20 +41,20 @@ func TestFacadeErrorPropagation(t *testing.T) {
 	}
 	bad := bbv.Instance{} // zero threads/ops
 	cfg := bbv.Instance{Threads: 2, Ops: 2}
-	if _, err := bbv.CheckLinearizability(alg.Build(cfg.Algorithm()), alg.Spec(cfg.Algorithm()), bad); err == nil {
+	if _, err := bbv.CheckLinearizabilityContext(context.Background(), alg.Build(cfg.Algorithm()), alg.Spec(cfg.Algorithm()), bad); err == nil {
 		t.Error("CheckLinearizability must reject a zero instance")
 	}
-	if _, err := bbv.CheckLockFree(alg.Build(cfg.Algorithm()), bad); err == nil {
+	if _, err := bbv.CheckLockFreeContext(context.Background(), alg.Build(cfg.Algorithm()), bad); err == nil {
 		t.Error("CheckLockFree must reject a zero instance")
 	}
-	if _, err := bbv.CheckDeadlockFree(alg.Build(cfg.Algorithm()), bad); err == nil {
+	if _, err := bbv.CheckDeadlockFreeContext(context.Background(), alg.Build(cfg.Algorithm()), bad); err == nil {
 		t.Error("CheckDeadlockFree must reject a zero instance")
 	}
-	if _, err := bbv.CompareWithSpec(alg.Build(cfg.Algorithm()), alg.Spec(cfg.Algorithm()), bad); err == nil {
+	if _, err := bbv.CompareWithSpecContext(context.Background(), alg.Build(cfg.Algorithm()), alg.Spec(cfg.Algorithm()), bad); err == nil {
 		t.Error("CompareWithSpec must reject a zero instance")
 	}
 	tiny := bbv.Instance{Threads: 2, Ops: 2, MaxStates: 3}
-	if _, err := bbv.CheckLockFreeAbstract(alg.Build(cfg.Algorithm()), alg.Build(cfg.Algorithm()), tiny); err == nil {
+	if _, err := bbv.CheckLockFreeAbstractContext(context.Background(), alg.Build(cfg.Algorithm()), alg.Build(cfg.Algorithm()), tiny); err == nil {
 		t.Error("CheckLockFreeAbstract must surface the state budget error")
 	}
 	if _, _, err := bbv.ExplainSpecMismatch(alg.Build(cfg.Algorithm()), alg.Spec(cfg.Algorithm()), tiny); err == nil {

@@ -135,7 +135,7 @@ func BenchmarkBranchingPartition(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p := bisim.Branching(l)
+		p, _ := bisim.BranchingContext(context.Background(), l)
 		if p.Num == 0 {
 			b.Fatal("empty partition")
 		}
@@ -148,7 +148,7 @@ func BenchmarkDivergenceSensitivePartition(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p := bisim.DivergenceSensitiveBranching(l)
+		p, _ := bisim.DivergenceSensitiveBranchingContext(context.Background(), l)
 		if p.Num == 0 {
 			b.Fatal("empty partition")
 		}
@@ -159,11 +159,11 @@ func BenchmarkDivergenceSensitivePartition(b *testing.B) {
 // (how Table VII is computed).
 func BenchmarkWeakPartitionQuotient(b *testing.B) {
 	l := buildLTS(b, "ms-queue", 2, 3, []int32{1})
-	q, _ := bisim.ReduceBranching(l)
+	q, _, _ := bisim.ReduceBranchingContext(context.Background(), l)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p := bisim.Weak(q)
+		p, _ := bisim.WeakContext(context.Background(), q)
 		if p.Num == 0 {
 			b.Fatal("empty partition")
 		}
@@ -174,7 +174,7 @@ func BenchmarkWeakPartitionQuotient(b *testing.B) {
 // given a partition.
 func BenchmarkQuotientConstruction(b *testing.B) {
 	l := buildLTS(b, "ms-queue", 2, 3, []int32{1})
-	p := bisim.Branching(l)
+	p, _ := bisim.BranchingContext(context.Background(), l)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -202,8 +202,8 @@ func BenchmarkTraceInclusionQuotients(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	implQ, _ := bisim.ReduceBranching(impl)
-	specQ, _ := bisim.ReduceBranching(spec)
+	implQ, _, _ := bisim.ReduceBranchingContext(context.Background(), impl)
+	specQ, _, _ := bisim.ReduceBranchingContext(context.Background(), spec)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -221,7 +221,7 @@ func BenchmarkTraceInclusionQuotients(b *testing.B) {
 // MS queue quotient (Table I workload).
 func BenchmarkKTraceHierarchy(b *testing.B) {
 	l := buildLTS(b, "ms-queue", 2, 3, []int32{1})
-	q, _ := bisim.ReduceBranching(l)
+	q, _, _ := bisim.ReduceBranchingContext(context.Background(), l)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -240,7 +240,7 @@ func BenchmarkReduceBranching(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q, p := bisim.ReduceBranching(l)
+		q, p, _ := bisim.ReduceBranchingContext(context.Background(), l)
 		if q.NumStates() == 0 || p.Num == 0 {
 			b.Fatal("empty quotient")
 		}
@@ -252,11 +252,11 @@ func BenchmarkReduceBranching(b *testing.B) {
 // system, so the τ-SCC flags matter).
 func BenchmarkDivergenceSensitive(b *testing.B) {
 	l := buildLTS(b, "treiber-hp-fu", 2, 2, nil)
-	q, _ := bisim.ReduceBranching(l)
+	q, _, _ := bisim.ReduceBranchingContext(context.Background(), l)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := bisim.Equivalent(l, q, bisim.KindDivBranching); err != nil {
+		if _, err := bisim.EquivalentContext(context.Background(), l, q, bisim.KindDivBranching); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -276,10 +276,10 @@ func BenchmarkSessionReuse(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.CheckLinearizability(alg.Build(acfg), alg.Spec(acfg), ccfg); err != nil {
+			if _, err := core.NewSession(ccfg).CheckLinearizabilityContext(context.Background(), alg.Build(acfg), alg.Spec(acfg)); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := core.CheckLockFreeAuto(alg.Build(acfg), ccfg); err != nil {
+			if _, err := core.NewSession(ccfg).CheckLockFreeAutoContext(context.Background(), alg.Build(acfg)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -289,10 +289,10 @@ func BenchmarkSessionReuse(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sess := core.NewSession(ccfg)
 			impl := alg.Build(acfg)
-			if _, err := sess.CheckLinearizability(impl, alg.Spec(acfg)); err != nil {
+			if _, err := sess.CheckLinearizabilityContext(context.Background(), impl, alg.Spec(acfg)); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sess.CheckLockFreeAuto(impl); err != nil {
+			if _, err := sess.CheckLockFreeAutoContext(context.Background(), impl); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -141,8 +141,6 @@ subcommands:
 common flags: -threads N (default 2), -ops N (default 2), -vals 1,2, -max-states N,
               -workers N (exploration workers; 0 = all cores, 1 = sequential —
               results are identical for any value),
-              -refiner auto|signature|splitter (branching-bisimulation refinement
-              algorithm — partitions and verdicts are identical for any choice),
               -model file.bbvl (verify a BBVL model instead of a registry algorithm)`)
 }
 
@@ -165,7 +163,6 @@ type commonFlags struct {
 	vals      *string
 	maxStates *int
 	workers   *int
-	refiner   *string
 	model     *string
 	membudget *string
 	// modelSrc holds the -model file's source after resolve, so check
@@ -184,7 +181,6 @@ func newFlags(name string) *commonFlags {
 		vals:      fs.String("vals", "", "comma-separated value universe (default algorithm-specific)"),
 		maxStates: fs.Int("max-states", 0, "state budget (0 = default)"),
 		workers:   fs.Int("workers", 0, "exploration workers (0 = all cores, 1 = sequential)"),
-		refiner:   fs.String("refiner", "auto", "branching-bisimulation refiner: auto, signature or splitter — verdicts are identical for any choice"),
 		model:     fs.String("model", "", "verify a BBVL model file instead of a registry algorithm"),
 		membudget: fs.String("membudget", "", "resident state-storage budget per exploration, e.g. 64MiB or 2GiB; past it, state storage spills to temp files (default: all in RAM) — results are identical for any budget"),
 	}
@@ -232,10 +228,6 @@ func (c *commonFlags) resolve() (*algorithms.Algorithm, algorithms.Config, core.
 	if err != nil {
 		return nil, algorithms.Config{}, core.Config{}, err
 	}
-	ref, err := bisim.ParseRefiner(*c.refiner)
-	if err != nil {
-		return nil, algorithms.Config{}, core.Config{}, fmt.Errorf("bad -refiner: %w", err)
-	}
 	if *c.membudget != "" {
 		c.memBytes, err = statecodec.ParseBudget(*c.membudget)
 		if err != nil {
@@ -248,7 +240,6 @@ func (c *commonFlags) resolve() (*algorithms.Algorithm, algorithms.Config, core.
 		Ops:       *c.ops,
 		MaxStates: *c.maxStates,
 		Workers:   *c.workers,
-		Refiner:   ref,
 		MemBudget: c.memBytes,
 		// Narrow state layouts with vet's interval facts, exactly as the
 		// bbvd service does, and wire the platform backend (spill-capable
@@ -269,24 +260,6 @@ func (c *commonFlags) memBudgetMB() int {
 	return int((c.memBytes + (1 << 20) - 1) >> 20)
 }
 
-// machineOpts builds direct exploration options from a resolved
-// core.Config (for the subcommands that explore outside a core.Session),
-// carrying the memory budget and the vet-narrowed layout.
-func machineOpts(ccfg core.Config, p *machine.Program) machine.Options {
-	opt := machine.Options{
-		Threads:   ccfg.Threads,
-		Ops:       ccfg.Ops,
-		MaxStates: ccfg.MaxStates,
-		Workers:   ccfg.Workers,
-		MemBudget: ccfg.MemBudget,
-		Backend:   ccfg.Backend,
-	}
-	if p != nil && ccfg.LayoutProvider != nil {
-		opt.Layout = ccfg.LayoutProvider(p)
-	}
-	return opt
-}
-
 // parseVals parses a comma-separated -vals flag.
 func parseVals(s string) ([]int32, error) {
 	if s == "" {
@@ -304,6 +277,7 @@ func parseVals(s string) ([]int32, error) {
 }
 
 func check(args []string) error {
+	ctx := context.Background()
 	cf := newFlags("check")
 	jsonOut := cf.fs.Bool("json", false, "emit the result as JSON (the same schema the bbvd service returns)")
 	specFile := cf.fs.String("spec", "", "run an api.JobSpec JSON file (strict decode) and print the result JSON")
@@ -335,7 +309,6 @@ func check(args []string) error {
 		Ops:         ccfg.Ops,
 		MaxStates:   ccfg.MaxStates,
 		Workers:     ccfg.Workers,
-		Refiner:     *cf.refiner,
 		Vals:        acfg.Vals,
 		Checks:      checks,
 		MemBudgetMB: cf.memBudgetMB(),
@@ -365,7 +338,7 @@ func check(args []string) error {
 	}
 
 	if *jsonOut {
-		res, err := api.RunBackend(context.Background(), spec, statestore.Runtime(), nil)
+		res, err := api.RunBackend(ctx, spec, statestore.Runtime(), nil)
 		if err != nil {
 			return err
 		}
@@ -392,7 +365,7 @@ func check(args []string) error {
 	for _, c := range checks {
 		switch c {
 		case api.CheckLinearizability:
-			lin, err := sess.CheckLinearizability(impl, alg.Spec(acfg))
+			lin, err := sess.CheckLinearizabilityContext(ctx, impl, alg.Spec(acfg))
 			if err != nil {
 				return err
 			}
@@ -407,7 +380,7 @@ func check(args []string) error {
 				}
 			}
 		case api.CheckDeadlock:
-			dl, err := sess.CheckDeadlockFree(impl)
+			dl, err := sess.CheckDeadlockFreeContext(ctx, impl)
 			if err != nil {
 				return err
 			}
@@ -421,7 +394,7 @@ func check(args []string) error {
 				fmt.Print(indent(dl.Witness.Format()))
 			}
 		case api.CheckLockFree:
-			lf, err := sess.CheckLockFreeAuto(impl)
+			lf, err := sess.CheckLockFreeAutoContext(ctx, impl)
 			if err != nil {
 				return err
 			}
@@ -432,7 +405,7 @@ func check(args []string) error {
 				fmt.Print(indent(lf.Divergence.Format()))
 			}
 			if alg.Abstract != nil {
-				ab, err := sess.CheckLockFreeAbstract(impl, alg.Abstract(acfg))
+				ab, err := sess.CheckLockFreeAbstractContext(ctx, impl, alg.Abstract(acfg))
 				if err != nil {
 					return err
 				}
@@ -527,12 +500,13 @@ func exploreCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	prog := alg.Build(acfg)
-	l, info, err := machine.ExploreWithInfoContext(context.Background(), prog, machineOpts(ccfg, prog))
+	ctx := context.Background()
+	sess := core.NewSession(ccfg)
+	l, info, err := sess.ExploreWithInfoContext(ctx, alg.Build(acfg))
 	if err != nil {
 		return err
 	}
-	q, p, err := bisim.ReduceBranchingWithRefiner(context.Background(), l, ccfg.Refiner)
+	q, err := sess.QuotientContext(ctx, l)
 	if err != nil {
 		return err
 	}
@@ -550,7 +524,7 @@ func exploreCmd(args []string) error {
 	fmt.Println()
 	fmt.Printf("quotient:     %d states, %d transitions (reduction %.1fx)\n",
 		q.NumStates(), q.NumTransitions(), float64(l.NumStates())/float64(q.NumStates()))
-	fmt.Printf("blocks:       %d\n", p.Num)
+	fmt.Printf("blocks:       %d\n", q.NumStates())
 	if _, cyc := lts.HasTauCycle(l); cyc {
 		fmt.Println("divergence:   the system has a tau cycle (not lock-free)")
 	} else {
@@ -588,12 +562,13 @@ func ktraceCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	prog := alg.Build(acfg)
-	l, _, err := machine.ExploreWithInfoContext(context.Background(), prog, machineOpts(ccfg, prog))
+	ctx := context.Background()
+	sess := core.NewSession(ccfg)
+	l, _, err := sess.ExploreWithInfoContext(ctx, alg.Build(acfg))
 	if err != nil {
 		return err
 	}
-	q, _, err := bisim.ReduceBranchingWithRefiner(context.Background(), l, ccfg.Refiner)
+	q, err := sess.QuotientContext(ctx, l)
 	if err != nil {
 		return err
 	}
@@ -618,31 +593,26 @@ func ktraceCmd(args []string) error {
 }
 
 func compareCmd(args []string) error {
+	ctx := context.Background()
 	cf := newFlags("compare")
 	alg, acfg, ccfg, err := cf.parse(args)
 	if err != nil {
 		return err
 	}
-	acts := lts.NewAlphabet()
-	labels := lts.NewAlphabet()
-	implProg, specProg := alg.Build(acfg), alg.Spec(acfg)
-	opts := machineOpts(ccfg, implProg)
-	opts.Acts, opts.Labels = acts, labels
-	impl, _, err := machine.ExploreWithInfoContext(context.Background(), implProg, opts)
+	sess := core.NewSession(ccfg)
+	impl, _, err := sess.ExploreWithInfoContext(ctx, alg.Build(acfg))
 	if err != nil {
 		return err
 	}
-	specOpts := machineOpts(ccfg, specProg)
-	specOpts.Acts, specOpts.Labels = acts, labels
-	specLTS, _, err := machine.ExploreWithInfoContext(context.Background(), specProg, specOpts)
+	specLTS, _, err := sess.ExploreWithInfoContext(ctx, alg.Spec(acfg))
 	if err != nil {
 		return err
 	}
-	implQ, _, err := bisim.ReduceBranchingWithRefiner(context.Background(), impl, ccfg.Refiner)
+	implQ, err := sess.QuotientContext(ctx, impl)
 	if err != nil {
 		return err
 	}
-	specQ, _, err := bisim.ReduceBranchingWithRefiner(context.Background(), specLTS, ccfg.Refiner)
+	specQ, err := sess.QuotientContext(ctx, specLTS)
 	if err != nil {
 		return err
 	}
@@ -656,16 +626,16 @@ func compareCmd(args []string) error {
 	for _, k := range []bisim.Kind{bisim.KindWeak, bisim.KindDivWeak, bisim.KindBranching, bisim.KindDivBranching} {
 		var eq bool
 		if k == bisim.KindDivWeak || k == bisim.KindDivBranching {
-			eq, err = bisim.Equivalent(impl, specLTS, k)
+			eq, err = sess.EquivalentContext(ctx, impl, specLTS, k)
 		} else {
-			eq, err = bisim.Equivalent(implQ, specQ, k)
+			eq, err = sess.EquivalentContext(ctx, implQ, specQ, k)
 		}
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-35s %v\n", k.String()+" bisimilar:", eq)
 	}
-	exp, bad, err := bisim.Explain(implQ, specQ, bisim.KindBranching)
+	exp, bad, err := sess.ExplainContext(ctx, implQ, specQ, bisim.KindBranching)
 	if err != nil {
 		return fmt.Errorf("explaining the quotient difference: %w", err)
 	}
@@ -682,6 +652,7 @@ func compareCmd(args []string) error {
 // states of the two explored systems, and replay-verified before
 // printing — a failed replay is an engine bug and aborts the command.
 func explainCmd(args []string) error {
+	ctx := context.Background()
 	cf := newFlags("explain")
 	kindFlag := cf.fs.String("kind", "branching", "bisimulation notion to explain: branching or div-branching")
 	alg, acfg, ccfg, err := cf.parse(args)
@@ -697,24 +668,18 @@ func explainCmd(args []string) error {
 	default:
 		return fmt.Errorf("unknown -kind %q (want branching or div-branching)", *kindFlag)
 	}
-	acts := lts.NewAlphabet()
-	labels := lts.NewAlphabet()
-	implProg, specProg := alg.Build(acfg), alg.Spec(acfg)
-	opts := machineOpts(ccfg, implProg)
-	opts.Acts, opts.Labels = acts, labels
-	impl, _, err := machine.ExploreWithInfoContext(context.Background(), implProg, opts)
+	sess := core.NewSession(ccfg)
+	impl, _, err := sess.ExploreWithInfoContext(ctx, alg.Build(acfg))
 	if err != nil {
 		return err
 	}
-	specOpts := machineOpts(ccfg, specProg)
-	specOpts.Acts, specOpts.Labels = acts, labels
-	specLTS, _, err := machine.ExploreWithInfoContext(context.Background(), specProg, specOpts)
+	specLTS, _, err := sess.ExploreWithInfoContext(ctx, alg.Spec(acfg))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("== %s vs specification (%d threads x %d ops, %s) ==\n", alg.Display, ccfg.Threads, ccfg.Ops, kind)
 	fmt.Printf("object: %d states   spec: %d states\n", impl.NumStates(), specLTS.NumStates())
-	exp, bad, err := bisim.Explain(impl, specLTS, kind)
+	exp, bad, err := sess.ExplainContext(ctx, impl, specLTS, kind)
 	if err != nil {
 		return err
 	}
@@ -747,8 +712,7 @@ func ltlCmd(args []string) error {
 	default:
 		return fmt.Errorf("unknown formula %q (use lockfree or completes:<Method>)", *formula)
 	}
-	prog := alg.Build(acfg)
-	l, _, err := machine.ExploreWithInfoContext(context.Background(), prog, machineOpts(ccfg, prog))
+	l, err := core.ExploreContext(context.Background(), alg.Build(acfg), ccfg)
 	if err != nil {
 		return err
 	}
@@ -792,7 +756,7 @@ func sweepCmd(args []string) error {
 		// The layout must match this iteration's ops bound, not the base
 		// flag value.
 		sweepCfg.LayoutProvider = api.LayoutProvider(ccfg.Threads, ops)
-		l, _, err := machine.ExploreWithInfoContext(context.Background(), prog, machineOpts(sweepCfg, prog))
+		l, err := core.ExploreContext(context.Background(), prog, sweepCfg)
 		if err != nil {
 			var lim *machine.StateLimitError
 			if errors.As(err, &lim) {
@@ -801,7 +765,7 @@ func sweepCmd(args []string) error {
 			}
 			return err
 		}
-		q, _, err := bisim.ReduceBranchingWithRefiner(context.Background(), l, ccfg.Refiner)
+		q, _, err := bisim.ReduceBranchingContext(context.Background(), l)
 		if err != nil {
 			return err
 		}

@@ -55,7 +55,6 @@ func TestWasmCheckPathMatchesCLI(t *testing.T) {
 		Name:    model, // the CLI echoes its -model path in the spec
 		Threads: 2,
 		Ops:     2,
-		Refiner: "auto", // the CLI flag default
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,55 +4,7 @@ import (
 	"testing"
 
 	bbv "repro"
-	"repro/internal/algorithms"
-	"repro/internal/bisim"
-	"repro/internal/core"
 )
-
-// TestCrossRefinerTableIIVerdicts runs every Table II instance (2
-// threads x 2 ops) under both partition refiners and checks that the
-// verdicts AND the quotient block counts are identical — the guarantee
-// that lets the refiner choice stay out of the service cache key.
-func TestCrossRefinerTableIIVerdicts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exploration-heavy")
-	}
-	type outcome struct {
-		lin                bool
-		implQ, specQ       int
-		lockFree, hasLF    bool
-		implRounds, states int
-	}
-	cfg := algorithms.Config{Threads: 2, Ops: 2}
-	for _, a := range algorithms.TableII() {
-		var got [2]outcome
-		for i, ref := range []bisim.Refiner{bisim.RefinerSignature, bisim.RefinerSplitter} {
-			sess := core.NewSession(core.Config{Threads: 2, Ops: 2, Refiner: ref})
-			impl := a.Build(cfg)
-			lin, err := sess.CheckLinearizability(impl, a.Spec(cfg))
-			if err != nil {
-				t.Fatalf("%s (%v): %v", a.ID, ref, err)
-			}
-			o := outcome{
-				lin:    lin.Linearizable,
-				implQ:  lin.ImplQuotientStates,
-				specQ:  lin.SpecQuotient,
-				states: lin.ImplStates,
-			}
-			if !a.LockBased {
-				lf, err := sess.CheckLockFreeAuto(impl)
-				if err != nil {
-					t.Fatalf("%s (%v): %v", a.ID, ref, err)
-				}
-				o.lockFree, o.hasLF = lf.LockFree, true
-			}
-			got[i] = o
-		}
-		if got[0] != got[1] {
-			t.Errorf("%s: refiners disagree:\n  signature: %+v\n  splitter:  %+v", a.ID, got[0], got[1])
-		}
-	}
-}
 
 // TestCrossRefinerExplainDeterministicAcrossWorkers pins satellite
 // determinism: the rendered distinguishing experiment for the same

@@ -1,6 +1,7 @@
 package bbv_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,16 +12,17 @@ import (
 // Verify a packaged benchmark: the Treiber stack is linearizable and
 // lock-free at 2 threads × 2 operations.
 func Example() {
+	ctx := context.Background()
 	alg, err := bbv.AlgorithmByID("treiber")
 	if err != nil {
 		log.Fatal(err)
 	}
 	in := bbv.Instance{Threads: 2, Ops: 2}
-	lin, err := bbv.CheckLinearizability(alg.Build(in.Algorithm()), alg.Spec(in.Algorithm()), in)
+	lin, err := bbv.CheckLinearizabilityContext(ctx, alg.Build(in.Algorithm()), alg.Spec(in.Algorithm()), in)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lf, err := bbv.CheckLockFree(alg.Build(in.Algorithm()), in)
+	lf, err := bbv.CheckLockFreeContext(ctx, alg.Build(in.Algorithm()), in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,13 +35,14 @@ func Example() {
 
 // Reproduce the paper's known bug: the pre-errata Harris–Michael list
 // lets two threads remove the same key.
-func ExampleCheckLinearizability_bug() {
+func ExampleCheckLinearizabilityContext_bug() {
+	ctx := context.Background()
 	alg, err := bbv.AlgorithmByID("hm-list-buggy")
 	if err != nil {
 		log.Fatal(err)
 	}
 	in := bbv.Instance{Threads: 2, Ops: 2}
-	res, err := bbv.CheckLinearizability(alg.Build(in.Algorithm()), alg.Spec(in.Algorithm()), in)
+	res, err := bbv.CheckLinearizabilityContext(ctx, alg.Build(in.Algorithm()), alg.Spec(in.Algorithm()), in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,13 +56,14 @@ func ExampleCheckLinearizability_bug() {
 
 // Reproduce the paper's new bug: the revised hazard-pointer stack
 // diverges, violating lock-freedom.
-func ExampleCheckLockFree_divergence() {
+func ExampleCheckLockFreeContext_divergence() {
+	ctx := context.Background()
 	alg, err := bbv.AlgorithmByID("treiber-hp-fu")
 	if err != nil {
 		log.Fatal(err)
 	}
 	in := bbv.Instance{Threads: 2, Ops: 2}
-	res, err := bbv.CheckLockFree(alg.Build(in.Algorithm()), in)
+	res, err := bbv.CheckLockFreeContext(ctx, alg.Build(in.Algorithm()), in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,13 +94,14 @@ func ExampleCheckLTL() {
 // Compare an object with its specification under weak and branching
 // bisimilarity (a Table VII row): the simple fixed-LP Treiber stack is
 // equivalent to its atomic specification under both notions.
-func ExampleCompareWithSpec() {
+func ExampleCompareWithSpecContext() {
+	ctx := context.Background()
 	alg, err := bbv.AlgorithmByID("treiber")
 	if err != nil {
 		log.Fatal(err)
 	}
 	in := bbv.Instance{Threads: 2, Ops: 2}
-	rep, err := bbv.CompareWithSpec(alg.Build(in.Algorithm()), alg.Spec(in.Algorithm()), in)
+	rep, err := bbv.CompareWithSpecContext(ctx, alg.Build(in.Algorithm()), alg.Spec(in.Algorithm()), in)
 	if err != nil {
 		log.Fatal(err)
 	}

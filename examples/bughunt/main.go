@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,6 +24,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	in := bbv.Instance{Threads: 2, Ops: 2}
 
 	fmt.Println("== 1. Known bug: HM lock-free list (pre-errata) ==")
@@ -30,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lin, err := bbv.CheckLinearizability(hm.Build(in.Algorithm()), hm.Spec(in.Algorithm()), in)
+	lin, err := bbv.CheckLinearizabilityContext(ctx, hm.Build(in.Algorithm()), hm.Spec(in.Algorithm()), in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lin, err = bbv.CheckLinearizability(fixed.Build(in.Algorithm()), fixed.Spec(in.Algorithm()), in)
+	lin, err = bbv.CheckLinearizabilityContext(ctx, fixed.Build(in.Algorithm()), fixed.Spec(in.Algorithm()), in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lf, err := bbv.CheckLockFree(fu.Build(in.Algorithm()), in)
+	lf, err := bbv.CheckLockFreeContext(ctx, fu.Build(in.Algorithm()), in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lf, err = bbv.CheckLockFree(hp.Build(in.Algorithm()), in)
+	lf, err = bbv.CheckLockFreeContext(ctx, hp.Build(in.Algorithm()), in)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -89,11 +90,12 @@ func racyDispenser() *bbv.Program {
 }
 
 func main() {
+	ctx := context.Background()
 	in := bbv.Instance{Threads: 2, Ops: 2}
 	spec := dispenserSpec()
 
 	for _, impl := range []*bbv.Program{atomicDispenser(), racyDispenser()} {
-		lin, err := bbv.CheckLinearizability(impl, spec, in)
+		lin, err := bbv.CheckLinearizabilityContext(ctx, impl, spec, in)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -103,7 +105,7 @@ func main() {
 			fmt.Println("  duplicate-ticket history:")
 			fmt.Print(indent(lin.Counterexample.Format()))
 		}
-		lf, err := bbv.CheckLockFree(impl, in)
+		lf, err := bbv.CheckLockFreeContext(ctx, impl, in)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -29,6 +29,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	alg, err := bbv.AlgorithmByID("ms-queue")
 	if err != nil {
 		log.Fatal(err)
@@ -40,11 +41,14 @@ func main() {
 	const threads, ops = 2, 4
 	cfg := bbv.Instance{Threads: threads, Ops: ops, Vals: []int32{1}}
 
-	l, _, err := machine.ExploreWithInfoContext(context.Background(), alg.Build(cfg.Algorithm()), machine.Options{Threads: threads, Ops: ops})
+	l, _, err := machine.ExploreWithInfoContext(ctx, alg.Build(cfg.Algorithm()), machine.Options{Threads: threads, Ops: ops})
 	if err != nil {
 		log.Fatal(err)
 	}
-	q, _ := bisim.ReduceBranching(l)
+	q, _, err := bisim.ReduceBranchingContext(ctx, l)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("MS queue, %d threads x %d ops: %d states, quotient %d (%.0fx smaller)\n",
 		threads, ops, l.NumStates(), q.NumStates(), float64(l.NumStates())/float64(q.NumStates()))
 
@@ -85,11 +89,11 @@ func main() {
 	}
 
 	// And the verification verdicts themselves.
-	lin, err := bbv.CheckLinearizability(alg.Build(cfg.Algorithm()), alg.Spec(cfg.Algorithm()), cfg)
+	lin, err := bbv.CheckLinearizabilityContext(ctx, alg.Build(cfg.Algorithm()), alg.Spec(cfg.Algorithm()), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lf, err := bbv.CheckLockFreeAbstract(alg.Build(cfg.Algorithm()), alg.Abstract(cfg.Algorithm()), cfg)
+	lf, err := bbv.CheckLockFreeAbstractContext(ctx, alg.Build(cfg.Algorithm()), alg.Abstract(cfg.Algorithm()), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,13 +12,14 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	alg, err := bbv.AlgorithmByID("treiber")
 	if err != nil {
 		log.Fatal(err)
 	}
 	in := bbv.Instance{Threads: 2, Ops: 2}
 
-	lin, err := bbv.CheckLinearizability(alg.Build(in.Algorithm()), alg.Spec(in.Algorithm()), in)
+	lin, err := bbv.CheckLinearizabilityContext(ctx, alg.Build(in.Algorithm()), alg.Spec(in.Algorithm()), in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,7 +31,7 @@ func main() {
 	fmt.Printf("  linearizable:     %v  (%.2fs, no linearization points needed)\n",
 		lin.Linearizable, lin.Elapsed.Seconds())
 
-	lf, err := bbv.CheckLockFree(alg.Build(in.Algorithm()), in)
+	lf, err := bbv.CheckLockFreeContext(ctx, alg.Build(in.Algorithm()), in)
 	if err != nil {
 		log.Fatal(err)
 	}

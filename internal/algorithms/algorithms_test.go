@@ -85,7 +85,7 @@ func TestTableIIVerdicts(t *testing.T) {
 	for _, a := range TableII() {
 		a := a
 		t.Run(a.ID, func(t *testing.T) {
-			lin, err := core.CheckLinearizability(a.Build(cfg), a.Spec(cfg), ccfg)
+			lin, err := core.NewSession(ccfg).CheckLinearizabilityContext(context.Background(), a.Build(cfg), a.Spec(cfg))
 			if err != nil {
 				t.Fatalf("linearizability check: %v", err)
 			}
@@ -101,7 +101,7 @@ func TestTableIIVerdicts(t *testing.T) {
 			if a.LockBased {
 				return
 			}
-			lf, err := core.CheckLockFreeAuto(a.Build(cfg), ccfg)
+			lf, err := core.NewSession(ccfg).CheckLockFreeAutoContext(context.Background(), a.Build(cfg))
 			if err != nil {
 				t.Fatalf("lock-freedom check: %v", err)
 			}
@@ -132,7 +132,7 @@ func TestHMListDoubleRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin, err := core.CheckLinearizability(a.Build(cfg), a.Spec(cfg), core.Config{Threads: 2, Ops: 2})
+	lin, err := core.NewSession(core.Config{Threads: 2, Ops: 2}).CheckLinearizabilityContext(context.Background(), a.Build(cfg), a.Spec(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFuStackDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := core.CheckLockFreeAuto(a.Build(cfg), core.Config{Threads: 2, Ops: 2})
+	lf, err := core.NewSession(core.Config{Threads: 2, Ops: 2}).CheckLockFreeAutoContext(context.Background(), a.Build(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestAbstractPrograms(t *testing.T) {
 		if a.Abstract == nil {
 			t.Fatalf("%s: abstract program missing", id)
 		}
-		res, err := core.CheckLockFreeAbstract(a.Build(cfg), a.Abstract(cfg), core.Config{Threads: 2, Ops: 2})
+		res, err := core.NewSession(core.Config{Threads: 2, Ops: 2}).CheckLockFreeAbstractContext(context.Background(), a.Build(cfg), a.Abstract(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,11 +223,11 @@ func TestMSAndDGLMShareQuotient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rMS, err := core.CheckLinearizability(ms.Build(cfg), ms.Spec(cfg), ccfg)
+	rMS, err := core.NewSession(ccfg).CheckLinearizabilityContext(context.Background(), ms.Build(cfg), ms.Spec(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rDGLM, err := core.CheckLinearizability(dglm.Build(cfg), dglm.Spec(cfg), ccfg)
+	rDGLM, err := core.NewSession(ccfg).CheckLinearizabilityContext(context.Background(), dglm.Build(cfg), dglm.Spec(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,14 +282,14 @@ func TestABAExtension(t *testing.T) {
 	}
 	cfg := Config{Threads: 2, Ops: 3}
 	ccfg := core.Config{Threads: 2, Ops: 3}
-	lin, err := core.CheckLinearizability(a.Build(cfg), a.Spec(cfg), ccfg)
+	lin, err := core.NewSession(ccfg).CheckLinearizabilityContext(context.Background(), a.Build(cfg), a.Spec(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lin.Linearizable {
 		t.Fatal("unsafe reclamation must break linearizability (ABA)")
 	}
-	lf, err := core.CheckLockFreeAuto(a.Build(cfg), ccfg)
+	lf, err := core.NewSession(ccfg).CheckLockFreeAutoContext(context.Background(), a.Build(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestLockBasedListsDeadlockFree(t *testing.T) {
 		if !a.LockBased {
 			continue
 		}
-		res, err := core.CheckDeadlockFree(a.Build(cfg), core.Config{Threads: 2, Ops: 2})
+		res, err := core.NewSession(core.Config{Threads: 2, Ops: 2}).CheckDeadlockFreeContext(context.Background(), a.Build(cfg))
 		if err != nil {
 			t.Fatalf("%s: %v", a.ID, err)
 		}
@@ -336,7 +336,7 @@ func TestExtensionVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lin, err := core.CheckLinearizability(a.Build(cfg), a.Spec(cfg), ccfg)
+		lin, err := core.NewSession(ccfg).CheckLinearizabilityContext(context.Background(), a.Build(cfg), a.Spec(cfg))
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -344,7 +344,7 @@ func TestExtensionVerdicts(t *testing.T) {
 			t.Errorf("%s: linearizable = %v, want %v", id, lin.Linearizable, a.ExpectLinearizable)
 		}
 		if a.LockBased {
-			dl, err := core.CheckDeadlockFree(a.Build(cfg), ccfg)
+			dl, err := core.NewSession(ccfg).CheckDeadlockFreeContext(context.Background(), a.Build(cfg))
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
@@ -353,7 +353,7 @@ func TestExtensionVerdicts(t *testing.T) {
 			}
 			continue
 		}
-		lf, err := core.CheckLockFreeAuto(a.Build(cfg), ccfg)
+		lf, err := core.NewSession(ccfg).CheckLockFreeAutoContext(context.Background(), a.Build(cfg))
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -380,11 +380,11 @@ func TestVersionedStackDefeatsABA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := core.CheckLinearizability(unsafeAlg.Build(cfg), unsafeAlg.Spec(cfg), ccfg)
+	bad, err := core.NewSession(ccfg).CheckLinearizabilityContext(context.Background(), unsafeAlg.Build(cfg), unsafeAlg.Spec(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := core.CheckLinearizability(versioned.Build(cfg), versioned.Spec(cfg), ccfg)
+	good, err := core.NewSession(ccfg).CheckLinearizabilityContext(context.Background(), versioned.Build(cfg), versioned.Spec(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,14 +412,14 @@ func TestHarrisListBatchSnip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lin, err := core.CheckLinearizability(a.Build(cfg), a.Spec(cfg), ccfg)
+		lin, err := core.NewSession(ccfg).CheckLinearizabilityContext(context.Background(), a.Build(cfg), a.Spec(cfg))
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		if !lin.Linearizable {
 			t.Errorf("%s: not linearizable at 2x3: %v", id, lin.Counterexample.Trace)
 		}
-		lf, err := core.CheckLockFreeAuto(a.Build(cfg), ccfg)
+		lf, err := core.NewSession(ccfg).CheckLockFreeAutoContext(context.Background(), a.Build(cfg))
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -458,8 +458,8 @@ func TestTheorem53QuotientSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		implQ, _ := bisim.ReduceBranching(impl)
-		specQ, _ := bisim.ReduceBranching(specLTS)
+		implQ, _, _ := bisim.ReduceBranchingContext(context.Background(), impl)
+		specQ, _, _ := bisim.ReduceBranchingContext(context.Background(), specLTS)
 		quot, err := refine.TraceInclusion(implQ, specQ)
 		if err != nil {
 			t.Fatal(err)

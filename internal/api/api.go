@@ -55,11 +55,13 @@ type JobSpec struct {
 	// Workers is the exploration worker count (0 = all cores); it never
 	// changes the result, only wall-clock time.
 	Workers int `json:"workers,omitempty"`
-	// Refiner selects the branching-bisimulation refinement algorithm:
-	// "signature", "splitter" or "auto" (the default, also for ""). Like
-	// Workers it tunes execution only — the two refiners produce
-	// byte-identical partitions (a property the cross-refiner test suite
-	// pins on every packaged instance), so it does not enter the cache key.
+	// Refiner is accepted so that stored specs keep decoding under
+	// DisallowUnknownFields; it must still be "", "auto", "signature" or
+	// "splitter".
+	//
+	// Deprecated: branching partitions are always computed by the one
+	// splitter refiner; the field selects nothing and is not part of the
+	// cache key.
 	Refiner string `json:"refiner,omitempty"`
 	// Vals overrides the data-value universe (nil = the registry default
 	// {1, 2}).
@@ -280,11 +282,8 @@ func (s *JobSpec) Validate() error {
 // byte-identical LTS for every worker count), as is TimeoutMS (a timeout
 // either cancels the job or leaves the result untouched), MemBudgetMB
 // (the explorer produces a byte-identical LTS under any memory budget;
-// spilling moves bytes, never decisions) and Refiner
-// (both refiners compute byte-identical partitions — same block
-// numbering, counts and rounds — a property the cross-refiner tests pin
-// on every packaged instance, so the verdict and every size field are
-// refiner-independent). Defaulted
+// spilling moves bytes, never decisions) and the deprecated Refiner
+// (it selects nothing). Defaulted
 // fields are normalized first, so {MaxStates: 0} and {MaxStates:
 // machine.DefaultMaxStates} — and nil Vals versus the explicit default
 // {1, 2} — hash identically. For model jobs the full model source is
@@ -339,13 +338,11 @@ func (s JobSpec) algorithmConfig() algorithms.Config {
 }
 
 func (s JobSpec) coreConfig(backend statecodec.Backend) core.Config {
-	ref, _ := bisim.ParseRefiner(s.Refiner) // Validate already vetted the name
 	cfg := core.Config{
 		Threads:   s.Threads,
 		Ops:       s.Ops,
 		MaxStates: s.MaxStates,
 		Workers:   s.Workers,
-		Refiner:   ref,
 		MemBudget: int64(s.MemBudgetMB) << 20,
 		// Pack states with vet's interval facts; programs without IR fall
 		// back to the structural layout inside the explorer.
@@ -599,6 +596,9 @@ func RunBackend(ctx context.Context, spec JobSpec, backend statecodec.Backend, o
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	// The deprecated refiner selects nothing; dropping it keeps the
+	// echoed spec, like the cache key, independent of it.
+	spec.Refiner = ""
 	alg, err := spec.resolve()
 	if err != nil {
 		return nil, err
@@ -715,7 +715,7 @@ func runExplore(ctx context.Context, sess *core.Session, alg *algorithms.Algorit
 const ktraceMaxK = 5
 
 func runKTrace(ctx context.Context, sess *core.Session, alg *algorithms.Algorithm, spec JobSpec) (*KTraceResult, error) {
-	l, err := sess.ExploreContext(ctx, alg.Build(spec.algorithmConfig()))
+	l, _, err := sess.ExploreWithInfoContext(ctx, alg.Build(spec.algorithmConfig()))
 	if err != nil {
 		return nil, err
 	}

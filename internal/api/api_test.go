@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -240,26 +241,52 @@ func TestRunCanceled(t *testing.T) {
 	}
 }
 
-// TestCacheKeyRefinerIndependent pins the refiner half of the cache-key
-// contract: both refiners compute byte-identical partitions (the
-// CrossRefiner suite proves it per instance), so specs differing only in
-// Refiner MUST share a cache key, and an invalid name must fail
+// TestCacheKeyRefinerIndependent pins that old job specs keep working
+// after the refiner knob was removed: the deprecated "refiner" field must
+// still decode under the strict decoder, validate for every name it used
+// to accept, hash to the same cache key and produce the same result JSON
+// (modulo wall-clock telemetry), while an unknown name still fails
 // validation rather than silently run.
 func TestCacheKeyRefinerIndependent(t *testing.T) {
+	decode := func(ref string) JobSpec {
+		t.Helper()
+		s, err := DecodeJobSpec(strings.NewReader(`{"kind":"check","algorithm":"treiber","threads":2,"ops":2,"refiner":"` + ref + `"}`))
+		if err != nil {
+			t.Fatalf("refiner=%q must decode: %v", ref, err)
+		}
+		return s
+	}
 	base := JobSpec{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: 2}
 	key := base.CacheKey()
+	var want []byte
 	for _, ref := range []string{"", "auto", "signature", "splitter"} {
-		s := base
-		s.Refiner = ref
+		s := decode(ref)
 		if got := s.CacheKey(); got != key {
-			t.Errorf("Refiner=%q changed the cache key", ref)
+			t.Errorf("refiner=%q changed the cache key", ref)
 		}
 		if err := s.Validate(); err != nil {
-			t.Errorf("Refiner=%q must validate: %v", ref, err)
+			t.Errorf("refiner=%q must validate: %v", ref, err)
+		}
+		res, err := Run(context.Background(), s)
+		if err != nil {
+			t.Fatalf("refiner=%q: %v", ref, err)
+		}
+		res.ElapsedMS = 0
+		for i := range res.Stages {
+			res.Stages[i].ElapsedUS = 0
+			res.Stages[i].StatesPerSec = 0
+		}
+		var buf bytes.Buffer
+		if err := EncodeResult(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("refiner=%q changed the result JSON:\n%s\nwant:\n%s", ref, buf.Bytes(), want)
 		}
 	}
-	bad := base
-	bad.Refiner = "bogus"
+	bad := decode("bogus")
 	if err := bad.Validate(); err == nil {
 		t.Error("an unknown refiner name must fail validation")
 	}
@@ -269,7 +296,7 @@ func TestCacheKeyRefinerIndependent(t *testing.T) {
 // the distinguishing experiment between the quotients in the wire
 // result, alongside the trace counterexample.
 func TestRunCheckCarriesExperiment(t *testing.T) {
-	res, err := Run(context.Background(), JobSpec{Kind: KindCheck, Algorithm: "hm-list-buggy", Threads: 2, Ops: 2, Refiner: "splitter"})
+	res, err := Run(context.Background(), JobSpec{Kind: KindCheck, Algorithm: "hm-list-buggy", Threads: 2, Ops: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

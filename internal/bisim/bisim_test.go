@@ -2,6 +2,7 @@ package bisim
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -25,14 +26,14 @@ func TestStrongDistinguishesTau(t *testing.T) {
 	// branching bisimilar.
 	a := buildLTS(t, acts, 0, [][3]interface{}{{0, "a", 1}})
 	b := buildLTS(t, acts, 0, [][3]interface{}{{0, lts.TauName, 1}, {1, "a", 2}})
-	eq, err := Equivalent(a, b, KindStrong)
+	eq, err := EquivalentContext(context.Background(), a, b, KindStrong)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eq {
 		t.Fatal("strong bisimulation must distinguish a from tau.a")
 	}
-	eq, err = Equivalent(a, b, KindBranching)
+	eq, err = EquivalentContext(context.Background(), a, b, KindBranching)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +52,14 @@ func TestWeakCoarserThanBranching(t *testing.T) {
 	q := buildLTS(t, acts, 0, [][3]interface{}{
 		{0, lts.TauName, 1}, {0, "b", 2}, {0, "a", 3}, {1, "a", 4},
 	})
-	weakEq, err := Equivalent(p, q, KindWeak)
+	weakEq, err := EquivalentContext(context.Background(), p, q, KindWeak)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !weakEq {
 		t.Fatal("P and Q must be weakly bisimilar")
 	}
-	brEq, err := Equivalent(p, q, KindBranching)
+	brEq, err := EquivalentContext(context.Background(), p, q, KindBranching)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,14 +72,14 @@ func TestDivergenceSensitivity(t *testing.T) {
 	acts := lts.NewAlphabet()
 	a := buildLTS(t, acts, 0, [][3]interface{}{{0, "a", 1}})
 	b := buildLTS(t, acts, 0, [][3]interface{}{{0, "a", 1}, {1, lts.TauName, 1}})
-	eq, err := Equivalent(a, b, KindBranching)
+	eq, err := EquivalentContext(context.Background(), a, b, KindBranching)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !eq {
 		t.Fatal("plain branching bisimulation ignores divergence")
 	}
-	eq, err = Equivalent(a, b, KindDivBranching)
+	eq, err = EquivalentContext(context.Background(), a, b, KindDivBranching)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,18 +94,18 @@ func TestDivergenceReachedByInertTau(t *testing.T) {
 	// stay equivalent under ≈div; the deadlocked system differs.
 	div := buildLTS(t, acts, 0, [][3]interface{}{{0, lts.TauName, 1}, {1, lts.TauName, 1}})
 	dead := buildLTS(t, acts, 0, nil)
-	eq, err := Equivalent(div, dead, KindDivBranching)
+	eq, err := EquivalentContext(context.Background(), div, dead, KindDivBranching)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eq {
 		t.Fatal("divergent system cannot be ≈div to a deadlock")
 	}
-	p := DivergenceSensitiveBranching(div)
+	p := mustPartition(t, div, KindDivBranching)
 	if !p.SameBlock(0, 1) {
 		t.Fatal("a state that inertly reaches a divergent cycle in its own class is divergent")
 	}
-	eq, err = Equivalent(div, dead, KindBranching)
+	eq, err = EquivalentContext(context.Background(), div, dead, KindBranching)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +120,14 @@ func TestQuotientDefinition(t *testing.T) {
 	l := buildLTS(t, acts, 0, [][3]interface{}{
 		{0, lts.TauName, 1}, {1, lts.TauName, 2}, {2, "a", 3},
 	})
-	q, p := ReduceBranching(l)
+	q, p := mustReduce(t, l)
 	if p.Num != 2 {
 		t.Fatalf("partition blocks = %d, want 2", p.Num)
 	}
 	if q.NumStates() != 2 || q.NumTransitions() != 1 || q.CountTau() != 0 {
 		t.Fatalf("quotient: states=%d trans=%d tau=%d", q.NumStates(), q.NumTransitions(), q.CountTau())
 	}
-	eq, err := Equivalent(l, q, KindBranching)
+	eq, err := EquivalentContext(context.Background(), l, q, KindBranching)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestQuotientKeepsNonInertTau(t *testing.T) {
 	l := buildLTS(t, acts, 0, [][3]interface{}{
 		{0, lts.TauName, 1}, {0, "a", 2}, {1, "b", 3},
 	})
-	q, p := ReduceBranching(l)
+	q, p := mustReduce(t, l)
 	if p.SameBlock(0, 1) {
 		t.Fatal("0 and 1 must be distinguished")
 	}
@@ -164,7 +165,7 @@ func TestKindString(t *testing.T) {
 			t.Errorf("Kind %d String = %q, want %q", int(k), got, want)
 		}
 	}
-	if _, err := partition(context.Background(), buildLTS(t, lts.NewAlphabet(), 0, nil), Kind(99)); err == nil {
+	if _, err := PartitionContext(context.Background(), buildLTS(t, lts.NewAlphabet(), 0, nil), Kind(99)); err == nil {
 		t.Fatal("unknown kind must error")
 	}
 }
@@ -208,10 +209,10 @@ func TestRefinementHierarchyOnRandomSystems(t *testing.T) {
 		n := 3 + r.Intn(12)
 		m := 1 + r.Intn(3*n)
 		l := randomLTS(r, acts, n, m, names)
-		strong := Strong(l)
-		br := Branching(l)
-		div := DivergenceSensitiveBranching(l)
-		weak := Weak(l)
+		strong := mustPartition(t, l, KindStrong)
+		br := mustPartition(t, l, KindBranching)
+		div := mustPartition(t, l, KindDivBranching)
+		weak := mustPartition(t, l, KindWeak)
 		if !refines(strong, br) {
 			t.Fatalf("seed %d: strong does not refine branching", seed)
 		}
@@ -226,13 +227,13 @@ func TestRefinementHierarchyOnRandomSystems(t *testing.T) {
 		}
 
 		// Quotient idempotence: reducing the quotient changes nothing.
-		q, p := ReduceBranching(l)
-		q2, p2 := ReduceBranching(q)
+		q, p := mustReduce(t, l)
+		q2, p2 := mustReduce(t, q)
 		if p2.Num != p.Num || q2.NumStates() != q.NumStates() {
 			t.Fatalf("seed %d: quotient not idempotent (%d -> %d blocks)", seed, p.Num, p2.Num)
 		}
 		// Quotient is branching bisimilar to the original.
-		eq, err := Equivalent(l, q, KindBranching)
+		eq, err := EquivalentContext(context.Background(), l, q, KindBranching)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +242,7 @@ func TestRefinementHierarchyOnRandomSystems(t *testing.T) {
 		}
 		// Every system is equivalent to itself under every notion.
 		for _, k := range []Kind{KindStrong, KindBranching, KindDivBranching, KindWeak} {
-			eq, err := Equivalent(l, l, k)
+			eq, err := EquivalentContext(context.Background(), l, l, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,8 +260,63 @@ func TestBranchingPartitionIsCongruenceForTauLoops(t *testing.T) {
 		{0, lts.TauName, 1}, {1, lts.TauName, 2}, {2, lts.TauName, 0},
 		{1, "a", 3},
 	})
-	p := Branching(l)
+	p := mustPartition(t, l, KindBranching)
 	if !p.SameBlock(0, 1) || !p.SameBlock(1, 2) {
 		t.Fatal("tau-cycle states must share a block")
+	}
+}
+
+// mustPartition is PartitionContext under a background context.
+func mustPartition(t testing.TB, l *lts.LTS, k Kind) *Partition {
+	t.Helper()
+	p, err := PartitionContext(context.Background(), l, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// mustReduce is ReduceBranchingContext under a background context.
+func mustReduce(t testing.TB, l *lts.LTS) (*lts.LTS, *Partition) {
+	t.Helper()
+	q, p, err := ReduceBranchingContext(context.Background(), l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q, p
+}
+
+// TestWideAlphabetEdgesStayDistinct pins the exact edge dedup keys of the
+// τ-SCC collapse and of Quotient: two edges between the same pair of
+// states whose action IDs differ by 65,536 are different capabilities.
+// Keys that packed only the low 16 bits of the action ID merged them, so
+// the system below was reported bisimilar to its a2-only part.
+func TestWideAlphabetEdgesStayDistinct(t *testing.T) {
+	acts := lts.NewAlphabet()
+	for i := 1; i <= 65538; i++ {
+		acts.ID(fmt.Sprintf("a%d", i))
+	}
+	a2, _ := acts.Lookup("a2")
+	wide, _ := acts.Lookup("a65538")
+	build := func(ids ...lts.ActionID) *lts.LTS {
+		b := lts.NewBuilder(acts)
+		b.SetInit(0)
+		for _, id := range ids {
+			b.AddID(0, id, 1)
+		}
+		return b.Build()
+	}
+	both, only := build(a2, wide), build(a2)
+	for _, k := range []Kind{KindStrong, KindBranching, KindDivBranching, KindWeak} {
+		eq, err := EquivalentContext(context.Background(), both, only, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eq {
+			t.Errorf("%v: 0 --a2--> 1 + 0 --a65538--> 1 must not be bisimilar to 0 --a2--> 1", k)
+		}
+	}
+	if q, _ := mustReduce(t, both); q.NumTransitions() != 2 {
+		t.Errorf("quotient has %d transitions, want 2", q.NumTransitions())
 	}
 }

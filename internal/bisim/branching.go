@@ -51,117 +51,64 @@ func checkDivergenceReserve(n int) {
 	}
 }
 
-// Branching computes the branching bisimulation partition of l
+// BranchingContext computes the branching bisimulation partition of l
 // (the relation ≈ of Definition 4.1, in its standard stuttering form).
-func Branching(l *lts.LTS) *Partition {
-	p, _ := BranchingContext(context.Background(), l)
-	return p
-}
-
-// BranchingContext is Branching with cancellation: the refinement loop
-// polls ctx once per round and returns a *CanceledError when it is done.
-// The refiner is chosen automatically (RefinerAuto); the choice never
-// affects the result — see Refiner.
+// The refinement loop polls ctx once per round and returns a
+// *CanceledError when it is done.
 func BranchingContext(ctx context.Context, l *lts.LTS) (*Partition, error) {
-	return branching(ctx, l, false, RefinerAuto)
+	return branching(ctx, l, false)
 }
 
-// DivergenceSensitiveBranching computes the divergence-sensitive branching
-// bisimulation partition of l (the relation ≈div of Definition 5.5).
-func DivergenceSensitiveBranching(l *lts.LTS) *Partition {
-	p, _ := DivergenceSensitiveBranchingContext(context.Background(), l)
-	return p
-}
-
-// DivergenceSensitiveBranchingContext is DivergenceSensitiveBranching
-// with cancellation.
+// DivergenceSensitiveBranchingContext computes the divergence-sensitive
+// branching bisimulation partition of l (the relation ≈div of
+// Definition 5.5), with cancellation like BranchingContext.
 func DivergenceSensitiveBranchingContext(ctx context.Context, l *lts.LTS) (*Partition, error) {
-	return branching(ctx, l, true, RefinerAuto)
+	return branching(ctx, l, true)
 }
 
-func branching(ctx context.Context, l *lts.LTS, divSensitive bool, ref Refiner) (*Partition, error) {
+func branching(ctx context.Context, l *lts.LTS, divSensitive bool) (*Partition, error) {
+	c := collapse(l, divSensitive)
+	cp, _, err := splitterOnDAG(ctx, c.l, c.divergent)
+	if err != nil {
+		return nil, err
+	}
+	return c.lift(cp), nil
+}
+
+// tauCollapse is an LTS with its τ-SCCs merged into single states, the
+// input every branching refinement runs on.
+type tauCollapse struct {
+	l *lts.LTS
+	// stateOf maps original states to collapsed states.
+	stateOf []int32
+	// divergent marks the collapsed states that came from a τ-cycle; it
+	// is all false unless divergence-sensitive.
+	divergent []bool
+}
+
+// collapse merges the τ-SCCs of l, which is sound because all states on a
+// τ-cycle are branching bisimilar (Lemma 5.6), and, when divSensitive,
+// marks every collapsed state that came from a τ-cycle: the refiners give
+// those states a visible δ self-loop.
+func collapse(l *lts.LTS, divSensitive bool) *tauCollapse {
 	if divSensitive {
 		checkDivergenceReserve(l.Acts.Len())
 	}
 	scc := lts.TauSCCs(l)
-	collapsed, stateOf := lts.CollapseTauSCCs(l, scc)
-	divergent := make([]bool, collapsed.NumStates())
+	cl, stateOf := lts.CollapseTauSCCs(l, scc)
+	divergent := make([]bool, cl.NumStates())
 	if divSensitive {
-		for s := 0; s < l.NumStates(); s++ {
-			c := scc.Comp[s]
-			if scc.Divergent[c] {
-				divergent[c] = true
-			}
-		}
+		copy(divergent, scc.Divergent)
 	}
-	var cp *Partition
-	var err error
-	if resolveRefiner(ref, collapsed) == RefinerSplitter {
-		cp, _, err = splitterOnDAG(ctx, collapsed, divergent)
-	} else {
-		cp, err = branchingOnDAG(ctx, collapsed, divergent)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Map the collapsed partition back to the original states.
-	blockOf := make([]int32, l.NumStates())
-	for s := range blockOf {
-		blockOf[s] = cp.BlockOf[stateOf[s]]
-	}
-	return &Partition{BlockOf: blockOf, Num: cp.Num, Rounds: cp.Rounds}, nil
+	return &tauCollapse{l: cl, stateOf: stateOf, divergent: divergent}
 }
 
-// branchingOnDAG runs signature refinement on a τ-acyclic LTS. The τ-SCC
-// collapse numbers components in reverse topological order, so every τ
-// transition goes from a higher state ID to a strictly lower one; states
-// are therefore processed in increasing ID order so that inert-τ
-// signature inheritance finds its successors already computed.
-//
-// The branching signature of s under partition P is
-//
-//	sig(s) = { (a, P(t)) | s ⇒ᵢ s' --a--> t, a ≠ τ or P(t) ≠ P(s) }
-//
-// where ⇒ᵢ is any sequence of inert τ steps (staying inside P(s)).
-// States marked divergent additionally contribute (δ, P(s)), encoding a
-// visible δ self-loop.
-func branchingOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partition, error) {
-	n := l.NumStates()
-	p := uniform(n)
-	table := newSigTable(n)
-	sigs := make([][]uint64, n)
-	for rounds := 1; ; rounds++ {
-		if err := checkCtx(ctx, "branching refinement"); err != nil {
-			return nil, err
-		}
-		table.reset()
-		next := make([]int32, n)
-		for s := 0; s < n; s++ {
-			sig := sigs[s][:0]
-			sb := p.BlockOf[s]
-			for _, tr := range l.Succ(int32(s)) {
-				tb := p.BlockOf[tr.Dst]
-				if lts.IsTau(tr.Action) && tb == sb {
-					// Inert: inherit the τ-successor's signature. The
-					// collapse guarantees tr.Dst < s, so sigs[tr.Dst] is
-					// final for this round.
-					sig = append(sig, sigs[tr.Dst]...)
-					continue
-				}
-				sig = append(sig, sigPair(tr.Action, tb))
-			}
-			if divergent[s] {
-				sig = append(sig, sigPair(divergenceAction, sb))
-			}
-			sig = sortDedup(sig)
-			sigs[s] = sig
-			next[s] = table.blockFor(sb, sig)
-		}
-		num := table.len()
-		if num == p.Num {
-			p.Rounds = rounds
-			return p, nil
-		}
-		p = &Partition{BlockOf: next, Num: num}
+// lift maps a partition of the collapsed system back to the original
+// states.
+func (c *tauCollapse) lift(cp *Partition) *Partition {
+	blockOf := make([]int32, len(c.stateOf))
+	for s, cs := range c.stateOf {
+		blockOf[s] = cp.BlockOf[cs]
 	}
+	return &Partition{BlockOf: blockOf, Num: cp.Num, Rounds: cp.Rounds}
 }

@@ -65,19 +65,20 @@ func TestCancelBeforeRefinement(t *testing.T) {
 	}
 }
 
-// TestContextEntryPointsComplete pins that a live context changes
-// nothing: the context-aware entry points agree with the plain ones.
+// TestContextEntryPointsComplete pins that a live context lets the
+// computation finish: the per-kind entry point agrees with
+// PartitionContext, and an LTS is equivalent to itself.
 func TestContextEntryPointsComplete(t *testing.T) {
 	l := chainLTS(t, 50)
 	ctx := context.Background()
 
-	plain := Branching(l)
+	plain := mustPartition(t, l, KindBranching)
 	viaCtx, err := BranchingContext(ctx, l)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Num != viaCtx.Num {
-		t.Fatalf("BranchingContext disagrees with Branching: %d vs %d blocks",
+		t.Fatalf("BranchingContext disagrees with PartitionContext: %d vs %d blocks",
 			viaCtx.Num, plain.Num)
 	}
 

@@ -6,15 +6,64 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/algorithms"
 	"repro/internal/lts"
+	"repro/internal/machine"
 )
+
+// branchingOnDAG is naive signature refinement on a τ-acyclic LTS (the
+// τ-SCC collapse), the byte-identity oracle for splitterOnDAG: every
+// round recomputes every state's branching signature (see splitterOnDAG
+// for its definition) and interns it in a sigTable, which numbers blocks
+// by first occurrence in state order. States are processed in increasing
+// ID order, so inert-τ signature inheritance finds its successors
+// already computed.
+func branchingOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partition, error) {
+	n := l.NumStates()
+	p := uniform(n)
+	table := newSigTable(n)
+	sigs := make([][]uint64, n)
+	for rounds := 1; ; rounds++ {
+		if err := checkCtx(ctx, "branching refinement"); err != nil {
+			return nil, err
+		}
+		table.reset()
+		next := make([]int32, n)
+		for s := 0; s < n; s++ {
+			sig := sigs[s][:0]
+			sb := p.BlockOf[s]
+			for _, tr := range l.Succ(int32(s)) {
+				tb := p.BlockOf[tr.Dst]
+				if lts.IsTau(tr.Action) && tb == sb {
+					// Inert: inherit the τ-successor's signature. The
+					// collapse guarantees tr.Dst < s, so sigs[tr.Dst] is
+					// final for this round.
+					sig = append(sig, sigs[tr.Dst]...)
+					continue
+				}
+				sig = append(sig, sigPair(tr.Action, tb))
+			}
+			if divergent[s] {
+				sig = append(sig, sigPair(divergenceAction, sb))
+			}
+			sig = sortDedup(sig)
+			sigs[s] = sig
+			next[s] = table.blockFor(sb, sig)
+		}
+		num := table.len()
+		if num == p.Num {
+			p.Rounds = rounds
+			return p, nil
+		}
+		p = &Partition{BlockOf: next, Num: num}
+	}
+}
 
 // samePartition reports whether the two partitions are byte-identical —
 // same block IDs (not merely the same equivalence), same block count,
-// same number of refinement rounds. The splitter refiner canonicalizes
-// block IDs by first state occurrence, exactly like signature interning,
-// so the stronger identity must hold (it is what justifies leaving the
-// refiner choice out of the API cache key).
+// same number of refinement rounds. The splitter canonicalizes block IDs
+// by first state occurrence, exactly like signature interning, so the
+// stronger identity must hold.
 func samePartition(a, b *Partition) bool {
 	if a.Num != b.Num || a.Rounds != b.Rounds || len(a.BlockOf) != len(b.BlockOf) {
 		return false
@@ -27,28 +76,50 @@ func samePartition(a, b *Partition) bool {
 	return true
 }
 
-// refinerPair computes the partition of l under both refiners.
-func refinerPair(t *testing.T, l *lts.LTS, div bool) (*Partition, *Partition) {
+// refinerPair computes the branching (≈div when div) partition of l with
+// the signature oracle and with the splitter.
+func refinerPair(t *testing.T, l *lts.LTS, div bool) (oracle, splitter *Partition) {
 	t.Helper()
-	ctx := context.Background()
-	run := func(ref Refiner) *Partition {
-		var p *Partition
-		var err error
-		if div {
-			p, err = DivergenceSensitiveBranchingWithRefiner(ctx, l, ref)
-		} else {
-			p, err = BranchingWithRefiner(ctx, l, ref)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+	c := collapse(l, div)
+	cp, err := branchingOnDAG(context.Background(), c.l, c.divergent)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return run(RefinerSignature), run(RefinerSplitter)
+	kind := KindBranching
+	if div {
+		kind = KindDivBranching
+	}
+	return c.lift(cp), mustPartition(t, l, kind)
+}
+
+// TestCrossRefinerTableIIPartitions compares the splitter with the
+// signature oracle on every Table II implementation and specification at
+// 2 threads x 2 ops, for branching and ≈div bisimulation: the partitions
+// must be byte-identical.
+func TestCrossRefinerTableIIPartitions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exploration-heavy")
+	}
+	cfg := algorithms.Config{Threads: 2, Ops: 2}
+	for _, a := range algorithms.TableII() {
+		for _, p := range []*machine.Program{a.Build(cfg), a.Spec(cfg)} {
+			l, _, err := machine.ExploreWithInfoContext(context.Background(), p, machine.Options{Threads: 2, Ops: 2, Workers: 1})
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			for _, div := range []bool{false, true} {
+				sig, spl := refinerPair(t, l, div)
+				if !samePartition(sig, spl) {
+					t.Errorf("%s (%s, div=%v): signature %d blocks/%d rounds, splitter %d blocks/%d rounds",
+						a.ID, p.Name, div, sig.Num, sig.Rounds, spl.Num, spl.Rounds)
+				}
+			}
+		}
+	}
 }
 
 // TestCrossRefinerPartitionsIdentical: on random systems with τ-cycles,
-// the splitter and signature refiners produce byte-identical partitions
+// the splitter and the signature oracle produce byte-identical partitions
 // for both branching and divergence-sensitive branching bisimulation.
 func TestCrossRefinerPartitionsIdentical(t *testing.T) {
 	prop := func(seed int64) bool {
@@ -70,7 +141,7 @@ func TestCrossRefinerPartitionsIdentical(t *testing.T) {
 
 // TestCrossRefinerTauAcyclic repeats the cross-validation on systems
 // whose τ graph is a DAG (every edge goes forward), so the τ-SCC
-// collapse is the identity and the refiners run on the raw system.
+// collapse is the identity and both refiners run on the raw system.
 func TestCrossRefinerTauAcyclic(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -122,7 +193,7 @@ func TestCrossRefinerWitnessDistinguishes(t *testing.T) {
 		}
 		a, b := build(), build()
 		for _, k := range []Kind{KindBranching, KindDivBranching} {
-			exp, bad, err := Explain(a, b, k)
+			exp, bad, err := ExplainContext(context.Background(), a, b, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,31 +278,7 @@ func BenchmarkSplitterRefine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BranchingWithRefiner(ctx, l, RefinerSplitter); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSignatureRefine is the matching baseline for the comparison
-// reported in EXPERIMENTS.md.
-func BenchmarkSignatureRefine(b *testing.B) {
-	r := rand.New(rand.NewSource(7))
-	acts := lts.NewAlphabet()
-	names := []string{lts.TauName, lts.TauName, "a", "b", "c", "d"}
-	n := 20000
-	bl := lts.NewBuilder(acts)
-	bl.SetInit(0)
-	bl.AddStates(n)
-	for i := 0; i < 3*n; i++ {
-		bl.Add(r.Intn(n), names[r.Intn(len(names))], r.Intn(n))
-	}
-	l := bl.Build()
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BranchingWithRefiner(ctx, l, RefinerSignature); err != nil {
+		if _, err := BranchingContext(ctx, l); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -92,18 +92,12 @@ func (e *Explanation) Format() string {
 	return sb.String()
 }
 
-// Explain diagnoses why a and b are not bisimilar under branching or
-// divergence-sensitive branching bisimulation, returning a shortest
+// ExplainContext diagnoses why a and b are not bisimilar under branching
+// or divergence-sensitive branching bisimulation, returning a shortest
 // distinguishing experiment. It returns ok=false (and a nil explanation)
 // when the systems are in fact bisimilar. Only KindBranching and
 // KindDivBranching are supported. The result is deterministic in the two
-// input LTSs.
-func Explain(a, b *lts.LTS, k Kind) (*Explanation, bool, error) {
-	return ExplainContext(context.Background(), a, b, k)
-}
-
-// ExplainContext is Explain with cancellation: the underlying refinement
-// polls ctx once per round.
+// input LTSs; the underlying refinement polls ctx once per round.
 func ExplainContext(ctx context.Context, a, b *lts.LTS, k Kind) (*Explanation, bool, error) {
 	if k != KindBranching && k != KindDivBranching {
 		return nil, false, fmt.Errorf("bisim: Explain supports branching kinds, not %v", k)
@@ -112,28 +106,16 @@ func ExplainContext(ctx context.Context, a, b *lts.LTS, k Kind) (*Explanation, b
 	if err != nil {
 		return nil, false, err
 	}
-	if k == KindDivBranching {
-		checkDivergenceReserve(u.Acts.Len())
-	}
-	scc := lts.TauSCCs(u)
-	collapsed, stateOf := lts.CollapseTauSCCs(u, scc)
-	divergent := make([]bool, collapsed.NumStates())
-	if k == KindDivBranching {
-		for s := 0; s < u.NumStates(); s++ {
-			if scc.Divergent[scc.Comp[s]] {
-				divergent[scc.Comp[s]] = true
-			}
-		}
-	}
-	_, tree, err := splitterOnDAG(ctx, collapsed, divergent)
+	c := collapse(u, k == KindDivBranching)
+	_, tree, err := splitterOnDAG(ctx, c.l, c.divergent)
 	if err != nil {
 		return nil, false, err
 	}
-	cu, cv := stateOf[u.Init], stateOf[initB]
+	cu, cv := c.stateOf[u.Init], c.stateOf[initB]
 	if tree.leafOf[cu] == tree.leafOf[cv] {
 		return nil, false, nil // bisimilar
 	}
-	w := &witnessExtractor{u: u, c: collapsed, stateOf: stateOf, t: tree, shift: int32(a.NumStates())}
+	w := &witnessExtractor{u: u, c: c.l, stateOf: c.stateOf, t: tree, shift: int32(a.NumStates())}
 	return &Explanation{
 		Kind:       k,
 		Round:      int(tree.sepRound(cu, cv)),

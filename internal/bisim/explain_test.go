@@ -1,6 +1,7 @@
 package bisim
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ func TestExplainVisibleDifference(t *testing.T) {
 	acts := lts.NewAlphabet()
 	a := buildLTS(t, acts, 0, [][3]interface{}{{0, "x", 1}})
 	b := buildLTS(t, acts, 0, [][3]interface{}{{0, "y", 1}})
-	exp, ok, err := Explain(a, b, KindBranching)
+	exp, ok, err := ExplainContext(context.Background(), a, b, KindBranching)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +41,10 @@ func TestExplainDivergence(t *testing.T) {
 	acts := lts.NewAlphabet()
 	a := buildLTS(t, acts, 0, [][3]interface{}{{0, "x", 1}})
 	b := buildLTS(t, acts, 0, [][3]interface{}{{0, "x", 1}, {1, lts.TauName, 1}})
-	if _, ok, err := Explain(a, b, KindBranching); err != nil || ok {
+	if _, ok, err := ExplainContext(context.Background(), a, b, KindBranching); err != nil || ok {
 		t.Fatalf("plain branching should find them bisimilar (ok=%v err=%v)", ok, err)
 	}
-	exp, ok, err := Explain(a, b, KindDivBranching)
+	exp, ok, err := ExplainContext(context.Background(), a, b, KindDivBranching)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestExplainDeeperRound(t *testing.T) {
 	b := buildLTS(t, acts, 0, [][3]interface{}{
 		{0, "a", 1}, {0, "a", 2}, {1, "b", 3}, {2, "c", 4},
 	})
-	exp, ok, err := Explain(a, b, KindBranching)
+	exp, ok, err := ExplainContext(context.Background(), a, b, KindBranching)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,18 +94,18 @@ func TestExplainDeeperRound(t *testing.T) {
 func TestExplainRejectsUnsupportedKinds(t *testing.T) {
 	acts := lts.NewAlphabet()
 	a := buildLTS(t, acts, 0, nil)
-	if _, _, err := Explain(a, a, KindWeak); err == nil {
+	if _, _, err := ExplainContext(context.Background(), a, a, KindWeak); err == nil {
 		t.Fatal("weak kind must be rejected")
 	}
 	other := buildLTS(t, lts.NewAlphabet(), 0, nil)
-	if _, _, err := Explain(a, other, KindBranching); err == nil {
+	if _, _, err := ExplainContext(context.Background(), a, other, KindBranching); err == nil {
 		t.Fatal("alphabet mismatch must error")
 	}
 }
 
-// TestExplainAgreesWithEquivalent: Explain(a,b) reports inequivalence
-// exactly when Equivalent(a,b) is false, and every reported experiment
-// replays on the two systems.
+// TestExplainAgreesWithEquivalent: ExplainContext(a,b) reports
+// inequivalence exactly when EquivalentContext(a,b) is false, and every
+// reported experiment replays on the two systems.
 func TestExplainAgreesWithEquivalent(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -122,11 +123,11 @@ func TestExplainAgreesWithEquivalent(t *testing.T) {
 		}
 		a, b := build(), build()
 		for _, k := range []Kind{KindBranching, KindDivBranching} {
-			eq, err := Equivalent(a, b, k)
+			eq, err := EquivalentContext(context.Background(), a, b, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			exp, reported, err := Explain(a, b, k)
+			exp, reported, err := ExplainContext(context.Background(), a, b, k)
 			if err != nil {
 				t.Fatal(err)
 			}

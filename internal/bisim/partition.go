@@ -1,8 +1,11 @@
 // Package bisim implements the equivalence checking engine of the
 // verification framework: strong bisimulation, branching bisimulation
 // (van Glabbeek–Weijland), divergence-sensitive branching bisimulation and
-// weak bisimulation (Milner), all computed by signature-based partition
-// refinement, plus quotient construction (Definition 5.1 of the paper).
+// weak bisimulation (Milner), plus quotient construction (Definition 5.1
+// of the paper) and distinguishing experiments. Strong and weak
+// bisimulation use signature-based partition refinement; both branching
+// kinds use one splitting-tree refiner (splitter.go), whose split history
+// also yields the distinguishing experiments.
 //
 // Branching bisimulation is computed after collapsing τ-SCCs, which is
 // sound because all states on a τ-cycle are branching bisimilar
@@ -170,15 +173,9 @@ func sortDedup(sig []uint64) []uint64 {
 	return out
 }
 
-// Strong computes the strong bisimulation partition of l: τ is treated as
-// an ordinary action.
-func Strong(l *lts.LTS) *Partition {
-	p, _ := StrongContext(context.Background(), l)
-	return p
-}
-
-// StrongContext is Strong with cancellation: the refinement loop polls
-// ctx once per round and returns a *CanceledError when it is done.
+// StrongContext computes the strong bisimulation partition of l: τ is
+// treated as an ordinary action. The refinement loop polls ctx once per
+// round and returns a *CanceledError when it is done.
 func StrongContext(ctx context.Context, l *lts.LTS) (*Partition, error) {
 	n := l.NumStates()
 	p := uniform(n)

@@ -1,6 +1,7 @@
 package bisim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -28,8 +29,8 @@ func quickLTS(seed int64) *lts.LTS {
 func TestQuickQuotientBisimilarToOriginal(t *testing.T) {
 	prop := func(seed int64) bool {
 		l := quickLTS(seed)
-		q, _ := ReduceBranching(l)
-		eq, err := Equivalent(l, q, KindBranching)
+		q, _ := mustReduce(t, l)
+		eq, err := EquivalentContext(context.Background(), l, q, KindBranching)
 		return err == nil && eq
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
@@ -42,8 +43,8 @@ func TestQuickQuotientBisimilarToOriginal(t *testing.T) {
 func TestQuickDivergenceAgreement(t *testing.T) {
 	prop := func(seed int64) bool {
 		l := quickLTS(seed)
-		q, _ := ReduceBranching(l)
-		eq, err := Equivalent(l, q, KindDivBranching)
+		q, _ := mustReduce(t, l)
+		eq, err := EquivalentContext(context.Background(), l, q, KindDivBranching)
 		if err != nil {
 			return false
 		}
@@ -62,7 +63,7 @@ func TestQuickDivergenceAgreement(t *testing.T) {
 func TestQuickPartitionsAreBisimulations(t *testing.T) {
 	prop := func(seed int64) bool {
 		l := quickLTS(seed)
-		p := Branching(l)
+		p := mustPartition(t, l, KindBranching)
 		return checkBranchingTransfer(l, p)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
@@ -125,8 +126,8 @@ func checkBranchingTransfer(l *lts.LTS, p *Partition) bool {
 func TestQuickWeakCoarsensBranching(t *testing.T) {
 	prop := func(seed int64) bool {
 		l := quickLTS(seed)
-		br := Branching(l)
-		wk := Weak(l)
+		br := mustPartition(t, l, KindBranching)
+		wk := mustPartition(t, l, KindWeak)
 		rep := make(map[int32]int32)
 		for s := range br.BlockOf {
 			if prev, ok := rep[br.BlockOf[s]]; ok {
@@ -144,8 +145,8 @@ func TestQuickWeakCoarsensBranching(t *testing.T) {
 	}
 }
 
-// TestQuickEquivalenceIsSymmetric: Equivalent(a,b) == Equivalent(b,a)
-// for every notion.
+// TestQuickEquivalenceIsSymmetric: EquivalentContext(a,b) ==
+// EquivalentContext(b,a) for every notion.
 func TestQuickEquivalenceIsSymmetric(t *testing.T) {
 	prop := func(seedA, seedB int64) bool {
 		// Share one alphabet across both systems.
@@ -165,8 +166,8 @@ func TestQuickEquivalenceIsSymmetric(t *testing.T) {
 		}
 		a, b := build(r1), build(r2)
 		for _, k := range []Kind{KindStrong, KindBranching, KindDivBranching, KindWeak} {
-			ab, err1 := Equivalent(a, b, k)
-			ba, err2 := Equivalent(b, a, k)
+			ab, err1 := EquivalentContext(context.Background(), a, b, k)
+			ba, err2 := EquivalentContext(context.Background(), b, a, k)
 			if err1 != nil || err2 != nil || ab != ba {
 				return false
 			}
@@ -196,8 +197,8 @@ func TestQuickDivWeakRefinesWeakAndCoarsensDivBranching(t *testing.T) {
 	}
 	prop := func(seed int64) bool {
 		l := quickLTS(seed)
-		dw := DivergenceSensitiveWeak(l)
-		return refines(dw, Weak(l)) && refines(DivergenceSensitiveBranching(l), dw)
+		dw := mustPartition(t, l, KindDivWeak)
+		return refines(dw, mustPartition(t, l, KindWeak)) && refines(mustPartition(t, l, KindDivBranching), dw)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -208,11 +209,11 @@ func TestDivWeakDistinguishesDivergence(t *testing.T) {
 	acts := lts.NewAlphabet()
 	a := buildLTS(t, acts, 0, [][3]interface{}{{0, "a", 1}})
 	b := buildLTS(t, acts, 0, [][3]interface{}{{0, "a", 1}, {1, lts.TauName, 1}})
-	eq, err := Equivalent(a, b, KindWeak)
+	eq, err := EquivalentContext(context.Background(), a, b, KindWeak)
 	if err != nil || !eq {
 		t.Fatalf("plain weak should equate them (eq=%v err=%v)", eq, err)
 	}
-	eq, err = Equivalent(a, b, KindDivWeak)
+	eq, err = EquivalentContext(context.Background(), a, b, KindDivWeak)
 	if err != nil {
 		t.Fatal(err)
 	}

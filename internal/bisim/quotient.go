@@ -14,48 +14,15 @@ import (
 // first label seen per quotient edge wins), which keeps line-number
 // annotations such as "t1.L28" visible in quotient analyses.
 func Quotient(l *lts.LTS, p *Partition) *lts.LTS {
-	b := lts.NewBuilder(l.Acts)
-	b.SetLabels(l.Labels)
-	b.AddStates(p.Num)
-	b.SetInit(int(p.BlockOf[l.Init]))
-	seen := make(map[uint64]struct{}, l.NumTransitions())
-	for s := 0; s < l.NumStates(); s++ {
-		bs := p.BlockOf[s]
-		for _, tr := range l.Succ(int32(s)) {
-			bd := p.BlockOf[tr.Dst]
-			if lts.IsTau(tr.Action) && bs == bd {
-				continue
-			}
-			key := uint64(uint32(bs))<<40 ^ uint64(uint32(bd))<<16 ^ uint64(uint16(tr.Action))
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			b.AddFull(int(bs), tr.Action, tr.Label, int(bd))
-		}
-	}
-	return b.Build()
+	return lts.Lift(l, p.BlockOf, p.Num)
 }
 
-// ReduceBranching computes the branching bisimulation quotient Δ/≈ of l,
-// returning the quotient and the partition.
-func ReduceBranching(l *lts.LTS) (*lts.LTS, *Partition) {
-	p := Branching(l)
-	return Quotient(l, p), p
-}
-
-// ReduceBranchingContext is ReduceBranching with cancellation: the
-// refinement loop polls ctx and the quotient is only built when
-// refinement ran to completion.
+// ReduceBranchingContext computes the branching bisimulation quotient
+// Δ/≈ of l, returning the quotient and the partition. The refinement loop
+// polls ctx and the quotient is only built when refinement ran to
+// completion.
 func ReduceBranchingContext(ctx context.Context, l *lts.LTS) (*lts.LTS, *Partition, error) {
-	return ReduceBranchingWithRefiner(ctx, l, RefinerAuto)
-}
-
-// ReduceBranchingWithRefiner is ReduceBranchingContext with an explicit
-// refiner choice; see Refiner for the guarantee that the choice never
-// changes the result.
-func ReduceBranchingWithRefiner(ctx context.Context, l *lts.LTS, ref Refiner) (*lts.LTS, *Partition, error) {
-	p, err := BranchingWithRefiner(ctx, l, ref)
+	p, err := BranchingContext(ctx, l)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -65,7 +32,7 @@ func ReduceBranchingWithRefiner(ctx context.Context, l *lts.LTS, ref Refiner) (*
 	return Quotient(l, p), p, nil
 }
 
-// Kind selects a bisimulation notion for Equivalent.
+// Kind selects a bisimulation notion.
 type Kind int
 
 const (
@@ -99,7 +66,9 @@ func (k Kind) String() string {
 	}
 }
 
-func partition(ctx context.Context, l *lts.LTS, k Kind) (*Partition, error) {
+// PartitionContext computes the partition of l under the bisimulation
+// notion k, with cancellation like the per-kind entry points.
+func PartitionContext(ctx context.Context, l *lts.LTS, k Kind) (*Partition, error) {
 	switch k {
 	case KindStrong:
 		return StrongContext(ctx, l)
@@ -116,21 +85,16 @@ func partition(ctx context.Context, l *lts.LTS, k Kind) (*Partition, error) {
 	}
 }
 
-// Equivalent reports whether two systems over a shared alphabet are
-// bisimilar under the chosen notion, by partitioning their disjoint union
-// and comparing the blocks of the initial states.
-func Equivalent(a, b *lts.LTS, k Kind) (bool, error) {
-	return EquivalentContext(context.Background(), a, b, k)
-}
-
-// EquivalentContext is Equivalent with cancellation: the underlying
+// EquivalentContext reports whether two systems over a shared alphabet
+// are bisimilar under the chosen notion, by partitioning their disjoint
+// union and comparing the blocks of the initial states. The underlying
 // refinement polls ctx and a *CanceledError is returned when it fires.
 func EquivalentContext(ctx context.Context, a, b *lts.LTS, k Kind) (bool, error) {
 	u, initB, err := lts.DisjointUnion(a, b)
 	if err != nil {
 		return false, err
 	}
-	p, err := partition(ctx, u, k)
+	p, err := PartitionContext(ctx, u, k)
 	if err != nil {
 		return false, err
 	}

@@ -2,85 +2,10 @@ package bisim
 
 import (
 	"context"
-	"fmt"
 	"slices"
 
 	"repro/internal/lts"
 )
-
-// Refiner selects the partition-refinement algorithm used for branching
-// and divergence-sensitive branching bisimulation. Both refiners compute
-// byte-identical partitions (same BlockOf numbering, block count and
-// round count — pinned by the CrossRefiner property tests), so the choice
-// only affects wall-clock time and memory, never a verdict.
-type Refiner int
-
-const (
-	// RefinerAuto picks a refiner per instance: the splitter for large
-	// collapsed systems, the signature refiner for small ones (threshold
-	// benchmarked on the Table II instances, see EXPERIMENTS.md).
-	RefinerAuto Refiner = iota
-	// RefinerSignature is the round-based signature refiner of
-	// branchingOnDAG: every round recomputes every state's signature and
-	// interns it in a hash table.
-	RefinerSignature
-	// RefinerSplitter is the splitting-tree refiner of splitterOnDAG: it
-	// keeps per-state signatures incrementally, reprocessing only states
-	// whose signature can have changed (members of freshly split blocks
-	// and their predecessors), and records the split history in a tree
-	// from which minimal distinguishing witnesses are extracted.
-	RefinerSplitter
-)
-
-// String renders the refiner name as accepted by ParseRefiner.
-func (r Refiner) String() string {
-	switch r {
-	case RefinerAuto:
-		return "auto"
-	case RefinerSignature:
-		return "signature"
-	case RefinerSplitter:
-		return "splitter"
-	default:
-		return fmt.Sprintf("Refiner(%d)", int(r))
-	}
-}
-
-// ParseRefiner parses a refiner name; the empty string means auto.
-func ParseRefiner(s string) (Refiner, error) {
-	switch s {
-	case "", "auto":
-		return RefinerAuto, nil
-	case "signature":
-		return RefinerSignature, nil
-	case "splitter":
-		return RefinerSplitter, nil
-	default:
-		return 0, fmt.Errorf("bisim: unknown refiner %q (want auto, signature or splitter)", s)
-	}
-}
-
-// autoSplitterMinStates is the collapsed-system size at which RefinerAuto
-// switches from the signature refiner to the splitter. On the Table II
-// instances (see EXPERIMENTS.md) the splitter's dirty-state reprocessing
-// beats the signature refiner's full re-hash on everything from a few
-// thousand states up (5–30% wall clock); below this size both finish in
-// well under a millisecond and the signature refiner's simpler single
-// loop avoids the tree-pool setup.
-const autoSplitterMinStates = 1 << 12
-
-// resolveRefiner pins RefinerAuto to a concrete algorithm for a collapsed
-// system. Deterministic in the input LTS only, so auto mode cannot
-// introduce cross-run differences.
-func resolveRefiner(r Refiner, collapsed *lts.LTS) Refiner {
-	if r != RefinerAuto {
-		return r
-	}
-	if collapsed.NumStates() >= autoSplitterMinStates {
-		return RefinerSplitter
-	}
-	return RefinerSignature
-}
 
 // splitTree is the splitting tree built by the splitter refiner. Nodes
 // are blocks: leaves form the current partition, inner nodes are blocks
@@ -196,14 +121,26 @@ func hashSig(sig []uint64) uint64 {
 }
 
 // splitterOnDAG runs splitting-tree refinement on a τ-acyclic LTS (the
-// τ-SCC collapse, like branchingOnDAG) and returns both the final
-// partition and the splitting tree for witness extraction.
+// τ-SCC collapse) and returns both the final partition and the splitting
+// tree for witness extraction.
 //
-// Rounds are level-synchronized with the signature refiner — round r
-// splits exactly the pairs whose round-r signatures w.r.t. the round-
-// (r−1) partition differ — so partitions, block numbering (canonical
-// first-occurrence order) and round counts are byte-identical between
-// the two refiners. Within a round, only dirty states are reprocessed:
+// The τ-SCC collapse numbers components in reverse topological order, so
+// every τ transition goes from a higher state ID to a strictly lower one.
+// The branching signature of s under partition P is
+//
+//	sig(s) = { (a, P(t)) | s ⇒ᵢ s' --a--> t, a ≠ τ or P(t) ≠ P(s) }
+//
+// where ⇒ᵢ is any sequence of inert τ steps (staying inside P(s)), and
+// states marked divergent additionally contribute (δ, P(s)), encoding a
+// visible δ self-loop. Processing states in increasing ID order lets
+// inert-τ signature inheritance find its successors already computed.
+//
+// Rounds are level-synchronized — round r splits exactly the pairs whose
+// round-r signatures w.r.t. the round-(r−1) partition differ — so the
+// partition, its block numbering (canonical first-occurrence order) and
+// the round count are byte-identical to naive signature refinement, which
+// recomputes every signature every round (the oracle in the tests).
+// Within a round, only dirty states are reprocessed:
 // members of blocks split in the previous round and their predecessors
 // (the splitter queue), plus same-block τ-predecessors of states whose
 // signature changed this round (inert inheritance cascades up the DAG,
@@ -355,7 +292,7 @@ func splitterOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partitio
 	}
 
 	// Canonical partition: dense renumbering by first occurrence in state
-	// order, matching the signature refiner's interning order exactly.
+	// order, matching signature interning order exactly.
 	blockOf := make([]int32, n)
 	renum := make(map[int32]int32, 2*len(cands)+1)
 	var num int32
@@ -370,18 +307,4 @@ func splitterOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partitio
 		blockOf[s] = id
 	}
 	return &Partition{BlockOf: blockOf, Num: int(num), Rounds: t.rounds}, t, nil
-}
-
-// BranchingWithRefiner computes the branching bisimulation partition of l
-// with an explicit refiner choice; see Refiner for the guarantee that the
-// choice never changes the result.
-func BranchingWithRefiner(ctx context.Context, l *lts.LTS, ref Refiner) (*Partition, error) {
-	return branching(ctx, l, false, ref)
-}
-
-// DivergenceSensitiveBranchingWithRefiner computes the divergence-
-// sensitive branching bisimulation partition of l with an explicit
-// refiner choice.
-func DivergenceSensitiveBranchingWithRefiner(ctx context.Context, l *lts.LTS, ref Refiner) (*Partition, error) {
-	return branching(ctx, l, true, ref)
 }

@@ -6,7 +6,7 @@ import (
 	"repro/internal/lts"
 )
 
-// Weak computes the weak bisimulation partition of l (Milner's ≈w, as
+// WeakContext computes the weak bisimulation partition of l (Milner's ≈w, as
 // discussed in Section VII of the paper). Weak bisimulation matches a τ
 // step by any number of τ steps and a visible step a by τ* a τ*, without
 // the branching-bisimulation requirement that intermediate states remain
@@ -14,30 +14,18 @@ import (
 //
 // The computation materializes the τ-closure of every state, so it is
 // intended for moderately sized systems (the paper's Table VII instances);
-// branching bisimulation should be preferred at scale.
-func Weak(l *lts.LTS) *Partition {
-	p, _ := WeakContext(context.Background(), l)
-	return p
-}
-
-// WeakContext is Weak with cancellation: the refinement loop polls ctx
-// once per round and returns a *CanceledError when it is done.
+// branching bisimulation should be preferred at scale. The refinement
+// loop polls ctx once per round and returns a *CanceledError when it is
+// done.
 func WeakContext(ctx context.Context, l *lts.LTS) (*Partition, error) {
 	return weak(ctx, l, false)
 }
 
-// DivergenceSensitiveWeak computes weak bisimulation with explicit
-// divergence (the "~w with explicit divergence" of Section VII): states
-// on τ-cycles are additionally marked with a fresh visible self-loop δ
-// before refinement, so related states must agree on the ability to
-// diverge.
-func DivergenceSensitiveWeak(l *lts.LTS) *Partition {
-	p, _ := DivergenceSensitiveWeakContext(context.Background(), l)
-	return p
-}
-
-// DivergenceSensitiveWeakContext is DivergenceSensitiveWeak with
-// cancellation.
+// DivergenceSensitiveWeakContext computes weak bisimulation with
+// explicit divergence (the "~w with explicit divergence" of Section VII):
+// states on τ-cycles are additionally marked with a fresh visible
+// self-loop δ before refinement, so related states must agree on the
+// ability to diverge. Cancellation is as for WeakContext.
 func DivergenceSensitiveWeakContext(ctx context.Context, l *lts.LTS) (*Partition, error) {
 	return weak(ctx, l, true)
 }

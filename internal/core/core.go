@@ -46,11 +46,6 @@ type Config struct {
 	// sequential); the generated LTSs — and hence every verdict — are
 	// identical for any value. See machine.Options.Workers.
 	Workers int
-	// Refiner selects the branching-bisimulation partition-refinement
-	// algorithm (signature-based or splitting-tree); the zero value picks
-	// automatically by instance size. Every choice produces identical
-	// partitions and verdicts — see bisim.Refiner.
-	Refiner bisim.Refiner
 	// MemBudget bounds (in bytes) the resident state storage of each
 	// exploration; past it, a spill-capable Backend sheds intern-table
 	// generations and frontier levels to temp files. 0 keeps everything
@@ -114,16 +109,11 @@ func (c Config) reduction(p *machine.Program) *machine.Reduction {
 	return c.ReductionProvider(p)
 }
 
-// Explore generates the LTS of a program under this configuration with a
-// shared alphabet, exposed for analyses beyond the canned checks.
-func Explore(p *machine.Program, cfg Config, acts, labels *lts.Alphabet) (*lts.LTS, error) {
-	return ExploreContext(context.Background(), p, cfg, acts, labels)
-}
-
-// ExploreContext is Explore with cancellation; see
-// machine.ExploreWithInfoContext.
-func ExploreContext(ctx context.Context, p *machine.Program, cfg Config, acts, labels *lts.Alphabet) (*lts.LTS, error) {
-	opt := cfg.options(p, acts, labels)
+// ExploreContext generates the LTS of a program under this
+// configuration, outside any Session, for analyses beyond the canned
+// checks; see machine.ExploreWithInfoContext.
+func ExploreContext(ctx context.Context, p *machine.Program, cfg Config) (*lts.LTS, error) {
+	opt := cfg.options(p, nil, nil)
 	opt.Reduction = cfg.reduction(p)
 	l, _, err := machine.ExploreWithInfoContext(ctx, p, opt)
 	return l, err
@@ -153,20 +143,6 @@ type LinearizabilityResult struct {
 	Stages []StageStat
 }
 
-// CheckLinearizability verifies impl against spec by Theorem 5.3: compute
-// both branching-bisimulation quotients, then decide trace refinement
-// between the quotients.
-func CheckLinearizability(impl, spec *machine.Program, cfg Config) (*LinearizabilityResult, error) {
-	return CheckLinearizabilityContext(context.Background(), impl, spec, cfg)
-}
-
-// CheckLinearizabilityContext is CheckLinearizability with cancellation:
-// exploration and partition refinement poll ctx, so an abandoned or
-// timed-out check stops promptly with a typed cancellation error.
-func CheckLinearizabilityContext(ctx context.Context, impl, spec *machine.Program, cfg Config) (*LinearizabilityResult, error) {
-	return NewSession(cfg).CheckLinearizabilityContext(ctx, impl, spec)
-}
-
 // LockFreedomResult reports a Theorem 5.8 or 5.9 check.
 type LockFreedomResult struct {
 	// LockFree is the verdict.
@@ -188,33 +164,6 @@ type LockFreedomResult struct {
 	Stages []StageStat
 }
 
-// CheckLockFreeAuto verifies lock-freedom fully automatically by
-// Theorem 5.9: compute Δ/≈ and check Δ ≈div Δ/≈. The quotient never has
-// an infinite τ-path (Lemma 5.7), so ≈div holds exactly when Δ is
-// divergence-free; a failure yields a divergence diagnostic.
-func CheckLockFreeAuto(impl *machine.Program, cfg Config) (*LockFreedomResult, error) {
-	return CheckLockFreeAutoContext(context.Background(), impl, cfg)
-}
-
-// CheckLockFreeAutoContext is CheckLockFreeAuto with cancellation.
-func CheckLockFreeAutoContext(ctx context.Context, impl *machine.Program, cfg Config) (*LockFreedomResult, error) {
-	return NewSession(cfg).CheckLockFreeAutoContext(ctx, impl)
-}
-
-// CheckLockFreeAbstract verifies lock-freedom by Theorem 5.8: establish
-// impl ≈div abs and check lock-freedom of the (much simpler) abstract
-// program. When the two systems are not ≈div-related the theorem does not
-// apply; the result then reports Bisimilar=false and, if impl itself
-// diverges, carries the divergence diagnostic.
-func CheckLockFreeAbstract(impl, abs *machine.Program, cfg Config) (*LockFreedomResult, error) {
-	return CheckLockFreeAbstractContext(context.Background(), impl, abs, cfg)
-}
-
-// CheckLockFreeAbstractContext is CheckLockFreeAbstract with cancellation.
-func CheckLockFreeAbstractContext(ctx context.Context, impl, abs *machine.Program, cfg Config) (*LockFreedomResult, error) {
-	return NewSession(cfg).CheckLockFreeAbstractContext(ctx, impl, abs)
-}
-
 // EquivalenceReport compares an object with its specification under both
 // weak and branching bisimilarity (Table VII of the paper).
 type EquivalenceReport struct {
@@ -224,17 +173,6 @@ type EquivalenceReport struct {
 	Elapsed                        time.Duration
 	// Stages instruments the pipeline stages that produced this report.
 	Stages []StageStat
-}
-
-// CompareWithSpec reproduces one row of Table VII: sizes of Δ, Δ/≈, Θsp,
-// Θsp/≈, plus whether Δ ~w Θsp and Δ ≈ Θsp.
-func CompareWithSpec(impl, spec *machine.Program, cfg Config) (*EquivalenceReport, error) {
-	return CompareWithSpecContext(context.Background(), impl, spec, cfg)
-}
-
-// CompareWithSpecContext is CompareWithSpec with cancellation.
-func CompareWithSpecContext(ctx context.Context, impl, spec *machine.Program, cfg Config) (*EquivalenceReport, error) {
-	return NewSession(cfg).CompareWithSpecContext(ctx, impl, spec)
 }
 
 // DeadlockResult reports a deadlock-freedom check. Deadlock-freedom is a
@@ -254,15 +192,4 @@ type DeadlockResult struct {
 	Elapsed time.Duration
 	// Stages instruments the pipeline stages that produced this result.
 	Stages []StageStat
-}
-
-// CheckDeadlockFree explores the object and searches for reachable
-// deadlocks.
-func CheckDeadlockFree(impl *machine.Program, cfg Config) (*DeadlockResult, error) {
-	return CheckDeadlockFreeContext(context.Background(), impl, cfg)
-}
-
-// CheckDeadlockFreeContext is CheckDeadlockFree with cancellation.
-func CheckDeadlockFreeContext(ctx context.Context, impl *machine.Program, cfg Config) (*DeadlockResult, error) {
-	return NewSession(cfg).CheckDeadlockFreeContext(ctx, impl)
 }

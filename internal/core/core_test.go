@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -99,7 +100,7 @@ func spinLock() *machine.Program {
 }
 
 func TestLinearizablePositive(t *testing.T) {
-	res, err := core.CheckLinearizability(atomicRegister(), atomicRegister(), core.Config{Threads: 2, Ops: 2})
+	res, err := core.NewSession(core.Config{Threads: 2, Ops: 2}).CheckLinearizabilityContext(context.Background(), atomicRegister(), atomicRegister())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestLinearizablePositive(t *testing.T) {
 }
 
 func TestLinearizableNegative(t *testing.T) {
-	res, err := core.CheckLinearizability(brokenCounter(), counterSpec(), core.Config{Threads: 2, Ops: 2})
+	res, err := core.NewSession(core.Config{Threads: 2, Ops: 2}).CheckLinearizabilityContext(context.Background(), brokenCounter(), counterSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestLinearizableNegative(t *testing.T) {
 }
 
 func TestLockFreeAutoPositive(t *testing.T) {
-	res, err := core.CheckLockFreeAuto(atomicRegister(), core.Config{Threads: 2, Ops: 2})
+	res, err := core.NewSession(core.Config{Threads: 2, Ops: 2}).CheckLockFreeAutoContext(context.Background(), atomicRegister())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestLockFreeAutoPositive(t *testing.T) {
 }
 
 func TestLockFreeAutoNegative(t *testing.T) {
-	res, err := core.CheckLockFreeAuto(spinLock(), core.Config{Threads: 2, Ops: 2})
+	res, err := core.NewSession(core.Config{Threads: 2, Ops: 2}).CheckLockFreeAutoContext(context.Background(), spinLock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestLockFreeAutoNegative(t *testing.T) {
 func TestLockFreeAbstract(t *testing.T) {
 	// A system is trivially ≈div-bisimilar to itself as its own abstract
 	// program.
-	res, err := core.CheckLockFreeAbstract(atomicRegister(), atomicRegister(), core.Config{Threads: 2, Ops: 1})
+	res, err := core.NewSession(core.Config{Threads: 2, Ops: 1}).CheckLockFreeAbstractContext(context.Background(), atomicRegister(), atomicRegister())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestLockFreeAbstract(t *testing.T) {
 	}
 
 	// An abstraction that diverges propagates the negative verdict.
-	res, err = core.CheckLockFreeAbstract(spinLock(), spinLock(), core.Config{Threads: 2, Ops: 1})
+	res, err = core.NewSession(core.Config{Threads: 2, Ops: 1}).CheckLockFreeAbstractContext(context.Background(), spinLock(), spinLock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestLockFreeAbstract(t *testing.T) {
 	}
 
 	// Mismatched systems are reported as not bisimilar.
-	res, err = core.CheckLockFreeAbstract(brokenCounter(), counterSpec(), core.Config{Threads: 2, Ops: 2})
+	res, err = core.NewSession(core.Config{Threads: 2, Ops: 2}).CheckLockFreeAbstractContext(context.Background(), brokenCounter(), counterSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestLockFreeAbstract(t *testing.T) {
 func TestCompareWithSpec(t *testing.T) {
 	// Two ops per thread: the lost update needs a subsequent Read to be
 	// observable.
-	rep, err := core.CompareWithSpec(brokenCounter(), counterSpec(), core.Config{Threads: 2, Ops: 2})
+	rep, err := core.NewSession(core.Config{Threads: 2, Ops: 2}).CompareWithSpecContext(context.Background(), brokenCounter(), counterSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestCompareWithSpec(t *testing.T) {
 	}
 
 	// The atomic register against itself is bisimilar under both notions.
-	rep, err = core.CompareWithSpec(atomicRegister(), atomicRegister(), core.Config{Threads: 2, Ops: 1})
+	rep, err = core.NewSession(core.Config{Threads: 2, Ops: 1}).CompareWithSpecContext(context.Background(), atomicRegister(), atomicRegister())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,16 +221,16 @@ func TestCompareWithSpec(t *testing.T) {
 }
 
 func TestConfigErrors(t *testing.T) {
-	if _, err := core.CheckLinearizability(atomicRegister(), atomicRegister(), core.Config{}); err == nil {
+	if _, err := core.NewSession(core.Config{}).CheckLinearizabilityContext(context.Background(), atomicRegister(), atomicRegister()); err == nil {
 		t.Fatal("zero config must error")
 	}
-	if _, err := core.CheckLockFreeAuto(atomicRegister(), core.Config{Threads: 1, Ops: 1, MaxStates: 2}); err == nil {
+	if _, err := core.NewSession(core.Config{Threads: 1, Ops: 1, MaxStates: 2}).CheckLockFreeAutoContext(context.Background(), atomicRegister()); err == nil {
 		t.Fatal("tiny state cap must error")
 	}
-	if _, err := core.CheckLockFreeAbstract(atomicRegister(), atomicRegister(), core.Config{Threads: 1, Ops: 1, MaxStates: 2}); err == nil {
+	if _, err := core.NewSession(core.Config{Threads: 1, Ops: 1, MaxStates: 2}).CheckLockFreeAbstractContext(context.Background(), atomicRegister(), atomicRegister()); err == nil {
 		t.Fatal("tiny state cap must error")
 	}
-	if _, err := core.CompareWithSpec(atomicRegister(), atomicRegister(), core.Config{Threads: 1, Ops: 1, MaxStates: 2}); err == nil {
+	if _, err := core.NewSession(core.Config{Threads: 1, Ops: 1, MaxStates: 2}).CompareWithSpecContext(context.Background(), atomicRegister(), atomicRegister()); err == nil {
 		t.Fatal("tiny state cap must error")
 	}
 }
@@ -271,7 +272,7 @@ func twoLockProgram(ordered bool) *machine.Program {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	res, err := core.CheckDeadlockFree(twoLockProgram(false), core.Config{Threads: 2, Ops: 1})
+	res, err := core.NewSession(core.Config{Threads: 2, Ops: 1}).CheckDeadlockFreeContext(context.Background(), twoLockProgram(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,14 +283,14 @@ func TestDeadlockDetection(t *testing.T) {
 		t.Fatal("missing deadlock witness")
 	}
 
-	res, err = core.CheckDeadlockFree(twoLockProgram(true), core.Config{Threads: 2, Ops: 1})
+	res, err = core.NewSession(core.Config{Threads: 2, Ops: 1}).CheckDeadlockFreeContext(context.Background(), twoLockProgram(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.DeadlockFree {
 		t.Fatalf("ordered locking must be deadlock-free; witness:\n%s", res.Witness.Format())
 	}
-	if _, err := core.CheckDeadlockFree(twoLockProgram(true), core.Config{}); err == nil {
+	if _, err := core.NewSession(core.Config{}).CheckDeadlockFreeContext(context.Background(), twoLockProgram(true)); err == nil {
 		t.Fatal("zero config must error")
 	}
 }

@@ -19,7 +19,7 @@ import (
 // so that any combination of checks run against the same program
 // instances explores and quotients each artifact exactly once. All
 // programs in a session share one action and one label alphabet, which
-// is what refine.TraceInclusion and bisim.Equivalent require anyway.
+// is what refine.TraceInclusion and bisim.EquivalentContext require anyway.
 //
 // Artifacts are keyed by identity: the same *machine.Program (and the
 // same *lts.LTS derived from it) must be passed for reuse to trigger.
@@ -218,7 +218,7 @@ func (s *Session) quotient(ctx context.Context, r *recorder, l *lts.LTS) (*quoti
 		return a, nil
 	}
 	start := time.Now()
-	q, p, err := bisim.ReduceBranchingWithRefiner(ctx, l, s.cfg.Refiner)
+	q, p, err := bisim.ReduceBranchingContext(ctx, l)
 	if err != nil {
 		return nil, err
 	}
@@ -258,26 +258,6 @@ func (s *Session) tauCyclic(r *recorder, l *lts.LTS) bool {
 	return cyc
 }
 
-// partitionKind dispatches to the bisim partition algorithm for kind.
-// The branching kinds honor the configured refiner; the choice never
-// affects the partition (see bisim.Refiner).
-func partitionKind(ctx context.Context, l *lts.LTS, kind bisim.Kind, ref bisim.Refiner) (*bisim.Partition, error) {
-	switch kind {
-	case bisim.KindStrong:
-		return bisim.StrongContext(ctx, l)
-	case bisim.KindBranching:
-		return bisim.BranchingWithRefiner(ctx, l, ref)
-	case bisim.KindDivBranching:
-		return bisim.DivergenceSensitiveBranchingWithRefiner(ctx, l, ref)
-	case bisim.KindWeak:
-		return bisim.WeakContext(ctx, l)
-	case bisim.KindDivWeak:
-		return bisim.DivergenceSensitiveWeakContext(ctx, l)
-	default:
-		return nil, fmt.Errorf("core: unknown bisimulation kind %v", kind)
-	}
-}
-
 // kindTag is the compact notation for a bisimulation kind, used in
 // stage-stat targets.
 func kindTag(kind bisim.Kind) string {
@@ -312,7 +292,7 @@ func (s *Session) equivalent(ctx context.Context, r *recorder, a, b *lts.LTS, ki
 	if err != nil {
 		return false, err
 	}
-	p, err := partitionKind(ctx, u, kind, s.cfg.Refiner)
+	p, err := bisim.PartitionContext(ctx, u, kind)
 	if err != nil {
 		return false, err
 	}
@@ -389,19 +369,9 @@ func (s *Session) traceInclusion(r *recorder, implQ, specQ *lts.LTS) (*refine.Re
 	return res, nil
 }
 
-// Explore returns the session's LTS of p, generating and memoizing it on
-// first use. All programs of a session share its alphabets.
-func (s *Session) Explore(p *machine.Program) (*lts.LTS, error) {
-	return s.ExploreContext(context.Background(), p)
-}
-
-// ExploreContext is Explore with cancellation.
-func (s *Session) ExploreContext(ctx context.Context, p *machine.Program) (*lts.LTS, error) {
-	l, _, err := s.ExploreWithInfoContext(ctx, p)
-	return l, err
-}
-
-// ExploreWithInfoContext is ExploreContext plus deadlock information.
+// ExploreWithInfoContext returns the session's LTS of p and its deadlock
+// information, generating and memoizing them on first use. All programs
+// of a session share its alphabets.
 func (s *Session) ExploreWithInfoContext(ctx context.Context, p *machine.Program) (*lts.LTS, *machine.Info, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -412,13 +382,8 @@ func (s *Session) ExploreWithInfoContext(ctx context.Context, p *machine.Program
 	return a.l, a.info, nil
 }
 
-// Quotient returns the memoized branching-bisimulation quotient of l
-// (typically an LTS previously returned by Explore).
-func (s *Session) Quotient(l *lts.LTS) (*lts.LTS, error) {
-	return s.QuotientContext(context.Background(), l)
-}
-
-// QuotientContext is Quotient with cancellation.
+// QuotientContext returns the memoized branching-bisimulation quotient
+// of l (typically an LTS previously returned by ExploreWithInfoContext).
 func (s *Session) QuotientContext(ctx context.Context, l *lts.LTS) (*lts.LTS, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -429,27 +394,17 @@ func (s *Session) QuotientContext(ctx context.Context, l *lts.LTS) (*lts.LTS, er
 	return a.q, nil
 }
 
-// Equivalent reports whether a and b are bisimilar under kind, serving
-// repeated queries from the session's memo.
-func (s *Session) Equivalent(a, b *lts.LTS, kind bisim.Kind) (bool, error) {
-	return s.EquivalentContext(context.Background(), a, b, kind)
-}
-
-// EquivalentContext is Equivalent with cancellation.
+// EquivalentContext reports whether a and b are bisimilar under kind,
+// serving repeated queries from the session's memo.
 func (s *Session) EquivalentContext(ctx context.Context, a, b *lts.LTS, kind bisim.Kind) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.equivalent(ctx, &recorder{s: s}, a, b, kind)
 }
 
-// Explain returns a shortest distinguishing experiment for a and b under
-// kind (branching kinds only), or ok=false when they are bisimilar,
-// serving repeated queries from the session's memo.
-func (s *Session) Explain(a, b *lts.LTS, kind bisim.Kind) (*bisim.Explanation, bool, error) {
-	return s.ExplainContext(context.Background(), a, b, kind)
-}
-
-// ExplainContext is Explain with cancellation.
+// ExplainContext returns a shortest distinguishing experiment for a and
+// b under kind (branching kinds only), or ok=false when they are
+// bisimilar, serving repeated queries from the session's memo.
 func (s *Session) ExplainContext(ctx context.Context, a, b *lts.LTS, kind bisim.Kind) (*bisim.Explanation, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -472,13 +427,11 @@ func (s *Session) TauCyclic(l *lts.LTS) bool {
 	return s.tauCyclic(&recorder{s: s}, l)
 }
 
-// CheckLinearizability verifies impl against spec by Theorem 5.3 using
-// the session's artifacts; see core.CheckLinearizability.
-func (s *Session) CheckLinearizability(impl, spec *machine.Program) (*LinearizabilityResult, error) {
-	return s.CheckLinearizabilityContext(context.Background(), impl, spec)
-}
-
-// CheckLinearizabilityContext is CheckLinearizability with cancellation.
+// CheckLinearizabilityContext verifies impl against spec by Theorem 5.3:
+// compute both branching-bisimulation quotients, then decide trace
+// refinement between the quotients. Exploration and partition refinement
+// poll ctx, so an abandoned or timed-out check stops promptly with a
+// typed cancellation error.
 func (s *Session) CheckLinearizabilityContext(ctx context.Context, impl, spec *machine.Program) (*LinearizabilityResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -531,13 +484,10 @@ func (s *Session) CheckLinearizabilityContext(ctx context.Context, impl, spec *m
 	}, nil
 }
 
-// CheckLockFreeAuto verifies lock-freedom of impl by Theorem 5.9 using
-// the session's artifacts; see core.CheckLockFreeAuto.
-func (s *Session) CheckLockFreeAuto(impl *machine.Program) (*LockFreedomResult, error) {
-	return s.CheckLockFreeAutoContext(context.Background(), impl)
-}
-
-// CheckLockFreeAutoContext is CheckLockFreeAuto with cancellation.
+// CheckLockFreeAutoContext verifies lock-freedom fully automatically by
+// Theorem 5.9: compute Δ/≈ and check Δ ≈div Δ/≈. The quotient never has
+// an infinite τ-path (Lemma 5.7), so ≈div holds exactly when Δ is
+// divergence-free; a failure yields a divergence diagnostic.
 func (s *Session) CheckLockFreeAutoContext(ctx context.Context, impl *machine.Program) (*LockFreedomResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -579,15 +529,11 @@ func (s *Session) CheckLockFreeAutoContext(ctx context.Context, impl *machine.Pr
 	return res, nil
 }
 
-// CheckLockFreeAbstract verifies lock-freedom of impl against the
-// hand-written abstraction abs by Theorem 5.8 using the session's
-// artifacts; see core.CheckLockFreeAbstract.
-func (s *Session) CheckLockFreeAbstract(impl, abs *machine.Program) (*LockFreedomResult, error) {
-	return s.CheckLockFreeAbstractContext(context.Background(), impl, abs)
-}
-
-// CheckLockFreeAbstractContext is CheckLockFreeAbstract with
-// cancellation.
+// CheckLockFreeAbstractContext verifies lock-freedom by Theorem 5.8:
+// establish impl ≈div abs and check lock-freedom of the (much simpler)
+// abstract program. When the two systems are not ≈div-related the theorem
+// does not apply; the result then reports Bisimilar=false and, if impl
+// itself diverges, carries the divergence diagnostic.
 func (s *Session) CheckLockFreeAbstractContext(ctx context.Context, impl, abs *machine.Program) (*LockFreedomResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -635,13 +581,8 @@ func (s *Session) CheckLockFreeAbstractContext(ctx context.Context, impl, abs *m
 	return res, nil
 }
 
-// CompareWithSpec reproduces one row of Table VII using the session's
-// artifacts; see core.CompareWithSpec.
-func (s *Session) CompareWithSpec(impl, spec *machine.Program) (*EquivalenceReport, error) {
-	return s.CompareWithSpecContext(context.Background(), impl, spec)
-}
-
-// CompareWithSpecContext is CompareWithSpec with cancellation.
+// CompareWithSpecContext reproduces one row of Table VII: sizes of Δ,
+// Δ/≈, Θsp, Θsp/≈, plus whether Δ ~w Θsp and Δ ≈ Θsp.
 func (s *Session) CompareWithSpecContext(ctx context.Context, impl, spec *machine.Program) (*EquivalenceReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -685,13 +626,8 @@ func (s *Session) CompareWithSpecContext(ctx context.Context, impl, spec *machin
 	}, nil
 }
 
-// CheckDeadlockFree searches impl for reachable deadlocks using the
-// session's artifacts; see core.CheckDeadlockFree.
-func (s *Session) CheckDeadlockFree(impl *machine.Program) (*DeadlockResult, error) {
-	return s.CheckDeadlockFreeContext(context.Background(), impl)
-}
-
-// CheckDeadlockFreeContext is CheckDeadlockFree with cancellation.
+// CheckDeadlockFreeContext explores impl and searches it for reachable
+// deadlocks.
 func (s *Session) CheckDeadlockFreeContext(ctx context.Context, impl *machine.Program) (*DeadlockResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

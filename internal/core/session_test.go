@@ -22,11 +22,11 @@ func TestSessionMatchesFresh(t *testing.T) {
 			sess := core.NewSession(ccfg)
 			impl := a.Build(cfg)
 
-			fresh, err := core.CheckLinearizability(a.Build(cfg), a.Spec(cfg), ccfg)
+			fresh, err := core.NewSession(ccfg).CheckLinearizabilityContext(context.Background(), a.Build(cfg), a.Spec(cfg))
 			if err != nil {
 				t.Fatalf("fresh linearizability: %v", err)
 			}
-			got, err := sess.CheckLinearizability(impl, a.Spec(cfg))
+			got, err := sess.CheckLinearizabilityContext(context.Background(), impl, a.Spec(cfg))
 			if err != nil {
 				t.Fatalf("session linearizability: %v", err)
 			}
@@ -46,11 +46,11 @@ func TestSessionMatchesFresh(t *testing.T) {
 				t.Errorf("counterexample mismatch:\nsession:\n%s\nfresh:\n%s", gotCx, freshCx)
 			}
 
-			freshD, err := core.CheckDeadlockFree(a.Build(cfg), ccfg)
+			freshD, err := core.NewSession(ccfg).CheckDeadlockFreeContext(context.Background(), a.Build(cfg))
 			if err != nil {
 				t.Fatalf("fresh deadlock: %v", err)
 			}
-			gotD, err := sess.CheckDeadlockFree(impl)
+			gotD, err := sess.CheckDeadlockFreeContext(context.Background(), impl)
 			if err != nil {
 				t.Fatalf("session deadlock: %v", err)
 			}
@@ -61,11 +61,11 @@ func TestSessionMatchesFresh(t *testing.T) {
 			if a.LockBased {
 				return
 			}
-			freshLF, err := core.CheckLockFreeAuto(a.Build(cfg), ccfg)
+			freshLF, err := core.NewSession(ccfg).CheckLockFreeAutoContext(context.Background(), a.Build(cfg))
 			if err != nil {
 				t.Fatalf("fresh lock-freedom: %v", err)
 			}
-			gotLF, err := sess.CheckLockFreeAuto(impl)
+			gotLF, err := sess.CheckLockFreeAutoContext(context.Background(), impl)
 			if err != nil {
 				t.Fatalf("session lock-freedom: %v", err)
 			}
@@ -106,16 +106,16 @@ func TestSessionSingleExploration(t *testing.T) {
 	impl := a.Build(cfg)
 	spec := a.Spec(cfg)
 
-	if _, err := sess.CheckLinearizability(impl, spec); err != nil {
+	if _, err := sess.CheckLinearizabilityContext(context.Background(), impl, spec); err != nil {
 		t.Fatalf("linearizability: %v", err)
 	}
-	if _, err := sess.CheckLockFreeAuto(impl); err != nil {
+	if _, err := sess.CheckLockFreeAutoContext(context.Background(), impl); err != nil {
 		t.Fatalf("lock-freedom: %v", err)
 	}
-	if _, err := sess.CheckDeadlockFree(impl); err != nil {
+	if _, err := sess.CheckDeadlockFreeContext(context.Background(), impl); err != nil {
 		t.Fatalf("deadlock: %v", err)
 	}
-	if _, err := sess.CompareWithSpec(impl, spec); err != nil {
+	if _, err := sess.CompareWithSpecContext(context.Background(), impl, spec); err != nil {
 		t.Fatalf("compare: %v", err)
 	}
 
@@ -169,7 +169,7 @@ func TestSessionCancellationReuse(t *testing.T) {
 	spec := a.Spec(cfg)
 
 	// Warm the impl artifact, then cancel a check that needs impl + spec.
-	if _, err := sess.CheckDeadlockFree(impl); err != nil {
+	if _, err := sess.CheckDeadlockFreeContext(context.Background(), impl); err != nil {
 		t.Fatalf("deadlock: %v", err)
 	}
 	canceled, cancel := context.WithCancel(context.Background())
@@ -180,14 +180,14 @@ func TestSessionCancellationReuse(t *testing.T) {
 
 	// The session must still be usable and must not redo the impl
 	// exploration.
-	got, err := sess.CheckLinearizability(impl, spec)
+	got, err := sess.CheckLinearizabilityContext(context.Background(), impl, spec)
 	if err != nil {
 		t.Fatalf("post-cancel linearizability: %v", err)
 	}
 	if explores[impl] != 1 {
 		t.Errorf("impl explored %d times, want 1 (cancellation must not evict)", explores[impl])
 	}
-	fresh, err := core.CheckLinearizability(a.Build(cfg), a.Spec(cfg), ccfg)
+	fresh, err := core.NewSession(ccfg).CheckLinearizabilityContext(context.Background(), a.Build(cfg), a.Spec(cfg))
 	if err != nil {
 		t.Fatalf("fresh linearizability: %v", err)
 	}

@@ -1,6 +1,7 @@
 package exhibits
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -60,6 +61,7 @@ func Fig6(opt Options) (*Table, error) {
 // non-fixed LP interleaving of lines 20/28 — witnessed by a quotient
 // path executing L20 before the racing L28.
 func Fig7(opt Options) (*Table, error) {
+	ctx := context.Background()
 	ops := 3
 	if opt.Quick {
 		ops = 2
@@ -71,14 +73,14 @@ func Fig7(opt Options) (*Table, error) {
 	a := mustAlg("ms-queue")
 	cfg := algorithms.Config{Threads: 2, Ops: ops, Vals: oneVal}
 	sess := core.NewSession(opt.coreConfig(2, ops))
-	l, err := sess.Explore(a.Build(cfg))
+	l, _, err := sess.ExploreWithInfoContext(ctx, a.Build(cfg))
 	if err != nil {
 		if isStateLimit(err) {
 			return nil, fmt.Errorf("fig7: instance exceeded the state budget")
 		}
 		return nil, fmt.Errorf("fig7: %w", err)
 	}
-	q, err := sess.Quotient(l)
+	q, err := sess.QuotientContext(ctx, l)
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
 	}
@@ -108,20 +110,20 @@ func Fig7(opt Options) (*Table, error) {
 	}
 
 	// The spec comparison: not branching bisimilar (the non-fixed LP).
-	specLTS, err := sess.Explore(a.Spec(cfg))
+	specLTS, _, err := sess.ExploreWithInfoContext(ctx, a.Spec(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("fig7 spec: %w", err)
 	}
-	specQ, err := sess.Quotient(specLTS)
+	specQ, err := sess.QuotientContext(ctx, specLTS)
 	if err != nil {
 		return nil, fmt.Errorf("fig7 spec: %w", err)
 	}
-	eq, err := sess.Equivalent(q, specQ, bisim.KindBranching)
+	eq, err := sess.EquivalentContext(ctx, q, specQ, bisim.KindBranching)
 	if err != nil {
 		return nil, err
 	}
 	t.Note("MS queue ~br specification: %v (the single-atomic-block spec cannot match the L20/L28 race).", eq)
-	exp, bad, err := sess.Explain(q, specQ, bisim.KindBranching)
+	exp, bad, err := sess.ExplainContext(ctx, q, specQ, bisim.KindBranching)
 	if err != nil {
 		return nil, fmt.Errorf("fig7 explain: %w", err)
 	}

@@ -58,7 +58,7 @@ func mustAlg(id string) *algorithms.Algorithm {
 
 // quotientOf reduces an LTS, returning the quotient.
 func quotientOf(l *lts.LTS) *lts.LTS {
-	q, _ := bisim.ReduceBranching(l)
+	q, _, _ := bisim.ReduceBranchingContext(context.Background(), l) // fails only on cancellation
 	return q
 }
 

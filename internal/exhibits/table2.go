@@ -1,6 +1,7 @@
 package exhibits
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/algorithms"
@@ -13,6 +14,7 @@ import (
 // paper observes ("all the found counterexamples are generated in case of
 // just two or three threads").
 func Table2(opt Options) (*Table, error) {
+	ctx := context.Background()
 	t := &Table{
 		Title:   "Table II: verified algorithms using branching bisimulation (2 threads x 2 ops)",
 		Columns: []string{"Case study", "Linearizability", "Lock-freedom", "Non-fixed LPs", "matches paper"},
@@ -26,7 +28,7 @@ func Table2(opt Options) (*Table, error) {
 		// already computed, halving the expensive exploration work.
 		sess := core.NewSession(ccfg)
 		impl := a.Build(cfg)
-		lin, err := sess.CheckLinearizability(impl, a.Spec(cfg))
+		lin, err := sess.CheckLinearizabilityContext(ctx, impl, a.Spec(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("table2 %s: %w", a.ID, err)
 		}
@@ -37,7 +39,7 @@ func Table2(opt Options) (*Table, error) {
 		lfCell := "-"
 		match := lin.Linearizable == a.ExpectLinearizable
 		if !a.LockBased {
-			lf, err := sess.CheckLockFreeAuto(impl)
+			lf, err := sess.CheckLockFreeAutoContext(ctx, impl)
 			if err != nil {
 				return nil, fmt.Errorf("table2 %s: %w", a.ID, err)
 			}

@@ -1,6 +1,7 @@
 package exhibits
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -18,6 +19,7 @@ func (i instance) String() string { return fmt.Sprintf("%d-%d", i.threads, i.ops
 // list of instances, producing the Δ / Δ/≈ / verdict / time columns of
 // Tables III–V.
 func lockFreeSweep(title string, alg *algorithms.Algorithm, rows []instance, vals []int32, opt Options) (*Table, error) {
+	ctx := context.Background()
 	t := &Table{
 		Title:   title,
 		Columns: []string{"#Th-#Op", "states", "quotient", "lock-free (Thm 5.9)", "time (s)"},
@@ -26,7 +28,7 @@ func lockFreeSweep(title string, alg *algorithms.Algorithm, rows []instance, val
 		cfg := algorithms.Config{Threads: in.threads, Ops: in.ops, Vals: vals}
 		start := time.Now()
 		sess := core.NewSession(opt.coreConfig(in.threads, in.ops))
-		res, err := sess.CheckLockFreeAuto(alg.Build(cfg))
+		res, err := sess.CheckLockFreeAutoContext(ctx, alg.Build(cfg))
 		t.Stages = append(t.Stages, sess.Stats()...)
 		if err != nil {
 			if isStateLimit(err) {

@@ -1,6 +1,7 @@
 package exhibits
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 // memo, so each LTS is explored and reduced exactly once even though the
 // 5.8 and 5.3 columns both consume them.
 func Table6(opt Options) (*Table, error) {
+	ctx := context.Background()
 	t := &Table{
 		Title: "Table VI: verifying linearizability and lock-freedom of concurrent queues (values {1})",
 		Columns: []string{
@@ -38,7 +40,7 @@ func Table6(opt Options) (*Table, error) {
 	for _, in := range rows {
 		cfg := algorithms.Config{Threads: in.threads, Ops: in.ops, Vals: oneVal}
 		sess := core.NewSession(opt.coreConfig(in.threads, in.ops))
-		msLTS, err := sess.Explore(ms.Build(cfg))
+		msLTS, _, err := sess.ExploreWithInfoContext(ctx, ms.Build(cfg))
 		if err != nil {
 			if isStateLimit(err) {
 				t.Add(in.String(), capped, "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-")
@@ -46,7 +48,7 @@ func Table6(opt Options) (*Table, error) {
 			}
 			return nil, fmt.Errorf("table6 %s ms: %w", in, err)
 		}
-		dglmLTS, err := sess.Explore(dglm.Build(cfg))
+		dglmLTS, _, err := sess.ExploreWithInfoContext(ctx, dglm.Build(cfg))
 		if err != nil {
 			if isStateLimit(err) {
 				t.Add(in.String(), msLTS.NumStates(), capped, "-", "-", "-", "-", "-", "-", "-", "-", "-", "-")
@@ -54,11 +56,11 @@ func Table6(opt Options) (*Table, error) {
 			}
 			return nil, fmt.Errorf("table6 %s dglm: %w", in, err)
 		}
-		specLTS, err := sess.Explore(ms.Spec(cfg))
+		specLTS, _, err := sess.ExploreWithInfoContext(ctx, ms.Spec(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("table6 %s spec: %w", in, err)
 		}
-		absLTS, err := sess.Explore(ms.Abstract(cfg))
+		absLTS, _, err := sess.ExploreWithInfoContext(ctx, ms.Abstract(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("table6 %s abs: %w", in, err)
 		}
@@ -67,7 +69,7 @@ func Table6(opt Options) (*Table, error) {
 		// lock-free (divergence-free), so both queues are.
 		t58 := func(obj *lts.LTS) (bool, time.Duration, error) {
 			start := time.Now()
-			eq, err := sess.Equivalent(obj, absLTS, bisim.KindDivBranching)
+			eq, err := sess.EquivalentContext(ctx, obj, absLTS, bisim.KindDivBranching)
 			if err != nil {
 				return false, 0, err
 			}
@@ -86,13 +88,13 @@ func Table6(opt Options) (*Table, error) {
 		}
 
 		// Theorem 5.3: quotient trace refinement against the spec quotient.
-		specQ, err := sess.Quotient(specLTS)
+		specQ, err := sess.QuotientContext(ctx, specLTS)
 		if err != nil {
 			return nil, fmt.Errorf("table6 %s spec quotient: %w", in, err)
 		}
 		t53 := func(obj *lts.LTS) (bool, *lts.LTS, time.Duration, error) {
 			start := time.Now()
-			q, err := sess.Quotient(obj)
+			q, err := sess.QuotientContext(ctx, obj)
 			if err != nil {
 				return false, nil, 0, err
 			}

@@ -1,6 +1,7 @@
 package exhibits
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/algorithms"
@@ -17,6 +18,7 @@ import (
 // within the state budget is used (the paper's largest instances, e.g.
 // HSY at 3-2 with 2.5·10⁸ states, need the full budget or more).
 func Table7(opt Options) (*Table, error) {
+	ctx := context.Background()
 	t := &Table{
 		Title:   "Table VII: checking object ~w spec and object ~br spec for various algorithms",
 		Columns: []string{"#Th-#Op", "Object", "states", "quotient", "spec", "spec/~", "weak", "branching"},
@@ -51,7 +53,7 @@ func Table7(opt Options) (*Table, error) {
 			}
 			cfg := algorithms.Config{Threads: in.threads, Ops: in.ops, Vals: vals}
 			sess := core.NewSession(opt.coreConfig(in.threads, in.ops))
-			rep, err := sess.CompareWithSpec(a.Build(cfg), a.Spec(cfg))
+			rep, err := sess.CompareWithSpecContext(ctx, a.Build(cfg), a.Spec(cfg))
 			if err != nil {
 				if isStateLimit(err) {
 					continue

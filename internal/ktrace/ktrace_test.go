@@ -1,6 +1,7 @@
 package ktrace
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -141,7 +142,7 @@ func TestCapEqualsBranchingBisimulation(t *testing.T) {
 			t.Fatalf("seed %d: hierarchy did not converge in 32 levels", seed)
 		}
 		lim := a.Equivalence(len(a.Partitions))
-		br := bisim.Branching(l)
+		br, _ := bisim.BranchingContext(context.Background(), l)
 		if lim.Num != br.Num {
 			t.Fatalf("seed %d: cap partition has %d blocks, branching has %d", seed, lim.Num, br.Num)
 		}

@@ -76,7 +76,7 @@ func TestNextFreeLTLPreservedByDivBisimulation(t *testing.T) {
 	acts := lts.NewAlphabet()
 	impl := explore(t, a.Build(cfg), 2, 2, acts)
 	abs := explore(t, a.Abstract(cfg), 2, 2, acts)
-	eq, err := bisim.Equivalent(impl, abs, bisim.KindDivBranching)
+	eq, err := bisim.EquivalentContext(context.Background(), impl, abs, bisim.KindDivBranching)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@
 // bisimilarity preserves all next-free LTL (indeed CTL*) properties, and
 // that progress properties such as lock-freedom are expressible in that
 // fragment [8, 26]. This package makes those statements executable: the
-// canned LockFreedom formula decides exactly what core.CheckLockFreeAuto
-// decides, and ≈div-related systems (e.g. the MS queue and its Fig. 8
+// canned LockFreedom formula decides exactly what
+// core.Session.CheckLockFreeAutoContext decides, and ≈div-related systems (e.g. the MS queue and its Fig. 8
 // abstraction) receive identical verdicts for every next-free formula —
 // properties the test suite checks.
 //

@@ -2,6 +2,7 @@ package lts
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -139,6 +140,31 @@ func TestCollapseTauSCCs(t *testing.T) {
 	}
 	if col.CountTau() != 0 {
 		t.Fatal("collapse left a tau")
+	}
+}
+
+// TestCollapseKeepsWideAlphabetEdges pins the exact edge dedup key: two
+// edges between the same pair of states whose action IDs differ by a
+// multiple of 65,536 are distinct edges. A key that packed only the low
+// 16 bits of the action ID merged them, dropping one.
+func TestCollapseKeepsWideAlphabetEdges(t *testing.T) {
+	acts := NewAlphabet()
+	for i := 1; i <= 65538; i++ {
+		acts.ID(fmt.Sprintf("a%d", i))
+	}
+	a2, _ := acts.Lookup("a2")
+	wide, _ := acts.Lookup("a65538")
+	if wide-a2 != 1<<16 {
+		t.Fatalf("action IDs %d and %d must differ by 65536", a2, wide)
+	}
+	b := NewBuilder(acts)
+	b.SetInit(0)
+	b.AddID(0, a2, 1)
+	b.AddID(0, wide, 1)
+	l := b.Build()
+	col, _ := CollapseTauSCCs(l, TauSCCs(l))
+	if col.NumTransitions() != 2 {
+		t.Fatalf("collapsed transitions = %d, want 2 (0 --a2--> 1 and 0 --a65538--> 1)", col.NumTransitions())
 	}
 }
 

@@ -123,30 +123,60 @@ func TauSCCs(l *LTS) *TauSCC {
 // are reindexed to the new states by the returned mapping.
 //
 // The returned stateOf maps original states to collapsed states (it is
-// exactly scc.Comp). τ self-loops inside a component are dropped; all
-// other transitions are kept, with duplicates removed.
+// exactly scc.Comp). The collapse is Lift(l, scc.Comp, scc.NumComps).
 func CollapseTauSCCs(l *LTS, scc *TauSCC) (collapsed *LTS, stateOf []int32) {
-	b := NewBuilder(l.Acts)
-	b.SetLabels(l.Labels)
-	b.AddStates(scc.NumComps)
-	b.SetInit(int(scc.Comp[l.Init]))
-	seen := make(map[uint64]struct{}, l.NumTransitions())
-	for s := 0; s < l.NumStates(); s++ {
-		cs := scc.Comp[s]
-		for _, t := range l.Succ(int32(s)) {
-			cd := scc.Comp[t.Dst]
-			if IsTau(t.Action) && cs == cd {
-				continue
+	return Lift(l, scc.Comp, scc.NumComps), scc.Comp
+}
+
+// Lift returns the LTS over the n classes of classOf, which maps every
+// state of l to a class in [0, n): the initial class is l's, and every
+// transition becomes one between the classes of its endpoints. τ
+// transitions inside a class disappear, and transitions that coincide
+// after lifting are kept once, with the label of the first one in state
+// order. The result is deterministic in l and classOf.
+func Lift(l *LTS, classOf []int32, n int) *LTS {
+	// members lists the states of class c, in increasing order, at
+	// members[start[c]:start[c+1]].
+	start := make([]int32, n+1)
+	for _, c := range classOf {
+		start[c+1]++
+	}
+	for c := 0; c < n; c++ {
+		start[c+1] += start[c]
+	}
+	members := make([]int32, len(classOf))
+	next := append([]int32(nil), start[:n]...)
+	for s, c := range classOf {
+		members[next[c]] = int32(s)
+		next[c]++
+	}
+	b := NewCSRBuilder(l.Acts, l.Labels)
+	// seen holds the (target class, action) pairs the current class has
+	// emitted, packed exactly into 64 bits.
+	seen := make(map[uint64]struct{})
+	for c := int32(0); int(c) < n; c++ {
+		b.BeginState(c) // classes arrive in increasing order, so it cannot fail
+		if len(seen) > 64 {
+			seen = make(map[uint64]struct{}) // clear would cost the peak capacity
+		} else {
+			clear(seen)
+		}
+		for _, s := range members[start[c]:start[c+1]] {
+			for _, t := range l.Succ(s) {
+				d := classOf[t.Dst]
+				if IsTau(t.Action) && d == c {
+					continue
+				}
+				key := uint64(uint32(d))<<32 | uint64(uint32(t.Action))
+				if _, dup := seen[key]; dup {
+					continue
+				}
+				seen[key] = struct{}{}
+				b.Emit(t.Action, t.Label, d)
 			}
-			key := uint64(cs)<<40 | uint64(cd)<<16 | uint64(uint16(t.Action))
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			b.AddFull(int(cs), t.Action, t.Label, int(cd))
 		}
 	}
-	return b.Build(), scc.Comp
+	return b.Build(n, classOf[l.Init])
 }
 
 // HasTauCycle reports whether any state reachable from the initial state

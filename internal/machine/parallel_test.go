@@ -108,11 +108,11 @@ func TestParallelVerdictsMatchSequential(t *testing.T) {
 			cfg := algorithms.Config{Threads: 2, Ops: 2}
 			seqC := core.Config{Threads: 2, Ops: 2, Workers: 1}
 			parC := core.Config{Threads: 2, Ops: 2, Workers: 4}
-			seqLin, err := core.CheckLinearizability(alg.Build(cfg), alg.Spec(cfg), seqC)
+			seqLin, err := core.NewSession(seqC).CheckLinearizabilityContext(context.Background(), alg.Build(cfg), alg.Spec(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			parLin, err := core.CheckLinearizability(alg.Build(cfg), alg.Spec(cfg), parC)
+			parLin, err := core.NewSession(parC).CheckLinearizabilityContext(context.Background(), alg.Build(cfg), alg.Spec(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,11 +124,11 @@ func TestParallelVerdictsMatchSequential(t *testing.T) {
 			if alg.LockBased {
 				return
 			}
-			seqLF, err := core.CheckLockFreeAuto(alg.Build(cfg), seqC)
+			seqLF, err := core.NewSession(seqC).CheckLockFreeAutoContext(context.Background(), alg.Build(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			parLF, err := core.CheckLockFreeAuto(alg.Build(cfg), parC)
+			parLF, err := core.NewSession(parC).CheckLockFreeAutoContext(context.Background(), alg.Build(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}

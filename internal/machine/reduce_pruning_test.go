@@ -101,7 +101,7 @@ func TestReductionShrinksAndStaysDeterministic(t *testing.T) {
 
 			// The reduction's whole correctness claim: the reduced LTS is
 			// divergence-sensitive branching bisimilar to the full one.
-			eq, err := bisim.Equivalent(full, base, bisim.KindDivBranching)
+			eq, err := bisim.EquivalentContext(context.Background(), full, base, bisim.KindDivBranching)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,8 +22,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/bbvl"
 	"repro/internal/bisim"
-	"repro/internal/lts"
-	"repro/internal/machine"
+	"repro/internal/core"
 	"repro/internal/statecodec"
 )
 
@@ -93,7 +92,6 @@ type CheckRequest struct {
 	Ops       int      `json:"ops,omitempty"`
 	MaxStates int      `json:"max_states,omitempty"`
 	Checks    []string `json:"checks,omitempty"`
-	Refiner   string   `json:"refiner,omitempty"`
 	// Reduction enables the static τ-confluence partial-order reduction
 	// (see api.JobSpec.Reduction): identical verdicts, fewer explored
 	// states for models whose IR licenses pruning.
@@ -110,7 +108,6 @@ func (r CheckRequest) spec() api.JobSpec {
 		Ops:         r.Ops,
 		MaxStates:   r.MaxStates,
 		Checks:      r.Checks,
-		Refiner:     r.Refiner,
 		Reduction:   r.Reduction,
 	}
 }
@@ -194,28 +191,22 @@ func Explain(ctx context.Context, req CheckRequest, kindName string) (*ExplainRe
 		}
 	}
 	acfg := algorithms.Config{Threads: spec.Threads, Ops: spec.Ops}
-	acts, labels := lts.NewAlphabet(), lts.NewAlphabet()
-	explore := func(p *machine.Program) (*lts.LTS, error) {
-		l, _, err := machine.ExploreWithInfoContext(ctx, p, machine.Options{
-			Threads:   spec.Threads,
-			Ops:       spec.Ops,
-			MaxStates: spec.MaxStates,
-			Acts:      acts,
-			Labels:    labels,
-			Layout:    api.LayoutProvider(spec.Threads, spec.Ops)(p),
-		})
-		return l, err
-	}
-	impl, err := explore(alg.Build(acfg))
+	sess := core.NewSession(core.Config{
+		Threads:        spec.Threads,
+		Ops:            spec.Ops,
+		MaxStates:      spec.MaxStates,
+		LayoutProvider: api.LayoutProvider(spec.Threads, spec.Ops),
+	})
+	impl, _, err := sess.ExploreWithInfoContext(ctx, alg.Build(acfg))
 	if err != nil {
 		return nil, err
 	}
-	specLTS, err := explore(alg.Spec(acfg))
+	specLTS, _, err := sess.ExploreWithInfoContext(ctx, alg.Spec(acfg))
 	if err != nil {
 		return nil, err
 	}
 	res := &ExplainResult{Kind: kindName, ImplStates: impl.NumStates(), SpecStates: specLTS.NumStates()}
-	exp, bad, err := bisim.Explain(impl, specLTS, kind)
+	exp, bad, err := sess.ExplainContext(ctx, impl, specLTS, kind)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -159,7 +160,7 @@ func TestRefinementProperties(t *testing.T) {
 
 		// Theorem 5.2: the branching-bisimulation quotient has the same
 		// traces as the original system.
-		q, _ := bisim.ReduceBranching(l)
+		q, _, _ := bisim.ReduceBranchingContext(context.Background(), l)
 		eq, _, _, err := TraceEquivalent(l, q)
 		if err != nil {
 			t.Fatal(err)

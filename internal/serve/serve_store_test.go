@@ -22,12 +22,14 @@ func fastSpec() api.JobSpec {
 	return api.JobSpec{Kind: api.KindCheck, Algorithm: "treiber", Threads: 2, Ops: 1}
 }
 
-// waitPersisted polls until the server's artifact store holds n entries.
+// waitPersisted polls until the server's artifact store holds n entries
+// and the persister has counted them: Server.persist makes an entry
+// visible in the store before it increments artifact_persisted_total.
 func waitPersisted(t *testing.T, s *Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.Store().Len() >= n {
+		if s.Store().Len() >= n && s.metrics.ArtifactPersistedTotal.Load() >= int64(n) {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)

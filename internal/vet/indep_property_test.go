@@ -315,7 +315,7 @@ func TestIndependencePropertyRandomized(t *testing.T) {
 			continue
 		}
 		checkedEquiv++
-		eq, err := bisim.Equivalent(full, reduced, bisim.KindDivBranching)
+		eq, err := bisim.EquivalentContext(context.Background(), full, reduced, bisim.KindDivBranching)
 		if err != nil {
 			t.Errorf("seed %d: equivalence check: %v", seed, err)
 		} else if !eq {

@@ -4,6 +4,7 @@
 package vet_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -219,7 +220,7 @@ func TestTauCycleCrossReference(t *testing.T) {
 	}
 
 	s := core.NewSession(core.Config{Threads: 2, Ops: 2})
-	res, err := s.CheckLockFreeAuto(prog)
+	res, err := s.CheckLockFreeAutoContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package bbv_test
 
 import (
+	"context"
 	"testing"
 
 	bbvlexamples "repro/examples/bbvl"
@@ -84,19 +85,19 @@ func TestReductionCrossValidation(t *testing.T) {
 				}
 				sess := core.NewSession(cfg)
 				impl := tgt.alg.Build(acfg)
-				lin, err := sess.CheckLinearizability(impl, tgt.alg.Spec(acfg))
+				lin, err := sess.CheckLinearizabilityContext(context.Background(), impl, tgt.alg.Spec(acfg))
 				if err != nil {
 					t.Fatalf("%s/%s (reduce=%v): %v", tgt.name, v.name, reduce, err)
 				}
 				o := outcome{lin: lin.Linearizable, implQ: lin.ImplQuotientStates, specQ: lin.SpecQuotient}
 				if tgt.alg.LockBased {
-					d, err := sess.CheckDeadlockFree(impl)
+					d, err := sess.CheckDeadlockFreeContext(context.Background(), impl)
 					if err != nil {
 						t.Fatalf("%s/%s (reduce=%v): %v", tgt.name, v.name, reduce, err)
 					}
 					o.deadFree, o.hasDF = d.DeadlockFree, true
 				} else {
-					lf, err := sess.CheckLockFreeAuto(impl)
+					lf, err := sess.CheckLockFreeAutoContext(context.Background(), impl)
 					if err != nil {
 						t.Fatalf("%s/%s (reduce=%v): %v", tgt.name, v.name, reduce, err)
 					}
