@@ -78,11 +78,9 @@ func (i Instance) core() core.Config {
 		MaxStates: i.MaxStates,
 		Workers:   i.Workers,
 		MemBudget: i.MemBudget,
-		// Bit-pack states with vet's interval facts, exactly as the CLI and
-		// the bbvd service do, and wire the platform backend so MemBudget
-		// can spill and results carry real RSS telemetry.
-		LayoutProvider: api.LayoutProvider(i.Threads, i.Ops),
-		Backend:        statestore.Runtime(),
+		// Wire the platform backend so MemBudget can spill and results
+		// carry real RSS telemetry.
+		Backend: statestore.Runtime(),
 	}
 }
 

@@ -16,12 +16,15 @@
 // findings (and, under -Werror, warnings) make the command fail. check
 // runs the same pass automatically before verifying.
 //
-// check runs both verification methods: linearizability by quotient
-// trace refinement (Theorem 5.3) and lock-freedom by divergence-sensitive
-// branching bisimulation against the quotient (Theorem 5.9), printing
-// counterexamples on failure. explore generates the state space, reports
-// quotient sizes and optionally exports Graphviz/Aldebaran files. ktrace
-// classifies the algorithm's τ steps in the ≡ₖ hierarchy (Table I).
+// check runs one api "check" job — by default linearizability by
+// quotient trace refinement (Theorem 5.3) and lock-freedom by
+// divergence-sensitive branching bisimulation against the quotient
+// (Theorem 5.9), or deadlock-freedom for lock-based objects; -checks
+// selects others, including "abstract" (Theorem 5.8) — and prints the
+// api.Result as JSON (-json) or renders it as text, counterexamples
+// included. explore generates the state space, reports quotient sizes
+// and optionally exports Graphviz/Aldebaran files. ktrace renders the api
+// "ktrace" job: the algorithm's τ steps in the ≡ₖ hierarchy (Table I).
 //
 // Every analysis subcommand accepts -model file.bbvl in place of a
 // registry algorithm ID: the BBVL model (see internal/bbvl and
@@ -48,10 +51,10 @@ import (
 	"repro/internal/bbvl"
 	"repro/internal/bisim"
 	"repro/internal/core"
-	"repro/internal/ktrace"
 	"repro/internal/ltl"
 	"repro/internal/lts"
 	"repro/internal/machine"
+	"repro/internal/refine"
 	"repro/internal/statecodec"
 	"repro/internal/statestore"
 	"repro/internal/vet"
@@ -106,7 +109,10 @@ func usage() {
 subcommands:
   list                         list the packaged algorithms
   check   [flags] <algorithm>  verify linearizability (Thm 5.3) and lock-freedom (Thm 5.9);
-                               -json emits the bbvd service's result schema;
+                               -checks picks from linearizability, lockfree, deadlock
+                               and abstract (Thm 5.8 against the abstract program);
+                               -json emits the bbvd service's result schema (text
+                               mode renders the same result);
                                -spec job.json runs a service job spec file instead;
                                -reduction prunes the exploration with the static
                                tau-confluence analysis (identical verdicts,
@@ -165,11 +171,6 @@ type commonFlags struct {
 	workers   *int
 	model     *string
 	membudget *string
-	// modelSrc holds the -model file's source after resolve, so check
-	// -json can forward it as a model_source job.
-	modelSrc []byte
-	// memBytes is the parsed -membudget value after resolve.
-	memBytes int64
 }
 
 func newFlags(name string) *commonFlags {
@@ -186,78 +187,60 @@ func newFlags(name string) *commonFlags {
 	}
 }
 
-func (c *commonFlags) parse(args []string) (*algorithms.Algorithm, algorithms.Config, core.Config, error) {
+// job parses args and resolves the job of the given kind they describe
+// on the platform backend (spill-capable store, real RSS probe).
+func (c *commonFlags) job(kind string, args []string) (*api.Job, error) {
 	if err := c.fs.Parse(args); err != nil {
-		return nil, algorithms.Config{}, core.Config{}, err
+		return nil, err
 	}
-	return c.resolve()
+	spec, err := c.spec(kind)
+	if err != nil {
+		return nil, err
+	}
+	return api.Resolve(spec, statestore.Runtime())
 }
 
-// resolve interprets the already-parsed flags and positional arguments:
-// either one registry algorithm ID, or -model file.bbvl compiled on the
-// fly.
-func (c *commonFlags) resolve() (*algorithms.Algorithm, algorithms.Config, core.Config, error) {
-	var (
-		alg *algorithms.Algorithm
-		err error
-	)
-	rest := c.fs.Args()
-	if *c.model != "" {
-		if len(rest) != 0 {
-			return nil, algorithms.Config{}, core.Config{}, fmt.Errorf("-model replaces the algorithm argument; drop %q", rest[0])
-		}
-		c.modelSrc, err = os.ReadFile(*c.model)
-		if err != nil {
-			return nil, algorithms.Config{}, core.Config{}, err
-		}
-		m, err := bbvl.Load(*c.model, c.modelSrc)
-		if err != nil {
-			return nil, algorithms.Config{}, core.Config{}, err
-		}
-		alg = m.Algorithm()
-	} else {
-		if len(rest) != 1 {
-			return nil, algorithms.Config{}, core.Config{}, fmt.Errorf("expected exactly one algorithm ID (see `bbverify list`) or -model file.bbvl")
-		}
-		alg, err = algorithms.ByID(rest[0])
-		if err != nil {
-			return nil, algorithms.Config{}, core.Config{}, err
-		}
-	}
-	vals, err := parseVals(*c.vals)
-	if err != nil {
-		return nil, algorithms.Config{}, core.Config{}, err
-	}
-	if *c.membudget != "" {
-		c.memBytes, err = statecodec.ParseBudget(*c.membudget)
-		if err != nil {
-			return nil, algorithms.Config{}, core.Config{}, fmt.Errorf("bad -membudget: %w", err)
-		}
-	}
-	acfg := algorithms.Config{Threads: *c.threads, Ops: *c.ops, Vals: vals}
-	ccfg := core.Config{
+// spec builds the job spec the already-parsed flags and positional
+// arguments describe: either one registry algorithm ID, or -model
+// file.bbvl.
+func (c *commonFlags) spec(kind string) (api.JobSpec, error) {
+	spec := api.JobSpec{
+		Kind:      kind,
 		Threads:   *c.threads,
 		Ops:       *c.ops,
 		MaxStates: *c.maxStates,
 		Workers:   *c.workers,
-		MemBudget: c.memBytes,
-		// Narrow state layouts with vet's interval facts, exactly as the
-		// bbvd service does, and wire the platform backend (spill-capable
-		// store, real RSS probe) the pure core deliberately lacks.
-		LayoutProvider: api.LayoutProvider(*c.threads, *c.ops),
-		Backend:        statestore.Runtime(),
 	}
-	return alg, acfg, ccfg, nil
-}
-
-// memBudgetMB converts the parsed -membudget bytes into the JobSpec's
-// MiB granularity, rounding up so a budget is never silently loosened
-// away (any non-zero budget stays non-zero).
-func (c *commonFlags) memBudgetMB() int {
-	if c.memBytes <= 0 {
-		return 0
+	rest := c.fs.Args()
+	if *c.model != "" {
+		if len(rest) != 0 {
+			return spec, fmt.Errorf("-model replaces the algorithm argument; drop %q", rest[0])
+		}
+		src, err := os.ReadFile(*c.model)
+		if err != nil {
+			return spec, err
+		}
+		spec.ModelSource, spec.ModelName = string(src), *c.model
+	} else {
+		if len(rest) != 1 {
+			return spec, fmt.Errorf("expected exactly one algorithm ID (see `bbverify list`) or -model file.bbvl")
+		}
+		spec.Algorithm = rest[0]
 	}
-	return int((c.memBytes + (1 << 20) - 1) >> 20)
+	var err error
+	if spec.Vals, err = parseVals(*c.vals); err != nil {
+		return spec, err
+	}
+	if *c.membudget != "" {
+		b, err := statecodec.ParseBudget(*c.membudget)
+		if err != nil {
+			return spec, fmt.Errorf("bad -membudget: %w", err)
+		}
+		// Round up to the spec's MiB granularity, so a budget is never
+		// silently loosened away.
+		spec.MemBudgetMB = int((b + (1 << 20) - 1) >> 20)
+	}
+	return spec, nil
 }
 
 // parseVals parses a comma-separated -vals flag.
@@ -277,12 +260,11 @@ func parseVals(s string) ([]int32, error) {
 }
 
 func check(args []string) error {
-	ctx := context.Background()
 	cf := newFlags("check")
 	jsonOut := cf.fs.Bool("json", false, "emit the result as JSON (the same schema the bbvd service returns)")
 	specFile := cf.fs.String("spec", "", "run an api.JobSpec JSON file (strict decode) and print the result JSON")
 	verbose := cf.fs.Bool("v", false, "print a per-stage table (explore/quotient/equivalence...: wall time, sizes, refinement rounds, cache hits)")
-	checksFlag := cf.fs.String("checks", "", "comma-separated checks to run against one shared session: linearizability,lockfree,deadlock (default: linearizability plus lockfree or deadlock)")
+	checksFlag := cf.fs.String("checks", "", "comma-separated checks to run against one shared session: linearizability,lockfree,deadlock,abstract (default: linearizability plus lockfree or deadlock)")
 	reduction := cf.fs.Bool("reduction", false, "enable the static tau-confluence partial-order reduction (BBVL models only; verdicts are identical, the explored state space shrinks)")
 	if err := cf.fs.Parse(args); err != nil {
 		return err
@@ -293,40 +275,62 @@ func check(args []string) error {
 		}
 		return runSpecFile(*specFile)
 	}
-	alg, acfg, ccfg, err := cf.resolve()
+	spec, err := cf.spec(api.KindCheck)
 	if err != nil {
 		return err
 	}
-	var checks []string
 	if *checksFlag != "" {
 		for _, c := range strings.Split(*checksFlag, ",") {
-			checks = append(checks, strings.TrimSpace(c))
+			spec.Checks = append(spec.Checks, strings.TrimSpace(c))
 		}
 	}
-	spec := api.JobSpec{
-		Kind:        api.KindCheck,
-		Threads:     ccfg.Threads,
-		Ops:         ccfg.Ops,
-		MaxStates:   ccfg.MaxStates,
-		Workers:     ccfg.Workers,
-		Vals:        acfg.Vals,
-		Checks:      checks,
-		MemBudgetMB: cf.memBudgetMB(),
-		Reduction:   *reduction,
+	spec.Reduction = *reduction
+	job, res, err := runJob(spec)
+	if err != nil {
+		return err
 	}
-	if *reduction {
-		ccfg.ReductionProvider = api.ReductionProvider(ccfg.Threads, ccfg.Ops)
+	if *jsonOut {
+		return api.EncodeResult(os.Stdout, res)
 	}
-	if *cf.model != "" {
-		spec.ModelSource = string(cf.modelSrc)
-		spec.ModelName = *cf.model
-	} else {
-		spec.Algorithm = alg.ID
+	for _, w := range res.Warnings {
+		fmt.Fprintln(os.Stderr, w.String())
 	}
+	printCheck(os.Stdout, job.Alg.Display, res)
+	if *verbose {
+		printStageTable(res.Stages)
+	}
+	return nil
+}
 
-	// The vet pass gates verification the same way the bbvd daemon does:
-	// error findings abort before exploration, warnings ride along.
-	warnings, err := api.VetSpec(spec)
+// runSpecFile executes one service job spec from disk — the same strict
+// decoding and runner the bbvd daemon uses, so a job file debugs
+// identically offline.
+func runSpecFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	spec, err := api.DecodeJobSpec(f)
+	if err != nil {
+		return err
+	}
+	_, res, err := runJob(spec)
+	if err != nil {
+		return err
+	}
+	return api.EncodeResult(os.Stdout, res)
+}
+
+// runJob runs spec through the job path every front end shares: resolve,
+// the vet gate (error findings print to stderr and abort before
+// exploration, as in the bbvd daemon), then the shared runner.
+func runJob(spec api.JobSpec) (*api.Job, *api.Result, error) {
+	job, err := api.Resolve(spec, statestore.Runtime())
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := job.RunVetted(context.Background())
 	if err != nil {
 		var ve *api.VetError
 		if errors.As(err, &ve) {
@@ -334,96 +338,72 @@ func check(args []string) error {
 				fmt.Fprintln(os.Stderr, f.String())
 			}
 		}
-		return err
+		return nil, nil, err
 	}
-
-	if *jsonOut {
-		res, err := api.RunBackend(ctx, spec, statestore.Runtime(), nil)
-		if err != nil {
-			return err
-		}
-		res.Warnings = warnings
-		return api.EncodeResult(os.Stdout, res)
-	}
-	for _, w := range warnings {
-		fmt.Fprintln(os.Stderr, w.String())
-	}
-	fmt.Printf("== %s (%d threads x %d ops) ==\n", alg.Display, ccfg.Threads, ccfg.Ops)
-
-	// One session serves every check, so the object is explored and
-	// quotiented once no matter how many properties are verified.
-	sess := core.NewSession(ccfg)
-	impl := alg.Build(acfg)
-	if len(checks) == 0 {
-		checks = []string{api.CheckLinearizability}
-		if alg.LockBased {
-			checks = append(checks, api.CheckDeadlock)
-		} else {
-			checks = append(checks, api.CheckLockFree)
-		}
-	}
-	for _, c := range checks {
-		switch c {
-		case api.CheckLinearizability:
-			lin, err := sess.CheckLinearizabilityContext(ctx, impl, alg.Spec(acfg))
-			if err != nil {
-				return err
-			}
-			fmt.Printf("linearizability (Thm 5.3): %s   [%d states, quotient %d, spec quotient %d, %.2fs]\n",
-				verdict(lin.Linearizable), lin.ImplStates, lin.ImplQuotientStates, lin.SpecQuotient, lin.Elapsed.Seconds())
-			if !lin.Linearizable {
-				fmt.Println("non-linearizable history:")
-				fmt.Print(indent(lin.Counterexample.Format()))
-				if lin.Distinguishing != nil {
-					fmt.Println("quotient distinguishing experiment:")
-					fmt.Print(indent(lin.Distinguishing.Format()))
-				}
-			}
-		case api.CheckDeadlock:
-			dl, err := sess.CheckDeadlockFreeContext(ctx, impl)
-			if err != nil {
-				return err
-			}
-			if alg.LockBased {
-				fmt.Printf("lock-freedom: skipped (lock-based algorithm); deadlock-free: %s\n", verdict(dl.DeadlockFree))
-			} else {
-				fmt.Printf("deadlock-free: %s   [%d states, %.2fs]\n", verdict(dl.DeadlockFree), dl.States, dl.Elapsed.Seconds())
-			}
-			if !dl.DeadlockFree {
-				fmt.Println("deadlock witness:")
-				fmt.Print(indent(dl.Witness.Format()))
-			}
-		case api.CheckLockFree:
-			lf, err := sess.CheckLockFreeAutoContext(ctx, impl)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("lock-freedom (Thm %s): %s   [%d states, quotient %d, %.2fs]\n",
-				lf.Theorem, verdict(lf.LockFree), lf.ImplStates, lf.AbstractStates, lf.Elapsed.Seconds())
-			if !lf.LockFree {
-				fmt.Println("divergence:")
-				fmt.Print(indent(lf.Divergence.Format()))
-			}
-			if alg.Abstract != nil {
-				ab, err := sess.CheckLockFreeAbstractContext(ctx, impl, alg.Abstract(acfg))
-				if err != nil {
-					return err
-				}
-				fmt.Printf("lock-freedom (Thm %s): %s   [object =div-bisim= abstract: %v, abstract %d states]\n",
-					ab.Theorem, verdict(ab.LockFree), ab.Bisimilar, ab.AbstractStates)
-			}
-		default:
-			return fmt.Errorf("unknown check %q (want %s, %s or %s)", c, api.CheckDeadlock, api.CheckLinearizability, api.CheckLockFree)
-		}
-	}
-	if *verbose {
-		printStageTable(sess.Stats())
-	}
-	return nil
+	return job, res, nil
 }
 
-// printStageTable renders the session's per-stage instrumentation.
-func printStageTable(stats []core.StageStat) {
+// printCheck renders a check result as text: one verdict line per check
+// in res.Check.ChecksRun, in that order, each followed by its diagnostic
+// when the verdict is negative.
+func printCheck(w io.Writer, display string, res *api.Result) {
+	c := res.Check
+	fmt.Fprintf(w, "== %s (%d threads x %d ops) ==\n", display, res.Spec.Threads, res.Spec.Ops)
+	for _, name := range c.ChecksRun {
+		switch name {
+		case api.CheckLinearizability:
+			fmt.Fprintf(w, "linearizability (Thm 5.3): %s   [%d states, quotient %d, spec quotient %d]\n",
+				verdict(c.Linearizable), c.ImplStates, c.ImplQuotientStates, c.SpecQuotientStates)
+			if !c.Linearizable {
+				fmt.Fprintln(w, "non-linearizable history:")
+				fmt.Fprint(w, indent((&refine.Counterexample{Trace: c.LinCounterexample}).Format()))
+				if e := c.Distinguishing; e != nil {
+					fmt.Fprintln(w, "quotient distinguishing experiment:")
+					fmt.Fprintf(w, "  not %s bisimilar: the initial states separate at refinement round %d\n", e.Kind, e.Round)
+					fmt.Fprintf(w, "  shortest distinguishing experiment (%d steps):\n", len(e.Steps))
+					for i, step := range e.Steps {
+						fmt.Fprintf(w, "    %d. %s\n", i+1, step)
+					}
+				}
+			}
+		case api.CheckLockFree:
+			fmt.Fprintf(w, "lock-freedom (Thm %s): %s   [%d states]\n", c.LockFreeTheorem, verdict(*c.LockFree), c.ImplStates)
+			printPath(w, "divergence", c.Divergence)
+		case api.CheckAbstract:
+			a := c.Abstract
+			fmt.Fprintf(w, "lock-freedom (Thm 5.8 (abstract)): %s   [object =div-bisim= abstract: %v, abstract %d states]\n",
+				verdict(a.LockFree), a.Bisimilar, a.AbstractStates)
+			printPath(w, "divergence", a.Divergence)
+		case api.CheckDeadlock:
+			if c.LockBased {
+				fmt.Fprintf(w, "lock-freedom: skipped (lock-based algorithm); deadlock-free: %s\n", verdict(*c.DeadlockFree))
+			} else {
+				fmt.Fprintf(w, "deadlock-free: %s   [%d states]\n", verdict(*c.DeadlockFree), c.ImplStates)
+			}
+			printPath(w, "deadlock witness", c.DeadlockWitness)
+		}
+	}
+}
+
+// printPath renders a diagnostic path under a title, if there is one.
+func printPath(w io.Writer, title string, p *api.PathJSON) {
+	if p == nil {
+		return
+	}
+	fmt.Fprintf(w, "%s:\n  <initial state>\n", title)
+	for i, step := range p.Steps {
+		if i == p.CycleStart {
+			fmt.Fprintln(w, "  -- cycle starts here (divergence) --")
+		}
+		fmt.Fprintf(w, "  %s\n", step)
+	}
+	if p.CycleStart >= 0 {
+		fmt.Fprintln(w, "  -- loop (divergence) --")
+	}
+}
+
+// printStageTable renders the job's per-stage instrumentation.
+func printStageTable(stages []api.StageJSON) {
 	sizes := func(st, tr int) string {
 		if st == 0 && tr == 0 {
 			return "-"
@@ -433,7 +413,7 @@ func printStageTable(stats []core.StageStat) {
 	fmt.Println("\npipeline stages:")
 	fmt.Printf("  %-16s %-34s %10s %16s %16s %7s %7s\n",
 		"stage", "target", "time(ms)", "in(st/tr)", "out(st/tr)", "rounds", "cached")
-	for _, st := range stats {
+	for _, st := range stages {
 		rounds := "-"
 		if st.Rounds > 0 {
 			rounds = fmt.Sprint(st.Rounds)
@@ -443,11 +423,11 @@ func printStageTable(stats []core.StageStat) {
 			cached = "yes"
 		}
 		fmt.Printf("  %-16s %-34s %10.2f %16s %16s %7s %7s\n",
-			st.Stage, st.Target, float64(st.Elapsed.Microseconds())/1e3,
+			st.Stage, st.Target, float64(st.ElapsedUS)/1e3,
 			sizes(st.StatesIn, st.TransitionsIn), sizes(st.StatesOut, st.TransitionsOut),
 			rounds, cached)
 	}
-	printStorageTable(os.Stdout, stats)
+	printStorageTable(os.Stdout, stages)
 }
 
 // printStorageTable renders the explore stages' state-storage telemetry
@@ -456,9 +436,9 @@ func printStageTable(stats []core.StageStat) {
 // when some stage actually measured one: a zero reading means the
 // platform probe is unavailable (non-Linux, js/wasm, pure backend), and
 // printing "0 B" would misreport a measurement that never happened.
-func printStorageTable(w io.Writer, stats []core.StageStat) {
+func printStorageTable(w io.Writer, stages []api.StageJSON) {
 	any, anyRSS := false, false
-	for _, st := range stats {
+	for _, st := range stages {
 		if st.Stage == core.StageExplore {
 			any = true
 		}
@@ -475,7 +455,7 @@ func printStorageTable(w io.Writer, stats []core.StageStat) {
 		fmt.Fprintf(w, " %12s", "peak RSS")
 	}
 	fmt.Fprintln(w)
-	for _, st := range stats {
+	for _, st := range stages {
 		if st.Stage != core.StageExplore {
 			continue
 		}
@@ -496,13 +476,13 @@ func exploreCmd(args []string) error {
 	cf := newFlags("explore")
 	dotFile := cf.fs.String("dot", "", "write the quotient in Graphviz format")
 	autFile := cf.fs.String("aut", "", "write the full LTS in Aldebaran (.aut) format")
-	alg, acfg, ccfg, err := cf.parse(args)
+	job, err := cf.job(api.KindExplore, args)
 	if err != nil {
 		return err
 	}
 	ctx := context.Background()
-	sess := core.NewSession(ccfg)
-	l, info, err := sess.ExploreWithInfoContext(ctx, alg.Build(acfg))
+	sess := core.NewSession(job.Config)
+	l, info, err := sess.ExploreWithInfoContext(ctx, job.Alg.Build(job.AlgConfig))
 	if err != nil {
 		return err
 	}
@@ -510,7 +490,7 @@ func exploreCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s (%d threads x %d ops)\n", alg.Display, ccfg.Threads, ccfg.Ops)
+	fmt.Printf("%s (%d threads x %d ops)\n", job.Alg.Display, job.Spec.Threads, job.Spec.Ops)
 	fmt.Printf("states:       %d\n", l.NumStates())
 	fmt.Printf("transitions:  %d (%d tau)\n", l.NumTransitions(), l.CountTau())
 	fmt.Printf("memory:       %.2f B/state, %.0f states/s",
@@ -536,7 +516,7 @@ func exploreCmd(args []string) error {
 			return err
 		}
 		defer f.Close()
-		if err := lts.WriteDOT(f, q, alg.ID+"-quotient"); err != nil {
+		if err := lts.WriteDOT(f, q, job.Alg.ID+"-quotient"); err != nil {
 			return err
 		}
 		fmt.Printf("wrote quotient DOT to %s\n", *dotFile)
@@ -555,37 +535,28 @@ func exploreCmd(args []string) error {
 	return nil
 }
 
+// ktraceCmd renders the api "ktrace" job.
 func ktraceCmd(args []string) error {
-	cf := newFlags("ktrace")
-	maxK := cf.fs.Int("k", 5, "maximum hierarchy level")
-	alg, acfg, ccfg, err := cf.parse(args)
+	job, err := newFlags("ktrace").job(api.KindKTrace, args)
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
-	sess := core.NewSession(ccfg)
-	l, _, err := sess.ExploreWithInfoContext(ctx, alg.Build(acfg))
+	res, err := job.Run(context.Background(), nil)
 	if err != nil {
 		return err
 	}
-	q, err := sess.QuotientContext(ctx, l)
-	if err != nil {
-		return err
-	}
-	an := ktrace.Analyze(q, *maxK)
-	cls := ktrace.Classify(q, an)
+	kt := res.KTrace
 	fmt.Printf("%s (%d threads x %d ops): %d states, quotient %d\n",
-		alg.Display, ccfg.Threads, ccfg.Ops, l.NumStates(), q.NumStates())
-	fmt.Printf("k-trace hierarchy cap: %d (converged: %v)\n", an.Cap, an.Converged)
-	for i, p := range an.Partitions {
-		fmt.Printf("  level %d: %d classes\n", i+1, p.Num)
+		job.Alg.Display, job.Spec.Threads, job.Spec.Ops, kt.States, kt.QuotientStates)
+	fmt.Printf("k-trace hierarchy cap: %d (converged: %v)\n", kt.Cap, kt.Converged)
+	for i, n := range kt.LevelClasses {
+		fmt.Printf("  level %d: %d classes\n", i+1, n)
 	}
-	if cls.Neq1 != nil {
-		fmt.Printf("tau step with endpoints neq-1: %s\n", q.LabelName(cls.Neq1.Label))
+	if kt.Neq1Label != "" {
+		fmt.Printf("tau step with endpoints neq-1: %s\n", kt.Neq1Label)
 	}
-	if cls.Eq1Neq2 != nil {
-		fmt.Printf("tau step with endpoints eq-1 but neq-2: %s (trace-invisible effect, cf. Fig. 6)\n",
-			q.LabelName(cls.Eq1Neq2.Label))
+	if kt.Eq1Neq2Label != "" {
+		fmt.Printf("tau step with endpoints eq-1 but neq-2: %s (trace-invisible effect, cf. Fig. 6)\n", kt.Eq1Neq2Label)
 	} else {
 		fmt.Println("no (eq-1, neq-2) tau step at this instance size")
 	}
@@ -594,17 +565,16 @@ func ktraceCmd(args []string) error {
 
 func compareCmd(args []string) error {
 	ctx := context.Background()
-	cf := newFlags("compare")
-	alg, acfg, ccfg, err := cf.parse(args)
+	job, err := newFlags("compare").job(api.KindExplore, args)
 	if err != nil {
 		return err
 	}
-	sess := core.NewSession(ccfg)
-	impl, _, err := sess.ExploreWithInfoContext(ctx, alg.Build(acfg))
+	sess := core.NewSession(job.Config)
+	impl, _, err := sess.ExploreWithInfoContext(ctx, job.Alg.Build(job.AlgConfig))
 	if err != nil {
 		return err
 	}
-	specLTS, _, err := sess.ExploreWithInfoContext(ctx, alg.Spec(acfg))
+	specLTS, _, err := sess.ExploreWithInfoContext(ctx, job.Alg.Spec(job.AlgConfig))
 	if err != nil {
 		return err
 	}
@@ -616,7 +586,7 @@ func compareCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== %s vs specification (%d threads x %d ops) ==\n", alg.Display, ccfg.Threads, ccfg.Ops)
+	fmt.Printf("== %s vs specification (%d threads x %d ops) ==\n", job.Alg.Display, job.Spec.Threads, job.Spec.Ops)
 	fmt.Printf("object: %d states (quotient %d)   spec: %d states (quotient %d)\n",
 		impl.NumStates(), implQ.NumStates(), specLTS.NumStates(), specQ.NumStates())
 	// All notions are decided on the quotients (sound: every system is
@@ -655,7 +625,7 @@ func explainCmd(args []string) error {
 	ctx := context.Background()
 	cf := newFlags("explain")
 	kindFlag := cf.fs.String("kind", "branching", "bisimulation notion to explain: branching or div-branching")
-	alg, acfg, ccfg, err := cf.parse(args)
+	job, err := cf.job(api.KindExplore, args)
 	if err != nil {
 		return err
 	}
@@ -668,16 +638,16 @@ func explainCmd(args []string) error {
 	default:
 		return fmt.Errorf("unknown -kind %q (want branching or div-branching)", *kindFlag)
 	}
-	sess := core.NewSession(ccfg)
-	impl, _, err := sess.ExploreWithInfoContext(ctx, alg.Build(acfg))
+	sess := core.NewSession(job.Config)
+	impl, _, err := sess.ExploreWithInfoContext(ctx, job.Alg.Build(job.AlgConfig))
 	if err != nil {
 		return err
 	}
-	specLTS, _, err := sess.ExploreWithInfoContext(ctx, alg.Spec(acfg))
+	specLTS, _, err := sess.ExploreWithInfoContext(ctx, job.Alg.Spec(job.AlgConfig))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== %s vs specification (%d threads x %d ops, %s) ==\n", alg.Display, ccfg.Threads, ccfg.Ops, kind)
+	fmt.Printf("== %s vs specification (%d threads x %d ops, %s) ==\n", job.Alg.Display, job.Spec.Threads, job.Spec.Ops, kind)
 	fmt.Printf("object: %d states   spec: %d states\n", impl.NumStates(), specLTS.NumStates())
 	exp, bad, err := sess.ExplainContext(ctx, impl, specLTS, kind)
 	if err != nil {
@@ -699,7 +669,7 @@ func explainCmd(args []string) error {
 func ltlCmd(args []string) error {
 	cf := newFlags("ltl")
 	formula := cf.fs.String("formula", "lockfree", "lockfree, or completes:<Method>")
-	alg, acfg, ccfg, err := cf.parse(args)
+	job, err := cf.job(api.KindExplore, args)
 	if err != nil {
 		return err
 	}
@@ -712,7 +682,7 @@ func ltlCmd(args []string) error {
 	default:
 		return fmt.Errorf("unknown formula %q (use lockfree or completes:<Method>)", *formula)
 	}
-	l, err := core.ExploreContext(context.Background(), alg.Build(acfg), ccfg)
+	l, err := core.ExploreContext(context.Background(), job.Alg.Build(job.AlgConfig), job.Config)
 	if err != nil {
 		return err
 	}
@@ -720,7 +690,7 @@ func ltlCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== %s (%d threads x %d ops) ==\n", alg.Display, ccfg.Threads, ccfg.Ops)
+	fmt.Printf("== %s (%d threads x %d ops) ==\n", job.Alg.Display, job.Spec.Threads, job.Spec.Ops)
 	fmt.Printf("formula: %s\n", f)
 	fmt.Printf("holds on all maximal executions: %v   [%d states, product %d]\n",
 		res.Holds, l.NumStates(), res.ProductStates)
@@ -740,23 +710,18 @@ func ltlCmd(args []string) error {
 func sweepCmd(args []string) error {
 	cf := newFlags("sweep")
 	opsMax := cf.fs.Int("ops-max", 5, "largest operations-per-thread bound")
-	alg, acfg, ccfg, err := cf.parse(args)
+	job, err := cf.job(api.KindExplore, args)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== %s sweep: %d threads, 1..%d ops ==\n", alg.Display, ccfg.Threads, *opsMax)
+	alg := job.Alg
+	fmt.Printf("== %s sweep: %d threads, 1..%d ops ==\n", alg.Display, job.Spec.Threads, *opsMax)
 	fmt.Printf("%-5s %-10s %-10s %-10s %-10s %s\n", "#Op", "states", "quotient", "reduction", "lock-free", "time(s)")
 	for ops := 1; ops <= *opsMax; ops++ {
-		a := acfg
-		a.Ops = ops
+		a, cfg := job.AlgConfig, job.Config
+		a.Ops, cfg.Ops = ops, ops
 		start := time.Now()
-		prog := alg.Build(a)
-		sweepCfg := ccfg
-		sweepCfg.Ops = ops
-		// The layout must match this iteration's ops bound, not the base
-		// flag value.
-		sweepCfg.LayoutProvider = api.LayoutProvider(ccfg.Threads, ops)
-		l, err := core.ExploreContext(context.Background(), prog, sweepCfg)
+		l, err := core.ExploreContext(context.Background(), alg.Build(a), cfg)
 		if err != nil {
 			var lim *machine.StateLimitError
 			if errors.As(err, &lim) {
@@ -782,37 +747,6 @@ func sweepCmd(args []string) error {
 			float64(l.NumStates())/float64(q.NumStates()), lf, time.Since(start).Seconds())
 	}
 	return nil
-}
-
-// runSpecFile executes one service job spec from disk — the same strict
-// decoding and runner the bbvd daemon uses, so a job file debugs
-// identically offline.
-func runSpecFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	spec, err := api.DecodeJobSpec(f)
-	if err != nil {
-		return err
-	}
-	warnings, err := api.VetSpec(spec)
-	if err != nil {
-		var ve *api.VetError
-		if errors.As(err, &ve) {
-			for _, f := range ve.Findings {
-				fmt.Fprintln(os.Stderr, f.String())
-			}
-		}
-		return err
-	}
-	res, err := api.RunBackend(context.Background(), spec, statestore.Runtime(), nil)
-	if err != nil {
-		return err
-	}
-	res.Warnings = warnings
-	return api.EncodeResult(os.Stdout, res)
 }
 
 // compileCmd loads a BBVL model and prints its compiled machine-level

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,6 +12,9 @@ import (
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/core"
+	"repro/internal/lts"
+	"repro/internal/statecodec"
 )
 
 func TestRunUsageAndList(t *testing.T) {
@@ -385,5 +391,112 @@ func TestRunCompareSurfacesExplainOutcome(t *testing.T) {
 	})
 	if !strings.Contains(out, "not branching bisimilar") {
 		t.Errorf("compare on a buggy object should explain the inequivalence:\n%s", out)
+	}
+}
+
+// TestCheckTextMatchesJSON pins that `check` runs one job whatever the
+// output format: the verdict lines of the text rendering name exactly
+// the checks the -json result lists in checks_run, in that order, with
+// the same verdicts.
+func TestCheckTextMatchesJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exploration-heavy")
+	}
+	model := filepath.Join("..", "..", "examples", "bbvl", "msqueue.bbvl")
+	for _, args := range [][]string{
+		{"-threads", "2", "-ops", "1", "-vals", "1", "ms-queue"},
+		{"-threads", "2", "-ops", "1", "-vals", "1", "-checks", "linearizability,lockfree,abstract", "ms-queue"},
+		{"-threads", "2", "-ops", "2", "hm-list-buggy"},
+		{"-threads", "2", "-ops", "1", "lazy-list"},
+		{"-threads", "2", "-ops", "1", "-checks", "linearizability,lockfree,abstract", "-model", model},
+	} {
+		text := captureStdout(t, func() error { return run(append([]string{"check"}, args...)) })
+		raw := captureStdout(t, func() error { return run(append([]string{"check", "-json"}, args...)) })
+		var res api.Result
+		if err := json.Unmarshal([]byte(raw), &res); err != nil {
+			t.Fatalf("%v: -json output is not an api.Result: %v", args, err)
+		}
+		c := res.Check
+		want := make([]string, 0, len(c.ChecksRun))
+		for _, name := range c.ChecksRun {
+			var ok bool
+			switch name {
+			case api.CheckLinearizability:
+				ok = c.Linearizable
+			case api.CheckLockFree:
+				ok = *c.LockFree
+			case api.CheckDeadlock:
+				ok = *c.DeadlockFree
+			case api.CheckAbstract:
+				ok = c.Abstract.LockFree
+			}
+			want = append(want, name+": "+verdict(ok))
+		}
+		var got []string
+		for _, line := range strings.Split(text, "\n") {
+			for prefix, name := range map[string]string{
+				"linearizability (Thm 5.3): ":                                   api.CheckLinearizability,
+				"lock-freedom (Thm 5.9 (quotient)): ":                           api.CheckLockFree,
+				"lock-freedom (Thm 5.8 (abstract)): ":                           api.CheckAbstract,
+				"deadlock-free: ":                                               api.CheckDeadlock,
+				"lock-freedom: skipped (lock-based algorithm); deadlock-free: ": api.CheckDeadlock,
+			} {
+				if rest, found := strings.CutPrefix(line, prefix); found {
+					got = append(got, name+": "+strings.Fields(rest)[0])
+				}
+			}
+		}
+		if strings.Join(got, "; ") != strings.Join(want, "; ") {
+			t.Errorf("%v: text verdicts %q, -json verdicts %q\ntext:\n%s", args, got, want, text)
+		}
+	}
+}
+
+// TestSweepOpsOverrideMatchesExplore pins that core derives the state
+// layout from the Config it is given: overriding Ops on one config, as
+// sweep does, explores exactly the LTS `explore -ops k` exports.
+func TestSweepOpsOverrideMatchesExplore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exploration-heavy")
+	}
+	model := filepath.Join("..", "..", "examples", "bbvl", "msqueue.bbvl")
+	src, err := os.ReadFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := api.Resolve(api.JobSpec{
+		Kind: api.KindExplore, ModelSource: string(src), Threads: 2, Ops: 1, Vals: []int32{1},
+	}, statecodec.Backend{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for ops := 1; ops <= 3; ops++ {
+		a, cfg := job.AlgConfig, job.Config
+		a.Ops, cfg.Ops = ops, ops
+		l, err := core.ExploreContext(context.Background(), job.Alg.Build(a), cfg)
+		if err != nil {
+			t.Fatalf("ops=%d: %v", ops, err)
+		}
+		var swept bytes.Buffer
+		if err := lts.WriteAUT(&swept, l); err != nil {
+			t.Fatal(err)
+		}
+		aut := filepath.Join(dir, fmt.Sprintf("ops%d.aut", ops))
+		captureStdout(t, func() error {
+			return run([]string{"explore", "-threads", "2", "-ops", fmt.Sprint(ops), "-vals", "1", "-aut", aut, "-model", model})
+		})
+		if readFile(t, aut) != swept.String() {
+			t.Errorf("ops=%d: the swept LTS differs from explore -ops %d", ops, ops)
+		}
+	}
+}
+
+// TestKTraceKFlagRemoved pins that the k-trace hierarchy bound is not a
+// knob: ktrace renders the api job, whose bound is fixed.
+func TestKTraceKFlagRemoved(t *testing.T) {
+	err := run([]string{"ktrace", "-k", "5", "treiber"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -k") {
+		t.Fatalf("err = %v, want an unknown-flag error", err)
 	}
 }

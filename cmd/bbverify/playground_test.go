@@ -11,7 +11,6 @@ import (
 
 	bbvlexamples "repro/examples/bbvl"
 	"repro/internal/api"
-	"repro/internal/core"
 	"repro/internal/playground"
 )
 
@@ -96,12 +95,12 @@ func TestWasmCheckPathMatchesCLI(t *testing.T) {
 // rendering a bogus "0 B"; when any stage measured one, the column is
 // back.
 func TestStorageTableOmitsUnknownRSS(t *testing.T) {
-	base := core.StageStat{
+	base := api.StageJSON{
 		Stage: "explore", Target: "treiber",
 		BytesPerState: 6.5, StatesPerSec: 100000,
 	}
 	var unknown bytes.Buffer
-	printStorageTable(&unknown, []core.StageStat{base})
+	printStorageTable(&unknown, []api.StageJSON{base})
 	if got := unknown.String(); strings.Contains(got, "peak RSS") || strings.Contains(got, "0 B") {
 		t.Errorf("unmeasured RSS must be omitted, not printed:\n%s", got)
 	}
@@ -112,7 +111,7 @@ func TestStorageTableOmitsUnknownRSS(t *testing.T) {
 	measured := base
 	measured.PeakRSSBytes = 64 << 20
 	var withRSS bytes.Buffer
-	printStorageTable(&withRSS, []core.StageStat{measured})
+	printStorageTable(&withRSS, []api.StageJSON{measured})
 	if got := withRSS.String(); !strings.Contains(got, "peak RSS") || !strings.Contains(got, "64.0 MiB") {
 		t.Errorf("measured RSS must be printed:\n%s", got)
 	}

@@ -27,10 +27,9 @@ import (
 	"repro/internal/lts"
 	"repro/internal/machine"
 	"repro/internal/statecodec"
-	"repro/internal/vet"
 )
 
-// Job kinds accepted by Run and the bbvd service.
+// Job kinds accepted by RunBackend and the bbvd service.
 const (
 	KindCheck   = "check"
 	KindExplore = "explore"
@@ -94,7 +93,8 @@ type JobSpec struct {
 	// one (state counts shrink), so the flag enters the cache key.
 	Reduction bool `json:"reduction,omitempty"`
 	// Checks selects which properties a "check" job verifies, any of
-	// "linearizability", "lockfree" and "deadlock"; they all run against
+	// "linearizability", "lockfree", "deadlock" and "abstract" (the last
+	// only for programs that declare an abstract program); they all run against
 	// one shared artifact session, so the implementation is explored and
 	// quotiented once regardless of how many are listed. Empty means the
 	// default pair: linearizability plus lock-freedom (lock-free
@@ -108,7 +108,13 @@ const (
 	CheckLinearizability = "linearizability"
 	CheckLockFree        = "lockfree"
 	CheckDeadlock        = "deadlock"
+	// CheckAbstract is lock-freedom by Theorem 5.8: the object is
+	// ≈div-bisimilar to its abstract program, which is lock-free.
+	CheckAbstract = "abstract"
 )
+
+// checkNames lists the accepted check names for error messages.
+const checkNames = CheckAbstract + ", " + CheckDeadlock + ", " + CheckLinearizability + " or " + CheckLockFree
 
 // UnknownCheckError reports JobSpec.Checks entries outside the supported
 // set; the service surfaces each bad name as a structured diagnostic.
@@ -119,8 +125,7 @@ type UnknownCheckError struct {
 
 // Error implements the error interface.
 func (e *UnknownCheckError) Error() string {
-	return fmt.Sprintf("api: unknown check name(s) %s (want %s, %s or %s)",
-		strings.Join(e.Names, ", "), CheckDeadlock, CheckLinearizability, CheckLockFree)
+	return fmt.Sprintf("api: unknown check name(s) %s (want %s)", strings.Join(e.Names, ", "), checkNames)
 }
 
 // modelFilename is the name model diagnostics are reported under.
@@ -132,25 +137,21 @@ func (s JobSpec) modelFilename() string {
 }
 
 // resolve produces the algorithm the job runs: a registry entry, or the
-// compiled form of the submitted model source.
-func (s JobSpec) resolve() (*algorithms.Algorithm, error) {
-	if s.ModelSource != "" {
-		m, err := s.resolveModel()
+// compiled form of the submitted model source, which it also returns
+// for the vet pass (nil for registry jobs).
+func (s JobSpec) resolve() (*algorithms.Algorithm, *bbvl.Model, error) {
+	if s.ModelSource == "" {
+		alg, err := algorithms.ByID(s.Algorithm)
 		if err != nil {
-			return nil, err
+			return nil, nil, fmt.Errorf("api: %w", err)
 		}
-		return m.Algorithm(), nil
+		return alg, nil, nil
 	}
-	return algorithms.ByID(s.Algorithm)
-}
-
-// resolveModel loads and checks the job's inline model source.
-func (s JobSpec) resolveModel() (*bbvl.Model, error) {
 	m, err := bbvl.Load(s.modelFilename(), []byte(s.ModelSource))
 	if err != nil {
-		return nil, fmt.Errorf("api: invalid model: %w", err)
+		return nil, nil, fmt.Errorf("api: invalid model: %w", err)
 	}
-	return m, nil
+	return m.Algorithm(), m, nil
 }
 
 // DecodeJobSpec reads one JobSpec from JSON, rejecting unknown fields
@@ -178,7 +179,7 @@ type Diagnostic struct {
 }
 
 // Diagnostics extracts structured diagnostics from an error returned by
-// Validate, resolve or Run — positioned BBVL model diagnostics, or one
+// Validate, Resolve or RunBackend — positioned BBVL model diagnostics, or one
 // entry per unknown check name — so the bbvd service can return them
 // structurally rather than as one opaque string. It returns nil for
 // errors that carry no diagnostics.
@@ -196,8 +197,7 @@ func Diagnostics(err error) []Diagnostic {
 	if errors.As(err, &badChecks) {
 		out := make([]Diagnostic, 0, len(badChecks.Names))
 		for _, n := range badChecks.Names {
-			out = append(out, Diagnostic{File: "checks", Msg: fmt.Sprintf(
-				"unknown check %q (want %s, %s or %s)", n, CheckDeadlock, CheckLinearizability, CheckLockFree)})
+			out = append(out, Diagnostic{File: "checks", Msg: fmt.Sprintf("unknown check %q (want %s)", n, checkNames)})
 		}
 		return out
 	}
@@ -235,44 +235,52 @@ func (s *JobSpec) Normalize() {
 
 // Validate rejects malformed specs before they reach a worker.
 func (s *JobSpec) Validate() error {
+	_, _, err := s.validate()
+	return err
+}
+
+// validate is Validate returning the resolution it made, so that a run
+// compiles a model job's source once.
+func (s *JobSpec) validate() (*algorithms.Algorithm, *bbvl.Model, error) {
 	switch s.Kind {
 	case KindCheck, KindExplore, KindKTrace:
 	default:
-		return fmt.Errorf("api: unknown job kind %q (want check, explore or ktrace)", s.Kind)
+		return nil, nil, fmt.Errorf("api: unknown job kind %q (want check, explore or ktrace)", s.Kind)
 	}
 	if s.Threads <= 0 || s.Ops <= 0 {
-		return fmt.Errorf("api: threads and ops must be positive (got %d x %d)", s.Threads, s.Ops)
+		return nil, nil, fmt.Errorf("api: threads and ops must be positive (got %d x %d)", s.Threads, s.Ops)
 	}
 	if s.MaxStates < 0 || s.Workers < 0 || s.TimeoutMS < 0 || s.MemBudgetMB < 0 {
-		return fmt.Errorf("api: max_states, workers, timeout_ms and mem_budget_mb must be non-negative")
+		return nil, nil, fmt.Errorf("api: max_states, workers, timeout_ms and mem_budget_mb must be non-negative")
 	}
 	if _, err := bisim.ParseRefiner(s.Refiner); err != nil {
-		return fmt.Errorf("api: %w", err)
+		return nil, nil, fmt.Errorf("api: %w", err)
 	}
 	if s.ModelSource != "" && s.Algorithm != "" {
-		return fmt.Errorf("api: algorithm and model_source are mutually exclusive")
+		return nil, nil, fmt.Errorf("api: algorithm and model_source are mutually exclusive")
 	}
 	if len(s.Checks) > 0 && s.Kind != KindCheck {
-		return fmt.Errorf("api: checks applies to kind %q only (got kind %q)", KindCheck, s.Kind)
+		return nil, nil, fmt.Errorf("api: checks applies to kind %q only (got kind %q)", KindCheck, s.Kind)
 	}
 	var unknown []string
 	for _, c := range s.Checks {
 		switch c {
-		case CheckLinearizability, CheckLockFree, CheckDeadlock:
+		case CheckLinearizability, CheckLockFree, CheckDeadlock, CheckAbstract:
 		default:
 			unknown = append(unknown, c)
 		}
 	}
 	if len(unknown) > 0 {
-		return &UnknownCheckError{Names: unknown}
+		return nil, nil, &UnknownCheckError{Names: unknown}
 	}
-	if _, err := s.resolve(); err != nil {
-		if s.ModelSource != "" {
-			return err // already wrapped, carrying the model diagnostics
-		}
-		return fmt.Errorf("api: %w", err)
+	alg, m, err := s.resolve()
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil
+	if alg.Abstract == nil && slices.Contains(s.Checks, CheckAbstract) {
+		return nil, nil, fmt.Errorf("api: check %q needs an abstract program; %s declares none", CheckAbstract, alg.ID)
+	}
+	return alg, m, nil
 }
 
 // CacheKey returns the canonical content hash of the job: a sha256 over
@@ -337,42 +345,48 @@ func (s JobSpec) algorithmConfig() algorithms.Config {
 	return algorithms.Config{Threads: s.Threads, Ops: s.Ops, Vals: s.Vals}
 }
 
-func (s JobSpec) coreConfig(backend statecodec.Backend) core.Config {
-	cfg := core.Config{
-		Threads:   s.Threads,
-		Ops:       s.Ops,
-		MaxStates: s.MaxStates,
-		Workers:   s.Workers,
-		MemBudget: int64(s.MemBudgetMB) << 20,
-		// Pack states with vet's interval facts; programs without IR fall
-		// back to the structural layout inside the explorer.
-		LayoutProvider: LayoutProvider(s.Threads, s.Ops),
-		Backend:        backend,
-	}
-	if s.Reduction {
-		cfg.ReductionProvider = ReductionProvider(s.Threads, s.Ops)
-	}
-	return cfg
+// Job is a normalized, validated JobSpec bound to what it runs: the
+// resolved algorithm, the configuration its builders take, and the
+// core configuration of the job's session. Every front end turns a
+// request into a run through Resolve.
+type Job struct {
+	Spec      JobSpec
+	Alg       *algorithms.Algorithm
+	AlgConfig algorithms.Config
+	Config    core.Config
+	model     *bbvl.Model // the compiled model source; nil for registry jobs
 }
 
-// LayoutProvider builds a core.Config.LayoutProvider that narrows each
-// explored program's packed state layout with vet's interval analysis,
-// for instances with the given client bounds.
-func LayoutProvider(threads, ops int) func(p *machine.Program) *statecodec.Layout {
-	return func(p *machine.Program) *statecodec.Layout {
-		return vet.StateLayout(p, vet.Options{Threads: threads, Ops: ops})
+// Resolve normalizes and validates spec, resolves the program it runs
+// (compiling a model source once) and configures its session on
+// backend: the exploration state-store opener and the peak-RSS probe
+// (statestore.Runtime() in the CLI and the daemon; the zero value for
+// pure in-memory runs). The backend tunes where bytes live and what
+// telemetry the result carries — never the verdict, sizes or traces.
+func Resolve(spec JobSpec, backend statecodec.Backend) (*Job, error) {
+	spec.Normalize()
+	alg, m, err := spec.validate()
+	if err != nil {
+		return nil, err
 	}
-}
-
-// ReductionProvider builds a core.Config.ReductionProvider that runs
-// vet's independence / τ-confluence analysis on each explored program,
-// for instances with the given client bounds. Programs without IR (the
-// hand-coded registry encodings, sequential specifications) yield nil
-// and are explored in full.
-func ReductionProvider(threads, ops int) func(p *machine.Program) *machine.Reduction {
-	return func(p *machine.Program) *machine.Reduction {
-		return vet.Reduce(p, vet.Options{Threads: threads, Ops: ops}).Machine()
-	}
+	// The deprecated refiner selects nothing; dropping it keeps the
+	// echoed spec, like the cache key, independent of it.
+	spec.Refiner = ""
+	return &Job{
+		Spec:      spec,
+		Alg:       alg,
+		AlgConfig: spec.algorithmConfig(),
+		Config: core.Config{
+			Threads:   spec.Threads,
+			Ops:       spec.Ops,
+			MaxStates: spec.MaxStates,
+			Workers:   spec.Workers,
+			MemBudget: int64(spec.MemBudgetMB) << 20,
+			Reduction: spec.Reduction,
+			Backend:   backend,
+		},
+		model: m,
+	}, nil
 }
 
 // PathJSON is a diagnostic path (divergence lasso or deadlock witness) in
@@ -443,6 +457,19 @@ type CheckResult struct {
 	Divergence         *PathJSON       `json:"divergence,omitempty"`
 	DeadlockFree       *bool           `json:"deadlock_free,omitempty"`
 	DeadlockWitness    *PathJSON       `json:"deadlock_witness,omitempty"`
+	// Abstract is the Theorem 5.8 verdict, set when the "abstract" check
+	// ran.
+	Abstract *AbstractResult `json:"abstract,omitempty"`
+}
+
+// AbstractResult is the "abstract" check: whether the object is
+// ≈div-bisimilar to its abstract program and, if so, whether that
+// program — and hence the object — is lock-free.
+type AbstractResult struct {
+	LockFree       bool      `json:"lock_free"`
+	Bisimilar      bool      `json:"bisimilar"`
+	AbstractStates int       `json:"abstract_states"`
+	Divergence     *PathJSON `json:"divergence,omitempty"`
 }
 
 // ExploreResult is the "explore" analysis: state-space and quotient sizes.
@@ -561,76 +588,67 @@ func (r *Result) StatesExplored() int64 {
 	return 0
 }
 
-// Run executes the job described by spec, polling ctx throughout: a
-// canceled or timed-out context aborts exploration and refinement
-// promptly with a typed cancellation error (machine.CanceledError or
-// bisim.CanceledError, both unwrapping to the context cause). The spec
-// is normalized and validated first.
-//
-// Run is pure: it uses the in-memory state store and no platform
-// telemetry, so it works identically on every target (including
-// js/wasm). A spec with a positive MemBudgetMB therefore fails here —
-// honoring a budget needs the spill backend; use RunBackend with
-// statestore.Runtime() for that.
-func Run(ctx context.Context, spec JobSpec) (*Result, error) {
-	return RunObserved(ctx, spec, nil)
-}
-
-// RunObserved is Run with a live stage observer: when observe is
-// non-nil, it is invoked with each pipeline stage's instrumentation the
-// moment the stage completes (cache-served stages included), in
-// execution order — the event source behind the daemon's per-job SSE
-// stream. The observer is called from the job's worker goroutine with
-// the session mutex held, so it must be fast and must not block.
-func RunObserved(ctx context.Context, spec JobSpec, observe func(StageJSON)) (*Result, error) {
-	return RunBackend(ctx, spec, statecodec.Backend{}, observe)
-}
-
-// RunBackend is RunObserved with explicit platform wiring: backend
-// supplies the exploration state-store opener and the peak-RSS probe
-// (statestore.Runtime() in the CLI and the daemon; the zero value for
-// pure in-memory runs). The backend tunes where bytes live and what
-// telemetry the result carries — never the verdict, sizes or traces.
+// RunBackend resolves spec (see Resolve) and runs it on backend.
 func RunBackend(ctx context.Context, spec JobSpec, backend statecodec.Backend, observe func(StageJSON)) (*Result, error) {
-	spec.Normalize()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	// The deprecated refiner selects nothing; dropping it keeps the
-	// echoed spec, like the cache key, independent of it.
-	spec.Refiner = ""
-	alg, err := spec.resolve()
+	job, err := Resolve(spec, backend)
 	if err != nil {
 		return nil, err
 	}
-	return run(ctx, alg, spec, backend, observe)
+	return job.Run(ctx, observe)
 }
 
-// run executes a resolved job. A model that faults at run time (a nil
-// dereference, an exhausted heap) fails the job with the explorer's
-// positioned *machine.ModelFaultError.
-func run(ctx context.Context, alg *algorithms.Algorithm, spec JobSpec, backend statecodec.Backend, observe func(StageJSON)) (*Result, error) {
-	cfg := spec.coreConfig(backend)
+// Run executes the job, polling ctx throughout: a canceled or timed-out
+// context aborts exploration and refinement promptly with a typed
+// cancellation error (machine.CanceledError or bisim.CanceledError, both
+// unwrapping to the context cause). A model that faults at run time (a
+// nil dereference, an exhausted heap) fails the job with the explorer's
+// positioned *machine.ModelFaultError, and a positive MemBudgetMB fails
+// on the zero backend, which has no spill store to honor it with.
+//
+// When observe is non-nil, it is invoked with each pipeline stage's
+// instrumentation the moment the stage completes (cache-served stages
+// included), in execution order — the event source behind the daemon's
+// per-job SSE stream. The observer is called from the job's worker
+// goroutine with the session mutex held, so it must be fast and must
+// not block.
+func (j *Job) Run(ctx context.Context, observe func(StageJSON)) (*Result, error) {
+	cfg := j.Config
 	if observe != nil {
 		cfg.StageObserver = func(st core.StageStat) { observe(StageJSONOf(st)) }
 	}
 	// One artifact session serves every stage of the job, so however many
 	// checks it combines, each program is explored and quotiented once.
 	sess := core.NewSession(cfg)
-	res := &Result{Spec: spec}
+	res := &Result{Spec: j.Spec}
 	var err error
-	switch spec.Kind {
+	switch j.Spec.Kind {
 	case KindCheck:
-		res.Check, err = runCheck(ctx, sess, alg, spec)
+		res.Check, err = j.runCheck(ctx, sess)
 	case KindExplore:
-		res.Explore, err = runExplore(ctx, sess, alg, spec)
+		res.Explore, err = j.runExplore(ctx, sess)
 	case KindKTrace:
-		res.KTrace, err = runKTrace(ctx, sess, alg, spec)
+		res.KTrace, err = j.runKTrace(ctx, sess)
 	}
 	if err != nil {
 		return nil, err
 	}
 	res.Stages = StagesJSON(sess.Stats())
+	return res, nil
+}
+
+// RunVetted gates Run on the vet pass (see VetSpec) the way the bbvd
+// daemon does: error findings fail the job with a *VetError before
+// anything is explored, and warnings ride along on the result.
+func (j *Job) RunVetted(ctx context.Context) (*Result, error) {
+	warnings, err := vetProgram(j.Spec, j.Alg, j.model)
+	if err != nil {
+		return nil, err
+	}
+	res, err := j.Run(ctx, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.Warnings = warnings
 	return res, nil
 }
 
@@ -646,10 +664,10 @@ func effectiveChecks(spec JobSpec, alg *algorithms.Algorithm) []string {
 	return []string{CheckLinearizability, CheckLockFree}
 }
 
-func runCheck(ctx context.Context, sess *core.Session, alg *algorithms.Algorithm, spec JobSpec) (*CheckResult, error) {
-	acfg := spec.algorithmConfig()
+func (j *Job) runCheck(ctx context.Context, sess *core.Session) (*CheckResult, error) {
+	alg, acfg := j.Alg, j.AlgConfig
 	impl := alg.Build(acfg)
-	checks := effectiveChecks(spec, alg)
+	checks := effectiveChecks(j.Spec, alg)
 	out := &CheckResult{ChecksRun: checks, LockBased: alg.LockBased}
 	for _, c := range checks {
 		switch c {
@@ -684,13 +702,25 @@ func runCheck(ctx context.Context, sess *core.Session, alg *algorithms.Algorithm
 			out.DeadlockFree = &dl.DeadlockFree
 			out.DeadlockWitness = pathJSON(dl.Witness)
 			out.ImplStates = dl.States
+		case CheckAbstract:
+			ab, err := sess.CheckLockFreeAbstractContext(ctx, impl, alg.Abstract(acfg))
+			if err != nil {
+				return nil, err
+			}
+			out.Abstract = &AbstractResult{
+				LockFree:       ab.LockFree,
+				Bisimilar:      ab.Bisimilar,
+				AbstractStates: ab.AbstractStates,
+				Divergence:     pathJSON(ab.Divergence),
+			}
+			out.ImplStates = ab.ImplStates
 		}
 	}
 	return out, nil
 }
 
-func runExplore(ctx context.Context, sess *core.Session, alg *algorithms.Algorithm, spec JobSpec) (*ExploreResult, error) {
-	l, info, err := sess.ExploreWithInfoContext(ctx, alg.Build(spec.algorithmConfig()))
+func (j *Job) runExplore(ctx context.Context, sess *core.Session) (*ExploreResult, error) {
+	l, info, err := sess.ExploreWithInfoContext(ctx, j.Alg.Build(j.AlgConfig))
 	if err != nil {
 		return nil, err
 	}
@@ -710,12 +740,11 @@ func runExplore(ctx context.Context, sess *core.Session, alg *algorithms.Algorit
 	}, nil
 }
 
-// ktraceMaxK bounds the hierarchy computation, matching the bbverify
-// ktrace default.
+// ktraceMaxK bounds the hierarchy computation.
 const ktraceMaxK = 5
 
-func runKTrace(ctx context.Context, sess *core.Session, alg *algorithms.Algorithm, spec JobSpec) (*KTraceResult, error) {
-	l, _, err := sess.ExploreWithInfoContext(ctx, alg.Build(spec.algorithmConfig()))
+func (j *Job) runKTrace(ctx context.Context, sess *core.Session) (*KTraceResult, error) {
+	l, _, err := sess.ExploreWithInfoContext(ctx, j.Alg.Build(j.AlgConfig))
 	if err != nil {
 		return nil, err
 	}
@@ -728,7 +757,7 @@ func runKTrace(ctx context.Context, sess *core.Session, alg *algorithms.Algorith
 	cls := ktrace.Classify(q, an)
 	sess.Record(core.StageStat{
 		Stage:         core.StageKTrace,
-		Target:        spec.Algorithm,
+		Target:        j.Spec.Algorithm,
 		Elapsed:       time.Since(ktStart),
 		StatesIn:      q.NumStates(),
 		TransitionsIn: q.NumTransitions(),

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/statecodec"
 	"repro/internal/statestore"
 )
 
@@ -91,14 +92,20 @@ func TestValidate(t *testing.T) {
 		{Kind: KindCheck, Algorithm: "treiber", Threads: -1, Ops: 2},
 		{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: 2, TimeoutMS: -5},
 		{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: 2, MemBudgetMB: -1},
+		// Treiber's stack has no abstract program for Theorem 5.8.
+		{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: 2, Checks: []string{CheckAbstract}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("spec %+v must not validate", bad)
 		}
 	}
-	ok := JobSpec{Kind: KindKTrace, Algorithm: "treiber", Threads: 2, Ops: 1}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
+	for _, ok := range []JobSpec{
+		{Kind: KindKTrace, Algorithm: "treiber", Threads: 2, Ops: 1},
+		{Kind: KindCheck, Algorithm: "ms-queue", Threads: 2, Ops: 1, Checks: []string{CheckAbstract}},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("valid spec rejected: %v", err)
+		}
 	}
 }
 
@@ -108,7 +115,7 @@ func TestValidate(t *testing.T) {
 func TestRunKinds(t *testing.T) {
 	ctx := context.Background()
 
-	res, err := Run(ctx, JobSpec{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: 1})
+	res, err := RunBackend(ctx, JobSpec{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: 1}, statecodec.Backend{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +126,7 @@ func TestRunKinds(t *testing.T) {
 		t.Error("check result must report explored states")
 	}
 
-	res, err = Run(ctx, JobSpec{Kind: KindExplore, Algorithm: "treiber", Threads: 2, Ops: 1})
+	res, err = RunBackend(ctx, JobSpec{Kind: KindExplore, Algorithm: "treiber", Threads: 2, Ops: 1}, statecodec.Backend{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +134,7 @@ func TestRunKinds(t *testing.T) {
 		t.Fatalf("explore result incomplete: %+v", res.Explore)
 	}
 
-	res, err = Run(ctx, JobSpec{Kind: KindKTrace, Algorithm: "treiber", Threads: 2, Ops: 1})
+	res, err = RunBackend(ctx, JobSpec{Kind: KindKTrace, Algorithm: "treiber", Threads: 2, Ops: 1}, statecodec.Backend{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +142,7 @@ func TestRunKinds(t *testing.T) {
 		t.Fatalf("ktrace result incomplete: %+v", res.KTrace)
 	}
 
-	res, err = Run(ctx, JobSpec{Kind: KindCheck, Algorithm: "hm-list-buggy", Threads: 2, Ops: 2})
+	res, err = RunBackend(ctx, JobSpec{Kind: KindCheck, Algorithm: "hm-list-buggy", Threads: 2, Ops: 2}, statecodec.Backend{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +160,7 @@ func TestRunKinds(t *testing.T) {
 // pure one, and that explore stages surface the storage telemetry.
 func TestRunMemBudgetSameVerdict(t *testing.T) {
 	ctx := context.Background()
-	free, err := Run(ctx, JobSpec{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: 1})
+	free, err := RunBackend(ctx, JobSpec{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: 1}, statecodec.Backend{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +196,7 @@ func TestRunMemBudgetSameVerdict(t *testing.T) {
 // On Linux the platform backend measures a real, positive RSS.
 func TestRunPureOmitsPeakRSS(t *testing.T) {
 	ctx := context.Background()
-	pure, err := Run(ctx, JobSpec{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: 1})
+	pure, err := RunBackend(ctx, JobSpec{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: 1}, statecodec.Backend{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +235,7 @@ func TestRunPureOmitsPeakRSS(t *testing.T) {
 func TestRunCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, JobSpec{Kind: KindCheck, Algorithm: "ms-queue", Threads: 2, Ops: 2})
+	_, err := RunBackend(ctx, JobSpec{Kind: KindCheck, Algorithm: "ms-queue", Threads: 2, Ops: 2}, statecodec.Backend{}, nil)
 	if err == nil {
 		t.Fatal("run under a canceled context must fail")
 	}
@@ -267,7 +274,7 @@ func TestCacheKeyRefinerIndependent(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("refiner=%q must validate: %v", ref, err)
 		}
-		res, err := Run(context.Background(), s)
+		res, err := RunBackend(context.Background(), s, statecodec.Backend{}, nil)
 		if err != nil {
 			t.Fatalf("refiner=%q: %v", ref, err)
 		}
@@ -296,7 +303,7 @@ func TestCacheKeyRefinerIndependent(t *testing.T) {
 // the distinguishing experiment between the quotients in the wire
 // result, alongside the trace counterexample.
 func TestRunCheckCarriesExperiment(t *testing.T) {
-	res, err := Run(context.Background(), JobSpec{Kind: KindCheck, Algorithm: "hm-list-buggy", Threads: 2, Ops: 2})
+	res, err := RunBackend(context.Background(), JobSpec{Kind: KindCheck, Algorithm: "hm-list-buggy", Threads: 2, Ops: 2}, statecodec.Backend{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +314,7 @@ func TestRunCheckCarriesExperiment(t *testing.T) {
 	if exp == nil || exp.Kind != "branching" || exp.Round < 1 || len(exp.Steps) == 0 || len(exp.Steps) > exp.Round {
 		t.Fatalf("failing check must carry a well-formed experiment, got %+v", exp)
 	}
-	pass, err := Run(context.Background(), JobSpec{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: 1})
+	pass, err := RunBackend(context.Background(), JobSpec{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: 1}, statecodec.Backend{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/statecodec"
 )
 
 const tinyModel = `model tiny
@@ -87,9 +89,9 @@ func TestDiagnosticsNonModelError(t *testing.T) {
 }
 
 func TestRunModelCheck(t *testing.T) {
-	res, err := Run(context.Background(), JobSpec{
+	res, err := RunBackend(context.Background(), JobSpec{
 		Kind: KindCheck, ModelSource: tinyModel, Threads: 2, Ops: 2, Workers: 1,
-	})
+	}, statecodec.Backend{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestRunModelCheck(t *testing.T) {
 
 func TestRunModelRuntimePanicRecovered(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		_, err := Run(context.Background(), JobSpec{
+		_, err := RunBackend(context.Background(), JobSpec{
 			Kind: KindCheck,
 			ModelSource: `model broken
 node cell { val: val  next: ptr }
@@ -120,7 +122,7 @@ method Push(v: vals) {
 method Pop() { P9: return empty }
 `,
 			Threads: 1, Ops: 1, Workers: workers,
-		})
+		}, statecodec.Backend{}, nil)
 		if err == nil {
 			t.Fatalf("workers=%d: runtime nil deref did not fail the job", workers)
 		}

@@ -3,6 +3,8 @@ package api
 import (
 	"fmt"
 
+	"repro/internal/algorithms"
+	"repro/internal/bbvl"
 	"repro/internal/vet"
 )
 
@@ -85,7 +87,7 @@ func ListAnalyzers() []vet.AnalyzerInfo { return vet.Catalog() }
 // but not validated — callers validate separately.
 func IndependenceReport(spec JobSpec) (*vet.ReductionArtifact, error) {
 	spec.Normalize()
-	alg, err := spec.resolve()
+	alg, _, err := spec.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -102,18 +104,20 @@ func IndependenceReport(spec JobSpec) (*vet.ReductionArtifact, error) {
 // normalized but not validated — callers validate separately.
 func VetSpec(spec JobSpec) ([]VetFinding, error) {
 	spec.Normalize()
+	alg, m, err := spec.resolve()
+	if err != nil {
+		return nil, err
+	}
+	return vetProgram(spec, alg, m)
+}
+
+// vetProgram runs the vet pass over alg, or over m when the job is a
+// model job.
+func vetProgram(spec JobSpec, alg *algorithms.Algorithm, m *bbvl.Model) ([]VetFinding, error) {
 	var fs []vet.Finding
-	if spec.ModelSource != "" {
-		m, err := spec.resolveModel()
-		if err != nil {
-			return nil, err
-		}
+	if m != nil {
 		fs = m.Vet(spec.algorithmConfig())
 	} else {
-		alg, err := spec.resolve()
-		if err != nil {
-			return nil, err
-		}
 		fs = vet.Check(alg.Build(spec.algorithmConfig()), vet.Options{
 			Threads:   spec.Threads,
 			Ops:       spec.Ops,

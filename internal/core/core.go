@@ -31,6 +31,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/refine"
 	"repro/internal/statecodec"
+	"repro/internal/vet"
 )
 
 // Config bounds an individual verification instance.
@@ -55,21 +56,15 @@ type Config struct {
 	// SpillDir is the parent directory for spill temp files; empty uses
 	// the OS temp dir.
 	SpillDir string
-	// LayoutProvider, when set, supplies a narrowed state layout for each
-	// program explored under this configuration (typically vet interval
-	// narrowing via vet.StateLayout). Returning nil falls back to the
-	// structural layout. Layouts never change any result, only bytes per
-	// state.
-	LayoutProvider func(p *machine.Program) *statecodec.Layout
-	// ReductionProvider, when set, supplies a τ-confluence partial-order
-	// reduction artifact for each program explored under this
-	// configuration (typically vet.Reduce packed via Machine()).
-	// Returning nil explores the full state space. A sound artifact
+	// Reduction enables the τ-confluence partial-order reduction: each
+	// program is analysed by vet.Reduce before it is explored, and the
+	// explorer prunes with the confluent statements the analysis
+	// licenses. Programs without IR explore in full. A sound reduction
 	// never changes any quotient or verdict — the reduced LTS is
 	// divergence-preserving branching bisimilar to the full one — only
 	// the number of explored states. Sessions time the analysis as its
 	// own StageReduction stage.
-	ReductionProvider func(p *machine.Program) *machine.Reduction
+	Reduction bool
 	// Backend supplies the platform services of each exploration (state
 	// store opener, peak-RSS probe); the zero value is the pure, OS-free
 	// configuration. See machine.Options.Backend.
@@ -83,8 +78,12 @@ type Config struct {
 	StageObserver func(StageStat)
 }
 
+// options configures the exploration of p. Every program is packed with
+// the state layout vet's interval analysis narrows for this instance's
+// bounds; programs without IR get the structural layout. Layouts never
+// change any result, only bytes per state.
 func (c Config) options(p *machine.Program, acts, labels *lts.Alphabet) machine.Options {
-	opt := machine.Options{
+	return machine.Options{
 		Threads:   c.Threads,
 		Ops:       c.Ops,
 		MaxStates: c.MaxStates,
@@ -94,19 +93,25 @@ func (c Config) options(p *machine.Program, acts, labels *lts.Alphabet) machine.
 		MemBudget: c.MemBudget,
 		SpillDir:  c.SpillDir,
 		Backend:   c.Backend,
+		Layout:    vet.StateLayout(p, c.vetOptions()),
 	}
-	if p != nil && c.LayoutProvider != nil {
-		opt.Layout = c.LayoutProvider(p)
-	}
-	return opt
 }
 
-// reduction runs the configured ReductionProvider for p, if any.
+func (c Config) vetOptions() vet.Options {
+	return vet.Options{Threads: c.Threads, Ops: c.Ops}
+}
+
+// reduction runs the τ-confluence analysis for p when c.Reduction is
+// set. It returns nil when the reduction is off or licenses nothing.
 func (c Config) reduction(p *machine.Program) *machine.Reduction {
-	if p == nil || c.ReductionProvider == nil {
+	if !c.Reduction {
 		return nil
 	}
-	return c.ReductionProvider(p)
+	red := vet.Reduce(p, c.vetOptions()).Machine()
+	if red == nil || red.Empty() {
+		return nil
+	}
+	return red
 }
 
 // ExploreContext generates the LTS of a program under this

@@ -174,17 +174,16 @@ func (s *Session) explore(ctx context.Context, r *recorder, p *machine.Program) 
 		return a, nil
 	}
 	opt := s.cfg.options(p, s.acts, s.labels)
-	if s.cfg.ReductionProvider != nil {
+	if s.cfg.Reduction {
 		rstart := time.Now()
-		red := s.cfg.ReductionProvider(p)
+		opt.Reduction = s.cfg.reduction(p)
 		rstat := StageStat{
 			Stage:   StageReduction,
 			Target:  p.Name,
 			Elapsed: time.Since(rstart),
 		}
-		if red != nil && !red.Empty() {
-			rstat.StatesOut = red.NumConfluent()
-			opt.Reduction = red
+		if opt.Reduction != nil {
+			rstat.StatesOut = opt.Reduction.NumConfluent()
 		}
 		r.add(rstat)
 	}

@@ -11,7 +11,7 @@ const (
 	StageExplore = "explore"
 	// StageReduction is the static independence / τ-confluence analysis
 	// that licenses partial-order reduction for one program (runs before
-	// that program's explore stage when a ReductionProvider is set).
+	// that program's explore stage when Config.Reduction is set).
 	StageReduction = "reduction"
 	// StageQuotient is branching-bisimulation refinement plus quotient
 	// construction of one LTS.

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/statestore"
 )
@@ -143,23 +142,17 @@ func (o Options) maxStates() int {
 }
 
 // coreConfig builds the verification configuration every exhibit uses
-// for one instance: the option bounds plus packed state layouts narrowed
-// by vet's interval analysis (the same provider the CLI and the bbvd
-// service install).
+// for one instance.
 func (o Options) coreConfig(threads, ops int) core.Config {
-	cfg := core.Config{
-		Threads:        threads,
-		Ops:            ops,
-		MaxStates:      o.maxStates(),
-		Workers:        o.Workers,
-		MemBudget:      o.MemBudget,
-		LayoutProvider: api.LayoutProvider(threads, ops),
-		Backend:        statestore.Runtime(),
+	return core.Config{
+		Threads:   threads,
+		Ops:       ops,
+		MaxStates: o.maxStates(),
+		Workers:   o.Workers,
+		MemBudget: o.MemBudget,
+		Reduction: o.Reduction,
+		Backend:   statestore.Runtime(),
 	}
-	if o.Reduction {
-		cfg.ReductionProvider = api.ReductionProvider(threads, ops)
-	}
-	return cfg
 }
 
 const capped = "(capped)"

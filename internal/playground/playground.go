@@ -18,9 +18,7 @@ import (
 	"strings"
 
 	bbvlexamples "repro/examples/bbvl"
-	"repro/internal/algorithms"
 	"repro/internal/api"
-	"repro/internal/bbvl"
 	"repro/internal/bisim"
 	"repro/internal/core"
 	"repro/internal/statecodec"
@@ -118,8 +116,11 @@ func (r CheckRequest) spec() api.JobSpec {
 // warnings attached, canonical encoding): only the platform backend
 // differs, which by the storage contract never changes a result.
 func Check(ctx context.Context, req CheckRequest) (string, error) {
-	spec := req.spec()
-	warnings, err := api.VetSpec(spec)
+	job, err := api.Resolve(req.spec(), statecodec.Backend{})
+	if err != nil {
+		return "", err
+	}
+	res, err := job.RunVetted(ctx)
 	if err != nil {
 		var ve *api.VetError
 		if errors.As(err, &ve) {
@@ -131,11 +132,6 @@ func Check(ctx context.Context, req CheckRequest) (string, error) {
 		}
 		return "", err
 	}
-	res, err := api.RunBackend(ctx, spec, statecodec.Backend{}, nil)
-	if err != nil {
-		return "", err
-	}
-	res.Warnings = warnings
 	var b strings.Builder
 	if err := api.EncodeResult(&b, res); err != nil {
 		return "", err
@@ -171,37 +167,16 @@ func Explain(ctx context.Context, req CheckRequest, kindName string) (*ExplainRe
 	default:
 		return nil, fmt.Errorf("playground: unknown kind %q (want branching or div-branching)", kindName)
 	}
-	spec := req.spec()
-	spec.Normalize()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	var alg *algorithms.Algorithm
-	if req.Source != "" {
-		m, err := bbvl.Load(req.Name, []byte(req.Source))
-		if err != nil {
-			return nil, err
-		}
-		alg = m.Algorithm()
-	} else {
-		var err error
-		alg, err = algorithms.ByID(req.Algorithm)
-		if err != nil {
-			return nil, err
-		}
-	}
-	acfg := algorithms.Config{Threads: spec.Threads, Ops: spec.Ops}
-	sess := core.NewSession(core.Config{
-		Threads:        spec.Threads,
-		Ops:            spec.Ops,
-		MaxStates:      spec.MaxStates,
-		LayoutProvider: api.LayoutProvider(spec.Threads, spec.Ops),
-	})
-	impl, _, err := sess.ExploreWithInfoContext(ctx, alg.Build(acfg))
+	job, err := api.Resolve(req.spec(), statecodec.Backend{})
 	if err != nil {
 		return nil, err
 	}
-	specLTS, _, err := sess.ExploreWithInfoContext(ctx, alg.Spec(acfg))
+	sess := core.NewSession(job.Config)
+	impl, _, err := sess.ExploreWithInfoContext(ctx, job.Alg.Build(job.AlgConfig))
+	if err != nil {
+		return nil, err
+	}
+	specLTS, _, err := sess.ExploreWithInfoContext(ctx, job.Alg.Spec(job.AlgConfig))
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	bbvlexamples "repro/examples/bbvl"
 	"repro/internal/algorithms"
-	"repro/internal/api"
 	"repro/internal/bbvl"
 	"repro/internal/core"
 	"repro/internal/statestore"
@@ -81,7 +80,7 @@ func TestReductionCrossValidation(t *testing.T) {
 			run := func(reduce bool) (outcome, int) {
 				cfg := v.cfg()
 				if reduce {
-					cfg.ReductionProvider = api.ReductionProvider(cfg.Threads, cfg.Ops)
+					cfg.Reduction = true
 				}
 				sess := core.NewSession(cfg)
 				impl := tgt.alg.Build(acfg)
