@@ -116,7 +116,9 @@ subcommands:
                                -spec job.json runs a service job spec file instead;
                                -reduction prunes the exploration with the static
                                tau-confluence analysis (identical verdicts,
-                               fewer states; BBVL models only)
+                               fewer states; model jobs only: for a registry
+                               row, check -model examples/bbvl/<file>.bbvl
+                               -reduction)
   explore [flags] <algorithm>  generate the state space and its quotient
   ktrace  [flags] <algorithm>  classify tau steps in the k-trace hierarchy (Table I)
   compare [flags] <algorithm>  compare the object with its specification under
@@ -222,8 +224,8 @@ func (c *commonFlags) spec(kind string) (api.JobSpec, error) {
 		}
 		spec.ModelSource, spec.ModelName = string(src), *c.model
 	} else {
-		if len(rest) != 1 {
-			return spec, fmt.Errorf("expected exactly one algorithm ID (see `bbverify list`) or -model file.bbvl")
+		if err := exactlyOne(rest, "algorithm ID", "expected exactly one algorithm ID (see `bbverify list`) or -model file.bbvl"); err != nil {
+			return spec, err
 		}
 		spec.Algorithm = rest[0]
 	}
@@ -241,6 +243,22 @@ func (c *commonFlags) spec(kind string) (api.JobSpec, error) {
 		spec.MemBudgetMB = int((b + (1 << 20) - 1) >> 20)
 	}
 	return spec, nil
+}
+
+// exactlyOne checks that flag parsing left exactly one positional
+// argument, failing with msg otherwise. Go's flag parser stops at the
+// first positional argument, so in `check ms-queue -threads 2` the flag
+// is left over: that error names it instead.
+func exactlyOne(rest []string, what, msg string) error {
+	if len(rest) == 1 {
+		return nil
+	}
+	for _, a := range rest[min(1, len(rest)):] {
+		if len(a) > 1 && a[0] == '-' {
+			return fmt.Errorf("flag %s after %s is not parsed: flags go before the %s", a, rest[0], what)
+		}
+	}
+	return errors.New(msg)
 }
 
 // parseVals parses a comma-separated -vals flag.
@@ -265,7 +283,7 @@ func check(args []string) error {
 	specFile := cf.fs.String("spec", "", "run an api.JobSpec JSON file (strict decode) and print the result JSON")
 	verbose := cf.fs.Bool("v", false, "print a per-stage table (explore/quotient/equivalence...: wall time, sizes, refinement rounds, cache hits)")
 	checksFlag := cf.fs.String("checks", "", "comma-separated checks to run against one shared session: linearizability,lockfree,deadlock,abstract (default: linearizability plus lockfree or deadlock)")
-	reduction := cf.fs.Bool("reduction", false, "enable the static tau-confluence partial-order reduction (BBVL models only; verdicts are identical, the explored state space shrinks)")
+	reduction := cf.fs.Bool("reduction", false, "enable the static tau-confluence partial-order reduction (model jobs only — a no-op for a registry ID; reduce a registry row with -model examples/bbvl/<file>.bbvl; verdicts are identical, the explored state space shrinks)")
 	if err := cf.fs.Parse(args); err != nil {
 		return err
 	}
@@ -757,8 +775,8 @@ func compileCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("expected exactly one model file (bbverify compile file.bbvl)")
+	if err := exactlyOne(fs.Args(), "model file", "expected exactly one model file (bbverify compile file.bbvl)"); err != nil {
+		return err
 	}
 	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {

@@ -500,3 +500,24 @@ func TestKTraceKFlagRemoved(t *testing.T) {
 		t.Fatalf("err = %v, want an unknown-flag error", err)
 	}
 }
+
+// TestFlagAfterPositional pins the diagnostic for a flag written after
+// the positional argument: Go's flag parser stops there, so the flag
+// would otherwise be miscounted as a second algorithm ID or model file.
+func TestFlagAfterPositional(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"check", "ms-queue", "-threads", "2"}, "flag -threads after ms-queue is not parsed: flags go before the algorithm ID"},
+		{[]string{"explore", "treiber", "-v"}, "flag -v after treiber is not parsed: flags go before the algorithm ID"},
+		{[]string{"compile", "m.bbvl", "-json"}, "flag -json after m.bbvl is not parsed: flags go before the model file"},
+		{[]string{"check", "treiber", "ms-queue"}, "expected exactly one algorithm ID"},
+		{[]string{"compile"}, "expected exactly one model file"},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}

@@ -1,7 +1,13 @@
 // Package algorithms models the paper's 14 benchmark concurrent data
 // structures (Table II) as machine.Program values, together with their
 // linearizable specifications and — for MS/DGLM queues, CCAS and RDCSS —
-// the hand-written abstract programs used by Theorem 5.8.
+// the abstract programs used by Theorem 5.8.
+//
+// The treiber, ms-queue, dglm-queue and spinlock-stack rows compile
+// from their BBVL sources in examples/bbvl (models.go): each .bbvl file
+// is the only definition of its algorithm, and the Go table here keeps
+// only its metadata. The other rows are Go closures over machine.Ctx,
+// each needing a language feature BBVL lacks (ROADMAP item 4).
 //
 // Statement granularity follows the paper's models: one shared-memory
 // access (read, write, or CAS) per atomic statement; purely local
@@ -16,7 +22,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/machine"
+	"repro/internal/bbvl"
 )
 
 // Node kinds used across the models.
@@ -27,54 +33,10 @@ const (
 )
 
 // Config sizes one verification instance of an algorithm.
-type Config struct {
-	// Threads and Ops bound the most general client (per the paper's
-	// #Th.#Op instance naming).
-	Threads, Ops int
-	// Vals is the data-value universe for Push/Enq arguments and the key
-	// universe for set algorithms; nil means {1, 2}.
-	Vals []int32
-}
-
-// Values returns the configured value universe.
-func (c Config) Values() []int32 {
-	if c.Vals == nil {
-		return []int32{1, 2}
-	}
-	return c.Vals
-}
-
-// totalOps is the total operation budget, which bounds allocations.
-func (c Config) totalOps() int { return c.Threads * c.Ops }
+type Config = bbvl.Config
 
 // Algorithm ties an implementation to its specification and metadata.
-type Algorithm struct {
-	// ID is the short machine-readable name (e.g. "ms-queue").
-	ID string
-	// Display is the Table II row name.
-	Display string
-	// Ref is the paper's citation marker.
-	Ref string
-	// NonFixedLPs marks algorithms whose linearization points depend on
-	// future execution (the ✓ column of Tables I and II).
-	NonFixedLPs bool
-	// LockBased marks the fine-grained lock-based lists (bottom of
-	// Table II), for which only linearizability is checked.
-	LockBased bool
-	// Extension marks algorithms beyond the paper's Table II, packaged as
-	// additional demonstrations (e.g. the ABA-unsafe Treiber stack).
-	Extension bool
-	// ExpectLinearizable and ExpectLockFree are the paper's verdicts.
-	ExpectLinearizable bool
-	ExpectLockFree     bool
-	// Build constructs the implementation model.
-	Build func(Config) *machine.Program
-	// Spec constructs the linearizable specification.
-	Spec func(Config) *machine.Program
-	// Abstract constructs the Theorem 5.8 abstract program, when the
-	// paper provides one; nil otherwise.
-	Abstract func(Config) *machine.Program
-}
+type Algorithm = bbvl.Algorithm
 
 // All returns the registry: the 15 Table II rows (14 benchmarks; the HM
 // list appears twice, buggy and revised) in paper order, followed by the

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bisim"
@@ -248,7 +249,11 @@ func TestHPStackReusesMemory(t *testing.T) {
 	cfg := Config{Threads: 2, Ops: 2}
 	acts := lts.NewAlphabet()
 	labels := lts.NewAlphabet()
-	plain, _, err := machine.ExploreWithInfoContext(context.Background(), Treiber(cfg), machine.Options{Threads: 2, Ops: 2, Acts: acts, Labels: labels})
+	treiber, err := ByID("treiber")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, _, err := machine.ExploreWithInfoContext(context.Background(), treiber.Build(cfg), machine.Options{Threads: 2, Ops: 2, Acts: acts, Labels: labels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,6 +483,70 @@ func TestTheorem53QuotientSoundness(t *testing.T) {
 			}
 			if lts.HasTrace(specLTS, quot.Counterexample.Trace) {
 				t.Errorf("%s: quotient counterexample is allowed by the specification", id)
+			}
+		}
+	}
+}
+
+// TestConcurrentBuild builds every row from many goroutines at once, as
+// concurrent bbvd jobs do: the embedded models compile once, on first
+// use, and their compiled templates are shared read-only.
+func TestConcurrentBuild(t *testing.T) {
+	cfg := Config{Threads: 2, Ops: 2}
+	var wg sync.WaitGroup
+	for range 8 {
+		for _, id := range []string{"treiber", "ms-queue", "dglm-queue", "spinlock-stack", "hm-list"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				a, err := ByID(id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := a.Build(cfg).Validate(); err != nil {
+					t.Errorf("%s: %v", id, err)
+				}
+				if a.Abstract != nil {
+					if err := a.Abstract(cfg).Validate(); err != nil {
+						t.Errorf("%s abstract: %v", id, err)
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// TestEmbeddedRowsMatchModels holds the rows compiled from examples/bbvl
+// to their models: LockBased is the model's lockbased line, an abstract
+// program is present exactly when the model declares one (dglm-queue
+// borrows the MS queue's), and every statement carries the IR and the
+// source position of the .bbvl file.
+func TestEmbeddedRowsMatchModels(t *testing.T) {
+	cfg := Config{Threads: 2, Ops: 2}
+	for id, model := range map[string]embeddedModel{
+		"treiber":        treiberModel,
+		"ms-queue":       msQueueModel,
+		"dglm-queue":     dglmQueueModel,
+		"spinlock-stack": spinLockStackModel,
+	} {
+		a, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := model()
+		if a.LockBased != m.LockBased {
+			t.Errorf("%s: LockBased = %v, the model says %v", id, a.LockBased, m.LockBased)
+		}
+		if hasAbs := m.HasAbstract || id == "dglm-queue"; (a.Abstract != nil) != hasAbs {
+			t.Errorf("%s: abstract program present = %v, want %v", id, a.Abstract != nil, hasAbs)
+		}
+		for _, meth := range a.Build(cfg).Methods {
+			for _, st := range meth.Body {
+				if st.IR == nil || !strings.HasPrefix(st.Pos.File, "examples/bbvl/") {
+					t.Errorf("%s %s.%s: IR %v at %q, want IR from examples/bbvl", id, meth.Name, st.Label, st.IR != nil, st.Pos.File)
+				}
 			}
 		}
 	}

@@ -32,7 +32,7 @@ func TwoLockQueue(cfg Config) *machine.Program {
 			Names: []string{"Head", "Tail", "HLock", "TLock"},
 			Kinds: []machine.VarKind{machine.KPtr, machine.KPtr, machine.KVal, machine.KVal},
 		},
-		HeapCap:    cfg.totalOps() + 2,
+		HeapCap:    cfg.TotalOps() + 2,
 		NLocals:    2,
 		LocalKinds: []machine.VarKind{machine.KPtr, machine.KPtr},
 		Init: func(g *machine.Global) {
@@ -190,7 +190,7 @@ func CoarseList(cfg Config) *machine.Program {
 			Names: []string{"Head", "Lock"},
 			Kinds: []machine.VarKind{machine.KPtr, machine.KVal},
 		},
-		HeapCap:    cfg.totalOps() + 3,
+		HeapCap:    cfg.TotalOps() + 3,
 		NLocals:    len(lockListLocals),
 		LocalKinds: lockListLocals,
 		Init:       lockListInit(gHead),
@@ -342,7 +342,7 @@ func HarrisList(cfg Config) *machine.Program {
 	return &machine.Program{
 		Name:       "harris-list",
 		Globals:    machine.Schema{Names: []string{"Head"}, Kinds: []machine.VarKind{machine.KPtr}},
-		HeapCap:    cfg.totalOps() + cfg.Threads + 2,
+		HeapCap:    cfg.TotalOps() + cfg.Threads + 2,
 		NLocals:    len(harrisLocals),
 		LocalKinds: harrisLocals,
 		Init: func(g *machine.Global) {
@@ -379,7 +379,7 @@ func TreiberVersioned(cfg Config) *machine.Program {
 			Names: []string{"Top", "Ver"},
 			Kinds: []machine.VarKind{machine.KPtr, machine.KVal},
 		},
-		HeapCap:    cfg.totalOps() + 1,
+		HeapCap:    cfg.TotalOps() + 1,
 		NLocals:    3,
 		LocalKinds: []machine.VarKind{machine.KPtr, machine.KPtr, machine.KVal},
 		Methods: []machine.Method{

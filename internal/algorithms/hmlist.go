@@ -161,7 +161,7 @@ func HMList(name string, buggy bool, cfg Config) *machine.Program {
 	return &machine.Program{
 		Name:       name,
 		Globals:    machine.Schema{Names: []string{"Head"}, Kinds: []machine.VarKind{machine.KPtr}},
-		HeapCap:    cfg.totalOps() + cfg.Threads + 2,
+		HeapCap:    cfg.TotalOps() + cfg.Threads + 2,
 		NLocals:    len(hmLocalKinds),
 		LocalKinds: hmLocalKinds,
 		Init: func(g *machine.Global) {

@@ -27,7 +27,7 @@ func HSYStack(cfg Config) *machine.Program {
 			Names: []string{"Top", "elim"},
 			Kinds: []machine.VarKind{machine.KPtr, machine.KTagged},
 		},
-		HeapCap:    2*cfg.totalOps() + cfg.Threads + 2,
+		HeapCap:    2*cfg.TotalOps() + cfg.Threads + 2,
 		NLocals:    4,
 		LocalKinds: []machine.VarKind{machine.KPtr, machine.KPtr, machine.KPtr, machine.KVal},
 		Methods: []machine.Method{

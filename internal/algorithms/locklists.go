@@ -182,7 +182,7 @@ func LazyList(cfg Config) *machine.Program {
 	return &machine.Program{
 		Name:       "lazy-list",
 		Globals:    machine.Schema{Names: []string{"Head"}, Kinds: []machine.VarKind{machine.KPtr}},
-		HeapCap:    cfg.totalOps() + 3,
+		HeapCap:    cfg.TotalOps() + 3,
 		NLocals:    len(lockListLocals),
 		LocalKinds: lockListLocals,
 		Init:       lockListInit(gHead),
@@ -318,7 +318,7 @@ func OptimisticList(cfg Config) *machine.Program {
 	return &machine.Program{
 		Name:       "optimistic-list",
 		Globals:    machine.Schema{Names: []string{"Head"}, Kinds: []machine.VarKind{machine.KPtr}},
-		HeapCap:    cfg.totalOps() + 3,
+		HeapCap:    cfg.TotalOps() + 3,
 		NLocals:    len(lockListLocals),
 		LocalKinds: lockListLocals,
 		Init:       lockListInit(gHead),
@@ -413,7 +413,7 @@ func FineGrainedList(cfg Config) *machine.Program {
 	return &machine.Program{
 		Name:       "fine-grained-list",
 		Globals:    machine.Schema{Names: []string{"Head"}, Kinds: []machine.VarKind{machine.KPtr}},
-		HeapCap:    cfg.totalOps() + 3,
+		HeapCap:    cfg.TotalOps() + 3,
 		NLocals:    len(lockListLocals),
 		LocalKinds: lockListLocals,
 		Init:       lockListInit(gHead),

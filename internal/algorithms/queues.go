@@ -7,326 +7,9 @@ import (
 	"repro/internal/spec"
 )
 
-// Local register layout for the queue family.
-const (
-	qLocH = 0 // h: Head snapshot (deq) / node (enq)
-	qLocT = 1 // t: Tail snapshot
-	qLocN = 2 // next
-	qLocV = 3 // v: dequeued value
-)
-
-var queueLocalKinds = []machine.VarKind{machine.KPtr, machine.KPtr, machine.KPtr, machine.KVal}
-
-// msEnqueue is the Michael–Scott enqueue (Fig. 5, lines 1–15), shared
-// with the DGLM queue:
-//
-//	L1:  node := new node(v)
-//	L4:  t := Tail
-//	L5:  next := t.next
-//	L6:  if t != Tail restart
-//	L8:  if next == nil: if CAS(t.next, nil, node) goto L13
-//	L10: else CAS(Tail, t, next); restart
-//	L13: CAS(Tail, t, node); return ok
-func msEnqueue(gHead, gTail int, vals []int32) machine.Method {
-	return machine.Method{
-		Name: "Enq",
-		Args: vals,
-		Body: []machine.Stmt{
-			{Label: "L1", Exec: func(c *machine.Ctx) {
-				n := c.Alloc(kindNode)
-				c.Node(n).Val = c.Arg
-				c.L[qLocH] = n
-				c.Goto(1)
-			}},
-			{Label: "L4", Exec: func(c *machine.Ctx) {
-				c.L[qLocT] = c.V(gTail)
-				c.Goto(2)
-			}},
-			{Label: "L5", Exec: func(c *machine.Ctx) {
-				c.L[qLocN] = c.Node(c.L[qLocT]).Next
-				c.Goto(3)
-			}},
-			{Label: "L6", Exec: func(c *machine.Ctx) {
-				if c.V(gTail) != c.L[qLocT] {
-					c.Goto(1)
-					return
-				}
-				if c.L[qLocN] == 0 {
-					c.Goto(4) // L8
-				} else {
-					c.Goto(5) // L10
-				}
-			}},
-			{Label: "L8", Exec: func(c *machine.Ctx) {
-				t := c.Node(c.L[qLocT])
-				if t.Next == 0 {
-					t.Next = c.L[qLocH]
-					c.Goto(6) // L13
-				} else {
-					c.Goto(1)
-				}
-			}},
-			{Label: "L10", Exec: func(c *machine.Ctx) {
-				c.CASV(gTail, c.L[qLocT], c.L[qLocN])
-				c.Goto(1)
-			}},
-			{Label: "L13", Exec: func(c *machine.Ctx) {
-				c.CASV(gTail, c.L[qLocT], c.L[qLocH])
-				c.Return(machine.ValOK)
-			}},
-		},
-	}
-}
-
-// MSQueue builds the Michael–Scott lock-free queue [25] of Fig. 5. Head
-// points at a sentinel; dequeue moves Head forward (L28) or reports
-// empty after the L20 read of head.next (the non-fixed LP discussed in
-// Section III).
-func MSQueue(cfg Config) *machine.Program {
-	const (
-		gHead = 0
-		gTail = 1
-	)
-	return &machine.Program{
-		Name: "ms-queue",
-		Globals: machine.Schema{
-			Names: []string{"Head", "Tail"},
-			Kinds: []machine.VarKind{machine.KPtr, machine.KPtr},
-		},
-		HeapCap:    cfg.totalOps() + 2,
-		NLocals:    4,
-		LocalKinds: queueLocalKinds,
-		Init: func(g *machine.Global) {
-			g.Heap[1] = machine.Node{Kind: kindNode} // sentinel
-			g.Vars[gHead] = 1
-			g.Vars[gTail] = 1
-		},
-		Methods: []machine.Method{
-			msEnqueue(gHead, gTail, cfg.Values()),
-			{
-				Name: "Deq",
-				Body: []machine.Stmt{
-					{Label: "L19", Exec: func(c *machine.Ctx) {
-						c.L[qLocH] = c.V(gHead)
-						c.L[qLocT] = c.V(gTail)
-						c.Goto(1)
-					}},
-					{Label: "L20", Exec: func(c *machine.Ctx) {
-						c.L[qLocN] = c.Node(c.L[qLocH]).Next
-						c.Goto(2)
-					}},
-					{Label: "L21", Exec: func(c *machine.Ctx) {
-						if c.V(gHead) != c.L[qLocH] {
-							c.Goto(0)
-							return
-						}
-						if c.L[qLocH] == c.L[qLocT] {
-							if c.L[qLocN] == 0 {
-								c.Return(machine.ValEmpty) // L23
-							} else {
-								c.Goto(3) // L24: help lagging tail
-							}
-							return
-						}
-						c.Goto(4) // L26
-					}},
-					{Label: "L24", Exec: func(c *machine.Ctx) {
-						c.CASV(gTail, c.L[qLocT], c.L[qLocN])
-						c.Goto(0)
-					}},
-					{Label: "L26", Exec: func(c *machine.Ctx) {
-						c.L[qLocV] = c.Node(c.L[qLocN]).Val
-						c.Goto(5)
-					}},
-					{Label: "L28", Exec: func(c *machine.Ctx) {
-						if c.CASV(gHead, c.L[qLocH], c.L[qLocN]) {
-							c.Return(c.L[qLocV])
-						} else {
-							c.Goto(0)
-						}
-					}},
-				},
-			},
-		},
-	}
-}
-
-// DGLMQueue builds the Doherty–Groves–Luchangco–Moir queue [7], the
-// optimized MS queue whose dequeue does not read Tail before removing a
-// node; Head may overtake Tail and dequeue fixes the lag afterwards.
-func DGLMQueue(cfg Config) *machine.Program {
-	const (
-		gHead = 0
-		gTail = 1
-	)
-	return &machine.Program{
-		Name: "dglm-queue",
-		Globals: machine.Schema{
-			Names: []string{"Head", "Tail"},
-			Kinds: []machine.VarKind{machine.KPtr, machine.KPtr},
-		},
-		HeapCap:    cfg.totalOps() + 2,
-		NLocals:    4,
-		LocalKinds: queueLocalKinds,
-		Init: func(g *machine.Global) {
-			g.Heap[1] = machine.Node{Kind: kindNode}
-			g.Vars[gHead] = 1
-			g.Vars[gTail] = 1
-		},
-		Methods: []machine.Method{
-			msEnqueue(gHead, gTail, cfg.Values()),
-			{
-				Name: "Deq",
-				Body: []machine.Stmt{
-					{Label: "D1", Exec: func(c *machine.Ctx) {
-						c.L[qLocH] = c.V(gHead)
-						c.Goto(1)
-					}},
-					{Label: "D2", Exec: func(c *machine.Ctx) {
-						c.L[qLocN] = c.Node(c.L[qLocH]).Next
-						c.Goto(2)
-					}},
-					{Label: "D3", Exec: func(c *machine.Ctx) {
-						if c.V(gHead) != c.L[qLocH] {
-							c.Goto(0)
-							return
-						}
-						if c.L[qLocN] == 0 {
-							c.Return(machine.ValEmpty)
-							return
-						}
-						c.Goto(3)
-					}},
-					{Label: "D4", Exec: func(c *machine.Ctx) {
-						c.L[qLocV] = c.Node(c.L[qLocN]).Val
-						c.Goto(4)
-					}},
-					{Label: "D5", Exec: func(c *machine.Ctx) {
-						if c.CASV(gHead, c.L[qLocH], c.L[qLocN]) {
-							c.Goto(5)
-						} else {
-							c.Goto(0)
-						}
-					}},
-					{Label: "D6", Exec: func(c *machine.Ctx) {
-						// Fix a lagging tail so enqueues keep working.
-						if c.V(gTail) == c.L[qLocH] {
-							c.Goto(6)
-						} else {
-							c.Return(c.L[qLocV])
-						}
-					}},
-					{Label: "D7", Exec: func(c *machine.Ctx) {
-						c.CASV(gTail, c.L[qLocH], c.L[qLocN])
-						c.Return(c.L[qLocV])
-					}},
-				},
-			},
-		},
-	}
-}
-
 // queueSpec builds the matching FIFO specification.
 func queueSpec(cfg Config) *machine.Program {
-	return spec.Queue(cfg.Values(), cfg.totalOps())
-}
-
-// AbstractQueue builds the abstract queue of Fig. 8: enqueue is one
-// atomic block (the specification's); dequeue has two atomic blocks — the
-// empty test at line 42 (matching L20 of Fig. 5) and the removal at line
-// 44 (matching L28) — and restarts when Head moved in between, mirroring
-// the non-fixed linearization point of the concrete queues.
-func AbstractQueue(cfg Config) *machine.Program {
-	const (
-		gHead = 0
-		gTail = 1
-	)
-	return &machine.Program{
-		Name: "abstract-queue",
-		Globals: machine.Schema{
-			Names: []string{"Head", "Tail"},
-			Kinds: []machine.VarKind{machine.KPtr, machine.KPtr},
-		},
-		HeapCap:    cfg.totalOps() + 2,
-		NLocals:    4,
-		LocalKinds: queueLocalKinds,
-		Init: func(g *machine.Global) {
-			g.Heap[1] = machine.Node{Kind: kindNode}
-			g.Vars[gHead] = 1
-			g.Vars[gTail] = 1
-		},
-		Methods: []machine.Method{
-			{
-				Name: "Enq",
-				Args: cfg.Values(),
-				Body: []machine.Stmt{{
-					Label: "L40", Exec: func(c *machine.Ctx) {
-						n := c.Alloc(kindNode)
-						c.Node(n).Val = c.Arg
-						c.Node(c.V(gTail)).Next = n
-						c.SetV(gTail, n)
-						c.Return(machine.ValOK)
-					},
-				}},
-			},
-			{
-				Name: "Deq",
-				Body: []machine.Stmt{
-					// L42 matches L20 of Fig. 5: snapshot Head and its
-					// successor (the candidate LP for the empty case).
-					{Label: "L42", Exec: func(c *machine.Ctx) {
-						h := c.V(gHead)
-						c.L[qLocH] = h
-						c.L[qLocN] = c.Node(h).Next
-						c.Goto(1)
-					}},
-					// L44 matches L28 (and L21's validation): if Head moved
-					// the snapshot was not the LP and the loop restarts;
-					// otherwise the empty verdict or the removal commits.
-					{Label: "L44", Exec: func(c *machine.Ctx) {
-						if c.V(gHead) != c.L[qLocH] {
-							c.Goto(0) // Head moved: restart the loop
-							return
-						}
-						if c.L[qLocN] == 0 {
-							c.Return(machine.ValEmpty)
-							return
-						}
-						c.SetV(gHead, c.L[qLocN])
-						c.Return(c.Node(c.L[qLocN]).Val)
-					}},
-				},
-			},
-		},
-	}
-}
-
-func msQueueAlg() *Algorithm {
-	return &Algorithm{
-		ID:                 "ms-queue",
-		Display:            "MS lock-free queue",
-		Ref:                "[25]",
-		NonFixedLPs:        true,
-		ExpectLinearizable: true,
-		ExpectLockFree:     true,
-		Build:              MSQueue,
-		Spec:               queueSpec,
-		Abstract:           AbstractQueue,
-	}
-}
-
-func dglmQueueAlg() *Algorithm {
-	return &Algorithm{
-		ID:                 "dglm-queue",
-		Display:            "DGLM queue",
-		Ref:                "[7]",
-		NonFixedLPs:        true,
-		ExpectLinearizable: true,
-		ExpectLockFree:     true,
-		Build:              DGLMQueue,
-		Spec:               queueSpec,
-		Abstract:           AbstractQueue,
-	}
+	return spec.Queue(cfg.Values(), cfg.TotalOps())
 }
 
 // HWQueue builds the Herlihy–Wing array queue [18]: enqueue reserves a
@@ -334,7 +17,7 @@ func dglmQueueAlg() *Algorithm {
 // swapping out values, restarting forever on an empty queue — dequeue is
 // therefore not lock-free (Table II row 10, Table V).
 func HWQueue(cfg Config) *machine.Program {
-	slots := cfg.totalOps()
+	slots := cfg.TotalOps()
 	names := []string{"back"}
 	kinds := []machine.VarKind{machine.KVal}
 	for i := 0; i < slots; i++ {

@@ -83,7 +83,7 @@ func CCAS(cfg Config) *machine.Program {
 			Names: []string{"r", "flag"},
 			Kinds: []machine.VarKind{machine.KTagged, machine.KVal},
 		},
-		HeapCap:    cfg.totalOps() + 1,
+		HeapCap:    cfg.TotalOps() + 1,
 		NLocals:    2,
 		LocalKinds: []machine.VarKind{machine.KPtr, machine.KTagged},
 		Methods: []machine.Method{
@@ -175,7 +175,7 @@ func AbstractCCAS(cfg Config) *machine.Program {
 			Names: []string{"r", "flag"},
 			Kinds: []machine.VarKind{machine.KTagged, machine.KVal},
 		},
-		HeapCap:    cfg.totalOps() + 1,
+		HeapCap:    cfg.TotalOps() + 1,
 		NLocals:    1,
 		LocalKinds: []machine.VarKind{machine.KPtr},
 		Methods: []machine.Method{
@@ -270,7 +270,7 @@ func RDCSS(cfg Config) *machine.Program {
 			Names: []string{"r1", "r2"},
 			Kinds: []machine.VarKind{machine.KVal, machine.KTagged},
 		},
-		HeapCap:    cfg.totalOps() + 1,
+		HeapCap:    cfg.TotalOps() + 1,
 		NLocals:    2,
 		LocalKinds: []machine.VarKind{machine.KPtr, machine.KTagged},
 		Methods: []machine.Method{
@@ -360,7 +360,7 @@ func AbstractRDCSS(cfg Config) *machine.Program {
 			Names: []string{"r1", "r2"},
 			Kinds: []machine.VarKind{machine.KVal, machine.KTagged},
 		},
-		HeapCap:    cfg.totalOps() + 1,
+		HeapCap:    cfg.TotalOps() + 1,
 		NLocals:    1,
 		LocalKinds: []machine.VarKind{machine.KPtr},
 		Methods: []machine.Method{

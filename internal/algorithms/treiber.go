@@ -46,63 +46,9 @@ func treiberPush(gTop int, vals []int32) machine.Method {
 	}
 }
 
-// Treiber builds the classic lock-free Treiber stack [28] under a
-// garbage-collected memory model (popped cells are never reused, so no
-// ABA hazard exists).
-func Treiber(cfg Config) *machine.Program {
-	const gTop = 0
-	return &machine.Program{
-		Name:       "treiber",
-		Globals:    machine.Schema{Names: []string{"Top"}, Kinds: []machine.VarKind{machine.KPtr}},
-		HeapCap:    cfg.totalOps() + 1,
-		NLocals:    2,
-		LocalKinds: []machine.VarKind{machine.KPtr, machine.KPtr},
-		Methods: []machine.Method{
-			treiberPush(gTop, cfg.Values()),
-			{
-				Name: "Pop",
-				Body: []machine.Stmt{
-					{Label: "P4", Exec: func(c *machine.Ctx) {
-						t := c.V(gTop)
-						if t == 0 {
-							c.Return(machine.ValEmpty)
-							return
-						}
-						c.L[sLocT] = t
-						c.Goto(1)
-					}},
-					{Label: "P5", Exec: func(c *machine.Ctx) {
-						c.L[sLocN] = c.Node(c.L[sLocT]).Next
-						c.Goto(2)
-					}},
-					{Label: "P6", Exec: func(c *machine.Ctx) {
-						if c.CASV(gTop, c.L[sLocT], c.L[sLocN]) {
-							c.Return(c.Node(c.L[sLocT]).Val)
-						} else {
-							c.Goto(0)
-						}
-					}},
-				},
-			},
-		},
-	}
-}
-
 // stackSpec builds the matching specification.
 func stackSpec(cfg Config) *machine.Program {
-	return spec.Stack(cfg.Values(), cfg.totalOps())
-}
-
-func treiberAlg() *Algorithm {
-	return &Algorithm{
-		ID:                 "treiber",
-		Display:            "Treiber stack",
-		Ref:                "[28]",
-		ExpectLinearizable: true,
-		ExpectLockFree:     true,
-		Build:              Treiber,
-		Spec:               stackSpec,
-	}
+	return spec.Stack(cfg.Values(), cfg.TotalOps())
 }
 
 // treiberHP builds the hazard-pointer variants. Each thread owns one
@@ -156,7 +102,7 @@ func treiberHP(name string, spinOnHazard bool, cfg Config) *machine.Program {
 	return &machine.Program{
 		Name:       name,
 		Globals:    machine.Schema{Names: names, Kinds: kinds},
-		HeapCap:    cfg.totalOps() + 2,
+		HeapCap:    cfg.TotalOps() + 2,
 		NLocals:    2,
 		LocalKinds: []machine.VarKind{machine.KPtr, machine.KPtr},
 		Methods: []machine.Method{
@@ -242,7 +188,7 @@ func TreiberUnsafeFree(cfg Config) *machine.Program {
 	return &machine.Program{
 		Name:       "treiber-unsafe-free",
 		Globals:    machine.Schema{Names: []string{"Top"}, Kinds: []machine.VarKind{machine.KPtr}},
-		HeapCap:    cfg.totalOps() + 1,
+		HeapCap:    cfg.TotalOps() + 1,
 		NLocals:    2,
 		LocalKinds: []machine.VarKind{machine.KPtr, machine.KPtr},
 		Methods: []machine.Method{

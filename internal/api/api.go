@@ -87,10 +87,12 @@ type JobSpec struct {
 	// and the divergence-preserving partial-order reduction it licenses:
 	// the exploration prioritizes provably confluent τ-statements and
 	// compresses their chains, shrinking the state space without
-	// changing any verdict or quotient. Only BBVL-compiled programs
-	// carry the IR the analysis needs; for registry programs the flag is
-	// accepted and has no effect. The reduced LTS differs from the full
-	// one (state counts shrink), so the flag enters the cache key.
+	// changing any verdict or quotient. Model jobs only: for a registry
+	// algorithm (the Algorithm field) the flag is accepted and has no
+	// effect, so stored registry results replay unchanged; submit the
+	// row's examples/bbvl source as model_source to reduce it. The
+	// reduced LTS differs from the full one (state counts shrink), so
+	// the flag enters the cache key.
 	Reduction bool `json:"reduction,omitempty"`
 	// Checks selects which properties a "check" job verifies, any of
 	// "linearizability", "lockfree", "deadlock" and "abstract" (the last
@@ -382,7 +384,9 @@ func Resolve(spec JobSpec, backend statecodec.Backend) (*Job, error) {
 			MaxStates: spec.MaxStates,
 			Workers:   spec.Workers,
 			MemBudget: int64(spec.MemBudgetMB) << 20,
-			Reduction: spec.Reduction,
+			// Registry jobs keep the results they had when every row was
+			// an IR-less closure: reduction is for model jobs only.
+			Reduction: spec.Reduction && m != nil,
 			Backend:   backend,
 		},
 		model: m,

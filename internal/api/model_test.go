@@ -2,9 +2,11 @@ package api
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	bbvlexamples "repro/examples/bbvl"
 	"repro/internal/statecodec"
 )
 
@@ -129,5 +131,40 @@ method Pop() { P9: return empty }
 		if !strings.Contains(err.Error(), "model runtime error") || !strings.Contains(err.Error(), "model.bbvl:7:11") {
 			t.Errorf("workers=%d: err = %v, want positioned model runtime error", workers, err)
 		}
+	}
+}
+
+// TestReductionModelJobsOnly pins that reduction applies to model jobs
+// only. A registry row compiled from BBVL carries the IR vet needs, but
+// {"algorithm": "ms-queue", "reduction": true} stays the no-op it was
+// when the row was an IR-less closure, so stored results replay
+// unchanged; the same source submitted as model_source is reduced.
+func TestReductionModelJobsOnly(t *testing.T) {
+	run := func(spec JobSpec) *CheckResult {
+		t.Helper()
+		res, err := RunBackend(context.Background(), spec, statecodec.Backend{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Check
+	}
+	registry := JobSpec{Kind: KindCheck, Algorithm: "ms-queue", Threads: 2, Ops: 2, Workers: 1}
+	full := run(registry)
+	registry.Reduction = true
+	if reduced := run(registry); !reflect.DeepEqual(full, reduced) {
+		t.Errorf("registry ms-queue: reduction changed the check section:\n full:    %+v\n reduced: %+v", full, reduced)
+	}
+
+	src, err := bbvlexamples.Source("msqueue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := JobSpec{Kind: KindCheck, ModelSource: string(src), Threads: 2, Ops: 2, Workers: 1, Reduction: true}
+	reduced := run(model)
+	if reduced.ImplStates >= full.ImplStates {
+		t.Errorf("model msqueue: reduction explored %d states, the full registry run %d", reduced.ImplStates, full.ImplStates)
+	}
+	if reduced.Linearizable != full.Linearizable || reduced.ImplQuotientStates != full.ImplQuotientStates {
+		t.Errorf("model msqueue: reduction changed a verdict or quotient: %+v vs %+v", reduced, full)
 	}
 }

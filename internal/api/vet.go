@@ -82,8 +82,8 @@ func ListAnalyzers() []vet.AnalyzerInfo { return vet.Catalog() }
 // IndependenceReport runs the static independence / τ-confluence
 // analysis over the program a job would verify, for `bbverify vet
 // -independence`. The artifact is nil for programs that carry no IR
-// (the hand-coded registry encodings): the analysis cannot see inside
-// opaque Go closures, so nothing is licensed. The spec is normalized
+// (the registry rows still written as Go closures): the analysis
+// cannot see inside them, so nothing is licensed. The spec is normalized
 // but not validated — callers validate separately.
 func IndependenceReport(spec JobSpec) (*vet.ReductionArtifact, error) {
 	spec.Normalize()
@@ -97,8 +97,8 @@ func IndependenceReport(spec JobSpec) (*vet.ReductionArtifact, error) {
 
 // VetSpec runs the pre-exploration static-analysis pass over the
 // program a job would verify: the full model pass (AST checks, interval
-// analyzers, τ-cycle probe) for model jobs, or the τ-cycle probe for
-// registry algorithms (hand-coded programs carry no IR). It returns
+// analyzers, τ-cycle probe) for model jobs, or vet.Check for registry
+// algorithms (only the τ-cycle probe for rows that carry no IR). It returns
 // every finding in wire form; the error is a *VetError when any finding
 // has error severity, in which case the job must not run. The spec is
 // normalized but not validated — callers validate separately.

@@ -19,11 +19,15 @@
 // mapping — declaration order fixes global indices, local register slots
 // and node-field assignment onto machine.Node; statement labels and
 // outcome emission follow the source — so a model that re-encodes a
-// hand-coded registry algorithm explores a byte-identical LTS
-// (crossval_test.go holds the registry to that).
+// hand-coded program explores a byte-identical LTS. The registry's
+// treiber, ms-queue, dglm-queue and spinlock-stack rows are the models
+// in examples/bbvl, held to the LTS digests of the closures they
+// replaced by internal/algorithms' digest test.
 //
 // Model text enters the system through "bbverify check -model",
-// "bbverify compile", or the model_source field of a bbvd job.
+// "bbverify compile", the model_source field of a bbvd job, or the
+// registry. Config and Algorithm, the registry's row types, live here
+// so the registry can compile models without an import cycle.
 package bbvl
 
 // Load parses and checks model source. Filename is used in diagnostic

@@ -29,7 +29,7 @@ type rStmt struct {
 }
 
 // rProgram is a compiled program template, instantiated per
-// algorithms.Config by compile.go.
+// Config by compile.go.
 type rProgram struct {
 	name         string
 	source       string

@@ -3,7 +3,6 @@ package bbvl
 import (
 	"fmt"
 
-	"repro/internal/algorithms"
 	"repro/internal/machine"
 	"repro/internal/spec"
 )
@@ -12,9 +11,9 @@ import (
 // size. The compiled program is byte-for-byte equivalent to a hand-coded
 // machine.Program with the same statement structure: globals, heap
 // capacity, local slots, method order, statement labels and outcome
-// emission all follow the source, so a model that re-encodes a registry
-// algorithm explores an identical LTS.
-func (m *Model) Build(cfg algorithms.Config) *machine.Program {
+// emission all follow the source, so a model that re-encodes a
+// hand-coded program explores an identical LTS.
+func (m *Model) Build(cfg Config) *machine.Program {
 	return m.prog.instantiate(cfg)
 }
 
@@ -22,14 +21,13 @@ func (m *Model) Build(cfg algorithms.Config) *machine.Program {
 // model declared (spec stack | queue | set). The builtin specifications
 // are shared with the algorithm registry, so a model is verified against
 // exactly the specification its hand-coded counterpart uses.
-func (m *Model) SpecProgram(cfg algorithms.Config) *machine.Program {
+func (m *Model) SpecProgram(cfg Config) *machine.Program {
 	vals := cfg.Values()
-	total := cfg.Threads * cfg.Ops
 	switch m.SpecKind {
 	case "stack":
-		return spec.Stack(vals, total)
+		return spec.Stack(vals, cfg.TotalOps())
 	case "queue":
-		return spec.Queue(vals, total)
+		return spec.Queue(vals, cfg.TotalOps())
 	default:
 		return spec.Set(vals, spec.SetMethods{Contains: m.SpecContains})
 	}
@@ -37,30 +35,11 @@ func (m *Model) SpecProgram(cfg algorithms.Config) *machine.Program {
 
 // AbstractProgram instantiates the model's abstract (Theorem 5.8)
 // program; it panics when the model has none — check HasAbstract first.
-func (m *Model) AbstractProgram(cfg algorithms.Config) *machine.Program {
+func (m *Model) AbstractProgram(cfg Config) *machine.Program {
 	if m.abs == nil {
 		panic(fmt.Sprintf("bbvl: model %s has no abstract program", m.Name))
 	}
 	return m.abs.instantiate(cfg)
-}
-
-// Algorithm wraps the model as a registry-shaped algorithm so every
-// existing check (linearizability, lock-freedom or deadlock-freedom,
-// k-traces) runs on models unchanged.
-func (m *Model) Algorithm() *algorithms.Algorithm {
-	a := &algorithms.Algorithm{
-		ID:        "model:" + m.Name,
-		Display:   m.Name + " (BBVL model)",
-		Ref:       "(model)",
-		Extension: true,
-		LockBased: m.LockBased,
-		Build:     m.Build,
-		Spec:      m.SpecProgram,
-	}
-	if m.HasAbstract {
-		a.Abstract = m.AbstractProgram
-	}
-	return a
 }
 
 // instantiate builds the machine.Program for one instance size. Besides
@@ -68,10 +47,10 @@ func (m *Model) Algorithm() *algorithms.Algorithm {
 // analyzers read: source positions on every schema entry, method and
 // statement, and each statement's micro-instruction sequence (Stmt.IR —
 // the same []machine.Instr the Exec closure interprets).
-func (p *rProgram) instantiate(cfg algorithms.Config) *machine.Program {
+func (p *rProgram) instantiate(cfg Config) *machine.Program {
 	heapCap := p.heapExtra
 	if p.heapTotalOps {
-		heapCap += cfg.Threads * cfg.Ops
+		heapCap += cfg.TotalOps()
 	}
 	prog := &machine.Program{
 		Name:       p.name,

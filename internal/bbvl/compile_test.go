@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/algorithms"
 	"repro/internal/machine"
 )
 
@@ -30,7 +29,7 @@ method Pop() { P9: return empty }
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	_, _, err = machine.ExploreWithInfoContext(context.Background(), m.Build(algorithms.Config{Threads: 1, Ops: 1}),
+	_, _, err = machine.ExploreWithInfoContext(context.Background(), m.Build(Config{Threads: 1, Ops: 1}),
 		machine.Options{Threads: 1, Ops: 1, Workers: 1})
 	var fault *machine.ModelFaultError
 	if !errors.As(err, &fault) {
@@ -62,7 +61,7 @@ method Pop() {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	p := m.Build(algorithms.Config{Threads: 1, Ops: 1})
+	p := m.Build(Config{Threads: 1, Ops: 1})
 	if got := p.Methods[0].Args; len(got) != 2 || got[0] != 5 || got[1] != 9 {
 		t.Fatalf("Push args = %v, want [5 9]", got)
 	}
@@ -94,7 +93,7 @@ method Pop() { P9: return empty }
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if _, _, err := machine.ExploreWithInfoContext(context.Background(), m.Build(algorithms.Config{Threads: 2, Ops: 1}),
+	if _, _, err := machine.ExploreWithInfoContext(context.Background(), m.Build(Config{Threads: 2, Ops: 1}),
 		machine.Options{Threads: 2, Ops: 1, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ method Pop() { P9: return empty }
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if _, _, err := machine.ExploreWithInfoContext(context.Background(), m.Build(algorithms.Config{Threads: 1, Ops: 2}),
+	if _, _, err := machine.ExploreWithInfoContext(context.Background(), m.Build(Config{Threads: 1, Ops: 2}),
 		machine.Options{Threads: 1, Ops: 2, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}

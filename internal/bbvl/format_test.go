@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/algorithms"
 	"repro/internal/machine"
 )
 
@@ -24,7 +23,7 @@ func TestFormatRoundTrip(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("no example models found")
 	}
-	cfgs := []algorithms.Config{
+	cfgs := []Config{
 		{Threads: 1, Ops: 1},
 		{Threads: 2, Ops: 2},
 		{Threads: 2, Ops: 2, Vals: []int32{3, 4, 5}},

@@ -4,8 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/algorithms"
 )
 
 // FuzzParse feeds arbitrary bytes through the whole front end (lexer,
@@ -66,6 +64,6 @@ func FuzzVet(f *testing.F) {
 		}
 		// Small pilot instance: the pass must terminate quickly on any
 		// accepted model, not just sensible ones.
-		m.Vet(algorithms.Config{Threads: 2, Ops: 1})
+		m.Vet(Config{Threads: 2, Ops: 1})
 	})
 }

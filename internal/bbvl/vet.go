@@ -3,7 +3,6 @@ package bbvl
 import (
 	"fmt"
 
-	"repro/internal/algorithms"
 	"repro/internal/machine"
 	"repro/internal/vet"
 )
@@ -14,7 +13,7 @@ import (
 // a companion, so globals only the abstraction reads still count as
 // used) and over the abstract program itself. Zero fields of cfg default
 // to the vet pilot size (2 threads, 2 ops).
-func (m *Model) Vet(cfg algorithms.Config) []vet.Finding {
+func (m *Model) Vet(cfg Config) []vet.Finding {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 2
 	}

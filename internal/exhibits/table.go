@@ -122,9 +122,9 @@ type Options struct {
 	MemBudget int64
 	// Reduction enables the static τ-confluence partial-order reduction
 	// for each exploration. Verdict and quotient columns are identical;
-	// raw state counts shrink for programs whose IR licenses pruning
-	// (the hand-coded registry encodings carry no IR, so Table II is
-	// unaffected unless run over BBVL models).
+	// raw state counts shrink for programs whose IR licenses pruning:
+	// the registry rows compiled from BBVL, not the Go closures, which
+	// carry no IR.
 	Reduction bool
 }
 

@@ -105,10 +105,10 @@ func TestReduceExamplesValidateDynamically(t *testing.T) {
 	}
 }
 
-// TestReduceRegistryProgramsNil: hand-coded registry programs carry no
-// IR, so no reduction is licensed.
+// TestReduceRegistryProgramsNil: registry programs still written as Go
+// closures carry no IR, so no reduction is licensed.
 func TestReduceRegistryProgramsNil(t *testing.T) {
-	alg, err := algorithms.ByID("treiber")
+	alg, err := algorithms.ByID("treiber-hp")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,9 +171,10 @@ func TestExamplesClean(t *testing.T) {
 }
 
 // TestRegistryClean holds every known-good registry algorithm to zero
-// findings. Hand-coded programs carry no IR, so only the τ-cycle probe
-// applies — and an algorithm the paper verdicts lock-free must not have
-// a solo τ-cycle.
+// findings. Rows still written as Go closures carry no IR, so only the
+// τ-cycle probe applies to them — and an algorithm the paper verdicts
+// lock-free must not have a solo τ-cycle. Rows compiled from BBVL get
+// every analyzer.
 func TestRegistryClean(t *testing.T) {
 	cfg := algorithms.Config{Threads: 2, Ops: 2}
 	for _, a := range algorithms.All() {

@@ -14,8 +14,8 @@ import (
 // TestReductionCrossValidation is the end-to-end guarantee behind the
 // -reduction flag: for every embedded BBVL model (whose IR licenses
 // real τ-confluence pruning) and for hand-coded Table II registry
-// programs (no IR — the provider yields nil and reduction must be an
-// exact no-op), the full and the reduced exploration produce identical
+// programs still written as Go closures (no IR — vet licenses nothing
+// and reduction must be an exact no-op), the full and the reduced exploration produce identical
 // verdicts AND identical quotient block counts, sequentially, with 8
 // workers, and with an 8 MiB memory budget spilling state storage to
 // disk. Only the raw explored-state count may shrink — and for the
@@ -41,7 +41,7 @@ func TestReductionCrossValidation(t *testing.T) {
 		}
 		targets = append(targets, target{name: n, alg: m.Algorithm(), ir: true})
 	}
-	for _, id := range []string{"treiber", "ms-queue"} {
+	for _, id := range []string{"treiber-hp", "hw-queue"} {
 		a, err := algorithms.ByID(id)
 		if err != nil {
 			t.Fatal(err)
