@@ -71,3 +71,21 @@ func TestEncodingFlagRemoved(t *testing.T) {
 		t.Fatalf("err = %v, want an unknown-flag error", err)
 	}
 }
+
+// TestCheckOversizedInstanceExits1: an instance past api.MaxTotalOps is
+// rejected before anything is sized by it, so the command exits 1 with
+// the limit on stderr instead of running out of memory.
+func TestCheckOversizedInstanceExits1(t *testing.T) {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), mainArgsEnv+"=check -threads 100000000 -ops 1 -max-states 10 treiber")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit = %v, want status 1; stderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "threads x ops must be at most 64") {
+		t.Errorf("stderr lacks the instance limit:\n%s", stderr.String())
+	}
+}

@@ -3,11 +3,13 @@
 // linearizable specifications and — for MS/DGLM queues, CCAS and RDCSS —
 // the abstract programs used by Theorem 5.8.
 //
-// The treiber, ms-queue, dglm-queue and spinlock-stack rows compile
-// from their BBVL sources in examples/bbvl (models.go): each .bbvl file
-// is the only definition of its algorithm, and the Go table here keeps
-// only its metadata. The other rows are Go closures over machine.Ctx,
-// each needing a language feature BBVL lacks (ROADMAP item 4).
+// The treiber, ms-queue, dglm-queue and spinlock-stack rows, the three
+// lock-based lists and the two-lock-queue and coarse-list extensions
+// compile from their BBVL sources in examples/bbvl (models.go): each
+// .bbvl file is the only definition of its algorithm, and the Go table
+// here keeps only its metadata. The other 12 rows are Go closures over
+// machine.Ctx, each needing a language feature BBVL lacks (ROADMAP item
+// 5).
 //
 // Statement granularity follows the paper's models: one shared-memory
 // access (read, write, or CAS) per atomic statement; purely local

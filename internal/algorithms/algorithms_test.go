@@ -526,10 +526,15 @@ func TestConcurrentBuild(t *testing.T) {
 func TestEmbeddedRowsMatchModels(t *testing.T) {
 	cfg := Config{Threads: 2, Ops: 2}
 	for id, model := range map[string]embeddedModel{
-		"treiber":        treiberModel,
-		"ms-queue":       msQueueModel,
-		"dglm-queue":     dglmQueueModel,
-		"spinlock-stack": spinLockStackModel,
+		"treiber":           treiberModel,
+		"ms-queue":          msQueueModel,
+		"dglm-queue":        dglmQueueModel,
+		"spinlock-stack":    spinLockStackModel,
+		"lazy-list":         lazyListModel,
+		"optimistic-list":   optimisticListModel,
+		"fine-grained-list": fineGrainedListModel,
+		"two-lock-queue":    twoLockQueueModel,
+		"coarse-list":       coarseListModel,
 	} {
 		a, err := ByID(id)
 		if err != nil {

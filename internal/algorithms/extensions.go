@@ -6,202 +6,10 @@ import (
 
 // This file packages extension algorithms beyond the paper's Table II:
 // classic companions of the benchmarks that exercise additional corners
-// of the framework (blocking queues, coarse locking, Harris's original
-// list, version-tagged ABA protection). All are marked Extension and do
-// not appear in the Table II exhibit.
-
-// TwoLockQueue builds the two-lock blocking queue from the same paper as
-// the MS lock-free queue [25]: one lock serializes enqueuers, another
-// serializes dequeuers, and the sentinel node lets them run concurrently.
-// It is linearizable and deadlock-free but, being lock-based, not
-// lock-free.
-func TwoLockQueue(cfg Config) *machine.Program {
-	const (
-		gHead  = 0
-		gTail  = 1
-		gHLock = 2
-		gTLock = 3
-	)
-	const (
-		locN = 0 // new node (enq) / head snapshot (deq)
-		locH = 1 // new head (deq)
-	)
-	return &machine.Program{
-		Name: "two-lock-queue",
-		Globals: machine.Schema{
-			Names: []string{"Head", "Tail", "HLock", "TLock"},
-			Kinds: []machine.VarKind{machine.KPtr, machine.KPtr, machine.KVal, machine.KVal},
-		},
-		HeapCap:    cfg.TotalOps() + 2,
-		NLocals:    2,
-		LocalKinds: []machine.VarKind{machine.KPtr, machine.KPtr},
-		Init: func(g *machine.Global) {
-			g.Heap[1] = machine.Node{Kind: kindNode} // sentinel
-			g.Vars[gHead] = 1
-			g.Vars[gTail] = 1
-		},
-		Methods: []machine.Method{
-			{
-				Name: "Enq",
-				Args: cfg.Values(),
-				Body: []machine.Stmt{
-					{Label: "E1", Exec: func(c *machine.Ctx) {
-						n := c.Alloc(kindNode)
-						c.Node(n).Val = c.Arg
-						c.L[locN] = n
-						c.Goto(1)
-					}},
-					{Label: "E2", Exec: func(c *machine.Ctx) { // lock(TLock)
-						if c.CASV(gTLock, 0, c.Self()) {
-							c.Goto(2)
-						}
-					}},
-					{Label: "E3", Exec: func(c *machine.Ctx) {
-						c.Node(c.V(gTail)).Next = c.L[locN]
-						c.Goto(3)
-					}},
-					{Label: "E4", Exec: func(c *machine.Ctx) {
-						c.SetV(gTail, c.L[locN])
-						c.Goto(4)
-					}},
-					{Label: "E5", Exec: func(c *machine.Ctx) {
-						c.SetV(gTLock, 0)
-						c.Return(machine.ValOK)
-					}},
-				},
-			},
-			{
-				Name: "Deq",
-				Body: []machine.Stmt{
-					{Label: "D1", Exec: func(c *machine.Ctx) { // lock(HLock)
-						if c.CASV(gHLock, 0, c.Self()) {
-							c.Goto(1)
-						}
-					}},
-					{Label: "D2", Exec: func(c *machine.Ctx) {
-						c.L[locN] = c.V(gHead)
-						c.Goto(2)
-					}},
-					{Label: "D3", Exec: func(c *machine.Ctx) {
-						c.L[locH] = c.Node(c.L[locN]).Next
-						if c.L[locH] == 0 {
-							c.Goto(4) // empty: unlock and report
-						} else {
-							c.Goto(3)
-						}
-					}},
-					{Label: "D4", Exec: func(c *machine.Ctx) {
-						// The new head's value is read under the lock; the
-						// old sentinel becomes garbage.
-						c.SetV(gHead, c.L[locH])
-						c.Goto(5)
-					}},
-					{Label: "D5", Exec: func(c *machine.Ctx) {
-						c.SetV(gHLock, 0)
-						c.Return(machine.ValEmpty)
-					}},
-					{Label: "D6", Exec: func(c *machine.Ctx) {
-						v := c.Node(c.L[locH]).Val
-						c.SetV(gHLock, 0)
-						c.Return(v)
-					}},
-				},
-			},
-		},
-	}
-}
-
-// CoarseList builds the textbook coarse-grained synchronized list [17]:
-// one global lock serializes every operation; the traversal happens
-// under the lock, one step per shared read.
-func CoarseList(cfg Config) *machine.Program {
-	const (
-		gHead = 0
-		gLock = 1
-	)
-	keys := cfg.Values()
-	// Traversal under the lock: pred/curr end with curr.key >= k.
-	walk := func(after int) []machine.Stmt {
-		return []machine.Stmt{
-			{Label: "W1", Exec: func(c *machine.Ctx) { // lock
-				if c.CASV(gLock, 0, c.Self()) {
-					c.Goto(1)
-				}
-			}},
-			{Label: "W2", Exec: func(c *machine.Ctx) {
-				c.L[lLocPred] = c.V(gHead)
-				c.Goto(2)
-			}},
-			{Label: "W3", Exec: func(c *machine.Ctx) {
-				c.L[lLocCurr] = c.Node(c.L[lLocPred]).Next
-				c.Goto(3)
-			}},
-			{Label: "W4", Exec: func(c *machine.Ctx) {
-				if c.Node(c.L[lLocCurr]).Key < c.Arg {
-					c.L[lLocPred] = c.L[lLocCurr]
-					c.Goto(2)
-					return
-				}
-				c.Goto(after)
-			}},
-		}
-	}
-	finish := func(action func(c *machine.Ctx)) []machine.Stmt {
-		return []machine.Stmt{
-			{Label: "F1", Exec: func(c *machine.Ctx) {
-				action(c)
-				c.Goto(5)
-			}},
-			{Label: "F2", Exec: func(c *machine.Ctx) {
-				c.SetV(gLock, 0)
-				c.Return(c.L[lLocRes])
-			}},
-		}
-	}
-	addBody := concat(walk(4), finish(func(c *machine.Ctx) {
-		if c.Node(c.L[lLocCurr]).Key == c.Arg {
-			c.L[lLocRes] = machine.ValFalse
-			return
-		}
-		n := c.Alloc(kindNode)
-		c.Node(n).Key = c.Arg
-		c.Node(n).Next = c.L[lLocCurr]
-		c.Node(c.L[lLocPred]).Next = n
-		c.L[lLocRes] = machine.ValTrue
-	}))
-	removeBody := concat(walk(4), finish(func(c *machine.Ctx) {
-		if c.Node(c.L[lLocCurr]).Key == c.Arg {
-			c.Node(c.L[lLocPred]).Next = c.Node(c.L[lLocCurr]).Next
-			c.L[lLocRes] = machine.ValTrue
-			return
-		}
-		c.L[lLocRes] = machine.ValFalse
-	}))
-	containsBody := concat(walk(4), finish(func(c *machine.Ctx) {
-		if c.Node(c.L[lLocCurr]).Key == c.Arg {
-			c.L[lLocRes] = machine.ValTrue
-			return
-		}
-		c.L[lLocRes] = machine.ValFalse
-	}))
-	return &machine.Program{
-		Name: "coarse-list",
-		Globals: machine.Schema{
-			Names: []string{"Head", "Lock"},
-			Kinds: []machine.VarKind{machine.KPtr, machine.KVal},
-		},
-		HeapCap:    cfg.TotalOps() + 3,
-		NLocals:    len(lockListLocals),
-		LocalKinds: lockListLocals,
-		Init:       lockListInit(gHead),
-		Methods: []machine.Method{
-			{Name: "Add", Args: keys, Body: addBody},
-			{Name: "Remove", Args: keys, Body: removeBody},
-			{Name: "Contains", Args: keys, Body: containsBody},
-		},
-		FormatRet: lockBoolRet,
-	}
-}
+// of the framework (Harris's original list, version-tagged ABA
+// protection). All are marked Extension and do not appear in the Table
+// II exhibit; the two-lock queue and coarse list extensions compile from
+// examples/bbvl (models.go).
 
 // Local register layout for the Harris list.
 const (
@@ -442,32 +250,6 @@ func TreiberVersioned(cfg Config) *machine.Program {
 				},
 			},
 		},
-	}
-}
-
-func twoLockQueueAlg() *Algorithm {
-	return &Algorithm{
-		ID:                 "two-lock-queue",
-		Display:            "MS two-lock queue",
-		Ref:                "[25]",
-		LockBased:          true,
-		Extension:          true,
-		ExpectLinearizable: true,
-		Build:              TwoLockQueue,
-		Spec:               queueSpec,
-	}
-}
-
-func coarseListAlg() *Algorithm {
-	return &Algorithm{
-		ID:                 "coarse-list",
-		Display:            "Coarse-grained syn. list",
-		Ref:                "[17]",
-		LockBased:          true,
-		Extension:          true,
-		ExpectLinearizable: true,
-		Build:              CoarseList,
-		Spec:               lockSetSpec,
 	}
 }
 

@@ -36,10 +36,15 @@ func (m embeddedModel) spec(cfg Config) *machine.Program     { return m().SpecPr
 func (m embeddedModel) abstract(cfg Config) *machine.Program { return m().AbstractProgram(cfg) }
 
 var (
-	treiberModel       = embedded("treiber")
-	msQueueModel       = embedded("msqueue")
-	dglmQueueModel     = embedded("dglm-queue")
-	spinLockStackModel = embedded("spinlock-stack")
+	treiberModel         = embedded("treiber")
+	msQueueModel         = embedded("msqueue")
+	dglmQueueModel       = embedded("dglm-queue")
+	spinLockStackModel   = embedded("spinlock-stack")
+	lazyListModel        = embedded("lazy-list")
+	optimisticListModel  = embedded("optimistic-list")
+	fineGrainedListModel = embedded("fine-grained-list")
+	twoLockQueueModel    = embedded("two-lock-queue")
+	coarseListModel      = embedded("coarse-list")
 )
 
 // LockBased and Abstract of the rows below restate the model's
@@ -102,5 +107,72 @@ func spinLockStackAlg() *Algorithm {
 		ExpectLockFree:     false,
 		Build:              spinLockStackModel.build,
 		Spec:               spinLockStackModel.spec,
+	}
+}
+
+// The lock-based lists of Table II [16, 17] and the two lock-based
+// extensions: linearizable and deadlock-free, never lock-free (a thread
+// blocked on a lock waits on its holder).
+
+func lazyListAlg() *Algorithm {
+	return &Algorithm{
+		ID:                 "lazy-list",
+		Display:            "Heller et al. lazy list",
+		Ref:                "[16]",
+		NonFixedLPs:        true,
+		LockBased:          true,
+		ExpectLinearizable: true,
+		Build:              lazyListModel.build,
+		Spec:               lazyListModel.spec,
+	}
+}
+
+func optimisticListAlg() *Algorithm {
+	return &Algorithm{
+		ID:                 "optimistic-list",
+		Display:            "Optimistic list",
+		Ref:                "[17]",
+		LockBased:          true,
+		ExpectLinearizable: true,
+		Build:              optimisticListModel.build,
+		Spec:               optimisticListModel.spec,
+	}
+}
+
+func fineGrainedListAlg() *Algorithm {
+	return &Algorithm{
+		ID:                 "fine-grained-list",
+		Display:            "Fine-grained syn. list",
+		Ref:                "[17]",
+		LockBased:          true,
+		ExpectLinearizable: true,
+		Build:              fineGrainedListModel.build,
+		Spec:               fineGrainedListModel.spec,
+	}
+}
+
+func twoLockQueueAlg() *Algorithm {
+	return &Algorithm{
+		ID:                 "two-lock-queue",
+		Display:            "MS two-lock queue",
+		Ref:                "[25]",
+		LockBased:          true,
+		Extension:          true,
+		ExpectLinearizable: true,
+		Build:              twoLockQueueModel.build,
+		Spec:               twoLockQueueModel.spec,
+	}
+}
+
+func coarseListAlg() *Algorithm {
+	return &Algorithm{
+		ID:                 "coarse-list",
+		Display:            "Coarse-grained syn. list",
+		Ref:                "[17]",
+		LockBased:          true,
+		Extension:          true,
+		ExpectLinearizable: true,
+		Build:              coarseListModel.build,
+		Spec:               coarseListModel.spec,
 	}
 }

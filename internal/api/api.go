@@ -47,6 +47,7 @@ type JobSpec struct {
 	// Algorithm is a registry ID (see bbverify list or GET /v1/algorithms).
 	Algorithm string `json:"algorithm"`
 	// Threads and Ops bound the most general client; 0 defaults to 2.
+	// Their product is at most MaxTotalOps.
 	Threads int `json:"threads"`
 	Ops     int `json:"ops"`
 	// MaxStates caps exploration; 0 uses machine.DefaultMaxStates.
@@ -235,6 +236,14 @@ func (s *JobSpec) Normalize() {
 	}
 }
 
+// MaxTotalOps bounds threads × ops. The specification and the heap are
+// sized by threads × ops before exploration starts, so before
+// max_states can stop anything: an oversized instance would exhaust
+// memory there. No instance that can be verified comes near the bound:
+// state spaces grow exponentially in threads × ops, and the largest the
+// docs, tests and benchmark submit are 2×8 and 3×3.
+const MaxTotalOps = 64
+
 // Validate rejects malformed specs before they reach a worker.
 func (s *JobSpec) Validate() error {
 	_, _, err := s.validate()
@@ -251,6 +260,9 @@ func (s *JobSpec) validate() (*algorithms.Algorithm, *bbvl.Model, error) {
 	}
 	if s.Threads <= 0 || s.Ops <= 0 {
 		return nil, nil, fmt.Errorf("api: threads and ops must be positive (got %d x %d)", s.Threads, s.Ops)
+	}
+	if s.Threads > MaxTotalOps/s.Ops {
+		return nil, nil, fmt.Errorf("api: threads x ops must be at most %d (got %d x %d)", MaxTotalOps, s.Threads, s.Ops)
 	}
 	if s.MaxStates < 0 || s.Workers < 0 || s.TimeoutMS < 0 || s.MemBudgetMB < 0 {
 		return nil, nil, fmt.Errorf("api: max_states, workers, timeout_ms and mem_budget_mb must be non-negative")

@@ -94,6 +94,9 @@ func TestValidate(t *testing.T) {
 		{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: 2, MemBudgetMB: -1},
 		// Treiber's stack has no abstract program for Theorem 5.8.
 		{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: 2, Checks: []string{CheckAbstract}},
+		// Past MaxTotalOps: the specification alone would exhaust memory.
+		{Kind: KindCheck, Algorithm: "treiber", Threads: 100000000, Ops: 1, MaxStates: 10},
+		{Kind: KindCheck, Algorithm: "treiber", Threads: 2, Ops: MaxTotalOps/2 + 1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("spec %+v must not validate", bad)
@@ -102,6 +105,7 @@ func TestValidate(t *testing.T) {
 	for _, ok := range []JobSpec{
 		{Kind: KindKTrace, Algorithm: "treiber", Threads: 2, Ops: 1},
 		{Kind: KindCheck, Algorithm: "ms-queue", Threads: 2, Ops: 1, Checks: []string{CheckAbstract}},
+		{Kind: KindExplore, Algorithm: "treiber", Threads: 2, Ops: MaxTotalOps / 2},
 	} {
 		if err := ok.Validate(); err != nil {
 			t.Errorf("valid spec rejected: %v", err)

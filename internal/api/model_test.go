@@ -168,3 +168,36 @@ func TestReductionModelJobsOnly(t *testing.T) {
 		t.Errorf("model msqueue: reduction changed a verdict or quotient: %+v vs %+v", reduced, full)
 	}
 }
+
+// flagSet is a set of two keys, one flag global each: Add and Remove
+// flip the key's flag with one cas and report whether it flipped. Its
+// returns are booleans, rendered true/false like the set specification.
+const flagSet = `model flagset
+globals { F1: val  F2: val }
+spec set
+method Add(k: vals) {
+  A1: if k == 1 { goto A2 } else { goto A3 }
+  A2: if cas(F1, 0, 1) { return true } else { return false }
+  A3: if cas(F2, 0, 1) { return true } else { return false }
+}
+method Remove(k: vals) {
+  R1: if k == 1 { goto R2 } else { goto R3 }
+  R2: if cas(F1, 1, 0) { return true } else { return false }
+  R3: if cas(F2, 1, 0) { return true } else { return false }
+}
+`
+
+// TestSetModelLinearizable: a correct set model verifies. Its returns
+// must render as the set specification renders them ("Add(true)", not
+// "Add(1)"), or every set model is reported non-linearizable.
+func TestSetModelLinearizable(t *testing.T) {
+	res, err := RunBackend(context.Background(), JobSpec{
+		Kind: KindCheck, ModelSource: flagSet, Threads: 2, Ops: 2, Workers: 1,
+	}, statecodec.Backend{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Check.Linearizable {
+		t.Errorf("flag set reported non-linearizable: %+v", res.Check)
+	}
+}

@@ -17,6 +17,10 @@ type File struct {
 	InitPos   Pos
 	Methods   []*MethodDecl
 	Abstract  *AbstractDecl
+
+	// InitLocals are the init block's own locals, declared with var
+	// before its instructions; they vanish once init has run.
+	InitLocals []*VarDecl
 }
 
 // NodeDecl declares one heap node kind and its named fields.
@@ -124,6 +128,16 @@ type Free struct {
 	NamePos Pos
 }
 
+// Lock acquires (or, with Unlock set, releases) the lock named by a
+// variable: the Lock word of the node a ptr local references, or a val
+// global used as a lock word. An acquire blocks while the lock is held.
+type Lock struct {
+	P       Pos
+	Name    string
+	NamePos Pos
+	Unlock  bool
+}
+
 // CasStmt is a compare-and-swap whose boolean result is discarded
 // (helping CASes like MS queue's tail swing).
 type CasStmt struct {
@@ -149,7 +163,8 @@ type Cas struct {
 }
 
 // CondExpr is a branch condition: either a CAS (branching on success) or
-// a comparison of two operands with "==" or "!=".
+// a comparison of two operands with "==", "!=" or "<" (val operands
+// only).
 type CondExpr struct {
 	P    Pos
 	Cas  *Cas
@@ -182,5 +197,6 @@ func (i *Assign) pos() Pos  { return i.P }
 func (i *Goto) pos() Pos    { return i.P }
 func (i *Return) pos() Pos  { return i.P }
 func (i *Free) pos() Pos    { return i.P }
+func (i *Lock) pos() Pos    { return i.P }
 func (i *CasStmt) pos() Pos { return i.P }
 func (i *If) pos() Pos      { return i.P }

@@ -42,6 +42,7 @@ type rProgram struct {
 	heapExtra    int
 	methods      []rMethod
 	init         []machine.Instr
+	initLocals   int
 }
 
 // Model is a checked and compiled BBVL model, ready to instantiate
@@ -71,6 +72,7 @@ var reservedNames = map[string]bool{
 	"spec": true, "init": true, "method": true, "abstract": true,
 	"var": true, "goto": true, "return": true, "if": true, "else": true,
 	"cas": true, "alloc": true, "free": true, "lockbased": true,
+	"lock": true, "unlock": true,
 	"vals": true, "totalops": true, "self": true, "nil": true,
 	"ok": true, "empty": true, "true": true, "false": true, "null": true,
 	"val": true, "ptr": true, "mark": true, "stack": true, "queue": true,
@@ -126,14 +128,14 @@ func Check(f *File) (*Model, error) {
 		c.errs.errorf(f.Pos, "model %s declares no methods", f.Name)
 	}
 	prog := c.checkProgram(f.Name, f.Methods, false)
-	prog.init = c.checkInit(f.Init)
+	prog.init, prog.initLocals = c.checkInit(f.InitLocals, f.Init)
 	var abs *rProgram
 	if f.Abstract != nil {
 		if len(f.Abstract.Methods) == 0 {
 			c.errs.errorf(f.Abstract.Pos, "abstract block declares no methods")
 		}
 		abs = c.checkProgram(f.Name+"-abstract", f.Abstract.Methods, true)
-		abs.init = prog.init
+		abs.init, abs.initLocals = prog.init, prog.initLocals
 	}
 	if f.Spec != nil {
 		c.checkSpecShape(f.Spec, f.Methods)
@@ -278,6 +280,9 @@ func (c *checker) checkProgram(name string, methods []*MethodDecl, exempt bool) 
 			continue
 		}
 		seen[m.Name] = m.Pos
+		if len(m.Stmts) == 0 {
+			c.errs.errorf(m.Pos, "method %s has no statements", m.Name)
+		}
 		sc := c.newMethodScope(m, exempt)
 		// Locals are positional: the i-th declared local of every method
 		// shares register slot i, so their kinds must agree.
@@ -352,9 +357,6 @@ func (c *checker) newMethodScope(m *MethodDecl, exempt bool) *methodScope {
 		}
 		sc.labels[s.Label] = i
 	}
-	if len(m.Stmts) == 0 {
-		c.errs.errorf(m.Pos, "method %s has no statements", m.Name)
-	}
 	sc.computeFresh()
 	return sc
 }
@@ -402,9 +404,10 @@ func (sc *methodScope) resolveMethod() rMethod {
 	rm := rMethod{name: m.Name, argVals: m.ArgVals, argSet: m.ArgSet, pos: m.Pos}
 	for _, s := range m.Stmts {
 		body, _ := sc.resolveSeq(s.Body)
-		acc := &accessCount{}
 		if !sc.exempt {
-			sc.countAccesses(s, s.Body, acc)
+			var acc accessCount
+			sc.countAccesses(s, s.Body, &acc)
+			sc.checkGranularity(s, acc)
 		}
 		if !sc.seqTerminates(body) {
 			sc.c.errs.errorf(s.Pos, "statement %s can fall off the end: every execution path must finish with goto or return", s.Label)
@@ -478,6 +481,27 @@ func (sc *methodScope) resolveInstr(in Instr) (machine.Instr, bool) {
 			ok = false
 		}
 		return machine.Instr{Op: machine.IRFree, LHS: loc, Pos: in.P}, ok
+	case *Lock:
+		op, what := machine.IRLock, "lock"
+		if in.Unlock {
+			op, what = machine.IRUnlock, "unlock"
+		}
+		loc, kind, ok := sc.resolveVar(in.NamePos, in.Name)
+		switch {
+		case !ok:
+		case loc.Kind == machine.LocLocal && kind == "ptr":
+			// The lock word of the node the local references.
+			loc = machine.Loc{Kind: machine.LocField, Index: loc.Index, Field: machine.FieldLock, Pos: in.NamePos, Name: in.Name}
+		case loc.Kind == machine.LocGlobal && kind == "val":
+		default:
+			scope := "local"
+			if loc.Kind == machine.LocGlobal {
+				scope = "global"
+			}
+			c.errs.errorf(in.NamePos, "%s(%s): %s is a %s %s; a lock is a val global or the node a ptr local references", what, in.Name, in.Name, kind, scope)
+			ok = false
+		}
+		return machine.Instr{Op: op, LHS: loc, Pos: in.P}, ok
 	case *CasStmt:
 		ri, ok := sc.resolveCas(in.Cas)
 		ri.Op = machine.IRCas
@@ -494,13 +518,22 @@ func (sc *methodScope) resolveInstr(in Instr) (machine.Instr, bool) {
 			x, xk, okx := sc.resolveExpr(in.Cond.X)
 			y, yk, oky := sc.resolveExpr(in.Cond.Y)
 			ok = okx && oky
-			if ok && xk != yk {
+			less := in.Cond.Op == "<"
+			switch {
+			case ok && less && xk == "ptr":
+				c.errs.errorf(in.Cond.X.P, `"<" orders val operands; %s is a pointer`, formatExpr(in.Cond.X))
+				ok = false
+			case ok && less && yk == "ptr":
+				c.errs.errorf(in.Cond.Y.P, `"<" orders val operands; %s is a pointer`, formatExpr(in.Cond.Y))
+				ok = false
+			case ok && xk != yk:
 				c.errs.errorf(in.Cond.P, "comparison mixes %s and %s operands", xk, yk)
 				ok = false
 			}
 			ri.Op = machine.IRIfCmp
 			ri.A, ri.B = x, y
 			ri.Negate = in.Cond.Op == "!="
+			ri.Less = less
 		}
 		then, okt := sc.resolveSeq(in.Then)
 		els, oke := sc.resolveSeq(in.Else)
@@ -637,34 +670,45 @@ func (sc *methodScope) resolveExpr(e *Expr) (machine.Operand, string, bool) {
 	return machine.Operand{Kind: machine.OperandLoc, Loc: loc}, kind, ok
 }
 
-// accessCount tracks the distinct shared locations an atomic statement
-// writes (or CASes, allocates, frees).
-type accessCount struct {
-	locs  map[string]bool
-	first Pos
+// accessKind classifies one destructive shared access for the
+// granularity rule.
+type accessKind uint8
+
+const (
+	accWrite accessKind = iota
+	accAlloc
+	accUnlock
+)
+
+// access is one destructive shared access of a statement. local is the
+// ptr local an alloc fills, or the variable an assignment stores (empty
+// for any other value).
+type access struct {
+	key   string
+	pos   Pos
+	kind  accessKind
+	local string
 }
 
-func (a *accessCount) add(sc *methodScope, stmt *Stmt, key string, pos Pos) {
-	if a.locs == nil {
-		a.locs = map[string]bool{}
+// accessCount collects the distinct shared locations an atomic statement
+// writes (or CASes, allocates, frees, locks or unlocks), in source
+// order.
+type accessCount []access
+
+func (a *accessCount) add(x access) {
+	for _, y := range *a {
+		if y.key == x.key {
+			return
+		}
 	}
-	if a.locs[key] {
-		return
-	}
-	a.locs[key] = true
-	if len(a.locs) == 1 {
-		a.first = pos
-		return
-	}
-	sc.c.errs.errorf(pos, "statement %s performs %d shared-memory writes (first at %s): the model discipline is one shared access per atomic statement",
-		stmt.Label, len(a.locs), a.first)
+	*a = append(*a, x)
 }
 
-// countAccesses enforces the granularity discipline on an implementation
-// statement: at most one destructive shared access (global write or CAS,
-// field write or CAS, alloc, free) per atomic statement. Reads ride
-// along (the paper's models snapshot several variables in one step, e.g.
-// MS queue's L19), as do writes through fresh unpublished nodes and
+// countAccesses collects the destructive shared accesses of an
+// implementation statement for checkGranularity: global writes and
+// CASes, field writes and CASes, allocs, frees, locks and unlocks. Reads
+// ride along (the paper's models snapshot several variables in one step,
+// e.g. MS queue's L19), as do writes through fresh unpublished nodes and
 // reads of immutable val fields. It also rejects a CAS on a plain val
 // variable whose result is discarded: without branching on the outcome
 // such a CAS cannot be distinguished from a blind write, which is
@@ -674,28 +718,72 @@ func (sc *methodScope) countAccesses(stmt *Stmt, seq []Instr, acc *accessCount) 
 		switch in := in.(type) {
 		case *Assign:
 			if in.AllocKind != "" {
-				acc.add(sc, stmt, "alloc@"+in.P.String(), in.P)
+				x := access{key: "alloc@" + in.P.String(), pos: in.P, kind: accAlloc}
+				if _, isLocal := sc.localIdx[in.LHS.Base]; isLocal && in.LHS.Field == "" {
+					x.local = in.LHS.Base
+				}
+				acc.add(x)
 				continue
 			}
 			if key, shared := sc.sharedWriteKey(&in.LHS); shared {
-				acc.add(sc, stmt, key, in.P)
+				x := access{key: key, pos: in.P}
+				if in.RHS != nil && !in.RHS.IsInt && in.RHS.Field == "" {
+					x.local = in.RHS.Name
+				}
+				acc.add(x)
 			}
 		case *Free:
-			acc.add(sc, stmt, "free@"+in.P.String(), in.P)
+			acc.add(access{key: "free@" + in.P.String(), pos: in.P})
+		case *Lock:
+			if key, shared := sc.lockKey(in); shared {
+				x := access{key: key, pos: in.P}
+				if in.Unlock {
+					x.kind = accUnlock
+				}
+				acc.add(x)
+			}
 		case *CasStmt:
 			sc.checkUnguardedCas(in.Cas)
 			if key, shared := sc.sharedWriteKey(&in.Cas.Target); shared {
-				acc.add(sc, stmt, key, in.Cas.P)
+				acc.add(access{key: key, pos: in.Cas.P})
 			}
 		case *If:
 			if in.Cond.Cas != nil {
 				if key, shared := sc.sharedWriteKey(&in.Cond.Cas.Target); shared {
-					acc.add(sc, stmt, key, in.Cond.Cas.P)
+					acc.add(access{key: key, pos: in.Cond.Cas.P})
 				}
 			}
 			sc.countAccesses(stmt, in.Then, acc)
 			sc.countAccesses(stmt, in.Else, acc)
 		}
+	}
+}
+
+// checkGranularity enforces the paper's modeling discipline on an
+// implementation statement: at most one destructive shared access per
+// atomic statement. One rule (DESIGN.md, "One definition per
+// algorithm") admits the two shapes of the lock-based lists' critical
+// sections:
+//
+//   - alloc-and-link: allocate a node into a local, then publish it with
+//     one plain store of that local (the new node's own fields are
+//     private until then), and
+//   - release two locks at once: a statement whose only accesses are
+//     two unlocks (validation failure, or the end of a critical
+//     section).
+func (sc *methodScope) checkGranularity(stmt *Stmt, l accessCount) {
+	if len(l) <= 1 {
+		return
+	}
+	if len(l) == 2 && l[0].kind == accAlloc && l[0].local != "" && l[1].kind == accWrite && l[1].local == l[0].local {
+		return // alloc-and-link
+	}
+	if len(l) == 2 && l[0].kind == accUnlock && l[1].kind == accUnlock {
+		return // two releases
+	}
+	for i := 1; i < len(l); i++ {
+		sc.c.errs.errorf(l[i].pos, "statement %s performs %d shared-memory writes (first at %s): the model discipline is one shared access per atomic statement",
+			stmt.Label, i+1, l[0].pos)
 	}
 }
 
@@ -734,22 +822,26 @@ func (sc *methodScope) sharedWriteKey(lv *LValue) (string, bool) {
 	return "f:" + lv.Base + "." + lv.Field, true
 }
 
+// lockKey returns the location identity of a lock or unlock, and
+// whether it touches shared memory at all (the lock of a fresh,
+// unpublished node does not).
+func (sc *methodScope) lockKey(in *Lock) (string, bool) {
+	if slot, isLocal := sc.localIdx[in.Name]; isLocal {
+		return "lock:" + in.Name, !sc.fresh[slot]
+	}
+	return "g:" + in.Name, true
+}
+
 // checkInit validates the init block: straight-line global and field
-// initialization only.
-func (c *checker) checkInit(seq []Instr) []machine.Instr {
-	if len(seq) == 0 {
-		return nil
+// initialization only, through the block's own locals if it declares
+// any. It returns the compiled block and its local count.
+func (c *checker) checkInit(locals []*VarDecl, seq []Instr) ([]machine.Instr, int) {
+	if len(seq) == 0 && len(locals) == 0 {
+		return nil, 0
 	}
-	// Init shares the resolution machinery via a scope with no locals,
-	// no argument and no labels.
-	sc := &methodScope{
-		c:        c,
-		method:   &MethodDecl{Name: "init"},
-		localIdx: map[string]int{},
-		labels:   map[string]int{},
-		fresh:    map[int]bool{},
-		exempt:   true,
-	}
+	// Init shares the resolution machinery via a scope with its own
+	// locals, no argument and no labels.
+	sc := c.newMethodScope(&MethodDecl{Name: "init", Locals: locals}, true)
 	var out []machine.Instr
 	for _, in := range seq {
 		as, ok := in.(*Assign)
@@ -762,7 +854,7 @@ func (c *checker) checkInit(seq []Instr) []machine.Instr {
 			out = append(out, ri)
 		}
 	}
-	return out
+	return out, len(sc.locals)
 }
 
 // checkSpecShape verifies the model exposes exactly the method

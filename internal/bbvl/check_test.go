@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/machine"
 )
 
 // minimal wraps a method body in an otherwise-valid stack model.
@@ -260,5 +262,75 @@ func TestDumpMentionsLayout(t *testing.T) {
 		if !strings.Contains(d, want) {
 			t.Errorf("Dump missing %q:\n%s", want, d)
 		}
+	}
+}
+
+// TestLockAndOrderDiagnostics positions the misuse of lock, unlock, "<"
+// and init locals.
+func TestLockAndOrderDiagnostics(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, pos, frag string
+	}{
+		{"less on a ptr", minimal(`  var t: ptr
+  P1: t = Top; if t < nil { return ok } else { return ok }`), "m.bbvl:8:19", `"<" orders val operands; t is a pointer`},
+		{"less on a ptr, right", minimal(`  var t: ptr
+  P1: t = Top; if v < t { return ok } else { return ok }`), "m.bbvl:8:23", `"<" orders val operands; t is a pointer`},
+		{"lock a ptr global", minimal(`  P1: lock(Top); return ok`), "m.bbvl:7:12", "lock(Top): Top is a ptr global"},
+		{"unlock a val local", minimal(`  var x: val
+  P1: unlock(x); return ok`), "m.bbvl:8:14", "unlock(x): x is a val local"},
+		{"lock an undefined name", minimal(`  P1: lock(L); return ok`), "m.bbvl:7:12", "undefined variable L"},
+		{"lock is reserved", minimal(`  var lock: ptr
+  P1: return ok`), "m.bbvl:7:7", `local name "lock" is a reserved word`},
+		{"alloc and a write of another value", minimal(`  var t: ptr
+  var n: ptr
+  P1: t = Top; n = alloc(cell); t.next = t; return ok`), "m.bbvl:9:33", "one shared access per atomic statement"},
+		{"alloc, link and one more write", minimal(`  var t: ptr
+  var n: ptr
+  P1: t = Top; n = alloc(cell); t.next = n; G = 1; return ok`), "m.bbvl:9:33", "one shared access per atomic statement"},
+		{"alloc into a global and a write", minimal(`  P1: Top = alloc(cell); G = 1; return ok`), "m.bbvl:7:26", "one shared access per atomic statement"},
+		{"unlock and a write", minimal(`  P1: unlock(G); Top = nil; return ok`), "m.bbvl:7:18", "one shared access per atomic statement"},
+		{"negative heap", strings.Replace(minimal(`  P1: return ok`), "heap totalops + 1", "heap -1", 1), "m.bbvl:4:6", "expected a non-negative integer"},
+		{"init local shadows a global", strings.Replace(minimal(`  P1: return ok`), "spec stack", "spec stack\ninit { var G: ptr\n  G = alloc(cell) }", 1), "m.bbvl:6:12", "local G shadows a global"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { wantDiag(t, tc.src, tc.pos, tc.frag) })
+	}
+}
+
+// TestGranularityRule admits the two statement shapes of the lock-based
+// lists: alloc-and-link, and releasing two locks at once.
+func TestGranularityRule(t *testing.T) {
+	for name, body := range map[string]string{
+		"alloc and link": `  var t: ptr
+  var n: ptr
+  P1: t = Top; n = alloc(cell); n.val = v; n.next = t; t.next = n; return ok`,
+		"two unlocks": `  var t: ptr
+  P1: t = Top; unlock(t); unlock(G); return ok`,
+		"lock then read": `  var t: ptr
+  P1: t = Top; lock(t); if t.val < v { return ok } else { return ok }`,
+	} {
+		if _, err := Load("m.bbvl", []byte(minimal(body))); err != nil {
+			t.Errorf("%s rejected: %v", name, err)
+		}
+	}
+}
+
+// TestInitLocalsAndNegativeLiterals builds two linked sentinels through
+// an init local, with the head's key below every value.
+func TestInitLocalsAndNegativeLiterals(t *testing.T) {
+	src := strings.Replace(minimal(`  P1: return ok`), "spec stack", `spec stack
+init {
+  var t: ptr
+  Top = alloc(cell); Top.val = -1
+  t = alloc(cell); t.val = 7; Top.next = t
+}`, 1)
+	m, err := Load("m.bbvl", []byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := m.Build(Config{Threads: 1, Ops: 1})
+	g := &machine.Global{Vars: make([]int32, len(p.Globals.Names)), Heap: make([]machine.Node, p.HeapCap+1)}
+	p.Init(g)
+	if h := g.Heap[g.Vars[0]]; h.Val != -1 || g.Heap[h.Next].Val != 7 {
+		t.Errorf("init built head %+v, tail %+v", h, g.Heap[h.Next])
 	}
 }

@@ -14,7 +14,7 @@ import (
 // emission all follow the source, so a model that re-encodes a
 // hand-coded program explores an identical LTS.
 func (m *Model) Build(cfg Config) *machine.Program {
-	return m.prog.instantiate(cfg)
+	return m.withRets(m.prog.instantiate(cfg))
 }
 
 // SpecProgram instantiates the single-atomic-block specification the
@@ -39,7 +39,16 @@ func (m *Model) AbstractProgram(cfg Config) *machine.Program {
 	if m.abs == nil {
 		panic(fmt.Sprintf("bbvl: model %s has no abstract program", m.Name))
 	}
-	return m.abs.instantiate(cfg)
+	return m.withRets(m.abs.instantiate(cfg))
+}
+
+// withRets makes a set model render its returns as the set
+// specification does (true/false), so their return actions coincide.
+func (m *Model) withRets(p *machine.Program) *machine.Program {
+	if m.SpecKind == "set" {
+		p.FormatRet = func(_ *machine.Method, ret int32) string { return machine.FormatBool(ret) }
+	}
+	return p
 }
 
 // instantiate builds the machine.Program for one instance size. Besides
@@ -61,12 +70,12 @@ func (p *rProgram) instantiate(cfg Config) *machine.Program {
 		Source:     p.source,
 	}
 	if len(p.init) > 0 {
-		seq := p.init
+		seq, nlocals := p.init, p.initLocals
 		prog.InitIR = seq
 		prog.Init = func(g *machine.Global) {
 			// Init runs single-threaded before exploration; a zero Ctx
 			// over the fresh Global reuses the statement interpreter.
-			c := &machine.Ctx{G: g}
+			c := &machine.Ctx{G: g, L: make([]int32, nlocals)}
 			machine.RunIR(c, seq)
 		}
 	}

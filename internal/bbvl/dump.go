@@ -128,6 +128,10 @@ func (m *Model) renderInstr(rm *rMethod, in *machine.Instr) string {
 		return fmt.Sprintf("%s = alloc(%s)", m.renderLoc(&in.LHS), m.nodeName(in.AllocKind))
 	case machine.IRFree:
 		return "free(" + m.renderLoc(&in.LHS) + ")"
+	case machine.IRLock:
+		return "lock(" + m.renderLoc(&in.LHS) + ")"
+	case machine.IRUnlock:
+		return "unlock(" + m.renderLoc(&in.LHS) + ")"
 	case machine.IRCas:
 		return m.renderCas(in)
 	case machine.IRGoto:
@@ -140,7 +144,10 @@ func (m *Model) renderInstr(rm *rMethod, in *machine.Instr) string {
 			cond = m.renderCas(in)
 		} else {
 			op := "=="
-			if in.Negate {
+			switch {
+			case in.Less:
+				op = "<"
+			case in.Negate:
 				op = "!="
 			}
 			cond = m.renderOp(&in.A) + " " + op + " " + m.renderOp(&in.B)

@@ -39,6 +39,9 @@ func (m *Model) Format() string {
 	b.WriteString("\n" + spec + "\n")
 	if len(f.Init) > 0 {
 		b.WriteString("\ninit {\n")
+		for _, l := range f.InitLocals {
+			fmt.Fprintf(&b, "  var %s: %s\n", l.Name, l.Kind)
+		}
 		for _, in := range f.Init {
 			fmt.Fprintf(&b, "  %s\n", formatInstr(in))
 		}
@@ -115,6 +118,11 @@ func formatInstr(in Instr) string {
 		return "return " + formatExpr(i.Val)
 	case *Free:
 		return "free(" + i.Name + ")"
+	case *Lock:
+		if i.Unlock {
+			return "unlock(" + i.Name + ")"
+		}
+		return "lock(" + i.Name + ")"
 	case *CasStmt:
 		return formatCas(i.Cas)
 	case *If:

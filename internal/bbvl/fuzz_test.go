@@ -11,7 +11,7 @@ import (
 // never loops — it either produces a Model or a positioned ErrorList.
 // Run long with: go test -fuzz=FuzzParse ./internal/bbvl
 func FuzzParse(f *testing.F) {
-	for _, name := range []string{"treiber.bbvl", "msqueue.bbvl", "spinlock-stack.bbvl"} {
+	for _, name := range []string{"treiber.bbvl", "msqueue.bbvl", "spinlock-stack.bbvl", "lazy-list.bbvl", "fine-grained-list.bbvl", "two-lock-queue.bbvl"} {
 		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "bbvl", name))
 		if err != nil {
 			f.Fatal(err)
@@ -24,6 +24,7 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte("# only a comment"))
 	f.Add([]byte("model"))
 	f.Add([]byte("model m\ninit { G = alloc(c) }\nabstract { method F() { A1: return ok } }\n"))
+	f.Add([]byte("model m\ninit { var t: ptr\n t = alloc(c); t.k = -1 }\nmethod F(x: vals) { P1: lock(G); if x < -2 { unlock(G); goto P1 }; return ok }\n"))
 	f.Fuzz(func(t *testing.T, src []byte) {
 		m, err := Load("fuzz.bbvl", src)
 		if err == nil && m == nil {
@@ -38,7 +39,7 @@ func FuzzParse(f *testing.F) {
 // converges (or widens) and the τ-cycle pilot stays within its state
 // guards. Run long with: go test -fuzz=FuzzVet ./internal/bbvl
 func FuzzVet(f *testing.F) {
-	for _, name := range []string{"treiber.bbvl", "msqueue.bbvl", "spinlock-stack.bbvl"} {
+	for _, name := range []string{"treiber.bbvl", "msqueue.bbvl", "spinlock-stack.bbvl", "lazy-list.bbvl", "fine-grained-list.bbvl", "two-lock-queue.bbvl"} {
 		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "bbvl", name))
 		if err != nil {
 			f.Fatal(err)
@@ -57,6 +58,7 @@ func FuzzVet(f *testing.F) {
 		f.Add(src)
 	}
 	f.Add([]byte("model m\nglobals { G: val }\nspec stack\nmethod Push(v: vals) { P1: goto P1 }\nmethod Pop() { P2: return empty }\n"))
+	f.Add([]byte("model m\nnode c { v: val  n: ptr }\nglobals { L: val  T: ptr }\nspec stack\nlockbased\ninit { var t: ptr\n T = alloc(c); t = alloc(c); T.n = t }\nmethod Push(v: vals) { var p: ptr\n P1: lock(L); goto P2\n P2: p = T; lock(p); goto P3\n P3: if p.v < v { unlock(p); unlock(L); return ok }; unlock(p); goto P4\n P4: unlock(L); return ok }\nmethod Pop() { P5: lock(L); goto P6\n P6: unlock(L); return empty }\n"))
 	f.Fuzz(func(t *testing.T, src []byte) {
 		m, err := Load("fuzz.bbvl", src)
 		if err != nil {

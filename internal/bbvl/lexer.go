@@ -16,6 +16,7 @@ const (
 	tokAssign // =
 	tokEq     // ==
 	tokNeq    // !=
+	tokLt     // <
 	tokLBrace // {
 	tokRBrace // }
 	tokLParen // (
@@ -34,6 +35,7 @@ var tokNames = [...]string{
 	tokAssign: `"="`,
 	tokEq:     `"=="`,
 	tokNeq:    `"!="`,
+	tokLt:     `"<"`,
 	tokLBrace: `"{"`,
 	tokRBrace: `"}"`,
 	tokLParen: `"("`,
@@ -64,6 +66,7 @@ func (t token) describe() string {
 // Identifiers start with a letter or underscore and may contain letters,
 // digits, underscores and interior dashes (so model names like
 // "ms-queue" are single identifiers; the language has no binary minus).
+// A dash directly before a digit starts a negative integer ("-1").
 // Comments run from "#" or "//" to end of line.
 type lexer struct {
 	file string
@@ -174,8 +177,9 @@ func (lx *lexer) next() (token, *Error) {
 			break
 		}
 		return token{kind: tokIdent, text: string(lx.src[start:lx.off]), pos: pos}, nil
-	case isDigit(c):
+	case isDigit(c) || (c == '-' && lx.off+1 < len(lx.src) && isDigit(lx.src[lx.off+1])):
 		start := lx.off
+		lx.bump()
 		for {
 			c, ok := lx.peekByte()
 			if !ok || !isDigit(c) {
@@ -205,6 +209,8 @@ func (lx *lexer) next() (token, *Error) {
 		return token{kind: tokRParen, pos: pos}, nil
 	case '+':
 		return token{kind: tokPlus, pos: pos}, nil
+	case '<':
+		return token{kind: tokLt, pos: pos}, nil
 	case '=':
 		if n, ok := lx.peekByte(); ok && n == '=' {
 			lx.bump()

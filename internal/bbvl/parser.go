@@ -90,6 +90,16 @@ func (p *parser) intLit() (int, Pos) {
 	return n, t.pos
 }
 
+// natLit parses a non-negative integer: heap sizes and argument domains
+// have no use for negative values (only operands do).
+func (p *parser) natLit() int {
+	n, pos := p.intLit()
+	if n < 0 {
+		p.fail(pos, "expected a non-negative integer, found %d", n)
+	}
+	return n
+}
+
 func (p *parser) parseFile() *File {
 	f := &File{}
 	t := p.keyword("model")
@@ -130,6 +140,7 @@ func (p *parser) parseFile() *File {
 			f.InitPos = p.tok.pos
 			p.advance()
 			p.expect(tokLBrace)
+			f.InitLocals = p.parseLocals()
 			f.Init = p.parseInstrSeq()
 			p.expect(tokRBrace)
 			if f.Init == nil {
@@ -199,11 +210,11 @@ func (p *parser) parseHeap() *HeapDecl {
 		h.TotalOps = true
 		if p.tok.kind == tokPlus {
 			p.advance()
-			h.Extra, _ = p.intLit()
+			h.Extra = p.natLit()
 		}
 		return h
 	}
-	h.Extra, _ = p.intLit()
+	h.Extra = p.natLit()
 	return h
 }
 
@@ -254,8 +265,7 @@ func (p *parser) parseMethod() *MethodDecl {
 		} else if p.tok.kind == tokLBrace {
 			p.advance()
 			for {
-				v, _ := p.intLit()
-				m.ArgSet = append(m.ArgSet, int32(v))
+				m.ArgSet = append(m.ArgSet, int32(p.natLit()))
 				if p.tok.kind != tokComma {
 					break
 				}
@@ -268,6 +278,18 @@ func (p *parser) parseMethod() *MethodDecl {
 	}
 	p.expect(tokRParen)
 	p.expect(tokLBrace)
+	m.Locals = p.parseLocals()
+	for p.tok.kind != tokRBrace {
+		m.Stmts = append(m.Stmts, p.parseStmt())
+	}
+	p.expect(tokRBrace)
+	return m
+}
+
+// parseLocals parses the "var name, ...: kind" declarations that open a
+// method body or an init block.
+func (p *parser) parseLocals() []*VarDecl {
+	var out []*VarDecl
 	for p.at("var") {
 		p.advance()
 		var names []string
@@ -289,14 +311,10 @@ func (p *parser) parseMethod() *MethodDecl {
 			p.fail(kpos, "unknown variable kind %q (want val or ptr)", kind)
 		}
 		for i, n := range names {
-			m.Locals = append(m.Locals, &VarDecl{Pos: poss[i], Name: n, Kind: kind})
+			out = append(out, &VarDecl{Pos: poss[i], Name: n, Kind: kind})
 		}
 	}
-	for p.tok.kind != tokRBrace {
-		m.Stmts = append(m.Stmts, p.parseStmt())
-	}
-	p.expect(tokRBrace)
-	return m
+	return out
 }
 
 // atLabel reports whether the current position starts a new labeled
@@ -347,12 +365,16 @@ func (p *parser) parseInstr() Instr {
 	case p.at("return"):
 		p.advance()
 		return &Return{P: pos, Val: p.parseExpr()}
-	case p.at("free"):
+	case p.at("free"), p.at("lock"), p.at("unlock"):
+		op := p.tok.text
 		p.advance()
 		p.expect(tokLParen)
 		name, npos := p.ident()
 		p.expect(tokRParen)
-		return &Free{P: pos, Name: name, NamePos: npos}
+		if op == "free" {
+			return &Free{P: pos, Name: name, NamePos: npos}
+		}
+		return &Lock{P: pos, Name: name, NamePos: npos, Unlock: op == "unlock"}
 	case p.at("cas"):
 		return &CasStmt{P: pos, Cas: p.parseCas()}
 	case p.at("if"):
@@ -403,8 +425,10 @@ func (p *parser) parseCond() *CondExpr {
 		op = "=="
 	case tokNeq:
 		op = "!="
+	case tokLt:
+		op = "<"
 	default:
-		p.fail(p.tok.pos, "expected \"==\" or \"!=\" in condition, found %s", p.tok.describe())
+		p.fail(p.tok.pos, "expected \"==\", \"!=\" or \"<\" in condition, found %s", p.tok.describe())
 	}
 	p.advance()
 	return &CondExpr{P: pos, X: x, Op: op, Y: p.parseExpr()}
@@ -437,7 +461,7 @@ func (p *parser) parseExpr() *Expr {
 	pos := p.tok.pos
 	if p.tok.kind == tokInt {
 		n, _ := p.intLit()
-		if n > 1<<30 {
+		if n > 1<<30 || n < -(1<<30) {
 			p.fail(pos, "integer literal %d too large", n)
 		}
 		return &Expr{P: pos, IsInt: true, Int: int32(n)}

@@ -159,3 +159,35 @@ func TestLayoutOverflowIsModelFault(t *testing.T) {
 		t.Errorf("fault = %q, want the P1 store outside the layout", msg)
 	}
 }
+
+// foreignUnlockModel releases, in Pop, the lock of the Top node without
+// holding it (line 11, column 16); Push takes that lock and keeps it.
+const foreignUnlockModel = `model foreign
+node cell { val: val  next: ptr }
+globals { Top: ptr }
+spec stack
+init { Top = alloc(cell) }
+method Push(v: vals) {
+  var t: ptr
+  P1: t = Top; lock(t); return ok
+}
+method Pop() {
+  var t: ptr
+  P2: t = Top; unlock(t); return empty
+}
+`
+
+// TestUnlockNotHeldIsModelFault pins that releasing a lock the thread
+// does not hold is a positioned model fault, the same at every worker
+// count and memory budget.
+func TestUnlockNotHeldIsModelFault(t *testing.T) {
+	m, err := bbvl.Load("foreign.bbvl", []byte(foreignUnlockModel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := m.Build(algorithms.Config{Threads: 2, Ops: 2})
+	msg, fault := faultAcrossConfigs(t, p, 2, 2)
+	if fault.Method != "Pop" || fault.Label != "P2" || !strings.Contains(msg, "foreign.bbvl:12:16: unlock(t): thread 1 does not hold the lock") {
+		t.Errorf("fault = %q, want the P2 unlock of a lock Pop does not hold", msg)
+	}
+}

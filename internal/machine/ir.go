@@ -32,7 +32,8 @@ func (p Pos) IsValid() bool { return p.Line > 0 }
 // FieldSel selects one field of Node. The BBVL compiler assigns a
 // model's named fields to concrete Node fields by class and declaration
 // order: val fields to Val, Key, C, D; ptr fields to Next, A, B; at most
-// one mark field to Mark.
+// one mark field to Mark. Lock is never a named field: only the lock and
+// unlock instructions reach it.
 type FieldSel uint8
 
 const (
@@ -44,9 +45,13 @@ const (
 	FieldA
 	FieldB
 	FieldMark
+	FieldLock
+
+	// NumFields counts the selectors.
+	NumFields = int(FieldLock) + 1
 )
 
-var fieldSelNames = [...]string{"Val", "Key", "C", "D", "Next", "A", "B", "Mark"}
+var fieldSelNames = [...]string{"Val", "Key", "C", "D", "Next", "A", "B", "Mark", "Lock"}
 
 // String names the machine.Node field the selector picks.
 func (f FieldSel) String() string {
@@ -112,6 +117,14 @@ const (
 	IRReturn
 	IRIfCmp
 	IRIfCas
+	// IRLock acquires the lock at LHS — a node's Lock field or a val
+	// global — by storing the thread's token; while another thread (or
+	// this one) holds it, the statement blocks: it emits no outcome, so
+	// the thread has no transition in this state.
+	IRLock
+	// IRUnlock releases the lock at LHS, which must hold the thread's
+	// token; releasing a lock the thread does not hold is a model fault.
+	IRUnlock
 )
 
 // Instr is one micro-instruction. The interpreter RunIR executes a
@@ -124,8 +137,10 @@ type Instr struct {
 	// the comparison's left operand; B is the cas new value or the
 	// comparison's right operand.
 	A, B Operand
-	// Negate makes an IRIfCmp condition "!=" instead of "==".
+	// Negate makes an IRIfCmp condition "!=" instead of "=="; Less makes
+	// it "<" (the checker never sets both).
 	Negate bool
+	Less   bool
 	// Target is the IRGoto destination statement index.
 	Target    int
 	AllocKind int32
@@ -135,9 +150,10 @@ type Instr struct {
 }
 
 // RunIR interprets one micro-instruction sequence against the statement
-// context, returning whether control transferred (goto or return). The
-// BBVL checker guarantees every top-level statement sequence terminates,
-// so a statement always emits exactly one outcome.
+// context, returning whether the statement finished: control transferred
+// (goto or return), or a lock blocked it with no outcome. The BBVL
+// checker guarantees every top-level statement sequence terminates, so a
+// statement emits exactly one outcome unless it blocks.
 func RunIR(c *Ctx, seq []Instr) bool {
 	for i := range seq {
 		in := &seq[i]
@@ -161,8 +177,12 @@ func RunIR(c *Ctx, seq []Instr) bool {
 			c.Return(evalOp(c, &in.A))
 			return true
 		case IRIfCmp:
-			cond := evalOp(c, &in.A) == evalOp(c, &in.B)
-			if in.Negate {
+			a, b := evalOp(c, &in.A), evalOp(c, &in.B)
+			cond := a == b
+			switch {
+			case in.Less:
+				cond = a < b
+			case in.Negate:
 				cond = !cond
 			}
 			if execBranch(c, in, cond) {
@@ -172,6 +192,16 @@ func RunIR(c *Ctx, seq []Instr) bool {
 			if execBranch(c, in, doCas(c, in)) {
 				return true
 			}
+		case IRLock:
+			if loadLoc(c, &in.LHS) != 0 {
+				return true // held: blocked, no outcome
+			}
+			storeLoc(c, &in.LHS, c.Self())
+		case IRUnlock:
+			if loadLoc(c, &in.LHS) != c.Self() {
+				panic(fmt.Sprintf("bbvl: %s: unlock(%s): thread %d does not hold the lock", in.Pos, in.LHS.Name, c.T+1))
+			}
+			storeLoc(c, &in.LHS, 0)
 		}
 	}
 	return false
@@ -279,6 +309,8 @@ func fieldGet(n *Node, f FieldSel) int32 {
 		return n.A
 	case FieldB:
 		return n.B
+	case FieldLock:
+		return n.Lock
 	default:
 		if n.Mark {
 			return 1
@@ -304,6 +336,8 @@ func fieldSet(n *Node, f FieldSel, v int32) {
 		n.A = v
 	case FieldB:
 		n.B = v
+	case FieldLock:
+		n.Lock = v
 	default:
 		n.Mark = v != 0
 	}
@@ -345,8 +379,8 @@ func fpSeq(b *strings.Builder, head string, seq []Instr) {
 }
 
 func fpInstr(b *strings.Builder, in *Instr) {
-	fmt.Fprintf(b, " {op=%d lhs=%s a=%s b=%s neg=%t tgt=%d alloc=%d",
-		in.Op, fpLoc(&in.LHS), fpOperand(&in.A), fpOperand(&in.B), in.Negate, in.Target, in.AllocKind)
+	fmt.Fprintf(b, " {op=%d lhs=%s a=%s b=%s neg=%t less=%t tgt=%d alloc=%d",
+		in.Op, fpLoc(&in.LHS), fpOperand(&in.A), fpOperand(&in.B), in.Negate, in.Less, in.Target, in.AllocKind)
 	if len(in.Then) > 0 {
 		b.WriteString(" then=[")
 		for i := range in.Then {

@@ -372,29 +372,41 @@ func TestCanonicalizerDropsGarbageKeepsReferenced(t *testing.T) {
 }
 
 func TestLockHelpers(t *testing.T) {
-	g := &Global{Vars: nil, Heap: make([]Node, 2)}
+	g := &Global{Vars: make([]int32, 1), Heap: make([]Node, 2)}
 	g.Heap[1].Kind = 1
-	c := &Ctx{T: 0, G: g}
-	if !c.TryLock(1) {
-		t.Fatal("lock should be free")
+	node := Loc{Kind: LocField, Index: 0, Field: FieldLock, Name: "n"}
+	global := Loc{Kind: LocGlobal, Index: 0, Name: "L"}
+	// run executes "op(l); goto 1" as thread tid and reports whether the
+	// statement emitted its outcome (false: it blocked).
+	run := func(tid int, op IROp, l Loc) bool {
+		c := &Ctx{T: tid, G: g, L: []int32{1}}
+		RunIR(c, []Instr{{Op: op, LHS: l}, {Op: IRGoto, Target: 1}})
+		return len(c.outs) == 1
 	}
-	if c.TryLock(1) {
-		t.Fatal("lock should be held")
+	for _, l := range []Loc{node, global} {
+		if !run(0, IRLock, l) {
+			t.Fatalf("%s: lock should be free", l.Name)
+		}
+		if run(0, IRLock, l) {
+			t.Fatalf("%s: lock should be held, blocking its holder", l.Name)
+		}
+		if run(1, IRLock, l) {
+			t.Fatalf("%s: other thread must not acquire", l.Name)
+		}
+		run(0, IRUnlock, l)
+		if !run(1, IRLock, l) {
+			t.Fatalf("%s: lock should be free again", l.Name)
+		}
 	}
-	c2 := &Ctx{T: 1, G: g}
-	if c2.TryLock(1) {
-		t.Fatal("other thread must not acquire")
-	}
-	c.Unlock(1)
-	if !c2.TryLock(1) {
-		t.Fatal("lock should be free again")
+	if g.Heap[1].Lock != 2 || g.Vars[0] != 2 {
+		t.Fatalf("lock words = %d, %d; want thread 2's token", g.Heap[1].Lock, g.Vars[0])
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unlocking a foreign lock must panic")
 		}
 	}()
-	c.Unlock(1)
+	run(0, IRUnlock, node)
 }
 
 // TestNondeterministicStatement checks the multi-outcome contract: a

@@ -324,23 +324,3 @@ func (c *Ctx) Free(p int32) { c.G.Heap[p] = Node{} }
 
 // Self is the lock token of the executing thread.
 func (c *Ctx) Self() int32 { return int32(c.T) + 1 }
-
-// TryLock acquires the cell's lock if free, returning success.
-func (c *Ctx) TryLock(p int32) bool {
-	n := c.Node(p)
-	if n.Lock != 0 {
-		return false
-	}
-	n.Lock = c.Self()
-	return true
-}
-
-// Unlock releases a lock held by this thread; releasing a lock not held
-// by the caller panics, as that is an algorithm modeling error.
-func (c *Ctx) Unlock(p int32) {
-	n := c.Node(p)
-	if n.Lock != c.Self() {
-		panic(fmt.Sprintf("machine: thread %d unlocking cell %d locked by %d", c.T, p, n.Lock))
-	}
-	n.Lock = 0
-}

@@ -342,6 +342,7 @@ func TestBadRequests(t *testing.T) {
 		"unknown kind":      `{"kind":"frobnicate","algorithm":"treiber"}`,
 		"unknown field":     `{"kind":"check","algorithm":"treiber","bogus":1}`,
 		"not json":          `}{`,
+		"oversized":         `{"kind":"check","algorithm":"treiber","threads":100000000,"ops":1,"max_states":10}`,
 	} {
 		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -28,7 +28,7 @@ type analysis struct {
 	// a global variable / node field, flow-insensitively: any statement
 	// of any thread may interleave between two statements of a method.
 	globals []interval
-	fields  [8]interval
+	fields  [machine.NumFields]interval
 
 	// argIv[mi] is the interval of method mi's argument domain.
 	argIv []interval
@@ -101,6 +101,25 @@ func reachableStmts(m *machine.Method) []bool {
 	return reach
 }
 
+// maxLocal is the highest local register an instruction tree names, or
+// -1 when it names none.
+func maxLocal(seq []machine.Instr) int {
+	hi := -1
+	use := func(l *machine.Loc) {
+		if (l.Kind == machine.LocLocal || (l.Kind == machine.LocField && !l.BaseGlobal)) && l.Index > hi {
+			hi = l.Index
+		}
+	}
+	for i := range seq {
+		in := &seq[i]
+		use(&in.LHS)
+		use(&in.A.Loc)
+		use(&in.B.Loc)
+		hi = max(hi, maxLocal(in.Then), maxLocal(in.Else))
+	}
+	return hi
+}
+
 // gotoTargets collects every IRGoto destination in an instruction tree.
 func gotoTargets(seq []machine.Instr, out []int) []int {
 	for i := range seq {
@@ -166,9 +185,14 @@ const maxRounds = 100
 // environments and the global/field accumulators.
 func (a *analysis) runIntervals() {
 	p := a.prog
-	// Seed the accumulators with the init block's writes.
+	// Seed the accumulators with the init block's writes; its own
+	// locals start at zero, like a method's.
 	if len(p.InitIR) > 0 {
-		e := &env{locals: nil, globals: append([]interval(nil), a.globals...)}
+		locals := make([]interval, maxLocal(p.InitIR)+1)
+		for i := range locals {
+			locals[i] = single(0)
+		}
+		e := &env{locals: locals, globals: append([]interval(nil), a.globals...)}
 		a.walkSeq(-1, p.InitIR, e, nil)
 	}
 	for round := 0; ; round++ {
@@ -284,6 +308,11 @@ func (a *analysis) walk(mi int, seq []machine.Instr, e *env, vis visitor) ([]got
 			a.store(e, &in.LHS, iv(1, int32(a.prog.HeapCap)))
 		case machine.IRFree:
 			// Frees neither produce nor refine values.
+		case machine.IRLock:
+			// Execution continues only once the lock is taken.
+			a.store(e, &in.LHS, a.evalOperand(mi, e, &machine.Operand{Kind: machine.OperandSelf}))
+		case machine.IRUnlock:
+			a.store(e, &in.LHS, single(0))
 		case machine.IRCas:
 			nv := a.evalOperand(mi, e, &in.B)
 			if vis != nil {
@@ -311,26 +340,17 @@ func (a *analysis) walk(mi int, seq []machine.Instr, e *env, vis visitor) ([]got
 			if vis != nil {
 				vis.atCmp(in, av, bv)
 			}
-			verdict := compare(av, bv)
 			thenTaken, elseTaken := true, true
-			switch verdict {
-			case cmpAlwaysEqual:
-				if in.Negate {
-					thenTaken = false
-				} else {
-					elseTaken = false
-				}
-			case cmpNeverEqual:
-				if in.Negate {
-					elseTaken = false
-				} else {
-					thenTaken = false
-				}
+			switch condVerdict(in, av, bv) {
+			case cmpAlways:
+				elseTaken = false
+			case cmpNever:
+				thenTaken = false
 			}
 			var fall *env
 			if thenTaken {
 				te := e.clone()
-				if !in.Negate {
+				if !in.Negate && !in.Less {
 					a.refineEq(te, &in.A, &in.B, av, bv)
 				}
 				es, f := a.walk(mi, in.Then, te, vis)
@@ -518,15 +538,12 @@ func (v *findingsVisitor) atCmp(in *machine.Instr, av, bv interval) {
 	if av.isTop() || bv.isTop() {
 		return
 	}
-	verdict := compare(av, bv)
+	verdict := condVerdict(in, av, bv)
 	if verdict == cmpUnknown {
 		return
 	}
 	v.seen[in] = true
-	always := verdict == cmpAlwaysEqual
-	if in.Negate {
-		always = !always
-	}
+	always := verdict == cmpAlways
 	branch := "false: its then-branch can never run"
 	if always {
 		branch = "true: its else-branch (or fallthrough) can never run"
@@ -720,6 +737,9 @@ func scanSeqUses(seq []machine.Instr, uses []varUse, initBlock bool) {
 			markLHSWrite(&in.LHS)
 		case machine.IRFree:
 			markLocRead(&in.LHS)
+		case machine.IRLock, machine.IRUnlock:
+			markLocRead(&in.LHS)
+			markLHSWrite(&in.LHS)
 		case machine.IRCas, machine.IRIfCas:
 			markOpRead(&in.A)
 			markOpRead(&in.B)

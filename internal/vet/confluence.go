@@ -2,6 +2,7 @@ package vet
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/machine"
@@ -11,10 +12,11 @@ import (
 // the result into the ReductionArtifact the explorer consumes
 // (machine.Options.Reduction). A statement is confluent when
 //
-//   1. it is reachable and TOTAL: every path through its instruction
-//      tree ends in a goto or return, so executing it always yields
-//      exactly one outcome — it can never block (a prioritized step
-//      that could block would manufacture spurious deadlocks);
+//   1. it is reachable and TOTAL: it takes no lock, and every path
+//      through its instruction tree ends in a goto or return, so
+//      executing it always yields exactly one outcome — it can never
+//      block (a prioritized step that could block would manufacture
+//      spurious deadlocks);
 //   2. its footprint is independent of EVERY statement's footprint,
 //      its own included (two threads can sit at the same pc) — so it
 //      commutes with every step any other thread can take, and taking
@@ -26,8 +28,9 @@ import (
 //      faces the scheduler at once; and
 //   3. it cannot participate in a cycle of prioritized steps: within
 //      each method, the goto graph restricted to confluent statements
-//      must be acyclic (statements in nontrivial SCCs are demoted). A
-//      cycle of prioritized τ-steps would let the reduced exploration
+//      must be acyclic (each round demotes the lowest statement of
+//      every remaining cycle, until none is left). A cycle of
+//      prioritized τ-steps would let the reduced exploration
 //      postpone the other threads forever — exactly the divergence
 //      ≈div must preserve. Cross-method cycles need a return and a
 //      call, both visible, so per-method acyclicity suffices; the
@@ -186,7 +189,7 @@ func Reduce(p *machine.Program, opts Options) *ReductionArtifact {
 	for mi := range p.Methods {
 		for si := range p.Methods[mi].Body {
 			i := a.base[mi] + si
-			if !reachFlat[i] || !totalSeq(p.Methods[mi].Body[si].IR) {
+			if ir := p.Methods[mi].Body[si].IR; !reachFlat[i] || !totalSeq(ir) || seqHasOp(ir, machine.IRLock) {
 				continue
 			}
 			conf := true
@@ -202,42 +205,37 @@ func Reduce(p *machine.Program, opts Options) *ReductionArtifact {
 	return a
 }
 
-// demoteCycles enforces static acyclicity: within each method, any
+// demoteCycles enforces static acyclicity: within each method, every
 // nontrivial SCC (or self-loop) of the goto graph restricted to
-// confluent statements is demoted wholesale. Removing statements never
-// creates cycles, so one pass leaves the restricted graph acyclic.
+// confluent statements loses its lowest statement, and the graph is
+// recomputed until no cycle is left. Each round demotes at least one
+// statement, so the loop ends; the rest of a broken cycle stays
+// confluent (a traversal loop keeps all but its head).
 func (a *ReductionArtifact) demoteCycles(p *machine.Program) {
 	for mi := range p.Methods {
 		m := &p.Methods[mi]
 		n := len(m.Body)
-		adj := make([][]int, n)
-		for si := range m.Body {
-			if !a.Confluent[a.base[mi]+si] {
-				continue
-			}
-			for _, tgt := range gotoTargets(m.Body[si].IR, nil) {
-				if tgt >= 0 && tgt < n && a.Confluent[a.base[mi]+tgt] {
-					adj[si] = append(adj[si], tgt)
+		for cyclic := true; cyclic; {
+			cyclic = false
+			adj := make([][]int, n)
+			for si := range m.Body {
+				if !a.Confluent[a.base[mi]+si] {
+					continue
 				}
-			}
-		}
-		for _, comp := range sccList(adj) {
-			cyclic := len(comp) > 1
-			if !cyclic {
-				for _, t := range adj[comp[0]] {
-					if t == comp[0] {
-						cyclic = true
+				for _, tgt := range gotoTargets(m.Body[si].IR, nil) {
+					if tgt >= 0 && tgt < n && a.Confluent[a.base[mi]+tgt] {
+						adj[si] = append(adj[si], tgt)
 					}
 				}
 			}
-			if !cyclic {
-				continue
-			}
-			for _, si := range comp {
-				if a.Confluent[a.base[mi]+si] {
-					a.Confluent[a.base[mi]+si] = false
-					a.Demoted[a.base[mi]+si] = true
+			for _, comp := range sccList(adj) {
+				if len(comp) == 1 && !slices.Contains(adj[comp[0]], comp[0]) {
+					continue
 				}
+				si := slices.Min(comp)
+				a.Confluent[a.base[mi]+si] = false
+				a.Demoted[a.base[mi]+si] = true
+				cyclic = true
 			}
 		}
 	}

@@ -18,13 +18,15 @@ import (
 // Slot model. The machine's shared state is the global vector and the
 // heap. Globals get one slot each. Heap cells are abstracted per FIELD
 // CLASS, not per cell: a statement touching field Next of any node
-// touches the single "field Next" slot. That is coarse but sound — two
-// accesses that could alias always map to the same slot — and it is
-// exactly the right granularity for BBVL's one-destructive-shared-
-// access discipline, where a statement performs at most one shared
-// store. A ninth slot stands for the allocator itself (heap occupancy)
-// when allocation order can be observed through exhaustion. Thread
-// state (locals, the argument, the thread id, pc and status) is
+// touches the single "field Next" slot, and lock and unlock of a node
+// touch "field Lock". That is coarse but sound — two accesses that could
+// alias always map to the same slot — and it is exactly the right
+// granularity for BBVL's one-destructive-shared-access discipline, where
+// a statement performs at most one shared store. One more slot stands
+// for the allocator itself (heap occupancy) when allocation order can be
+// observed through exhaustion, and each field has a second, held slot
+// for accesses through a node the thread holds locked (nodelocks.go).
+// Thread state (locals, the argument, the thread id, pc and status) is
 // private and contributes nothing.
 //
 // Freshness. The footprint of a field access depends on whether the
@@ -55,10 +57,13 @@ import (
 type footprint struct {
 	reads, writes []bool
 	top           bool
+	// fields is the first node-field slot; the held-field slots start
+	// machine.NumFields+1 slots later, after the allocator slot.
+	fields int
 }
 
-func newFootprint(nslots int) *footprint {
-	return &footprint{reads: make([]bool, nslots), writes: make([]bool, nslots)}
+func newFootprint(nslots, fields int) *footprint {
+	return &footprint{reads: make([]bool, nslots), writes: make([]bool, nslots), fields: fields}
 }
 
 func (fp *footprint) read(slot int) {
@@ -78,20 +83,35 @@ func (fp *footprint) write(slot int) {
 }
 
 // independent reports whether the two footprints commute: neither is
-// top, and neither writes a slot the other touches.
+// top, and neither writes a slot the other touches. A held field slot
+// and the plain slot of the same field touch the same cells, but two
+// held accesses never do: each reaches a node its own thread holds
+// locked, and a lock has one holder.
 func independent(a, b *footprint) bool {
 	if a.top || b.top {
 		return false
 	}
-	for i := range a.writes {
-		if a.writes[i] && (b.reads[i] || b.writes[i]) {
-			return false
-		}
-		if b.writes[i] && a.reads[i] {
-			return false
+	return !a.clobbers(b) && !b.clobbers(a)
+}
+
+// clobbers reports whether a writes a slot that b touches.
+func (a *footprint) clobbers(b *footprint) bool {
+	held := a.fields + machine.NumFields + 1
+	touches := func(i int) bool { return b.reads[i] || b.writes[i] }
+	for i, w := range a.writes {
+		switch {
+		case !w:
+		case i >= held:
+			if touches(i - held + a.fields) {
+				return true
+			}
+		case touches(i):
+			return true
+		case i >= a.fields && i < a.fields+machine.NumFields && touches(i-a.fields+held):
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // indepAnalysis carries the per-program footprint computation.
@@ -114,13 +134,16 @@ type indepAnalysis struct {
 	entryFresh [][][]bool
 	// fp[mi][si] is statement si's footprint.
 	fp [][]*footprint
+	// held marks, while one statement's footprint is computed, the
+	// locals whose node the thread holds locked throughout it.
+	held []bool
 }
 
 func newIndepAnalysis(p *machine.Program, threads, ops int) *indepAnalysis {
 	ia := &indepAnalysis{
 		prog:     p,
 		nglobals: len(p.Globals.Names),
-		nslots:   len(p.Globals.Names) + 9,
+		nslots:   len(p.Globals.Names) + 2*machine.NumFields + 1,
 		hasFree:  programHasFree(p),
 	}
 	if !ia.hasFree {
@@ -132,23 +155,30 @@ func newIndepAnalysis(p *machine.Program, threads, ops int) *indepAnalysis {
 		ia.fixFresh(mi)
 	}
 	for mi := range p.Methods {
-		ia.footprints(mi)
+		var held [][]int
+		if !ia.hasFree {
+			held = heldLocals(&p.Methods[mi], p.NLocals)
+		}
+		ia.footprints(mi, held)
 	}
 	return ia
 }
 
 func (ia *indepAnalysis) fieldSlot(f machine.FieldSel) int { return ia.nglobals + int(f) }
-func (ia *indepAnalysis) allocSlot() int                   { return ia.nglobals + 8 }
+func (ia *indepAnalysis) allocSlot() int                   { return ia.nglobals + machine.NumFields }
+func (ia *indepAnalysis) heldSlot(f machine.FieldSel) int  { return ia.allocSlot() + 1 + int(f) }
 
 // slotName renders a slot for the report.
 func (ia *indepAnalysis) slotName(slot int) string {
 	switch {
 	case slot < ia.nglobals:
 		return ia.prog.Globals.Names[slot]
-	case slot < ia.nglobals+8:
+	case slot < ia.allocSlot():
 		return "field " + machine.FieldSel(slot-ia.nglobals).String()
-	default:
+	case slot == ia.allocSlot():
 		return "alloc"
+	default:
+		return "held field " + machine.FieldSel(slot-ia.heldSlot(0)).String()
 	}
 }
 
@@ -197,13 +227,18 @@ func (ia *indepAnalysis) fixFresh(mi int) {
 }
 
 // footprints computes every statement's footprint with the converged
-// entry fresh sets. Unreachable statements get the empty (no locals
-// fresh) set — conservative, and they never execute anyway.
-func (ia *indepAnalysis) footprints(mi int) {
+// entry fresh sets and, when held is non-nil, the entry held sets.
+// Unreachable statements get the empty (no locals fresh or held) set —
+// conservative, and they never execute anyway.
+func (ia *indepAnalysis) footprints(mi int, held [][]int) {
 	m := &ia.prog.Methods[mi]
 	ia.fp[mi] = make([]*footprint, len(m.Body))
 	for si := range m.Body {
-		fp := newFootprint(ia.nslots)
+		fp := newFootprint(ia.nslots, ia.fieldSlot(0))
+		ia.held = nil
+		if held != nil {
+			ia.held = stableHeld(held[si], m.Body[si].IR)
+		}
 		var f []bool
 		if ia.entryFresh[mi][si] != nil {
 			f = cloneBools(ia.entryFresh[mi][si])
@@ -253,6 +288,10 @@ func (ia *indepAnalysis) walkFresh(seq []machine.Instr, f []bool, fp *footprint,
 			if fp != nil {
 				fp.top = true
 			}
+		case machine.IRLock, machine.IRUnlock:
+			// Both read and write the lock word: a node's Lock field
+			// slot, or the lock global.
+			ia.readTarget(&in.LHS, f, fp)
 		case machine.IRCas:
 			ia.readTarget(&in.LHS, f, fp)
 			ia.readOperand(&in.A, f, fp)
@@ -343,7 +382,8 @@ func (ia *indepAnalysis) readOperand(o *machine.Operand, f []bool, fp *footprint
 
 // readLoc records the shared slots a load from l touches. A field read
 // through a global base also reads the base pointer itself; one through
-// a fresh local base touches nothing shared.
+// a fresh local base touches nothing shared, and one through a local
+// whose node the thread holds touches the field's held slot.
 func (ia *indepAnalysis) readLoc(l *machine.Loc, f []bool, fp *footprint) {
 	if fp == nil {
 		return
@@ -354,9 +394,9 @@ func (ia *indepAnalysis) readLoc(l *machine.Loc, f []bool, fp *footprint) {
 	case machine.LocField:
 		if l.BaseGlobal {
 			fp.read(l.Index)
-			fp.read(ia.fieldSlot(l.Field))
-		} else if !(l.Index >= 0 && l.Index < len(f) && f[l.Index]) {
-			fp.read(ia.fieldSlot(l.Field))
+		}
+		if slot, shared := ia.fieldAccess(l, f); shared {
+			fp.read(slot)
 		}
 	}
 }
@@ -373,11 +413,25 @@ func (ia *indepAnalysis) writeLoc(l *machine.Loc, f []bool, fp *footprint) {
 	case machine.LocField:
 		if l.BaseGlobal {
 			fp.read(l.Index)
-			fp.write(ia.fieldSlot(l.Field))
-		} else if !(l.Index >= 0 && l.Index < len(f) && f[l.Index]) {
-			fp.write(ia.fieldSlot(l.Field))
+		}
+		if slot, shared := ia.fieldAccess(l, f); shared {
+			fp.write(slot)
 		}
 	}
+}
+
+// fieldAccess returns the slot a field access through l touches, and
+// whether it touches shared memory at all.
+func (ia *indepAnalysis) fieldAccess(l *machine.Loc, f []bool) (int, bool) {
+	switch {
+	case l.BaseGlobal || l.Index < 0 || l.Index >= len(f):
+		return ia.fieldSlot(l.Field), true
+	case f[l.Index]:
+		return 0, false
+	case l.Index < len(ia.held) && ia.held[l.Index]:
+		return ia.heldSlot(l.Field), true
+	}
+	return ia.fieldSlot(l.Field), true
 }
 
 // readTarget records a cas target conservatively as both read and
@@ -412,12 +466,12 @@ func meetInto(dst, src []bool) bool {
 // programHasFree reports whether any instruction of the program (init
 // block included) frees memory.
 func programHasFree(p *machine.Program) bool {
-	if seqHasFree(p.InitIR) {
+	if seqHasOp(p.InitIR, machine.IRFree) {
 		return true
 	}
 	for mi := range p.Methods {
 		for si := range p.Methods[mi].Body {
-			if seqHasFree(p.Methods[mi].Body[si].IR) {
+			if seqHasOp(p.Methods[mi].Body[si].IR, machine.IRFree) {
 				return true
 			}
 		}
@@ -425,10 +479,11 @@ func programHasFree(p *machine.Program) bool {
 	return false
 }
 
-func seqHasFree(seq []machine.Instr) bool {
+// seqHasOp reports whether an instruction tree contains op.
+func seqHasOp(seq []machine.Instr, op machine.IROp) bool {
 	for i := range seq {
 		in := &seq[i]
-		if in.Op == machine.IRFree || seqHasFree(in.Then) || seqHasFree(in.Else) {
+		if in.Op == op || seqHasOp(in.Then, op) || seqHasOp(in.Else, op) {
 			return true
 		}
 	}

@@ -1,6 +1,10 @@
 package vet
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/machine"
+)
 
 // interval is a classic integer interval with an explicit bottom (no
 // value observed yet). BBVL has no arithmetic — every value a program
@@ -69,25 +73,57 @@ func (a interval) disjoint(b interval) bool {
 // singleton reports whether the interval holds exactly one value.
 func (a interval) singleton() bool { return a.def && a.lo == a.hi }
 
-// cmpVerdict is the three-valued outcome of an == comparison.
+// cmpVerdict is the three-valued outcome of a branch condition.
 type cmpVerdict int8
 
 const (
 	cmpUnknown cmpVerdict = iota
-	cmpAlwaysEqual
-	cmpNeverEqual
+	cmpAlways
+	cmpNever
 )
 
 // compare decides an equality test between two intervals, when it can.
 func compare(a, b interval) cmpVerdict {
 	switch {
 	case a.disjoint(b):
-		return cmpNeverEqual
+		return cmpNever
 	case a.singleton() && b.singleton() && a.lo == b.lo:
-		return cmpAlwaysEqual
+		return cmpAlways
 	default:
 		return cmpUnknown
 	}
+}
+
+// compareLess decides a < b between two intervals, when it can.
+func compareLess(a, b interval) cmpVerdict {
+	switch {
+	case !a.def || !b.def:
+		return cmpUnknown
+	case a.hi < b.lo:
+		return cmpAlways
+	case a.lo >= b.hi:
+		return cmpNever
+	default:
+		return cmpUnknown
+	}
+}
+
+// condVerdict decides an IRIfCmp condition (==, != or <) over its
+// operand intervals, when it can.
+func condVerdict(in *machine.Instr, a, b interval) cmpVerdict {
+	if in.Less {
+		return compareLess(a, b)
+	}
+	v := compare(a, b)
+	if in.Negate {
+		switch v {
+		case cmpAlways:
+			v = cmpNever
+		case cmpNever:
+			v = cmpAlways
+		}
+	}
+	return v
 }
 
 func joinSlices(dst, src []interval) bool {

@@ -43,6 +43,16 @@ func TestReduceExampleConfluence(t *testing.T) {
 			"S1": true, "S3": true, "S4": true, "S7": true, "S9": true, "S10": true}},
 		{"spinlock-queue", map[string]bool{
 			"Q1": true, "Q3": true, "Q4": true, "Q7": true, "Q9": true}},
+		// Blocking global locks: the regions hold, the releases race.
+		{"two-lock-queue", map[string]bool{"E1": true, "E4": true, "D2": true, "D4": true}},
+		// The traversal loop W3-W4 loses only its head W3.
+		{"coarse-list", map[string]bool{"W2": true, "W4": true, "F1": true}},
+		// Reads of Head and of keys nothing writes; the optimistic
+		// Contains' key test C1 reads a held node.
+		{"lazy-list", map[string]bool{"T1": true, "T3": true, "C1": true}},
+		{"optimistic-list", map[string]bool{"T1": true, "T3": true, "V1": true, "C1": true}},
+		// Hand over hand, every access between lock operations is held.
+		{"fine-grained-list", map[string]bool{"G2": true, "W1": true}},
 	}
 	for _, tc := range cases {
 		m := loadExample(t, tc.model)
@@ -191,5 +201,37 @@ func TestReduceNonTotalNotConfluent(t *testing.T) {
 	}
 	if !art.Confluent[1] {
 		t.Fatalf("trivial return statement should be confluent\n%s", art.Format())
+	}
+}
+
+// TestHeldAccessesNeedOwnership: a field access is held only through a
+// local whose node the thread provably holds for the whole statement.
+// Unlocking a copy of the local releases the node it shares.
+func TestHeldAccessesNeedOwnership(t *testing.T) {
+	m, err := bbvl.Load("held.bbvl", []byte(`model held
+node cell { val: val  next: ptr }
+globals { Top: ptr }
+spec stack
+lockbased
+init { Top = alloc(cell) }
+method Push(v: vals) {
+  var a: ptr
+  var b: ptr
+  P1: a = Top; lock(a); goto P2
+  P2: a.val = v; goto P3
+  P3: b = a; unlock(b); goto P4
+  P4: a.val = v; return ok
+}
+method Pop() { P5: return empty }
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := vet.Reduce(m.Build(algorithms.Config{Threads: 2, Ops: 2}), vet.Options{Threads: 2, Ops: 2})
+	want := map[string]string{"P2": "held field Val", "P4": "field Val"}
+	for i, s := range art.Stmts {
+		if w, ok := want[s.Label]; ok && (len(art.Writes[i]) != 1 || art.Writes[i][0] != w) {
+			t.Errorf("%s writes %v, want [%s]\n%s", s.Label, art.Writes[i], w, art.Format())
+		}
 	}
 }

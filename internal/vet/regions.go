@@ -12,11 +12,13 @@ import "repro/internal/machine"
 // are all vacuous. This file proves the mutual exclusion statically.
 //
 // A value global L qualifies as a lock when every write to it in
-// reachable code takes one of exactly two forms:
+// reachable code takes one of exactly these forms:
 //
 //   acquire   if cas(L, 0, tok) { ... }   with tok a nonzero literal or
 //                                         self (thread tokens are >= 1)
+//             lock(L)                     (stores self once L == 0)
 //   release   L = 0
+//             unlock(L)
 //
 // and a forward must-analysis over each method's statement graph — held
 // on ALL incoming paths, entry not held — shows every release executes
@@ -161,8 +163,9 @@ func inferLock(p *machine.Program, g int) *lockRegion {
 }
 
 // scanLockWrites classifies every write to global g in the sequence:
-// acquire-form IRIfCas instructions are counted, release-form assigns
-// are allowed, and anything else that writes g disqualifies it.
+// acquire-form IRIfCas and IRLock instructions are counted, release-form
+// assigns and IRUnlock are allowed, and anything else that writes g
+// disqualifies it.
 func scanLockWrites(seq []machine.Instr, g int) (acquires int, bad bool) {
 	for i := range seq {
 		in := &seq[i]
@@ -175,6 +178,10 @@ func scanLockWrites(seq []machine.Instr, g int) (acquires int, bad bool) {
 		case machine.IRAlloc, machine.IRCas:
 			if writesG {
 				return 0, true
+			}
+		case machine.IRLock:
+			if writesG {
+				acquires++
 			}
 		case machine.IRIfCas:
 			if writesG {
@@ -208,12 +215,16 @@ func walkHeld(seq []machine.Instr, cur bool, g int) (edges []heldEdge, fall bool
 	for i := range seq {
 		in := &seq[i]
 		switch in.Op {
-		case machine.IRAssign:
+		case machine.IRAssign, machine.IRUnlock:
 			if in.LHS.Kind == machine.LocGlobal && in.LHS.Index == g {
 				if !cur {
 					viol = true
 				}
 				cur = false
+			}
+		case machine.IRLock:
+			if in.LHS.Kind == machine.LocGlobal && in.LHS.Index == g {
+				cur = true // execution continues only with the lock taken
 			}
 		case machine.IRGoto:
 			edges = append(edges, heldEdge{in.Target, cur})
