@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -393,7 +394,7 @@ func printCheck(w io.Writer, display string, res *api.Result) {
 				verdict(a.LockFree), a.Bisimilar, a.AbstractStates)
 			printPath(w, "divergence", a.Divergence)
 		case api.CheckDeadlock:
-			if c.LockBased {
+			if c.LockBased && !slices.Contains(c.ChecksRun, api.CheckLockFree) {
 				fmt.Fprintf(w, "lock-freedom: skipped (lock-based algorithm); deadlock-free: %s\n", verdict(*c.DeadlockFree))
 			} else {
 				fmt.Fprintf(w, "deadlock-free: %s   [%d states]\n", verdict(*c.DeadlockFree), c.ImplStates)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -397,7 +398,8 @@ func TestRunCompareSurfacesExplainOutcome(t *testing.T) {
 // TestCheckTextMatchesJSON pins that `check` runs one job whatever the
 // output format: the verdict lines of the text rendering name exactly
 // the checks the -json result lists in checks_run, in that order, with
-// the same verdicts.
+// the same verdicts. A lock-based row whose check list includes
+// lockfree must not also be told that lock-freedom was skipped.
 func TestCheckTextMatchesJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration-heavy")
@@ -408,6 +410,7 @@ func TestCheckTextMatchesJSON(t *testing.T) {
 		{"-threads", "2", "-ops", "1", "-vals", "1", "-checks", "linearizability,lockfree,abstract", "ms-queue"},
 		{"-threads", "2", "-ops", "2", "hm-list-buggy"},
 		{"-threads", "2", "-ops", "1", "lazy-list"},
+		{"-threads", "2", "-ops", "1", "-checks", "deadlock,lockfree", "coarse-list"},
 		{"-threads", "2", "-ops", "1", "-checks", "linearizability,lockfree,abstract", "-model", model},
 	} {
 		text := captureStdout(t, func() error { return run(append([]string{"check"}, args...)) })
@@ -417,6 +420,9 @@ func TestCheckTextMatchesJSON(t *testing.T) {
 			t.Fatalf("%v: -json output is not an api.Result: %v", args, err)
 		}
 		c := res.Check
+		if slices.Contains(c.ChecksRun, api.CheckLockFree) && strings.Contains(text, "lock-freedom: skipped") {
+			t.Errorf("%v: lock-freedom ran but the text calls it skipped:\n%s", args, text)
+		}
 		want := make([]string, 0, len(c.ChecksRun))
 		for _, name := range c.ChecksRun {
 			var ok bool

@@ -267,8 +267,10 @@ func (s *JobSpec) validate() (*algorithms.Algorithm, *bbvl.Model, error) {
 	if s.MaxStates < 0 || s.Workers < 0 || s.TimeoutMS < 0 || s.MemBudgetMB < 0 {
 		return nil, nil, fmt.Errorf("api: max_states, workers, timeout_ms and mem_budget_mb must be non-negative")
 	}
-	if _, err := bisim.ParseRefiner(s.Refiner); err != nil {
-		return nil, nil, fmt.Errorf("api: %w", err)
+	switch s.Refiner {
+	case "", "auto", "signature", "splitter":
+	default:
+		return nil, nil, fmt.Errorf("api: unknown refiner %q (want auto, signature or splitter)", s.Refiner)
 	}
 	if s.ModelSource != "" && s.Algorithm != "" {
 		return nil, nil, fmt.Errorf("api: algorithm and model_source are mutually exclusive")

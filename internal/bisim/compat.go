@@ -2,11 +2,12 @@
 // refiner. Branching and ≈div partitions are computed by the splitter
 // only; a Refiner argument selects nothing.
 //
-// Two callers remain: api.Validate, which still accepts the deprecated
-// "refiner" field of stored job specs, and the benchmark harness's trace
-// composer (cmd/bbvbench/trace.go), which is only changed together with
-// the benchmark. Delete this file when a benchmark change migrates
-// trace.go to BranchingContext and DivergenceSensitiveBranchingContext.
+// Its only caller is the benchmark harness's trace composer
+// (cmd/bbvbench/trace.go), which is only changed together with the
+// benchmark; api.Validate checks the deprecated "refiner" field of
+// stored job specs itself. Delete this file when a benchmark change
+// migrates trace.go to BranchingContext and
+// DivergenceSensitiveBranchingContext.
 
 package bisim
 

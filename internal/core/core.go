@@ -161,7 +161,9 @@ type LockFreedomResult struct {
 	// ImplStates and AbstractStates are the state-space sizes of the
 	// object and of the quotient/abstract program it was compared with.
 	ImplStates, AbstractStates int
-	// Bisimilar reports whether impl ≈div the quotient/abstraction.
+	// Bisimilar reports whether impl ≈div the quotient/abstraction. For
+	// Theorem 5.9 it is read off the τ-cycle pass over impl (Lemma 5.7),
+	// not computed by refinement, and always equals LockFree.
 	Bisimilar bool
 	// Elapsed is the total wall-clock verification time.
 	Elapsed time.Duration

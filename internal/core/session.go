@@ -58,8 +58,8 @@ type quotientArtifact struct {
 }
 
 type tauCycleArtifact struct {
-	cyclic bool
-	stat   StageStat
+	path *lts.Path // divergence lasso; nil when there is no reachable τ-cycle
+	stat StageStat
 }
 
 type eqKey struct {
@@ -236,16 +236,17 @@ func (s *Session) quotient(ctx context.Context, r *recorder, l *lts.LTS) (*quoti
 	return a, nil
 }
 
-// tauCyclic returns the memoized τ-cycle verdict for l. s.mu must be
-// held.
-func (s *Session) tauCyclic(r *recorder, l *lts.LTS) bool {
+// divergence returns the memoized divergence lasso of l, or nil when l
+// has no reachable τ-cycle. One τ-SCC pass serves both the verdict and
+// the witness. s.mu must be held.
+func (s *Session) divergence(r *recorder, l *lts.LTS) *lts.Path {
 	if a, ok := s.tauCycles[l]; ok {
 		r.hit(a.stat)
-		return a.cyclic
+		return a.path
 	}
 	start := time.Now()
-	_, cyc := lts.HasTauCycle(l)
-	a := &tauCycleArtifact{cyclic: cyc, stat: StageStat{
+	path, _ := lts.DivergencePath(l)
+	a := &tauCycleArtifact{path: path, stat: StageStat{
 		Stage:         StageTauSCC,
 		Target:        s.targetOf(l),
 		Elapsed:       time.Since(start),
@@ -254,7 +255,7 @@ func (s *Session) tauCyclic(r *recorder, l *lts.LTS) bool {
 	}}
 	s.tauCycles[l] = a
 	r.add(a.stat)
-	return cyc
+	return path
 }
 
 // kindTag is the compact notation for a bisimulation kind, used in
@@ -423,7 +424,7 @@ func (s *Session) TraceInclusion(implQ, specQ *lts.LTS) (*refine.Result, error) 
 func (s *Session) TauCyclic(l *lts.LTS) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.tauCyclic(&recorder{s: s}, l)
+	return s.divergence(&recorder{s: s}, l) != nil
 }
 
 // CheckLinearizabilityContext verifies impl against spec by Theorem 5.3:
@@ -484,9 +485,11 @@ func (s *Session) CheckLinearizabilityContext(ctx context.Context, impl, spec *m
 }
 
 // CheckLockFreeAutoContext verifies lock-freedom fully automatically by
-// Theorem 5.9: compute Δ/≈ and check Δ ≈div Δ/≈. The quotient never has
-// an infinite τ-path (Lemma 5.7), so ≈div holds exactly when Δ is
-// divergence-free; a failure yields a divergence diagnostic.
+// Theorem 5.9, which asks whether Δ ≈div Δ/≈. The quotient never has an
+// infinite τ-path (Lemma 5.7, asserted here), so ≈div holds exactly when
+// Δ has no reachable τ-cycle: the verdict is one τ-SCC pass over Δ, and a
+// failure carries the divergence lasso. The ≈div refinement of Δ ⊎ Δ/≈
+// is not run; TestLockFreeAutoMatchesDivBisim holds the two equal.
 func (s *Session) CheckLockFreeAutoContext(ctx context.Context, impl *machine.Program) (*LockFreedomResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -500,32 +503,22 @@ func (s *Session) CheckLockFreeAutoContext(ctx context.Context, impl *machine.Pr
 	if err != nil {
 		return nil, err
 	}
-	if s.tauCyclic(r, qa.q) {
+	if s.divergence(r, qa.q) != nil {
 		// Lemma 5.7 guarantees this cannot happen; failing loudly here
 		// protects against engine bugs.
 		return nil, fmt.Errorf("core: quotient of %s has a τ-cycle, violating Lemma 5.7", impl.Name)
 	}
-	eq, err := s.equivalent(ctx, r, ia.l, qa.q, bisim.KindDivBranching)
-	if err != nil {
-		return nil, err
-	}
-	res := &LockFreedomResult{
-		LockFree:       eq,
+	path := s.divergence(r, ia.l)
+	return &LockFreedomResult{
+		LockFree:       path == nil,
 		Theorem:        "5.9 (quotient)",
 		ImplStates:     ia.l.NumStates(),
 		AbstractStates: qa.q.NumStates(),
-		Bisimilar:      eq,
-	}
-	if !eq {
-		path, ok := lts.DivergencePath(ia.l)
-		if !ok {
-			return nil, fmt.Errorf("core: %s is not ≈div its quotient but no τ-cycle was found", impl.Name)
-		}
-		res.Divergence = path
-	}
-	res.Elapsed = time.Since(start)
-	res.Stages = r.stages
-	return res, nil
+		Bisimilar:      path == nil,
+		Divergence:     path,
+		Elapsed:        time.Since(start),
+		Stages:         r.stages,
+	}, nil
 }
 
 // CheckLockFreeAbstractContext verifies lock-freedom by Theorem 5.8:
@@ -557,23 +550,12 @@ func (s *Session) CheckLockFreeAbstractContext(ctx context.Context, impl, abs *m
 		Bisimilar:      eq,
 	}
 	if !eq {
-		res.LockFree = false
-		if path, ok := lts.DivergencePath(ia.l); ok {
-			res.Divergence = path
-		}
-		res.Elapsed = time.Since(start)
-		res.Stages = r.stages
-		return res, nil
-	}
-	// Theorem 5.8: impl is lock-free iff abs is. The abstract program is
-	// finite-state, so its lock-freedom is a τ-cycle check.
-	if s.tauCyclic(r, aa.l) {
-		res.LockFree = false
-		if path, ok := lts.DivergencePath(aa.l); ok {
-			res.Divergence = path
-		}
+		res.Divergence = s.divergence(r, ia.l)
 	} else {
-		res.LockFree = true
+		// Theorem 5.8: impl is lock-free iff abs is. The abstract program
+		// is finite-state, so its lock-freedom is a τ-cycle check.
+		res.Divergence = s.divergence(r, aa.l)
+		res.LockFree = res.Divergence == nil
 	}
 	res.Elapsed = time.Since(start)
 	res.Stages = r.stages

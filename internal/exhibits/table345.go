@@ -17,7 +17,8 @@ func (i instance) String() string { return fmt.Sprintf("%d-%d", i.threads, i.ops
 
 // lockFreeSweep runs the automatic Theorem 5.9 lock-freedom check over a
 // list of instances, producing the Δ / Δ/≈ / verdict / time columns of
-// Tables III–V.
+// Tables III–V. The time is one fresh session's explore + quotient +
+// τ-cycle pass.
 func lockFreeSweep(title string, alg *algorithms.Algorithm, rows []instance, vals []int32, opt Options) (*Table, error) {
 	ctx := context.Background()
 	t := &Table{

@@ -8,9 +8,10 @@
 // that progress properties such as lock-freedom are expressible in that
 // fragment [8, 26]. This package makes those statements executable: the
 // canned LockFreedom formula decides exactly what
-// core.Session.CheckLockFreeAutoContext decides, and ≈div-related systems (e.g. the MS queue and its Fig. 8
-// abstraction) receive identical verdicts for every next-free formula —
-// properties the test suite checks.
+// core.Session.CheckLockFreeAutoContext decides (no reachable τ-cycle,
+// i.e. Δ ≈div Δ/≈), and ≈div-related systems (e.g. the MS queue and its
+// Fig. 8 abstraction) receive identical verdicts for every next-free
+// formula — properties the test suite checks.
 //
 // Semantics. Formulas are evaluated over the infinite action sequences of
 // maximal paths. A finite maximal path (a terminal state) is extended by

@@ -2,6 +2,7 @@ package lts
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -108,6 +109,9 @@ func ShortestPathTo(l *LTS, goal func(int32) bool) (*Path, bool) {
 // τ-cycle (i.e. it is divergence-free).
 func DivergencePath(l *LTS) (*Path, bool) {
 	scc := TauSCCs(l)
+	if !slices.Contains(scc.Divergent, true) {
+		return nil, false // no τ-cycle anywhere: skip the search
+	}
 	onCycle := func(s int32) bool { return scc.Divergent[scc.Comp[s]] }
 	prefix, ok := ShortestPathTo(l, onCycle)
 	if !ok {
