@@ -180,16 +180,15 @@ func (b *CSRBuilder) Emit(act ActionID, label LabelID, dst int32) {
 
 // Reserve grows the builder's capacity for at least states more states
 // and edges more transitions, so a bulk merge appends without regrowing.
+// A growth takes each capacity to max(need, 2·cap), so a merge that
+// reserves level by level copies every transition O(1) times amortized,
+// not once per level; Build trims the unused tail.
 func (b *CSRBuilder) Reserve(states, edges int) {
 	if need := len(b.offsets) + states; need > cap(b.offsets) {
-		grown := make([]int32, len(b.offsets), need)
-		copy(grown, b.offsets)
-		b.offsets = grown
+		b.offsets = append(make([]int32, 0, max(need, 2*cap(b.offsets))), b.offsets...)
 	}
 	if need := len(b.edges) + edges; need > cap(b.edges) {
-		grown := make([]Transition, len(b.edges), need)
-		copy(grown, b.edges)
-		b.edges = grown
+		b.edges = append(make([]Transition, 0, max(need, 2*cap(b.edges))), b.edges...)
 	}
 }
 
@@ -213,6 +212,12 @@ func (b *CSRBuilder) Build(numStates int, init int32) *LTS {
 	for int(b.cur) < numStates-1 {
 		b.cur++
 		b.offsets = append(b.offsets, int32(len(b.edges)))
+	}
+	if 4*cap(b.edges) > 5*len(b.edges) {
+		// Trim a tail over a fifth of the capacity, as Reserve's doubling
+		// or append's growth (Emit, e.g. Lift's quotient) can leave: it is
+		// zeroed, so resident, for as long as the LTS lives.
+		b.edges = append([]Transition(nil), b.edges...)
 	}
 	return &LTS{
 		Acts:      b.acts,

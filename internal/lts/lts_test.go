@@ -3,6 +3,7 @@ package lts
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
 )
@@ -78,6 +79,66 @@ func TestCSRBuilderMatchesBuilder(t *testing.T) {
 	}
 	if err := c.BeginState(5); err == nil {
 		t.Fatal("out-of-order BeginState should fail")
+	}
+}
+
+// TestCSRReserveGrowsGeometrically drives the parallel merge's pattern —
+// Reserve one level, then EmitRow each of its states — over 250 growing
+// levels. The edge array must be reallocated O(log n) times, not once
+// per level, and EmitRow must never regrow what Reserve reserved.
+func TestCSRReserveGrowsGeometrically(t *testing.T) {
+	b := NewCSRBuilder(nil, nil)
+	row := []Transition{{Action: Tau, Dst: 0}, {Action: Tau, Dst: 1}, {Action: Tau, Dst: 2}}
+	reallocs, last := 0, cap(b.edges)
+	s := int32(0)
+	for level := 1; level <= 250; level++ {
+		b.Reserve(level, len(row)*level)
+		if c := cap(b.edges); c != last {
+			reallocs++
+			last = c
+		}
+		for i := 0; i < level; i++ {
+			if err := b.EmitRow(s, row); err != nil {
+				t.Fatal(err)
+			}
+			s++
+		}
+		if cap(b.edges) != last {
+			t.Fatalf("level %d: EmitRow regrew the reserved edges", level)
+		}
+	}
+	total := len(row) * int(s)
+	if limit := bits.Len(uint(total)) + 1; reallocs > limit {
+		t.Fatalf("%d edge reallocations for %d transitions over 250 levels, want at most %d", reallocs, total, limit)
+	}
+	l := b.Build(int(s), 0)
+	if l.NumStates() != int(s) || l.NumTransitions() != total || len(l.Succ(s-1)) != len(row) {
+		t.Fatalf("built %d states, %d transitions", l.NumStates(), l.NumTransitions())
+	}
+}
+
+// TestCSRBuildTrimsLongTail checks Build's trim: an edge array whose
+// unused tail exceeds a fifth of its capacity, whether Reserve's doubling
+// or Emit's append growth left it, is cut once.
+func TestCSRBuildTrimsLongTail(t *testing.T) {
+	const n = 1000
+	rb := NewCSRBuilder(nil, nil)
+	rb.Reserve(1, 3*n)
+	if err := rb.EmitRow(0, make([]Transition, n)); err != nil {
+		t.Fatal(err)
+	}
+	eb := NewCSRBuilder(nil, nil)
+	if err := eb.BeginState(0); err != nil {
+		t.Fatal(err)
+	}
+	// Stop just after an append growth, when the tail is longest.
+	for len(eb.edges) < n || 4*cap(eb.edges) <= 5*len(eb.edges) {
+		eb.Emit(Tau, 0, 0)
+	}
+	for name, b := range map[string]*CSRBuilder{"Reserve": rb, "Emit": eb} {
+		if l := b.Build(1, 0); 4*cap(l.edges) > 5*len(l.edges) {
+			t.Errorf("%s tail kept: %d edges in a capacity of %d", name, len(l.edges), cap(l.edges))
+		}
 	}
 }
 

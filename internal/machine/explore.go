@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/lts"
 	"repro/internal/statecodec"
@@ -324,7 +323,6 @@ func ExploreWithInfoContext(ctx context.Context, p *Program, opt Options) (*lts.
 		opt:  opt,
 		cdc:  cdc,
 		ai:   newActionInterner(p, acts, labels),
-		ids:  make(map[string]int32),
 	}
 	return e.run(limit)
 }
@@ -339,12 +337,6 @@ func validateOptions(p *Program, opt Options) error {
 		return fmt.Errorf("machine: %s: Threads and Ops must be positive", p.Name)
 	}
 	return nil
-}
-
-// bytesString views b as a string without copying. The caller must never
-// mutate b afterwards; interned state keys are write-once.
-func bytesString(b []byte) string {
-	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // initialState builds the start state of the most general client. It
@@ -376,21 +368,20 @@ func initialKey(p *Program, opt Options, cdc codec) (key []byte, err error) {
 
 // explorer is the sequential state-space generator: a BFS over interned
 // canonical state encodings, emitting transitions straight into a CSR
-// builder.
+// builder. Its one unlocked table numbers states by entry index, which
+// is their discovery order.
 type explorer struct {
-	ctx      context.Context
-	prog     *Program
-	opt      Options
-	cdc      codec
-	ai       *actionInterner
-	ids      map[string]int32
-	keys     [][]byte
-	buf      []byte
-	keyBytes int64
-	limit    int
-	err      error
-	csr      *lts.CSRBuilder
-	x        expander
+	ctx   context.Context
+	prog  *Program
+	opt   Options
+	cdc   codec
+	ai    *actionInterner
+	tab   statecodec.Table
+	buf   []byte
+	limit int
+	err   error
+	csr   *lts.CSRBuilder
+	x     expander
 }
 
 // actKey packs (call?, thread, method, value) for the action cache.
@@ -501,15 +492,8 @@ func (ai *actionInterner) resolve(tr symTrans) (lts.ActionID, lts.LabelID) {
 // error surfaces: e.err carries the StateLimitError as soon as the limit
 // is crossed and callers stop promptly.
 func (e *explorer) intern(k []byte) int32 {
-	if id, ok := e.ids[string(k)]; ok {
-		return id
-	}
-	id := int32(len(e.keys))
-	key := append([]byte(nil), k...)
-	e.ids[bytesString(key)] = id
-	e.keys = append(e.keys, key)
-	e.keyBytes += int64(len(key))
-	if len(e.keys) > e.limit && e.err == nil {
+	id, fresh := e.tab.Intern(statecodec.Hash64(k), k)
+	if fresh && e.tab.Len() > e.limit && e.err == nil {
 		e.err = &StateLimitError{Program: e.prog.Name, Limit: e.limit}
 	}
 	return id
@@ -545,12 +529,12 @@ func (e *explorer) run(limit int) (*lts.LTS, *Info, error) {
 	info := &Info{}
 	e.csr = lts.NewCSRBuilder(e.ai.acts, e.ai.labels)
 	cur := newScratchState(p, e.opt.Threads)
-	for si := 0; si < len(e.keys); si++ {
+	for si := int32(0); int(si) < e.tab.Len(); si++ {
 		if si&cancelCheckMask == 0 && e.ctx.Err() != nil {
 			return nil, nil, canceled(e.ctx, p.Name)
 		}
-		e.cdc.decode(e.keys[si], cur)
-		if err := e.csr.BeginState(int32(si)); err != nil {
+		e.cdc.decode(e.tab.Key(si), cur)
+		if err := e.csr.BeginState(si); err != nil {
 			return nil, nil, err
 		}
 		emitted, err := e.x.expand(cur, e)
@@ -561,18 +545,18 @@ func (e *explorer) run(limit int) (*lts.LTS, *Info, error) {
 			return nil, nil, e.err
 		}
 		if emitted == 0 && !allDone(cur) {
-			info.Deadlocks = append(info.Deadlocks, int32(si))
+			info.Deadlocks = append(info.Deadlocks, si)
 		}
 	}
 	info.Stats = ExploreStats{
-		States:            len(e.keys),
-		EncodedBytes:      e.keyBytes,
-		PeakResidentBytes: e.keyBytes,
+		States:            e.tab.Len(),
+		EncodedBytes:      e.tab.KeyBytes(),
+		PeakResidentBytes: e.tab.Bytes(),
 		PeakRSSBytes:      e.opt.Backend.ProcessPeakRSS(),
 		PrunedStates:      e.x.pruned,
 		Elapsed:           time.Since(start),
 	}
-	return e.csr.Build(len(e.keys), 0), info, nil
+	return e.csr.Build(e.tab.Len(), 0), info, nil
 }
 
 // emit implements transSink for the sequential explorer: canonicalize,

@@ -45,6 +45,7 @@ import (
 
 // ptrans is one worker-recorded transition: the symbolic action plus
 // the successor's store reference, resolved to IDs during the merge.
+// It holds no Go pointer, so worker buffers are noscan.
 type ptrans struct {
 	ref statecodec.Ref
 	sym symTrans
@@ -104,10 +105,9 @@ func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, ac
 	if err != nil {
 		return nil, nil, err
 	}
-	ref := store.Intern(key)
-	ref.Ent.ID = 0
+	_, _, key = store.Number(store.Intern(key), 0)
 	numStates := 1
-	if err := store.PushFrontier(ref.Ent.Key); err != nil {
+	if err := store.PushFrontier(key); err != nil {
 		return nil, nil, err
 	}
 
@@ -225,24 +225,22 @@ func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, ac
 			trs := ws[r.worker].trs[r.start:r.end]
 			row = row[:0]
 			for _, tr := range trs {
-				var dst int32
-				if ent := tr.ref.Ent; ent != nil {
-					if ent.ID < 0 {
+				dst := tr.ref.ID
+				if dst < 0 {
+					id, fresh, key := store.Number(tr.ref, int32(numStates))
+					dst = id
+					if fresh {
 						// The state budget counts interned states; whether
 						// earlier states are resident or spilled is
 						// irrelevant to the limit.
 						if numStates >= limit {
 							return nil, nil, &StateLimitError{Program: p.Name, Limit: limit}
 						}
-						ent.ID = int32(numStates)
 						numStates++
-						if err := store.PushFrontier(ent.Key); err != nil {
+						if err := store.PushFrontier(key); err != nil {
 							return nil, nil, err
 						}
 					}
-					dst = ent.ID
-				} else {
-					dst = tr.ref.ID
 				}
 				act, lbl := ai.resolve(tr.sym)
 				row = append(row, lts.Transition{Action: act, Label: lbl, Dst: dst})

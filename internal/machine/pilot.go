@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 )
 
 // This file implements the structural τ-cycle probe behind the vet
@@ -110,6 +111,12 @@ func (w *pilotWalker) emit(x *expander, _ symTrans) bool {
 		w.intern(x.succ)
 	}
 	return true
+}
+
+// bytesString views b as a string without copying. The caller must never
+// mutate b afterwards; interned state keys are write-once.
+func bytesString(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 func (w *pilotWalker) intern(st *state) {

@@ -1,43 +1,11 @@
 package statecodec
 
-import (
-	"sync"
-	"sync/atomic"
-	"unsafe"
-)
-
-// numShards is the number of intern-table lock stripes; a power of two
-// so shard selection is a mask. The hash only picks the stripe — it
-// never influences the produced LTS.
-const numShards = 64
-
-// entryOverhead approximates the resident bookkeeping cost of one hot
-// entry beyond its key bytes (Entry struct, map bucket share, pointer).
-// Shared with the spilling statestore so resident telemetry is
-// comparable across implementations.
-const entryOverhead = 56
-
-// byteString views b as a string without copying; interned keys are
-// write-once.
-func byteString(b []byte) string {
-	return unsafe.String(unsafe.SliceData(b), len(b))
-}
-
-// Hash64 is FNV-1a over b. Store implementations share it so shard
-// assignment (never state identity) is uniform across backends.
-func Hash64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
+import "sync"
 
 type memShard struct {
 	mu  sync.Mutex
-	hot map[string]*Entry
-	_   [24]byte // pad to a cache line so shard locks don't false-share
+	tab Table
+	_   [24]byte // pad to two cache lines so shard locks don't false-share
 }
 
 // memStore is the pure in-memory Store: every interned key and every
@@ -46,12 +14,9 @@ type memShard struct {
 // library facade without platform wiring, the wasm playground); the
 // spilling statestore produces byte-identical LTSs beyond RAM.
 type memStore struct {
-	shards [numShards]memShard
+	shards [NumShards]memShard
 
-	resident      atomic.Int64
-	peakResident  atomic.Int64
-	interned      atomic.Int64
-	internedBytes atomic.Int64
+	peakResident int64
 
 	cur  *memLevel
 	next *memLevel
@@ -61,42 +26,28 @@ type memStore struct {
 // MemBudget and Dir are ignored: nothing ever leaves RAM and no
 // filesystem path is touched.
 func OpenMem(Config) (Store, error) {
-	s := &memStore{}
-	for i := range s.shards {
-		s.shards[i].hot = make(map[string]*Entry)
-	}
-	s.next = &memLevel{}
-	return s, nil
-}
-
-func (s *memStore) addResident(delta int64) {
-	r := s.resident.Add(delta)
-	for {
-		p := s.peakResident.Load()
-		if r <= p || s.peakResident.CompareAndSwap(p, r) {
-			return
-		}
-	}
+	return &memStore{cur: &memLevel{}, next: &memLevel{}}, nil
 }
 
 // Intern returns the reference for key, creating an unnumbered resident
-// entry (ID == -1) on first sight. Safe for concurrent use; the key
-// buffer may be reused by the caller after the call returns.
+// entry on first sight. Safe for concurrent use; the key buffer may be
+// reused by the caller after the call returns.
 func (s *memStore) Intern(key []byte) Ref {
-	sh := &s.shards[Hash64(key)&(numShards-1)]
+	h := Hash64(key)
+	si := h & (NumShards - 1)
+	sh := &s.shards[si]
 	sh.mu.Lock()
-	if e, ok := sh.hot[byteString(key)]; ok {
-		sh.mu.Unlock()
-		return Ref{Ent: e}
-	}
-	kc := append([]byte(nil), key...)
-	e := &Entry{ID: -1, Key: kc}
-	sh.hot[byteString(kc)] = e
+	i, _ := sh.tab.Intern(h, key)
+	ref := ShardRef(si, &sh.tab, i)
 	sh.mu.Unlock()
-	s.interned.Add(1)
-	s.internedBytes.Add(int64(len(kc)))
-	s.addResident(int64(len(kc)) + entryOverhead)
-	return Ref{Ent: e}
+	return ref
+}
+
+// Number gives the unnumbered entry ref names the ID next unless it
+// already has one. Single-threaded (merge only).
+func (s *memStore) Number(ref Ref, next int32) (int32, bool, []byte) {
+	si, i := ref.Shard()
+	return s.shards[si].tab.Number(i, next)
 }
 
 // memLevel is one BFS frontier level, entirely resident: key bytes
@@ -135,18 +86,24 @@ func (s *memStore) PushFrontier(key []byte) error {
 	b.buf = append(b.buf, key...)
 	b.offs = append(b.offs, int64(len(b.buf)))
 	b.n++
-	s.addResident(int64(len(key)))
 	return nil
+}
+
+// resident is the store's resident set: every table plus the hot
+// frontier bytes. It only grows between NextLevel calls.
+func (s *memStore) resident() int64 {
+	n := int64(len(s.cur.buf) + len(s.next.buf))
+	for i := range s.shards {
+		n += s.shards[i].tab.Bytes()
+	}
+	return n
 }
 
 // NextLevel seals the level under construction for reading and releases
 // the previously returned level. Single-threaded (explorer loop only).
 func (s *memStore) NextLevel() (Level, error) {
-	if s.cur != nil {
-		s.addResident(-int64(len(s.cur.buf)))
-		s.cur.buf = nil
-		s.cur = nil
-	}
+	s.peakResident = max(s.peakResident, s.resident())
+	s.cur.buf = nil
 	s.cur = s.next
 	s.next = &memLevel{}
 	return s.cur, nil
@@ -158,11 +115,12 @@ func (s *memStore) EndLevel() error { return nil }
 // Stats snapshots the store's telemetry; the spill counters are always
 // zero.
 func (s *memStore) Stats() Stats {
-	return Stats{
-		Interned:          s.interned.Load(),
-		InternedBytes:     s.internedBytes.Load(),
-		PeakResidentBytes: s.peakResident.Load(),
+	st := Stats{PeakResidentBytes: max(s.peakResident, s.resident())}
+	for i := range s.shards {
+		st.Interned += int64(s.shards[i].tab.Len())
+		st.InternedBytes += s.shards[i].tab.KeyBytes()
 	}
+	return st
 }
 
 // Close is a no-op; the store holds no resources beyond the heap.

@@ -1,8 +1,9 @@
 // Package statecodec is the pure, OS-free half of the explorer's state
 // storage: fixed-width bit-packed state encodings derived from value
 // layouts (Slot, Layout, BitWriter, BitReader), the storage contract the
-// explorer programs against (Store, Level, Ref), and an in-memory Store
-// that keeps every interned key and frontier level resident.
+// explorer programs against (Store, Level, Ref), the pointer-free intern
+// Table every store builds on, and an in-memory Store that keeps every
+// interned key and frontier level resident.
 //
 // The package belongs to the core layer: it imports no operating-system
 // facilities and compiles unchanged for every GOOS/GOARCH pair,
@@ -28,23 +29,14 @@ type Config struct {
 	Dir string
 }
 
-// Entry is one resident interned state. ID stays -1 until the explorer's
-// deterministic merge assigns the state its discovery-order ID; Key
-// holds the encoded state for as long as the entry is resident.
-type Entry struct {
-	ID  int32
-	Key []byte
-}
-
-// Ref is the result of an intern: either a resident entry (Ent != nil;
-// inspect and assign Ent.ID) or a hit on a state the store no longer
-// keeps resident, where the state's already-assigned ID is returned
-// directly. Non-resident states always carry assigned IDs: stores only
-// shed entries at level boundaries, after the merge has numbered every
-// state of the level.
+// Ref is the result of an intern: a numbered state's final ID, or ID -1
+// and a Handle for Store.Number while the state awaits its number. Only
+// the merge numbers states, and stores shed entries only after it, so a
+// state no longer resident is always numbered. Ref holds no Go pointer,
+// so the explorer's transition buffers stay noscan.
 type Ref struct {
-	Ent *Entry
-	ID  int32
+	ID     int32
+	Handle uint32
 }
 
 // Stats reports a store's lifetime telemetry.
@@ -92,8 +84,8 @@ type Level interface {
 // level-ordered frontier.
 //
 // Concurrency contract: Intern is safe for concurrent use (expansion
-// workers). PushFrontier, NextLevel, EndLevel, Stats and Close are
-// single-threaded explorer-merge operations and must not race with
+// workers). Number, PushFrontier, NextLevel, EndLevel, Stats and Close
+// are single-threaded explorer-merge operations and must not race with
 // Intern calls (the level-synchronized explorer guarantees this: all
 // workers join before the merge runs).
 //
@@ -103,9 +95,14 @@ type Level interface {
 // backing storage.
 type Store interface {
 	// Intern returns the reference for key, creating an unnumbered
-	// resident entry (ID == -1) on first sight. The key buffer may be
-	// reused by the caller after the call returns.
+	// resident entry on first sight. The key buffer may be reused by the
+	// caller after the call returns.
 	Intern(key []byte) Ref
+	// Number gives the unnumbered entry ref names the ID next, unless an
+	// earlier Number already gave it one, and returns the entry's ID,
+	// whether this call assigned it, and — when it did — the entry's key,
+	// valid until the next Intern. Single-threaded (merge only).
+	Number(ref Ref, next int32) (id int32, fresh bool, key []byte)
 	// PushFrontier appends one state key to the level under construction.
 	PushFrontier(key []byte) error
 	// NextLevel seals the level under construction for reading and

@@ -25,10 +25,10 @@ func TestZeroBudgetNeverTouchesFilesystem(t *testing.T) {
 	// Drive a realistic workload: intern and push two full levels.
 	for i := 0; i < 2000; i++ {
 		r := s.Intern(key(i))
-		if r.Ent == nil {
-			t.Fatalf("key %d: fresh intern returned no entry", i)
+		if r.ID != -1 {
+			t.Fatalf("key %d: fresh intern returned %+v, not an unnumbered entry", i, r)
 		}
-		r.Ent.ID = int32(i)
+		s.Number(r, int32(i))
 		if err := s.PushFrontier(key(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -97,8 +97,7 @@ func TestBackendPositiveBudgetSpills(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 2000; i++ {
-		r := s.Intern(key(i))
-		r.Ent.ID = int32(i)
+		s.Number(s.Intern(key(i)), int32(i))
 	}
 	if err := s.EndLevel(); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,8 @@ func key(i int) []byte {
 }
 
 // TestStoreInternDedup checks in-RAM interning: first contact allocates
-// an entry with an unassigned ID, a repeat returns the same entry.
+// an entry with an unassigned ID, a repeat returns the same handle, and
+// once the merge numbers the entry its ID comes back directly.
 func TestStoreInternDedup(t *testing.T) {
 	s, err := statestore.Open(statestore.Config{})
 	if err != nil {
@@ -23,16 +24,23 @@ func TestStoreInternDedup(t *testing.T) {
 	}
 	defer s.Close()
 	r1 := s.Intern(key(1))
-	if r1.Ent == nil || r1.Ent.ID != -1 {
+	if r1.ID != -1 {
 		t.Fatalf("fresh intern: %+v", r1)
 	}
-	r1.Ent.ID = 7
-	r2 := s.Intern(key(1))
-	if r2.Ent != r1.Ent {
-		t.Fatalf("repeat intern returned a different entry")
+	if r2 := s.Intern(key(1)); r2 != r1 {
+		t.Fatalf("repeat intern returned %+v, first %+v", r2, r1)
 	}
-	if r3 := s.Intern(key(2)); r3.Ent == r1.Ent {
+	if r3 := s.Intern(key(2)); r3 == r1 {
 		t.Fatal("distinct keys shared an entry")
+	}
+	if id, fresh, k := s.Number(r1, 7); id != 7 || !fresh || string(k) != string(key(1)) {
+		t.Fatalf("first Number: id %d fresh %v key %q", id, fresh, k)
+	}
+	if id, fresh, _ := s.Number(r1, 8); id != 7 || fresh {
+		t.Fatalf("second Number renumbered: id %d fresh %v", id, fresh)
+	}
+	if r := s.Intern(key(1)); r.ID != 7 {
+		t.Fatalf("numbered key interned as %+v, want ID 7", r)
 	}
 	if st := s.Stats(); st.Interned != 2 || st.Spilled() {
 		t.Fatalf("stats: %+v", st)
@@ -41,8 +49,8 @@ func TestStoreInternDedup(t *testing.T) {
 
 // TestStoreSpillLookup forces table generations to disk with a tiny
 // budget and checks every spilled key still resolves — to its final ID,
-// without a resident entry — while unseen keys still allocate fresh
-// entries.
+// without interning anything anew — while unseen keys still allocate
+// fresh entries.
 func TestStoreSpillLookup(t *testing.T) {
 	dir := t.TempDir()
 	s, err := statestore.Open(statestore.Config{MemBudget: 1, Dir: dir})
@@ -53,10 +61,10 @@ func TestStoreSpillLookup(t *testing.T) {
 	const n = 1000
 	for i := 0; i < n; i++ {
 		ref := s.Intern(key(i))
-		if ref.Ent == nil {
-			t.Fatalf("key %d resolved as spilled before any flush", i)
+		if ref.ID != -1 {
+			t.Fatalf("key %d resolved as numbered before any flush", i)
 		}
-		ref.Ent.ID = int32(i)
+		s.Number(ref, int32(i))
 	}
 	if err := s.EndLevel(); err != nil {
 		t.Fatal(err)
@@ -66,15 +74,14 @@ func TestStoreSpillLookup(t *testing.T) {
 		t.Fatalf("expected a flush under a 1-byte budget, stats: %+v", st)
 	}
 	for i := 0; i < n; i++ {
-		ref := s.Intern(key(i))
-		if ref.Ent != nil {
-			t.Fatalf("key %d resident after flush", i)
-		}
-		if ref.ID != int32(i) {
-			t.Fatalf("key %d resolved to ID %d", i, ref.ID)
+		if ref := s.Intern(key(i)); ref.ID != int32(i) {
+			t.Fatalf("key %d resolved to %+v", i, ref)
 		}
 	}
-	if ref := s.Intern(key(n + 1)); ref.Ent == nil || ref.Ent.ID != -1 {
+	if got := s.Stats().Interned; got != n {
+		t.Fatalf("spilled hits interned anew: %d states interned, want %d", got, n)
+	}
+	if ref := s.Intern(key(n + 1)); ref.ID != -1 {
 		t.Fatalf("unseen key after flush: %+v", ref)
 	}
 }
@@ -91,23 +98,18 @@ func TestStoreMultiGeneration(t *testing.T) {
 	for level := 0; level < 5; level++ {
 		for i := 0; i < 200; i++ {
 			k := key(level*200 + i)
-			if ref := s.Intern(k); ref.Ent != nil {
-				ref.Ent.ID = next
-				next++
-			} else {
-				t.Fatalf("level %d: fresh key resolved as spilled", level)
+			ref := s.Intern(k)
+			if ref.ID != -1 {
+				t.Fatalf("level %d: fresh key resolved as numbered", level)
 			}
+			s.Number(ref, next)
+			next++
 		}
 		// Everything already seen must resolve to its assigned ID, from
 		// whichever generation holds it.
 		for j := 0; j < (level+1)*200; j += 37 {
-			ref := s.Intern(key(j))
-			id := ref.ID
-			if ref.Ent != nil {
-				id = ref.Ent.ID
-			}
-			if id != int32(j) {
-				t.Fatalf("level %d: key %d resolved to %d", level, j, id)
+			if ref := s.Intern(key(j)); ref.ID != int32(j) {
+				t.Fatalf("level %d: key %d resolved to %+v", level, j, ref)
 			}
 		}
 		if err := s.EndLevel(); err != nil {
@@ -189,8 +191,7 @@ func TestCloseRemovesSpillDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		ref := s.Intern(key(i))
-		ref.Ent.ID = int32(i)
+		s.Number(s.Intern(key(i)), int32(i))
 		if err := s.PushFrontier(key(i)); err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/statecodec"
 )
@@ -33,27 +32,17 @@ import (
 // directory and everything in it are removed by Close.
 type Config = statecodec.Config
 
-// Entry, Ref and Stats are the shared storage-contract types; see
-// statecodec. An Entry's Key holds the encoded state until the entry's
+// Ref and Stats are the shared storage-contract types; see statecodec.
+// A hot entry's key lives in its shard's table until the table's
 // generation spills, at which point it lives in a generation file and
-// is no longer reachable through an Entry.
+// only its final ID comes back from Intern.
 type (
-	Entry = statecodec.Entry
 	Ref   = statecodec.Ref
 	Stats = statecodec.Stats
 )
 
-// numShards is the number of intern-table lock stripes; a power of two
-// so shard selection is a mask. The hash only picks the stripe and the
-// generation index position — it never influences the produced LTS.
-const numShards = 64
-
-// entryOverhead approximates the resident bookkeeping cost of one hot
-// entry beyond its key bytes (Entry struct, map bucket share, pointer).
-const entryOverhead = 56
-
-// genEntryOverhead approximates the resident index cost of one spilled
-// entry (hash, offset, length, ID in the generation index arrays).
+// genEntryOverhead is the resident index cost of one spilled entry
+// (hash, offset, length, ID in the generation index arrays).
 const genEntryOverhead = 14
 
 // shardGen is the in-RAM index of one shard's slice of a spilled
@@ -79,11 +68,11 @@ func (g *shardGen) find(h uint32, key []byte) (int32, bool) {
 	return 0, false
 }
 
+// shard is one lock stripe, 128 bytes, so shard locks don't false-share.
 type shard struct {
 	mu   sync.Mutex
-	hot  map[string]*Entry
+	hot  statecodec.Table
 	gens []shardGen // spilled generations, oldest first
-	_    [24]byte   // pad to a cache line so shard locks don't false-share
 }
 
 // generation tracks one spilled generation file for cleanup.
@@ -97,14 +86,14 @@ type generation struct {
 // the level-ordered frontier, both subject to one shared memory budget.
 //
 // Concurrency contract: Intern is safe for concurrent use (expansion
-// workers). PushFrontier, NextLevel, EndLevel, Stats and Close are
-// single-threaded explorer-merge operations and must not race with
+// workers). Number, PushFrontier, NextLevel, EndLevel, Stats and Close
+// are single-threaded explorer-merge operations and must not race with
 // Intern calls (the level-synchronized explorer guarantees this: all
 // workers join before the merge runs).
 type Store struct {
 	cfg    Config
 	dir    string // private spill directory, created on first spill
-	shards [numShards]shard
+	shards [statecodec.NumShards]shard
 
 	resident      atomic.Int64
 	peakResident  atomic.Int64
@@ -125,22 +114,9 @@ type Store struct {
 // spill files; Close is safe (and cheap) when nothing ever spilled.
 func Open(cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg}
-	for i := range s.shards {
-		s.shards[i].hot = make(map[string]*Entry)
-	}
 	s.next = &levelWriter{s: s}
 	return s, nil
 }
-
-// byteString views b as a string without copying; interned keys are
-// write-once.
-func byteString(b []byte) string {
-	return unsafe.String(unsafe.SliceData(b), len(b))
-}
-
-// hash64 is the shared FNV-1a. The low bits pick the shard, the high
-// bits index generation entries.
-func hash64(b []byte) uint64 { return statecodec.Hash64(b) }
 
 func (s *Store) addResident(delta int64) {
 	r := s.resident.Add(delta)
@@ -157,31 +133,35 @@ func (s *Store) overBudget() bool {
 }
 
 // Intern returns the reference for key, creating an unnumbered resident
-// entry (ID == -1) on first sight. Safe for concurrent use; the key
-// buffer may be reused by the caller after the call returns.
+// entry on first sight. Safe for concurrent use; the key buffer may be
+// reused by the caller after the call returns.
 func (s *Store) Intern(key []byte) Ref {
-	h := hash64(key)
-	sh := &s.shards[h&(numShards-1)]
-	h32 := uint32(h >> 32)
+	h := statecodec.Hash64(key)
+	si := h & (statecodec.NumShards - 1)
+	sh := &s.shards[si]
 	sh.mu.Lock()
-	if e, ok := sh.hot[byteString(key)]; ok {
-		sh.mu.Unlock()
-		return Ref{Ent: e}
+	defer sh.mu.Unlock()
+	if i, ok := sh.hot.Find(h, key); ok {
+		return statecodec.ShardRef(si, &sh.hot, i)
 	}
 	for gi := len(sh.gens) - 1; gi >= 0; gi-- {
-		if id, ok := sh.gens[gi].find(h32, key); ok {
-			sh.mu.Unlock()
+		if id, ok := sh.gens[gi].find(uint32(h>>32), key); ok {
 			return Ref{ID: id}
 		}
 	}
-	kc := append([]byte(nil), key...)
-	e := &Entry{ID: -1, Key: kc}
-	sh.hot[byteString(kc)] = e
-	sh.mu.Unlock()
+	before := sh.hot.Bytes()
+	i, _ := sh.hot.Intern(h, key)
 	s.interned.Add(1)
-	s.internedBytes.Add(int64(len(kc)))
-	s.addResident(int64(len(kc)) + entryOverhead)
-	return Ref{Ent: e}
+	s.internedBytes.Add(int64(len(key)))
+	s.addResident(sh.hot.Bytes() - before)
+	return statecodec.ShardRef(si, &sh.hot, i)
+}
+
+// Number gives the unnumbered entry ref names the ID next unless it
+// already has one. Single-threaded (merge only).
+func (s *Store) Number(ref Ref, next int32) (int32, bool, []byte) {
+	si, i := ref.Shard()
+	return s.shards[si].hot.Number(i, next)
 }
 
 // ensureDir creates the store's private spill directory on first use.
@@ -219,7 +199,7 @@ func (s *Store) newSpillFile(prefix string) (*os.File, error) {
 }
 
 // flushTable spills every hot intern-table entry into one new
-// append-only generation file and replaces the hot maps with compact
+// append-only generation file and replaces the hot tables with compact
 // sorted indexes over the mmap'd file. Must only run at a level
 // boundary: every hot entry must carry an assigned ID, because after
 // the flush the key bytes are reachable only through the file.
@@ -235,7 +215,7 @@ func (s *Store) flushTable() error {
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
-		n := len(sh.hot)
+		n := sh.hot.Len()
 		if n == 0 {
 			sh.mu.Unlock()
 			continue
@@ -246,35 +226,35 @@ func (s *Store) flushTable() error {
 			lens:   make([]uint16, 0, n),
 			ids:    make([]int32, 0, n),
 		}
-		for _, e := range sh.hot {
-			if e.ID < 0 {
+		for i := int32(0); i < int32(n); i++ {
+			key, id := sh.hot.Key(i), sh.hot.ID(i)
+			if id < 0 {
 				sh.mu.Unlock()
 				f.Close()
 				return fmt.Errorf("statestore: internal error: flushing unnumbered entry")
 			}
-			if len(e.Key) > math.MaxUint16 {
+			if len(key) > math.MaxUint16 {
 				sh.mu.Unlock()
 				f.Close()
-				return fmt.Errorf("statestore: state encoding of %d bytes exceeds generation record limit", len(e.Key))
+				return fmt.Errorf("statestore: state encoding of %d bytes exceeds generation record limit", len(key))
 			}
-			if off+int64(len(e.Key)) > math.MaxUint32 {
+			if off+int64(len(key)) > math.MaxUint32 {
 				sh.mu.Unlock()
 				f.Close()
 				return fmt.Errorf("statestore: generation file exceeds 4 GiB; use a larger memory budget")
 			}
-			w.write(e.Key)
-			sg.hashes = append(sg.hashes, uint32(hash64(e.Key)>>32))
+			w.write(key)
+			sg.hashes = append(sg.hashes, uint32(statecodec.Hash64(key)>>32))
 			sg.offs = append(sg.offs, uint32(off))
-			sg.lens = append(sg.lens, uint16(len(e.Key)))
-			sg.ids = append(sg.ids, e.ID)
-			off += int64(len(e.Key))
-			freedBytes += int64(len(e.Key)) + entryOverhead
-			e.Key = nil
+			sg.lens = append(sg.lens, uint16(len(key)))
+			sg.ids = append(sg.ids, id)
+			off += int64(len(key))
 		}
 		spilled += int64(n)
+		freedBytes += sh.hot.Bytes()
 		sortShardGen(&sg)
 		sh.gens = append(sh.gens, sg)
-		sh.hot = make(map[string]*Entry)
+		sh.hot = statecodec.Table{}
 		sh.mu.Unlock()
 	}
 	if err := w.flush(); err != nil {
@@ -312,7 +292,7 @@ func (s *Store) EndLevel() error {
 	hot := int64(0)
 	for si := range s.shards {
 		s.shards[si].mu.Lock()
-		hot += int64(len(s.shards[si].hot))
+		hot += int64(s.shards[si].hot.Len())
 		s.shards[si].mu.Unlock()
 	}
 	if hot == 0 {
