@@ -2,7 +2,12 @@ package bisim
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -14,20 +19,21 @@ import (
 // branchingOnDAG is naive signature refinement on a τ-acyclic LTS (the
 // τ-SCC collapse), the byte-identity oracle for splitterOnDAG: every
 // round recomputes every state's branching signature (see splitterOnDAG
-// for its definition) and interns it in a sigTable, which numbers blocks
-// by first occurrence in state order. States are processed in increasing
-// ID order, so inert-τ signature inheritance finds its successors
-// already computed.
+// for its definition) and numbers the (block, signature) keys by first
+// occurrence in state order in a fresh map. States are processed in
+// increasing ID order, so inert-τ signature inheritance finds its
+// successors already computed. It shares no interning code with the
+// refiners it checks.
 func branchingOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partition, error) {
 	n := l.NumStates()
 	p := uniform(n)
-	table := newSigTable(n)
 	sigs := make([][]uint64, n)
+	var key []byte
 	for rounds := 1; ; rounds++ {
 		if err := checkCtx(ctx, "branching refinement"); err != nil {
 			return nil, err
 		}
-		table.reset()
+		table := make(map[string]int32)
 		next := make([]int32, n)
 		for s := 0; s < n; s++ {
 			sig := sigs[s][:0]
@@ -46,16 +52,25 @@ func branchingOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partiti
 			if divergent[s] {
 				sig = append(sig, sigPair(divergenceAction, sb))
 			}
-			sig = sortDedup(sig)
+			slices.Sort(sig)
+			sig = slices.Compact(sig)
 			sigs[s] = sig
-			next[s] = table.blockFor(sb, sig)
+			key = binary.LittleEndian.AppendUint32(key[:0], uint32(sb))
+			for _, w := range sig {
+				key = binary.LittleEndian.AppendUint64(key, w)
+			}
+			id, ok := table[string(key)]
+			if !ok {
+				id = int32(len(table))
+				table[string(key)] = id
+			}
+			next[s] = id
 		}
-		num := table.len()
-		if num == p.Num {
+		if len(table) == p.Num {
 			p.Rounds = rounds
 			return p, nil
 		}
-		p = &Partition{BlockOf: next, Num: num}
+		p = &Partition{BlockOf: next, Num: len(table)}
 	}
 }
 
@@ -118,24 +133,83 @@ func TestCrossRefinerTableIIPartitions(t *testing.T) {
 	}
 }
 
+// wideActs is an alphabet of 65,538 visible actions besides τ, so
+// generated systems can use action IDs that differ by 1<<16.
+var wideActs = sync.OnceValue(func() *lts.Alphabet {
+	acts := lts.NewAlphabet()
+	for i := 1; i <= 1<<16+2; i++ {
+		acts.ID(fmt.Sprintf("a%d", i))
+	}
+	return acts
+})
+
+// crossLTS builds a deterministic random system for the cross-refiner
+// tests. Beyond quickLTS's random τ and visible edges it adds duplicate
+// (action, dst) edges, τ self-loops (divergent states), actions whose IDs
+// lie above 65,536 and differ from small ones by exactly 1<<16, and, for
+// every eighth seed, a long chain of visible steps that takes more than
+// 100 refinement rounds to separate.
+func crossLTS(seed int64) *lts.LTS {
+	r := rand.New(rand.NewSource(seed))
+	acts := wideActs()
+	id := func(name string) lts.ActionID { a, _ := acts.Lookup(name); return a }
+	a1, a2 := id("a1"), id("a2")
+	w1, w2 := id("a65537"), id("a65538") // a1 + 1<<16, a2 + 1<<16
+	pool := []lts.ActionID{lts.Tau, lts.Tau, a1, a2, w1, w2}
+	n := 2 + r.Intn(10)
+	chain := 0
+	if seed%8 == 0 {
+		chain = 120 + r.Intn(20)
+	}
+	b := lts.NewBuilder(acts)
+	b.SetInit(0)
+	b.AddStates(n + chain)
+	for i := 0; i < 1+r.Intn(3*n); i++ {
+		src, act, dst := r.Intn(n), pool[r.Intn(len(pool))], r.Intn(n)
+		b.AddID(src, act, dst)
+		if r.Intn(4) == 0 {
+			b.AddID(src, act, dst)
+		}
+	}
+	for i := r.Intn(3); i > 0; i-- {
+		s := r.Intn(n)
+		b.AddID(s, lts.Tau, s)
+	}
+	if chain > 0 {
+		b.AddID(r.Intn(n), w1, n)
+		for i := n; i < n+chain-1; i++ {
+			act := a1
+			if r.Intn(16) == 0 {
+				act = lts.Tau
+			}
+			b.AddID(i, act, i+1)
+		}
+	}
+	return b.Build()
+}
+
 // TestCrossRefinerPartitionsIdentical: on random systems with τ-cycles,
-// the splitter and the signature oracle produce byte-identical partitions
-// for both branching and divergence-sensitive branching bisimulation.
+// divergent states, duplicate edges, wide action IDs and long chains, the
+// splitter and the signature oracle produce byte-identical partitions for
+// both branching and divergence-sensitive branching bisimulation.
 func TestCrossRefinerPartitionsIdentical(t *testing.T) {
-	prop := func(seed int64) bool {
-		l := quickLTS(seed)
+	maxRounds, divergent := 0, 0
+	for seed := int64(0); seed < 400; seed++ {
+		l := crossLTS(seed)
+		if _, cyc := lts.HasTauCycle(l); cyc {
+			divergent++
+		}
 		for _, div := range []bool{false, true} {
 			sig, spl := refinerPair(t, l, div)
 			if !samePartition(sig, spl) {
-				t.Logf("seed %d div=%v: signature %d blocks/%d rounds, splitter %d blocks/%d rounds",
+				t.Fatalf("seed %d div=%v: signature %d blocks/%d rounds, splitter %d blocks/%d rounds",
 					seed, div, sig.Num, sig.Rounds, spl.Num, spl.Rounds)
-				return false
 			}
+			maxRounds = max(maxRounds, spl.Rounds)
 		}
-		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	if maxRounds <= 100 || divergent < 40 {
+		t.Fatalf("generator too tame: at most %d rounds, %d divergent systems", maxRounds, divergent)
 	}
 }
 
@@ -215,48 +289,143 @@ func TestCrossRefinerWitnessDistinguishes(t *testing.T) {
 }
 
 // TestCrossRefinerSigTableResetBounded: after a round that interns a
-// huge number of large signatures, reset must not keep the peak storage
-// alive forever (the regression this pins: the free list and bucket map
-// used to retain every key buffer from the largest round).
+// huge number of large signatures, none of which survive, compaction must
+// not keep that round's storage alive for the rest of the run.
 func TestCrossRefinerSigTableResetBounded(t *testing.T) {
-	tbl := newSigTable(16)
+	const states = 64
+	st, ids := newSigStore(states), make([]int32, states)
 	sig := make([]uint64, 512) // 4 KiB keys
 	for i := range sig {
 		sig[i] = uint64(i) << 17
 	}
-	big := 4 * bucketShrinkSlack
-	for i := 0; i < big; i++ {
+	for i := 0; i < 4*sigCompactSlack; i++ {
 		sig[0] = uint64(i)
-		tbl.blockFor(0, sig)
+		st.assign(ids, i%states, st.intern(sig))
 	}
-	// A small round follows: reset sees far fewer blocks than buckets and
-	// must rebuild rather than pin the peak map.
-	tbl.reset()
-	tbl.blockFor(0, sig[:4])
-	tbl.reset()
-	if got := len(tbl.buckets); got > 2+bucketShrinkSlack {
-		t.Fatalf("bucket map kept %d entries after a 1-block round (slack %d)", got, bucketShrinkSlack)
+	peak := st.tab.Bytes()
+	// A small round follows: every state moves to one of two short
+	// signatures, so the huge round's keys are all dead.
+	for s := range ids {
+		st.assign(ids, s, st.intern(sig[:1+s%2]))
 	}
-	if tbl.freeBytes > maxFreeKeyBytes {
-		t.Fatalf("free list holds %d bytes, cap is %d", tbl.freeBytes, maxFreeKeyBytes)
+	if !st.overfull() {
+		t.Fatalf("%d entries for %d live IDs not flagged for compaction", st.tab.Len(), st.live)
 	}
-	// Steady state: repeated large rounds never exceed the byte cap.
-	for round := 0; round < 4; round++ {
-		for i := 0; i < 200; i++ {
-			sig[0] = uint64(round*1000 + i)
-			tbl.blockFor(0, sig)
+	st.compact(ids)
+	if st.tab.Len() != 2 || st.live != 2 {
+		t.Fatalf("compaction kept %d entries for %d live IDs, want 2", st.tab.Len(), st.live)
+	}
+	if got := st.tab.Bytes(); got > 1024 || got*100 > peak {
+		t.Fatalf("compacted table holds %d bytes (peak %d)", got, peak)
+	}
+	for s, id := range ids {
+		if got := st.appendWords(nil, id); !slices.Equal(got, sig[:1+s%2]) {
+			t.Fatalf("state %d: signature %v after compaction, want %v", s, got, sig[:1+s%2])
 		}
-		tbl.reset()
-		if tbl.freeBytes > maxFreeKeyBytes {
-			t.Fatalf("round %d: free list holds %d bytes, cap is %d", round, tbl.freeBytes, maxFreeKeyBytes)
+	}
+}
+
+// TestSplitterSigTableBounded runs the splitter for more than 100 rounds
+// on a system where hundreds of states change their signature in every
+// round while few signatures stay live, and holds the signature table to
+// at most twice the live IDs plus sigCompactSlack after every round.
+func TestSplitterSigTableBounded(t *testing.T) {
+	// A chain of length visible steps takes a round per state to
+	// separate, and each of the hubs sees the whole chain through its
+	// own action, so every round's chain split gives every hub a fresh
+	// signature and kills its old one.
+	const length, hubs = 150, 300
+	acts := lts.NewAlphabet()
+	a := acts.ID("a")
+	bl := lts.NewBuilder(acts)
+	bl.SetInit(0)
+	bl.AddStates(length + hubs)
+	for i := 1; i < length; i++ {
+		bl.AddID(i, a, i-1)
+	}
+	for h := 0; h < hubs; h++ {
+		act := acts.ID(fmt.Sprintf("h%d", h))
+		for i := 0; i < length; i++ {
+			bl.AddID(length+h, act, i)
 		}
-		total := 0
-		for _, buf := range tbl.free {
-			total += cap(buf)
+	}
+	l := bl.Build()
+	rounds, compactions, worst, last := 0, 0, 0, 0
+	splitterRoundHook = func(st *sigStore) {
+		rounds++
+		if st.tab.Len() < last {
+			compactions++
 		}
-		if total != tbl.freeBytes {
-			t.Fatalf("round %d: freeBytes accounting drifted: counted %d, actual %d", round, tbl.freeBytes, total)
+		last = st.tab.Len()
+		worst = max(worst, st.tab.Len()-2*st.live)
+	}
+	defer func() { splitterRoundHook = nil }()
+	p, _, err := splitterOnDAG(context.Background(), l, make([]bool, l.NumStates()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Rounds <= 100 || compactions < 10 {
+		t.Fatalf("%d rounds, %d compactions: the run does not exercise compaction", p.Rounds, compactions)
+	}
+	if worst > sigCompactSlack {
+		t.Fatalf("signature table exceeded twice the live IDs by %d entries (slack %d)", worst, sigCompactSlack)
+	}
+}
+
+// maxSplitterBytesPerState bounds TestSplitterBytesPerState. The
+// ID-column splitter allocates about 31 B/state on its system; the
+// slice-per-state splitter it replaced allocated 166 B/state.
+const maxSplitterBytesPerState = 56
+
+// TestSplitterBytesPerState bounds the bytes splitterOnDAG allocates per
+// state on a 120,000-state τ-DAG: signatures live once each in the
+// intern table and states hold an int32 ID, so the refinement's
+// allocation is a few int32 columns per state and transition. A
+// slice-per-state signature column (a 24-byte header plus its words for
+// every state) breaks the bound.
+func TestSplitterBytesPerState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates a 120,000-state system")
+	}
+	const n, types = 120_000, 24
+	r := rand.New(rand.NewSource(1))
+	acts := lts.NewAlphabet()
+	vis := []lts.ActionID{acts.ID("a"), acts.ID("b"), acts.ID("c")}
+	word := make([]lts.ActionID, types)
+	for c := range word {
+		word[c] = vis[r.Intn(len(vis))]
+	}
+	// State s has type s mod types, and its type fixes its behaviour, as
+	// in the state space of a concurrent object, whose quotient is tiny.
+	// Its visible step, labelled by the type's letter, goes to a state of
+	// the next type, so types separate by their future words over up to
+	// types rounds; half the states also take an inert τ step to a lower
+	// state of their type, as the τ-SCC collapse numbers them. The first
+	// row of states are unreachable sinks.
+	bl := lts.NewBuilder(acts)
+	bl.SetInit(n - 1)
+	bl.AddStates(n)
+	rows := n / types
+	for s := types; s < n; s++ {
+		c, row := s%types, s/types
+		bl.AddID(s, word[c], (c+1)%types+types*(1+r.Intn(rows-1)))
+		if row > 1 && r.Intn(2) == 0 {
+			bl.AddID(s, lts.Tau, c+types*(1+r.Intn(row-1)))
 		}
+	}
+	l := bl.Build()
+	divergent := make([]bool, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, _, err := splitterOnDAG(context.Background(), l, divergent)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perState := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%d states, %d transitions, %d blocks, %d rounds: %.1f B/state", n, l.NumTransitions(), p.Num, p.Rounds, perState)
+	if perState > maxSplitterBytesPerState {
+		t.Fatalf("splitter allocated %.1f B/state, bound %d", perState, maxSplitterBytesPerState)
 	}
 }
 

@@ -21,12 +21,12 @@
 package bisim
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"slices"
 
 	"repro/internal/lts"
+	"repro/internal/statecodec"
 )
 
 // Partition assigns each state of an LTS to an equivalence block.
@@ -48,110 +48,44 @@ func uniform(n int) *Partition {
 	return &Partition{BlockOf: make([]int32, n), Num: 1}
 }
 
-// sigTable groups states by (current block, signature) to form the next
-// partition. Signatures are encoded as sorted, deduplicated uint64 pairs
-// (action<<32 | targetBlock). Keys are interned in an FNV-hashed bucket
-// map whose byte buffers are recycled across refinement rounds, so a
-// refinement run allocates key storage only while the table is growing
-// past its high-water mark — not once per newly discovered block per
-// round, as a map[string]int32 rebuild would.
-type sigTable struct {
-	buckets   map[uint64][]sigEntry
-	n         int32
-	buf       []byte
-	free      [][]byte // key buffers recycled by reset for reuse
-	freeBytes int      // total capacity of the buffers in free
+// sigIntern numbers signatures — sorted, deduplicated uint64 words,
+// each an (action<<32 | block) pair — densely in first-occurrence order.
+// Keys live in a pointer-free statecodec.Table, the one behind every
+// state store, as their little-endian bytes; hashWords supplies the
+// table's hash. Strong and weak refinement start a fresh one per round;
+// the splitter keeps one for the whole run (sigStore).
+type sigIntern struct {
+	tab statecodec.Table
+	buf []byte // scratch for the key bytes
 }
 
-// Bounds on the storage reset keeps alive for reuse, so one huge round
-// does not pin its peak key storage and bucket map for every later round
-// (and, through long-lived tables, for the rest of a process).
-const (
-	// maxFreeKeyBytes caps the recycled key-buffer bytes surviving a
-	// reset; buffers beyond the cap are dropped for the GC.
-	maxFreeKeyBytes = 1 << 20
-	// bucketShrinkSlack is how many map entries beyond the last round's
-	// block count reset tolerates before rebuilding the bucket map (Go
-	// maps never shrink on their own).
-	bucketShrinkSlack = 1 << 10
-)
-
-type sigEntry struct {
-	key []byte
-	id  int32
-}
-
-func newSigTable(capacity int) *sigTable {
-	return &sigTable{buckets: make(map[uint64][]sigEntry, capacity)}
-}
-
-// fnv64a hashes b with 64-bit FNV-1a.
-func fnv64a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+// hashWords hashes a signature word by word, mixing every word into the
+// high 32 bits the table uses as its tag.
+func hashWords(ws []uint64) uint64 {
+	h := uint64(len(ws))
+	for _, w := range ws {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
 	}
-	return h
+	return h * 0xbf58476d1ce4e5b9
 }
 
-// blockFor returns the next-round block ID for a state with the given
-// current block and signature. sig must be sorted and deduplicated.
-func (t *sigTable) blockFor(curBlock int32, sig []uint64) int32 {
+// intern returns ws's ID, appending it on first sight.
+func (t *sigIntern) intern(ws []uint64) int32 {
 	t.buf = t.buf[:0]
-	t.buf = binary.LittleEndian.AppendUint32(t.buf, uint32(curBlock))
-	for _, p := range sig {
-		t.buf = binary.LittleEndian.AppendUint64(t.buf, p)
+	for _, w := range ws {
+		t.buf = binary.LittleEndian.AppendUint64(t.buf, w)
 	}
-	h := fnv64a(t.buf)
-	for _, e := range t.buckets[h] {
-		if bytes.Equal(e.key, t.buf) {
-			return e.id
-		}
-	}
-	id := t.n
-	t.n++
-	var key []byte
-	if n := len(t.free); n > 0 {
-		recycled := t.free[n-1]
-		t.free = t.free[:n-1]
-		t.freeBytes -= cap(recycled)
-		key = append(recycled[:0], t.buf...)
-	} else {
-		key = append([]byte(nil), t.buf...)
-	}
-	t.buckets[h] = append(t.buckets[h], sigEntry{key: key, id: id})
+	id, _ := t.tab.Intern(hashWords(ws), t.buf)
 	return id
 }
 
-// len is the number of distinct blocks interned since the last reset.
-func (t *sigTable) len() int { return int(t.n) }
-
-// reset empties the table for the next round, keeping bucket slices and
-// key buffers for reuse — but only up to the maxFreeKeyBytes /
-// bucketShrinkSlack bounds, so a one-off huge round cannot pin its peak
-// storage forever.
-func (t *sigTable) reset() {
-	if len(t.buckets) > 2*int(t.n)+bucketShrinkSlack {
-		// Far more distinct hashes than the last round had blocks: the
-		// map is a leftover from a much bigger round. Rebuild it at the
-		// size actually needed and drop the recycled buffers with it.
-		t.buckets = make(map[uint64][]sigEntry, t.n)
-		t.free = nil
-		t.freeBytes = 0
-		t.n = 0
-		return
+// appendWords appends the words of signature id to dst.
+func (t *sigIntern) appendWords(dst []uint64, id int32) []uint64 {
+	for k := t.tab.Key(id); len(k) > 0; k = k[8:] {
+		dst = append(dst, binary.LittleEndian.Uint64(k))
 	}
-	for h, bucket := range t.buckets {
-		for i := range bucket {
-			if c := cap(bucket[i].key); t.freeBytes+c <= maxFreeKeyBytes {
-				t.free = append(t.free, bucket[i].key)
-				t.freeBytes += c
-			}
-		}
-		t.buckets[h] = bucket[:0]
-	}
-	t.n = 0
+	return dst
 }
 
 func sigPair(a lts.ActionID, block int32) uint64 {
@@ -173,29 +107,34 @@ func sortDedup(sig []uint64) []uint64 {
 	return out
 }
 
+// blockKey finishes a (block, signature) key for strong and weak
+// refinement: key[0] is the state's current block and key[1:] its
+// signature pairs, which blockKey sorts and deduplicates in place.
+func blockKey(key []uint64) []uint64 {
+	return key[:1+len(sortDedup(key[1:]))]
+}
+
 // StrongContext computes the strong bisimulation partition of l: τ is
 // treated as an ordinary action. The refinement loop polls ctx once per
 // round and returns a *CanceledError when it is done.
 func StrongContext(ctx context.Context, l *lts.LTS) (*Partition, error) {
 	n := l.NumStates()
 	p := uniform(n)
-	table := newSigTable(n)
-	var sig []uint64
+	var key []uint64
 	for rounds := 1; ; rounds++ {
 		if err := checkCtx(ctx, "strong refinement"); err != nil {
 			return nil, err
 		}
-		table.reset()
+		var table sigIntern
 		next := make([]int32, n)
 		for s := 0; s < n; s++ {
-			sig = sig[:0]
+			key = append(key[:0], uint64(p.BlockOf[s]))
 			for _, tr := range l.Succ(int32(s)) {
-				sig = append(sig, sigPair(tr.Action, p.BlockOf[tr.Dst]))
+				key = append(key, sigPair(tr.Action, p.BlockOf[tr.Dst]))
 			}
-			sig = sortDedup(sig)
-			next[s] = table.blockFor(p.BlockOf[s], sig)
+			next[s] = table.intern(blockKey(key))
 		}
-		num := table.len()
+		num := table.tab.Len()
 		if num == p.Num {
 			p.Rounds = rounds
 			return p, nil

@@ -15,9 +15,9 @@ import (
 // ancestor of s's leaf created in round ≤ r.
 //
 // The pool holds at most 2n−1 nodes (n leaves, each split creates ≥ 2
-// fresh children, so ≤ n−1 inner nodes); membership is a doubly linked
-// list per leaf kept in increasing state order, so splits renumber
-// deterministically.
+// fresh children, so ≤ n−1 inner nodes) and grows as splits happen;
+// membership is a singly linked list per leaf kept in increasing state
+// order, so splits renumber deterministically.
 type splitTree struct {
 	l         *lts.LTS
 	divergent []bool
@@ -27,7 +27,7 @@ type splitTree struct {
 	round  []int32 // node → creation round (0 for the root)
 
 	head, tail []int32 // node → first/last member state, -1 when inner/empty
-	next, prev []int32 // state → neighbours in its leaf's member list
+	next       []int32 // state → successor in its leaf's member list, -1 last
 	leafOf     []int32 // state → current leaf node
 }
 
@@ -36,15 +36,13 @@ func newSplitTree(l *lts.LTS, divergent []bool) *splitTree {
 	t := &splitTree{
 		l:         l,
 		divergent: divergent,
-		parent:    make([]int32, 1, 2*n),
-		round:     make([]int32, 1, 2*n),
-		head:      make([]int32, 1, 2*n),
-		tail:      make([]int32, 1, 2*n),
+		parent:    []int32{-1},
+		round:     []int32{0},
+		head:      []int32{-1},
+		tail:      []int32{-1},
 		next:      make([]int32, n),
-		prev:      make([]int32, n),
 		leafOf:    make([]int32, n),
 	}
-	t.parent[0], t.head[0], t.tail[0] = -1, -1, -1
 	for s := 0; s < n; s++ {
 		t.appendMember(0, int32(s))
 	}
@@ -64,7 +62,6 @@ func (t *splitTree) newNode(parent, round int32) int32 {
 // appendMember links state s at the end of node's member list.
 func (t *splitTree) appendMember(node, s int32) {
 	t.leafOf[s] = node
-	t.prev[s] = t.tail[node]
 	t.next[s] = -1
 	if t.tail[node] >= 0 {
 		t.next[t.tail[node]] = s
@@ -108,16 +105,84 @@ func (t *splitTree) sepRound(u, v int32) int32 {
 	return t.round[child]
 }
 
-// hashSig hashes a signature with 64-bit FNV-1a.
-func hashSig(sig []uint64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range sig {
-		for i := 0; i < 64; i += 8 {
-			h ^= uint64(byte(v >> i))
-			h *= 1099511628211
-		}
+// sigStore is the splitter's signature column: every distinct signature
+// is interned once, and each state holds the int32 ID of its current
+// one, so a round's change test is an ID comparison and inert-τ
+// inheritance copies the successor's interned words. refs counts the
+// states holding each ID. When dead IDs outnumber the live ones by more
+// than sigCompactSlack, the round's end compacts the table, so after
+// every splitting round it holds at most twice the live IDs plus that
+// slack.
+type sigStore struct {
+	sigIntern
+	refs []int32 // ID → number of states whose signature it is
+	live int     // IDs with refs > 0
+}
+
+// splitterRoundHook, when set, observes the signature store at the end
+// of every round that splits a block; tests use it to check the table's
+// bound across a run.
+var splitterRoundHook func(*sigStore)
+
+// sigCompactSlack is how many entries beyond twice the live IDs the
+// table may hold before a round's end compacts it, so small runs never
+// pay for a rebuild.
+const sigCompactSlack = 1024
+
+// newSigStore returns a store in which all states hold the empty
+// signature, ID 0.
+func newSigStore(states int) *sigStore {
+	st := &sigStore{}
+	st.intern(nil)
+	st.refs[0], st.live = int32(states), 1
+	return st
+}
+
+// intern returns ws's ID; ws must be sorted and deduplicated.
+func (st *sigStore) intern(ws []uint64) int32 {
+	id := st.sigIntern.intern(ws)
+	if int(id) == len(st.refs) {
+		st.refs = append(st.refs, 0)
 	}
-	return h
+	return id
+}
+
+// assign moves state s's signature from ids[s] to id.
+func (st *sigStore) assign(ids []int32, s int, id int32) {
+	old := ids[s]
+	if st.refs[old]--; st.refs[old] == 0 {
+		st.live--
+	}
+	if st.refs[id]++; st.refs[id] == 1 {
+		st.live++
+	}
+	ids[s] = id
+}
+
+// overfull reports whether dead entries have outgrown the live ones.
+func (st *sigStore) overfull() bool {
+	return st.tab.Len() > 2*st.live+sigCompactSlack
+}
+
+// compact re-interns the live signatures, in ID order, into a fresh
+// table and renumbers ids to match, releasing the dead entries' storage.
+func (st *sigStore) compact(ids []int32) {
+	remap := make([]int32, st.tab.Len())
+	fresh := sigIntern{buf: st.buf}
+	refs := make([]int32, 0, st.live)
+	var ws []uint64
+	for id, r := range st.refs {
+		if r == 0 {
+			continue
+		}
+		ws = st.appendWords(ws[:0], int32(id))
+		remap[id] = fresh.intern(ws)
+		refs = append(refs, r)
+	}
+	for s, id := range ids {
+		ids[s] = remap[id]
+	}
+	st.sigIntern, st.refs = fresh, refs
 }
 
 // splitterOnDAG runs splitting-tree refinement on a τ-acyclic LTS (the
@@ -149,7 +214,8 @@ func splitterOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partitio
 	n := l.NumStates()
 	t := newSplitTree(l, divergent)
 
-	// Reverse-edge CSR: predecessors with the action of the incoming edge.
+	// Reverse-edge CSR: the predecessors of s are predSrc[predOff[s]:
+	// predOff[s+1]], a τ predecessor p stored complemented as ^p.
 	predOff := make([]int32, n+1)
 	for s := 0; s < n; s++ {
 		for _, tr := range l.Succ(int32(s)) {
@@ -160,47 +226,54 @@ func splitterOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partitio
 		predOff[s+1] += predOff[s]
 	}
 	predSrc := make([]int32, l.NumTransitions())
-	predAct := make([]lts.ActionID, l.NumTransitions())
 	fill := append([]int32(nil), predOff[:n]...)
 	for s := 0; s < n; s++ {
 		for _, tr := range l.Succ(int32(s)) {
-			predSrc[fill[tr.Dst]] = int32(s)
-			predAct[fill[tr.Dst]] = tr.Action
+			p := int32(s)
+			if lts.IsTau(tr.Action) {
+				p = ^p
+			}
+			predSrc[fill[tr.Dst]] = p
 			fill[tr.Dst]++
 		}
 	}
 
-	sigs := make([][]uint64, n)
+	sigs, sigID := newSigStore(n), make([]int32, n)
 	dirty := make([]bool, n)
 	for s := range dirty {
 		dirty[s] = true
 	}
 	var (
-		scratch []uint64
-		moved   []int32
-		cands   []int32
-		members []int32
+		sig      []uint64
+		cands    []int32
+		candSeen []bool  // node → queued in cands this round
+		groupOf  []int32 // signature ID → group, valid where stampOf matches
+		stampOf  []int32 // signature ID → stamp of the block that grouped it
+		children []int32 // group → child node
+		stamp    int32
 	)
 	for round := int32(1); ; round++ {
 		if err := checkCtx(ctx, "splitter refinement"); err != nil {
 			return nil, nil, err
 		}
 		cands = cands[:0]
-		candSeen := make(map[int32]bool, 8)
+		if len(candSeen) < len(t.parent) {
+			candSeen = append(candSeen, make([]bool, len(t.parent)-len(candSeen))...)
+		}
 		for s := 0; s < n; s++ {
 			if !dirty[s] {
 				continue
 			}
 			dirty[s] = false
 			sb := t.leafOf[s]
-			sig := scratch[:0]
+			sig = sig[:0]
 			for _, tr := range l.Succ(int32(s)) {
 				tb := t.leafOf[tr.Dst]
 				if lts.IsTau(tr.Action) && tb == sb {
 					// Inert: inherit the τ-successor's signature. The
-					// collapse guarantees tr.Dst < s, so sigs[tr.Dst] is
-					// final for this round.
-					sig = append(sig, sigs[tr.Dst]...)
+					// collapse guarantees tr.Dst < s, so its ID is final
+					// for this round.
+					sig = sigs.appendWords(sig, sigID[tr.Dst])
 					continue
 				}
 				sig = append(sig, sigPair(tr.Action, tb))
@@ -208,22 +281,20 @@ func splitterOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partitio
 			if divergent[s] {
 				sig = append(sig, sigPair(divergenceAction, sb))
 			}
-			sig = sortDedup(sig)
-			if slices.Equal(sig, sigs[s]) {
-				scratch = sig
+			id := sigs.intern(sortDedup(sig))
+			if id == sigID[s] {
 				continue
 			}
-			sigs[s] = append(sigs[s][:0], sig...)
-			scratch = sig
+			sigs.assign(sigID, s, id)
 			if !candSeen[sb] {
 				candSeen[sb] = true
 				cands = append(cands, sb)
 			}
 			// A same-block τ-predecessor inherits this signature; it has a
 			// higher state ID, so this round's sweep still reaches it.
-			for pi := predOff[s]; pi < predOff[s+1]; pi++ {
-				if lts.IsTau(predAct[pi]) && t.leafOf[predSrc[pi]] == sb {
-					dirty[predSrc[pi]] = true
+			for _, p := range predSrc[predOff[s]:predOff[s+1]] {
+				if p < 0 && t.leafOf[^p] == sb {
+					dirty[^p] = true
 				}
 			}
 		}
@@ -232,79 +303,74 @@ func splitterOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partitio
 			break
 		}
 		slices.Sort(cands)
-		moved = moved[:0]
+		if k := sigs.tab.Len(); len(stampOf) < k {
+			groupOf = append(groupOf, make([]int32, k-len(groupOf))...)
+			stampOf = append(stampOf, make([]int32, k-len(stampOf))...)
+		}
+		split := false
 		for _, B := range cands {
-			members = members[:0]
+			candSeen[B] = false
+			// Group members by signature ID, in first-occurrence order so
+			// the children and their member lists come out deterministic.
+			stamp++
+			children = children[:0]
 			for s := t.head[B]; s >= 0; s = t.next[s] {
-				members = append(members, s)
-			}
-			// Group members by signature, in first-occurrence order so the
-			// children and their member lists come out deterministic.
-			type group struct {
-				rep   int32
-				child int32
-			}
-			var groups []group
-			index := make(map[uint64][]int, 2)
-			assign := make([]int, len(members))
-			for i, m := range members {
-				h := hashSig(sigs[m])
-				gi := -1
-				for _, j := range index[h] {
-					if slices.Equal(sigs[m], sigs[groups[j].rep]) {
-						gi = j
-						break
-					}
+				if id := sigID[s]; stampOf[id] != stamp {
+					stampOf[id], groupOf[id] = stamp, int32(len(children))
+					children = append(children, -1)
 				}
-				if gi < 0 {
-					gi = len(groups)
-					groups = append(groups, group{rep: m})
-					index[h] = append(index[h], gi)
-				}
-				assign[i] = gi
 			}
-			if len(groups) < 2 {
+			if len(children) < 2 {
 				continue // the whole block changed its signature uniformly
 			}
-			for j := range groups {
-				groups[j].child = t.newNode(B, round)
+			split = true
+			for g := range children {
+				children[g] = t.newNode(B, round)
 			}
+			// Move every member to its group's child. The splitter queue:
+			// the next round reprocesses the members of the fresh blocks
+			// and every predecessor of one (p, or ^p for a τ edge).
+			s := t.head[B]
 			t.head[B], t.tail[B] = -1, -1
-			for i, m := range members {
-				t.appendMember(groups[assign[i]].child, m)
+			for s >= 0 {
+				next := t.next[s]
+				t.appendMember(children[groupOf[sigID[s]]], s)
+				dirty[s] = true
+				for _, p := range predSrc[predOff[s]:predOff[s+1]] {
+					dirty[max(p, ^p)] = true
+				}
+				s = next
 			}
-			moved = append(moved, members...)
 		}
-		if len(moved) == 0 {
+		if !split {
 			// Signatures changed but every block changed uniformly: the
 			// partition is stable (signatures are a function of it).
 			t.rounds = int(round)
 			break
 		}
-		// Splitter queue: the next round reprocesses the members of the
-		// fresh blocks and every predecessor of one.
-		for _, m := range moved {
-			dirty[m] = true
-			for pi := predOff[m]; pi < predOff[m+1]; pi++ {
-				dirty[predSrc[pi]] = true
-			}
+		if sigs.overfull() {
+			sigs.compact(sigID)
+		}
+		if splitterRoundHook != nil {
+			splitterRoundHook(sigs)
 		}
 	}
 
 	// Canonical partition: dense renumbering by first occurrence in state
 	// order, matching signature interning order exactly.
 	blockOf := make([]int32, n)
-	renum := make(map[int32]int32, 2*len(cands)+1)
+	renum := make([]int32, len(t.parent))
+	for i := range renum {
+		renum[i] = -1
+	}
 	var num int32
 	for s := 0; s < n; s++ {
 		leaf := t.leafOf[s]
-		id, ok := renum[leaf]
-		if !ok {
-			id = num
+		if renum[leaf] < 0 {
+			renum[leaf] = num
 			num++
-			renum[leaf] = id
 		}
-		blockOf[s] = id
+		blockOf[s] = renum[leaf]
 	}
 	return &Partition{BlockOf: blockOf, Num: int(num), Rounds: t.rounds}, t, nil
 }

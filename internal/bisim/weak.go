@@ -44,9 +44,8 @@ func weak(ctx context.Context, l *lts.LTS, divSensitive bool) (*Partition, error
 		}
 	}
 	p := uniform(n)
-	table := newSigTable(n)
 	var (
-		sig      []uint64
+		key      []uint64
 		blockSet = make([]bool, 0)
 	)
 	// blocksOf collects the distinct blocks of a state's τ-closure.
@@ -70,29 +69,28 @@ func weak(ctx context.Context, l *lts.LTS, divSensitive bool) (*Partition, error
 		if err := checkCtx(ctx, "weak refinement"); err != nil {
 			return nil, err
 		}
-		table.reset()
+		var table sigIntern
 		next := make([]int32, n)
 		for s := 0; s < n; s++ {
-			sig = sig[:0]
+			key = append(key[:0], uint64(p.BlockOf[s]))
 			// (τ, P(t)) for every s ⇒ t, including t = s.
-			sig = blocksOf(int32(s), p.BlockOf, sig, lts.Tau)
+			key = blocksOf(int32(s), p.BlockOf, key, lts.Tau)
 			// (a, P(t)) for every s ⇒ u --a--> v ⇒ t with a visible.
 			// A divergent u contributes a δ self-loop: s ⇒ u --δ--> u ⇒ t.
 			for _, u := range closure[int32(s)] {
 				if divergent[u] {
-					sig = blocksOf(u, p.BlockOf, sig, divergenceAction)
+					key = blocksOf(u, p.BlockOf, key, divergenceAction)
 				}
 				for _, tr := range l.Succ(u) {
 					if lts.IsTau(tr.Action) {
 						continue
 					}
-					sig = blocksOf(tr.Dst, p.BlockOf, sig, tr.Action)
+					key = blocksOf(tr.Dst, p.BlockOf, key, tr.Action)
 				}
 			}
-			sig = sortDedup(sig)
-			next[s] = table.blockFor(p.BlockOf[s], sig)
+			next[s] = table.intern(blockKey(key))
 		}
-		num := table.len()
+		num := table.tab.Len()
 		if num == p.Num {
 			p.Rounds = rounds
 			return p, nil

@@ -237,8 +237,9 @@ func (s *Session) quotient(ctx context.Context, r *recorder, l *lts.LTS) (*quoti
 }
 
 // divergence returns the memoized divergence lasso of l, or nil when l
-// has no reachable τ-cycle. One τ-SCC pass serves both the verdict and
-// the witness. s.mu must be held.
+// has no reachable τ-cycle. The verdict and the witness read l's one
+// memoized τ-SCC decomposition, the same one the quotient's τ-collapse
+// uses (lts.TauSCCs). s.mu must be held.
 func (s *Session) divergence(r *recorder, l *lts.LTS) *lts.Path {
 	if a, ok := s.tauCycles[l]; ok {
 		r.hit(a.stat)

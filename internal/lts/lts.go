@@ -3,6 +3,7 @@ package lts
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // LabelID identifies an interned diagnostic label (e.g. "t1.L28") attached
@@ -34,6 +35,10 @@ type LTS struct {
 	numStates int
 	offsets   []int32
 	edges     []Transition
+
+	// sccOnce guards scc, the memoized τ-SCC decomposition (TauSCCs).
+	sccOnce sync.Once
+	scc     *TauSCC
 }
 
 // NumStates returns the number of states.

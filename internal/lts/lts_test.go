@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
+	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -177,6 +180,128 @@ func TestTauSCCs(t *testing.T) {
 	} else if !scc.Divergent[scc.Comp[s]] {
 		t.Fatal("HasTauCycle returned a non-divergent state")
 	}
+}
+
+// TestTauSCCsMemoized: an LTS computes its τ-SCC decomposition once and
+// hands every caller the same one; an LTS derived from it by Lift,
+// CollapseTauSCCs or DisjointUnion gets its own.
+func TestTauSCCsMemoized(t *testing.T) {
+	b := NewBuilder(nil)
+	b.SetInit(0)
+	b.Add(0, TauName, 1)
+	b.Add(1, TauName, 0)
+	b.Add(1, "a", 2)
+	l := b.Build()
+	scc := TauSCCs(l)
+	if TauSCCs(l) != scc {
+		t.Fatal("second TauSCCs call recomputed the decomposition")
+	}
+	col, _ := CollapseTauSCCs(l, scc)
+	union, _, err := DisjointUnion(l, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*LTS{"collapse": col, "lift": Lift(l, []int32{0, 0, 0}, 1), "union": union} {
+		got := TauSCCs(d)
+		if got == scc || len(got.Comp) != d.NumStates() {
+			t.Fatalf("%s: shares its source's decomposition or has %d entries for %d states", name, len(got.Comp), d.NumStates())
+		}
+		if TauSCCs(d) != got {
+			t.Fatalf("%s: decomposition not memoized", name)
+		}
+	}
+	if s, ok := HasTauCycle(union); !ok || s != 0 {
+		t.Fatalf("HasTauCycle(union) = %d, %v; want 0, true", s, ok)
+	}
+}
+
+// TestTauSCCsConcurrent: concurrent first calls on one LTS all return the
+// one decomposition (run under -race).
+func TestTauSCCsConcurrent(t *testing.T) {
+	b := NewBuilder(nil)
+	b.SetInit(0)
+	for s := 0; s < 200; s++ {
+		b.Add(s, TauName, (s+1)%200)
+	}
+	l := b.Build()
+	got := make([]*TauSCC, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = TauSCCs(l)
+			if _, ok := DivergencePath(l); !ok {
+				t.Error("no divergence lasso on a τ-ring")
+			}
+		}()
+	}
+	wg.Wait()
+	for _, scc := range got {
+		if scc != got[0] || scc.NumComps != 1 {
+			t.Fatalf("goroutines got different decompositions (%p vs %p, %d comps)", scc, got[0], scc.NumComps)
+		}
+	}
+}
+
+// TestLiftMatchesNaive compares Lift with a map-only oracle on random
+// systems whose classes emit rows on both sides of the short-row scan
+// limit, with duplicate edges and action IDs 65,536 apart: same edges,
+// same order, same first labels.
+func TestLiftMatchesNaive(t *testing.T) {
+	acts := NewAlphabet()
+	for i := 1; i <= 1<<16+4; i++ {
+		acts.ID(fmt.Sprintf("a%d", i))
+	}
+	pool := []ActionID{Tau, 1, 2, 3, 1 + 1<<16, 2 + 1<<16}
+	for seed := int64(0); seed < 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n, classes := 20+r.Intn(60), 1+r.Intn(8)
+		b := NewBuilder(acts)
+		b.SetInit(r.Intn(n))
+		b.AddStates(n)
+		for i := 0; i < r.Intn(12*n); i++ {
+			b.AddFull(r.Intn(n), pool[r.Intn(len(pool))], LabelID(i), r.Intn(n))
+		}
+		l := b.Build()
+		classOf := make([]int32, n)
+		for s := range classOf {
+			classOf[s] = int32(r.Intn(classes))
+		}
+		got, want := Lift(l, classOf, classes), naiveLift(l, classOf, classes)
+		if got.NumStates() != want.NumStates() || got.Init != want.Init {
+			t.Fatalf("seed %d: %d states init %d, want %d init %d", seed, got.NumStates(), got.Init, want.NumStates(), want.Init)
+		}
+		for c := int32(0); int(c) < classes; c++ {
+			if !slices.Equal(got.Succ(c), want.Succ(c)) {
+				t.Fatalf("seed %d class %d:\n got %v\nwant %v", seed, c, got.Succ(c), want.Succ(c))
+			}
+		}
+	}
+}
+
+// naiveLift is Lift with one map per class: the oracle for its row scan.
+func naiveLift(l *LTS, classOf []int32, n int) *LTS {
+	b := NewCSRBuilder(l.Acts, l.Labels)
+	for c := int32(0); int(c) < n; c++ {
+		b.BeginState(c)
+		seen := make(map[[2]int32]bool)
+		for s := range classOf {
+			if classOf[s] != c {
+				continue
+			}
+			for _, t := range l.Succ(int32(s)) {
+				d := classOf[t.Dst]
+				k := [2]int32{d, int32(t.Action)}
+				if (IsTau(t.Action) && d == c) || seen[k] {
+					continue
+				}
+				seen[k] = true
+				b.Emit(t.Action, t.Label, d)
+			}
+		}
+	}
+	return b.Build(n, classOf[l.Init])
 }
 
 func TestCollapseTauSCCs(t *testing.T) {

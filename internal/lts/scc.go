@@ -18,9 +18,19 @@ type TauSCC struct {
 	Divergent []bool
 }
 
-// TauSCCs computes the strongly connected components of the τ-subgraph
-// using an iterative Tarjan algorithm.
+// TauSCCs returns the strongly connected components of l's τ-subgraph.
+// They are computed once per LTS, by an iterative Tarjan algorithm, and
+// memoized on it: every caller — the τ-collapse, the divergence lasso,
+// HasTauCycle, weak bisimulation and witness replay — shares one
+// decomposition, so callers must treat the result as read-only. It is
+// safe to call concurrently.
 func TauSCCs(l *LTS) *TauSCC {
+	l.sccOnce.Do(func() { l.scc = tauSCCs(l) })
+	return l.scc
+}
+
+// tauSCCs is the Tarjan pass behind TauSCCs.
+func tauSCCs(l *LTS) *TauSCC {
 	n := l.NumStates()
 	const unvisited = -1
 	index := make([]int32, n)
@@ -151,32 +161,56 @@ func Lift(l *LTS, classOf []int32, n int) *LTS {
 		next[c]++
 	}
 	b := NewCSRBuilder(l.Acts, l.Labels)
-	// seen holds the (target class, action) pairs the current class has
-	// emitted, packed exactly into 64 bits.
+	// A class's emitted row is deduplicated on the exact (target class,
+	// action) pair. Up to shortRow edges a scan of the row itself is
+	// cheapest; a longer row moves its pairs, packed into 64 bits, into
+	// seen, which is then cleared only for the classes that used it.
+	const shortRow = 16
+	key := func(d int32, a ActionID) uint64 { return uint64(uint32(d))<<32 | uint64(uint32(a)) }
 	seen := make(map[uint64]struct{})
 	for c := int32(0); int(c) < n; c++ {
 		b.BeginState(c) // classes arrive in increasing order, so it cannot fail
-		if len(seen) > 64 {
-			seen = make(map[uint64]struct{}) // clear would cost the peak capacity
-		} else {
-			clear(seen)
-		}
+		rowStart, mapped := len(b.edges), false
 		for _, s := range members[start[c]:start[c+1]] {
 			for _, t := range l.Succ(s) {
 				d := classOf[t.Dst]
 				if IsTau(t.Action) && d == c {
 					continue
 				}
-				key := uint64(uint32(d))<<32 | uint64(uint32(t.Action))
-				if _, dup := seen[key]; dup {
+				if mapped {
+					if _, dup := seen[key(d, t.Action)]; dup {
+						continue
+					}
+					seen[key(d, t.Action)] = struct{}{}
+				} else if rowHas(b.edges[rowStart:], d, t.Action) {
 					continue
 				}
-				seen[key] = struct{}{}
 				b.Emit(t.Action, t.Label, d)
+				if !mapped && len(b.edges)-rowStart > shortRow {
+					mapped = true
+					if len(seen) > 64 {
+						seen = make(map[uint64]struct{}) // clear would cost the peak capacity
+					} else {
+						clear(seen)
+					}
+					for _, e := range b.edges[rowStart:] {
+						seen[key(e.Dst, e.Action)] = struct{}{}
+					}
+				}
 			}
 		}
 	}
 	return b.Build(n, classOf[l.Init])
+}
+
+// rowHas reports whether row holds an edge to d labelled a.
+func rowHas(row []Transition, d int32, a ActionID) bool {
+	for _, e := range row {
+		if e.Dst == d && e.Action == a {
+			return true
+		}
+	}
+	return false
 }
 
 // HasTauCycle reports whether any state reachable from the initial state
