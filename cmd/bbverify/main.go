@@ -469,7 +469,7 @@ func printStorageTable(w io.Writer, stages []api.StageJSON) {
 		return
 	}
 	fmt.Fprintln(w, "\nstate storage:")
-	fmt.Fprintf(w, "  %-34s %8s %12s %6s", "target", "B/state", "states/s", "spill")
+	fmt.Fprintf(w, "  %-34s %8s %12s %6s %12s %12s", "target", "B/state", "states/s", "spill", "canon-skip", "key-patch")
 	if anyRSS {
 		fmt.Fprintf(w, " %12s", "peak RSS")
 	}
@@ -482,8 +482,8 @@ func printStorageTable(w io.Writer, stages []api.StageJSON) {
 		if st.SpillFiles > 0 {
 			spill = fmt.Sprint(st.SpillFiles)
 		}
-		fmt.Fprintf(w, "  %-34s %8.2f %12.0f %6s",
-			st.Target, st.BytesPerState, st.StatesPerSec, spill)
+		fmt.Fprintf(w, "  %-34s %8.2f %12.0f %6s %12d %12d",
+			st.Target, st.BytesPerState, st.StatesPerSec, spill, st.CanonSkipped, st.KeyPatched)
 		if anyRSS {
 			fmt.Fprintf(w, " %12s", statecodec.FormatBytes(st.PeakRSSBytes))
 		}

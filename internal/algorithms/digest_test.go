@@ -146,6 +146,7 @@ func exportDigests(t *testing.T, p *machine.Program, threads, ops int) (aut, dot
 // reported in table syntax, so regenerating the table means emptying
 // it and copying the failure output.
 func TestRegistryLTSDigests(t *testing.T) {
+	t.Cleanup(machine.EnableKeyOracle())
 	want := make(map[string]ltsDigest, len(registryDigests))
 	for _, d := range registryDigests {
 		want[fmt.Sprintf("%s/%s/%dx%d", d.id, d.prog, d.threads, d.ops)] = d

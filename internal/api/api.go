@@ -531,6 +531,8 @@ type StageJSON struct {
 	SpillFiles    int     `json:"spill_files,omitempty"`
 	StatesPerSec  float64 `json:"states_per_sec,omitempty"`
 	PrunedStates  int64   `json:"pruned_states,omitempty"`
+	CanonSkipped  int64   `json:"canon_skipped,omitempty"`
+	KeyPatched    int64   `json:"key_patched,omitempty"`
 }
 
 // StageJSONOf converts one core stage stat to wire form.
@@ -550,6 +552,8 @@ func StageJSONOf(st core.StageStat) StageJSON {
 		SpillFiles:     st.SpillFiles,
 		StatesPerSec:   st.StatesPerSec,
 		PrunedStates:   st.PrunedStates,
+		CanonSkipped:   st.CanonSkipped,
+		KeyPatched:     st.KeyPatched,
 	}
 }
 

@@ -203,6 +203,8 @@ func (s *Session) explore(ctx context.Context, r *recorder, p *machine.Program) 
 		SpillFiles:     info.Stats.SpillFiles,
 		StatesPerSec:   info.Stats.StatesPerSec(),
 		PrunedStates:   info.Stats.PrunedStates,
+		CanonSkipped:   info.Stats.CanonSkipped,
+		KeyPatched:     info.Stats.KeyPatched,
 	}}
 	s.programs[p] = a
 	r.add(a.stat)

@@ -80,4 +80,10 @@ type StageStat struct {
 	// or nothing licensed). For a reduction stage, StatesOut is the
 	// number of confluent statements instead.
 	PrunedStates int64 `json:"pruned_states,omitempty"`
+	// CanonSkipped counts the explore stage's successors keyed without
+	// the heap canonicalizer, and KeyPatched the part of them keyed by
+	// patching the stepping thread's bits of the predecessor's key (see
+	// machine.ExploreStats).
+	CanonSkipped int64 `json:"canon_skipped,omitempty"`
+	KeyPatched   int64 `json:"key_patched,omitempty"`
 }

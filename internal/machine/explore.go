@@ -74,6 +74,11 @@ type ModelFaultError struct {
 
 // Error implements the error interface.
 func (e *ModelFaultError) Error() string {
+	return fmt.Sprintf("machine: %s: model runtime error in %s: %v", e.Program, e.site(), e.Cause)
+}
+
+// site names the faulting step: "t1 Push.P1 (file:line:col)", or "init".
+func (e *ModelFaultError) site() string {
 	site := "init"
 	if e.Thread >= 0 {
 		site = fmt.Sprintf("t%d %s.%s", e.Thread+1, e.Method, e.Label)
@@ -81,7 +86,7 @@ func (e *ModelFaultError) Error() string {
 	if e.Pos.IsValid() {
 		site += " (" + e.Pos.String() + ")"
 	}
-	return fmt.Sprintf("machine: %s: model runtime error in %s: %v", e.Program, site, e.Cause)
+	return site
 }
 
 // Unwrap exposes the cause.
@@ -237,6 +242,12 @@ type ExploreStats struct {
 	// to a single prioritized confluent τ-successor by Options.Reduction;
 	// 0 when no reduction artifact was installed (or it never applied).
 	PrunedStates int64
+	// CanonSkipped counts the successors keyed without running the heap
+	// canonicalizer, because their step provably kept the canonical
+	// form; KeyPatched counts the part of them keyed by re-encoding only
+	// the stepping thread's bits of the predecessor's key.
+	CanonSkipped int64
+	KeyPatched   int64
 	// Elapsed is the exploration wall-clock time.
 	Elapsed time.Duration
 }
@@ -533,11 +544,12 @@ func (e *explorer) run(limit int) (*lts.LTS, *Info, error) {
 		if si&cancelCheckMask == 0 && e.ctx.Err() != nil {
 			return nil, nil, canceled(e.ctx, p.Name)
 		}
-		e.cdc.decode(e.tab.Key(si), cur)
+		key := e.tab.Key(si)
+		e.cdc.decode(key, cur)
 		if err := e.csr.BeginState(si); err != nil {
 			return nil, nil, err
 		}
-		emitted, err := e.x.expand(cur, e)
+		emitted, err := e.x.expand(cur, key, e)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -554,18 +566,18 @@ func (e *explorer) run(limit int) (*lts.LTS, *Info, error) {
 		PeakResidentBytes: e.tab.Bytes(),
 		PeakRSSBytes:      e.opt.Backend.ProcessPeakRSS(),
 		PrunedStates:      e.x.pruned,
+		CanonSkipped:      e.x.canonSkipped,
+		KeyPatched:        e.x.keyPatched,
 		Elapsed:           time.Since(start),
 	}
 	return e.csr.Build(e.tab.Len(), 0), info, nil
 }
 
-// emit implements transSink for the sequential explorer: canonicalize,
-// encode and intern the successor, resolve the action, and write the
-// transition to the CSR builder. Expansion aborts once the state budget
-// has been crossed.
+// emit implements transSink for the sequential explorer: key and intern
+// the successor, resolve the action, and write the transition to the
+// CSR builder. Expansion aborts once the state budget has been crossed.
 func (e *explorer) emit(x *expander, tr symTrans) bool {
-	x.canon.run(x.succ)
-	e.buf = e.cdc.encode(e.buf[:0], x.succ)
+	e.buf = x.successorKey(e.buf[:0], e.cdc)
 	dst := e.intern(e.buf)
 	if e.err != nil {
 		return false
@@ -634,6 +646,21 @@ type expander struct {
 	pruned   int64
 	chain    *state
 	chainMax int
+	// class is the goto-outcome step class of every statement, by method
+	// and pc (classifyProgram); succClass is the class of the step that
+	// built succ, and key the intern key of the state being expanded,
+	// which classLocal successors patch. canonSkipped counts successors
+	// keyed without the canonicalizer, keyPatched those of them keyed by
+	// patching key.
+	class        [][]stepClass
+	succClass    stepClass
+	key          []byte
+	canonSkipped int64
+	keyPatched   int64
+	// oracle, set while EnableKeyOracle is in effect, is the scratch
+	// state checkKey canonicalizes in full; oracleBuf its encoding.
+	oracle    *state
+	oracleBuf []byte
 }
 
 func newExpander(p *Program, threads int) expander {
@@ -641,31 +668,49 @@ func newExpander(p *Program, threads int) expander {
 	for mi := range p.Methods {
 		total += len(p.Methods[mi].Body)
 	}
-	return expander{
+	x := expander{
 		prog:     p,
 		work:     newScratchState(p, threads),
 		succ:     newScratchState(p, threads),
 		canon:    newCanonicalizer(p, p.HeapCap+1),
 		chain:    newScratchState(p, threads),
 		chainMax: threads*total + 1,
+		class:    classifyProgram(p),
 	}
+	if keyOracle.Load() > 0 {
+		x.oracle = newScratchState(p, threads)
+	}
+	return x
 }
 
 // zeroArg is the argument list of no-argument methods.
 var zeroArg = []int32{0}
 
 // expand is expandState behind the fault boundary: a panic while
-// expanding cur — in a statement, in canonicalization, or in the codec
-// encoding a successor outside its layout — is returned as a
-// *ModelFaultError naming the step that raised it. Transitions handed to
-// the sink before the fault stay handed.
-func (x *expander) expand(cur *state, sink transSink) (n int, err error) {
+// expanding cur, decoded from key — in a statement, in canonicalization,
+// or in the codec encoding a successor outside its layout — is returned
+// as a *ModelFaultError naming the step that raised it. Transitions
+// handed to the sink before the fault stay handed.
+func (x *expander) expand(cur *state, key []byte, sink transSink) (n int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			if m, ok := r.(keyMismatch); ok {
+				panic(m)
+			}
 			err = newFault(x.prog, x.at, r)
 		}
 	}()
+	x.key = append(x.key[:0], key...)
 	return x.expandState(cur, sink), nil
+}
+
+// tauClass is the step class of the statement outcome out of method m's
+// statement pc.
+func (x *expander) tauClass(m, pc int32, out outcome) stepClass {
+	if out.pc < 0 {
+		return classFull
+	}
+	return x.class[m][pc]
 }
 
 // step runs thread t's current statement on st in place, leaving its
@@ -744,6 +789,8 @@ func (x *expander) expandState(cur *state, sink transSink) int {
 func (x *expander) expandChain(cur *state, t int, sink transSink) (int, bool) {
 	cur.copyInto(x.chain)
 	var first symTrans
+	// x.chain is canonical after every completed step.
+	x.succClass = classCanon
 	for steps := 0; ; {
 		x.step(x.chain, t)
 		if len(x.ctx.outs) != 1 {
@@ -752,14 +799,18 @@ func (x *expander) expandChain(cur *state, t int, sink transSink) (int, bool) {
 			}
 			// Interior statements are licensed too, so this cannot
 			// happen with a sound artifact; stop the chain before the
-			// offending statement (x.chain is canonical here).
+			// offending statement. A statement that blocked may have
+			// written x.chain before its lock: key it in full.
+			x.succClass = classFull
 			break
 		}
 		if steps == 0 {
 			first = x.at
 		}
 		x.advance(x.chain, t, x.ctx.outs[0])
-		x.canon.run(x.chain)
+		if x.tauClass(x.at.m, x.at.pc, x.ctx.outs[0]) == classFull {
+			x.canon.run(x.chain)
+		}
 		steps++
 		x.pruned++
 		if steps >= x.chainMax {
@@ -800,6 +851,9 @@ func (x *expander) expandThread(cur *state, t int, sink transSink) (int, bool) {
 				nt.ops--
 				clear(nt.locals)
 				x.at = symTrans{kind: symCall, t: int32(t), m: int32(mi), val: arg}
+				// An idle thread's locals are already zero: the call
+				// changes thread t's registers only.
+				x.succClass = classLocal
 				emitted++
 				if !sink.emit(x, x.at) {
 					return emitted, false
@@ -814,6 +868,7 @@ func (x *expander) expandThread(cur *state, t int, sink transSink) (int, bool) {
 		for _, out := range x.ctx.outs {
 			x.work.copyInto(x.succ)
 			x.advance(x.succ, t, out)
+			x.succClass = x.tauClass(th.method, th.pc, out)
 			emitted++
 			if !sink.emit(x, x.at) {
 				return emitted, false
@@ -826,6 +881,7 @@ func (x *expander) expandThread(cur *state, t int, sink transSink) (int, bool) {
 		nt.method = 0
 		nt.ret = 0
 		x.at = symTrans{kind: symRet, t: int32(t), m: th.method, val: th.ret}
+		x.succClass = classLocal
 		emitted++
 		if !sink.emit(x, x.at) {
 			return emitted, false

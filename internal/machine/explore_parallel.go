@@ -74,11 +74,10 @@ type pworker struct {
 	faultAt int
 }
 
-// emit implements transSink: canonicalize and encode the successor,
-// intern it into the shared store, and buffer the transition.
+// emit implements transSink: key the successor, intern it into the
+// shared store, and buffer the transition.
 func (w *pworker) emit(x *expander, tr symTrans) bool {
-	x.canon.run(x.succ)
-	w.buf = w.cdc.encode(w.buf[:0], x.succ)
+	w.buf = x.successorKey(w.buf[:0], w.cdc)
 	w.trs = append(w.trs, ptrans{ref: w.store.Intern(w.buf), sym: tr})
 	return true
 }
@@ -178,7 +177,7 @@ func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, ac
 					for i, key := range keys {
 						w.cdc.decode(key, w.cur)
 						t0 := len(w.trs)
-						cnt, err := w.x.expand(w.cur, w)
+						cnt, err := w.x.expand(w.cur, key, w)
 						rows[start+i] = rowRef{
 							start:    t0,
 							end:      len(w.trs),
@@ -263,10 +262,12 @@ func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, ac
 
 	st := store.Stats()
 	// Each state is expanded by exactly one worker, so the per-worker
-	// pruning counters sum to the deterministic total.
-	var pruned int64
+	// counters sum to the deterministic totals.
+	var pruned, skipped, patched int64
 	for _, w := range ws {
 		pruned += w.x.pruned
+		skipped += w.x.canonSkipped
+		patched += w.x.keyPatched
 	}
 	info.Stats = ExploreStats{
 		States:            numStates,
@@ -277,6 +278,8 @@ func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, ac
 		TableFlushes:      st.TableFlushes,
 		FrontierSpills:    st.FrontierSpills,
 		PrunedStates:      pruned,
+		CanonSkipped:      skipped,
+		KeyPatched:        patched,
 		Elapsed:           time.Since(startTime),
 	}
 	return csr.Build(numStates, 0), info, nil

@@ -191,3 +191,34 @@ func TestUnlockNotHeldIsModelFault(t *testing.T) {
 		t.Errorf("fault = %q, want the P2 unlock of a lock Pop does not hold", msg)
 	}
 }
+
+// TestFastPathOverflowIsModelFault pins that successors keyed without
+// the canonicalizer keep every slot's range check: a goto step that
+// stores a value outside the structural window into a value local (its
+// key is patched) or into a value global (it is encoded directly) fails
+// as the same positioned model fault under every configuration.
+func TestFastPathOverflowIsModelFault(t *testing.T) {
+	for _, c := range []struct{ name, stmt string }{
+		{"val local", "x = 200"},
+		{"val global", "G = 200"},
+	} {
+		src := fmt.Sprintf(`model overflow
+globals { G: val }
+spec stack
+method Push(v: vals) {
+  var x: val
+  P1: %s; goto P2
+  P2: return ok
+}
+method Pop() { P9: return empty }
+`, c.stmt)
+		m, err := bbvl.Load("overflow.bbvl", []byte(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, fault := faultAcrossConfigs(t, m.Build(algorithms.Config{Threads: 2, Ops: 1}), 2, 1)
+		if fault.Method != "Push" || fault.Label != "P1" || !strings.Contains(msg, "value 200 outside slot range") {
+			t.Errorf("%s: fault = %q, want the P1 store outside the layout", c.name, msg)
+		}
+	}
+}

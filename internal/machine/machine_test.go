@@ -310,6 +310,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	st.g.Heap[1] = Node{Kind: 2, Val: 7, Key: -3, Next: 2, Mark: true, Lock: 1}
 	st.g.Heap[2] = Node{Kind: 1, C: 9, D: -8}
+	// The state is built by hand, not canonicalized: give it its
+	// watermark the way the canonicalizer does.
+	st.setWatermark(len(st.g.Heap) - 1)
 	buf := cdc.encode(nil, st)
 	got := &state{
 		g:  &Global{Vars: make([]int32, 2), Heap: make([]Node, 4)},
@@ -321,6 +324,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if got.g.Heap[1] != st.g.Heap[1] || got.g.Heap[2] != st.g.Heap[2] || got.g.Heap[3] != (Node{}) {
 		t.Fatalf("heap mismatch: %+v", got.g.Heap)
+	}
+	if got.hw != 2 {
+		t.Fatalf("decoded watermark = %d, want 2", got.hw)
 	}
 	th := got.th[0]
 	if th.status != statusRunning || th.arg != 3 || th.pc != 1 || th.ret != -2 || th.ops != 2 {

@@ -104,8 +104,14 @@ func layoutFits(p *Program, lay *statecodec.Layout, threads, ops int) bool {
 // changes the intern keys, never the produced LTS. A value outside its
 // slot makes encode panic, which the explorer reports as a
 // *ModelFaultError.
+//
+// Every thread's registers occupy the same fixed number of bits, after
+// the globals, the watermark and the live cells, so thread t's range
+// starts at bit prefix + hw·nodeBits + t·threadBits; patchThread
+// rewrites that range alone.
 type codec struct {
-	lay *statecodec.Layout
+	lay                          *statecodec.Layout
+	prefix, nodeBits, threadBits int
 }
 
 // newCodec resolves the codec for one exploration of p: Options.Layout
@@ -115,12 +121,25 @@ func newCodec(p *Program, opt Options) codec {
 	if !layoutFits(p, lay, opt.Threads, opt.Ops) {
 		lay = StructuralLayout(p, opt.Threads, opt.Ops)
 	}
-	return codec{lay: lay}
+	c := codec{lay: lay, prefix: int(lay.Watermark.Bits)}
+	for _, s := range lay.Globals {
+		c.prefix += int(s.Bits)
+	}
+	for _, s := range lay.Node {
+		c.nodeBits += int(s.Bits)
+	}
+	for _, s := range lay.Thread {
+		c.threadBits += int(s.Bits)
+	}
+	for _, s := range lay.Locals {
+		c.threadBits += int(s.Bits)
+	}
+	return c
 }
 
-// encode serializes a canonicalized state: globals, the heap watermark,
-// the cells up to it (canonicalization makes them a dense prefix), then
-// every thread.
+// encode serializes a state whose heap is canonical and whose watermark
+// is set: globals, the heap watermark, the cells up to it (a dense
+// prefix), then every thread.
 func (c codec) encode(buf []byte, st *state) []byte {
 	lay := c.lay
 	var w statecodec.BitWriter
@@ -129,13 +148,7 @@ func (c codec) encode(buf []byte, st *state) []byte {
 	for i, v := range g.Vars {
 		w.Put(lay.Globals[i], v)
 	}
-	hw := 0
-	for i := len(g.Heap) - 1; i >= 1; i-- {
-		if g.Heap[i] != (Node{}) {
-			hw = i
-			break
-		}
-	}
+	hw := int(st.hw)
 	w.Put(lay.Watermark, int32(hw))
 	for i := 1; i <= hw; i++ {
 		n := &g.Heap[i]
@@ -155,18 +168,35 @@ func (c codec) encode(buf []byte, st *state) []byte {
 		w.Put(lay.Node[statecodec.NodeLock], n.Lock)
 	}
 	for ti := range st.th {
-		th := &st.th[ti]
-		w.Put(lay.Thread[statecodec.ThreadStatus], th.status)
-		w.Put(lay.Thread[statecodec.ThreadMethod], th.method)
-		w.Put(lay.Thread[statecodec.ThreadArg], th.arg)
-		w.Put(lay.Thread[statecodec.ThreadPC], th.pc)
-		w.Put(lay.Thread[statecodec.ThreadRet], th.ret)
-		w.Put(lay.Thread[statecodec.ThreadOps], th.ops)
-		for li, l := range th.locals {
-			w.Put(lay.Locals[li], l)
-		}
+		c.putThread(&w, &st.th[ti])
 	}
 	return w.Finish()
+}
+
+// putThread writes one thread's registers and locals.
+func (c codec) putThread(w *statecodec.BitWriter, th *thread) {
+	lay := c.lay
+	w.Put(lay.Thread[statecodec.ThreadStatus], th.status)
+	w.Put(lay.Thread[statecodec.ThreadMethod], th.method)
+	w.Put(lay.Thread[statecodec.ThreadArg], th.arg)
+	w.Put(lay.Thread[statecodec.ThreadPC], th.pc)
+	w.Put(lay.Thread[statecodec.ThreadRet], th.ret)
+	w.Put(lay.Thread[statecodec.ThreadOps], th.ops)
+	for li, l := range th.locals {
+		w.Put(lay.Locals[li], l)
+	}
+}
+
+// patchThread writes into buf the key of st, which must differ from the
+// state encoded by pred in thread t's registers and locals only: a copy
+// of pred with thread t's bit range re-encoded. Every slot of the range
+// keeps its range check.
+func (c codec) patchThread(buf, pred []byte, st *state, t int) []byte {
+	buf = append(buf[:0], pred...)
+	var w statecodec.BitWriter
+	w.ResetAt(buf, c.prefix+int(st.hw)*c.nodeBits+t*c.threadBits)
+	c.putThread(&w, &st.th[t])
+	return w.FinishAt(buf)
 }
 
 // decode reconstructs a state into st, which must be shaped for the
@@ -180,6 +210,7 @@ func (c codec) decode(buf []byte, st *state) {
 		g.Vars[vi] = r.Get(lay.Globals[vi])
 	}
 	hw := int(r.Get(lay.Watermark))
+	st.hw = int32(hw)
 	for hi := 1; hi <= hw; hi++ {
 		n := &g.Heap[hi]
 		n.Kind = r.Get(lay.Node[statecodec.NodeKind])

@@ -72,8 +72,10 @@ func assertSameLTS(t *testing.T, ctx string, a, b *lts.LTS) {
 
 // TestParallelMatchesSequential checks, for every registered benchmark at
 // 2 threads x 2 ops, that parallel exploration reproduces the sequential
-// LTS exactly (including the deadlock list).
+// LTS exactly (including the deadlock list). The key oracle checks every
+// successor keyed without the canonicalizer against the full path.
 func TestParallelMatchesSequential(t *testing.T) {
+	t.Cleanup(machine.EnableKeyOracle())
 	for _, alg := range algorithms.All() {
 		alg := alg
 		t.Run(alg.ID, func(t *testing.T) {

@@ -90,7 +90,7 @@ func walkPilot(p *Program, opt PilotOptions, visit func(cur *state) error) error
 		if err := visit(cur); err != nil {
 			return err
 		}
-		_, _ = w.x.expand(cur, w)
+		_, _ = w.x.expand(cur, nil, w)
 	}
 	return nil
 }

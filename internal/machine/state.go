@@ -23,10 +23,26 @@ type thread struct {
 type state struct {
 	g  *Global
 	th []thread
+	// hw is the heap watermark: the index of the highest non-zero heap
+	// cell, 0 for an empty heap. decode and the canonicalizer set it and
+	// encode trusts it. A step that neither allocates nor frees keeps it:
+	// its field writes go through live references, whose cells keep
+	// their non-zero Kind.
+	hw int32
+}
+
+// setWatermark sets st.hw to the highest non-zero heap cell at or below
+// bound; every cell above bound must be zero.
+func (s *state) setWatermark(bound int) {
+	h := s.g.Heap
+	for bound > 0 && h[bound] == (Node{}) {
+		bound--
+	}
+	s.hw = int32(bound)
 }
 
 func (s *state) clone() *state {
-	ns := &state{g: s.g.Clone(), th: make([]thread, len(s.th))}
+	ns := &state{g: s.g.Clone(), th: make([]thread, len(s.th)), hw: s.hw}
 	for i, t := range s.th {
 		nt := t
 		nt.locals = make([]int32, len(t.locals))
@@ -41,6 +57,7 @@ func (s *state) clone() *state {
 func (s *state) copyInto(dst *state) {
 	copy(dst.g.Vars, s.g.Vars)
 	copy(dst.g.Heap, s.g.Heap)
+	dst.hw = s.hw
 	for i := range s.th {
 		locals := dst.th[i].locals
 		copy(locals, s.th[i].locals)
@@ -124,6 +141,9 @@ func (c *canonicalizer) run(st *state) {
 	c.newHeap[0] = Node{}
 	// Swap heaps; the old backing array becomes the next scratch buffer.
 	g.Heap, c.newHeap = c.newHeap[:len(g.Heap)], g.Heap
+	// Cells past the live prefix are zero; a live cell can be zero only
+	// when a dangling pointer keeps a freed cell reachable.
+	st.setWatermark(live - 1)
 }
 
 // EncodeMin and EncodeMax bound the structural value window: the range

@@ -201,6 +201,10 @@ type Server struct {
 	cancelAll context.CancelCauseFunc // cancels baseCtx
 	queue     chan *job
 	wg        sync.WaitGroup
+	// vetSlots bounds the submit-time vet passes in flight to
+	// Config.Workers: each pass may run a pilot exploration, and a burst
+	// of distinct submissions must not run one per request at once.
+	vetSlots chan struct{}
 
 	// Artifact persistence runs on its own goroutine so job completion
 	// never waits on an fsync; Shutdown flushes whatever is still queued.
@@ -229,6 +233,7 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:   ctx,
 		cancelAll: cancel,
 		queue:     make(chan *job, cfg.QueueDepth),
+		vetSlots:  make(chan struct{}, cfg.Workers),
 		jobs:      make(map[string]*job),
 		cache:     newResultCache(cfg.CacheSize, cfg.CacheBytes),
 		events:    newEventHub(),
@@ -269,9 +274,11 @@ func (s *Server) FlushedAtShutdown() int64 { return s.flushedAtEnd.Load() }
 // Submit normalizes, validates, vets and enqueues spec, returning the
 // job's initial view: status "done" (with the result) when the
 // canonical cache key hits — in memory, or in the persistent artifact
-// store after a restart — and "queued" otherwise. It fails with
-// ErrQueueFull when the bounded queue is at capacity, ErrShutdown
-// during shutdown, a validation error for malformed specs, and an
+// store after a restart — and "queued" otherwise. On a miss, at most
+// Config.Workers submissions vet at once; the others wait for a slot.
+// It fails with ErrQueueFull when the bounded queue is at capacity
+// (checked before the vet pass, so a full queue costs no vetting),
+// ErrShutdown during shutdown, a validation error for malformed specs, and an
 // *api.VetError carrying structured findings when the pre-exploration
 // static-analysis pass reports an error-severity finding (running such
 // a job would be vacuous). Warning findings do not reject the job; they
@@ -294,8 +301,7 @@ func (s *Server) Submit(spec api.JobSpec) (*JobView, error) {
 	// warning-free jobs are unchanged.
 	var warnings []api.VetFinding
 	if !s.lookup(key) {
-		ws, err := api.VetSpec(spec)
-		s.metrics.RecordVet(ws)
+		ws, err := s.vet(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -341,6 +347,27 @@ func (s *Server) Submit(spec api.JobSpec) (*JobView, error) {
 	s.metrics.JobsQueuedNow.Add(1)
 	s.record(j)
 	return j.view(), nil
+}
+
+// vetSpec is the submit-time vet pass; tests replace it to observe how
+// many passes run at once.
+var vetSpec = api.VetSpec
+
+// vet runs the vet pass for a job that missed the cache, in one of the
+// Config.Workers vet slots. A full queue fails fast with ErrQueueFull,
+// before waiting for a slot and again before vetting.
+func (s *Server) vet(spec api.JobSpec) ([]api.VetFinding, error) {
+	if len(s.queue) == cap(s.queue) {
+		return nil, ErrQueueFull
+	}
+	s.vetSlots <- struct{}{}
+	defer func() { <-s.vetSlots }()
+	if len(s.queue) == cap(s.queue) {
+		return nil, ErrQueueFull
+	}
+	ws, err := vetSpec(spec)
+	s.metrics.RecordVet(ws)
+	return ws, err
 }
 
 // lookup reports whether a result for key is servable, checking the

@@ -3,10 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/api"
 )
@@ -183,5 +187,107 @@ func TestAnalyzersEndpoint(t *testing.T) {
 		if in.Description == "" || in.Severity == "" {
 			t.Errorf("analyzer %s missing severity or description", in.ID)
 		}
+	}
+}
+
+// countVets replaces the vet pass with one that counts its calls and
+// the most passes ever in flight at once, holding each pass open for a
+// moment so that concurrent submissions overlap.
+func countVets(t *testing.T) (calls, maxInFlight *atomic.Int64) {
+	calls, maxInFlight = new(atomic.Int64), new(atomic.Int64)
+	var inFlight atomic.Int64
+	prev := vetSpec
+	vetSpec = func(spec api.JobSpec) ([]api.VetFinding, error) {
+		calls.Add(1)
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for {
+			m := maxInFlight.Load()
+			if n <= m || maxInFlight.CompareAndSwap(m, n) {
+				break
+			}
+		}
+		time.Sleep(10 * time.Millisecond)
+		return prev(spec)
+	}
+	t.Cleanup(func() { vetSpec = prev })
+	return calls, maxInFlight
+}
+
+// TestSubmitBoundsConcurrentVets checks that a burst of distinct
+// submissions never runs more than Config.Workers vet passes at once,
+// that every job still completes, and that a cache hit skips the pass.
+func TestSubmitBoundsConcurrentVets(t *testing.T) {
+	calls, maxInFlight := countVets(t)
+	const workers, burst = 2, 12
+	s, hs := newTestServer(t, Config{Workers: workers, QueueDepth: 64})
+	specs := make([]api.JobSpec, burst)
+	for i := range specs {
+		specs[i] = api.JobSpec{Kind: api.KindCheck, Algorithm: "treiber", Threads: 2, Ops: 1, MaxStates: 100000 + i}
+	}
+	ids := make([]string, burst)
+	var wg sync.WaitGroup
+	for i := range specs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			view, err := s.Submit(specs[i])
+			if err != nil {
+				t.Errorf("submit %d: %v", i, err)
+				return
+			}
+			ids[i] = view.ID
+		}(i)
+	}
+	wg.Wait()
+	if got := maxInFlight.Load(); got > workers {
+		t.Fatalf("%d vet passes ran at once, want at most %d", got, workers)
+	}
+	if got := calls.Load(); got != burst {
+		t.Fatalf("%d vet passes for %d distinct submissions", got, burst)
+	}
+	for _, id := range ids {
+		if id == "" {
+			continue
+		}
+		if v := pollDone(t, hs.URL, id); v.Status != StatusDone {
+			t.Fatalf("job %s ended %s: %s", id, v.Status, v.Error)
+		}
+	}
+	view, err := s.Submit(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !view.Cached || view.Status != StatusDone {
+		t.Fatalf("resubmission not answered from the cache: %+v", view)
+	}
+	if got := calls.Load(); got != burst {
+		t.Fatalf("a cache hit ran the vet pass (%d passes for %d jobs)", got, burst)
+	}
+}
+
+// TestSubmitQueueFullSkipsVet checks that a submission arriving at a
+// full queue is rejected with ErrQueueFull before it is vetted.
+func TestSubmitQueueFullSkipsVet(t *testing.T) {
+	calls, _ := countVets(t)
+	// A server with no worker draining its one-slot queue: once the
+	// slot is taken, the queue stays full.
+	s := &Server{
+		cfg:      Config{Workers: 1, QueueDepth: 1}.withDefaults(),
+		queue:    make(chan *job, 1),
+		vetSlots: make(chan struct{}, 1),
+		jobs:     make(map[string]*job),
+		cache:    newResultCache(8, 1<<20),
+		events:   newEventHub(),
+	}
+	if _, err := s.Submit(api.JobSpec{Kind: api.KindCheck, Algorithm: "treiber", Threads: 2, Ops: 1}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := s.Submit(api.JobSpec{Kind: api.KindCheck, Algorithm: "ms-queue", Threads: 2, Ops: 1})
+	if !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit to a full queue: %v, want ErrQueueFull", err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("%d vet passes, want 1: the rejected submission was vetted", got)
 	}
 }

@@ -5,6 +5,7 @@
 package statecodec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -99,7 +100,8 @@ func (l *Layout) MaxBytes(threads int) int {
 // bits first. It is a value type with no internal allocation: Reset it
 // onto a reused buffer, Put every slot in layout order, and Finish to
 // flush the trailing partial byte (zero-padded, so encodings are
-// deterministic).
+// deterministic). ResetAt and FinishAt instead overwrite a fixed-width
+// bit range of an existing encoding in place.
 type BitWriter struct {
 	buf []byte
 	acc uint64
@@ -113,18 +115,43 @@ func (w *BitWriter) Reset(buf []byte) {
 	w.n = 0
 }
 
+// ResetAt points the writer at bit off of the encoding buf: the Puts
+// that follow overwrite buf's bits from off on, and FinishAt keeps
+// every bit of buf before off and after the last bit written.
+func (w *BitWriter) ResetAt(buf []byte, off int) {
+	w.buf = buf[:off>>3]
+	w.n = uint32(off & 7)
+	w.acc = 0
+	if w.n > 0 {
+		w.acc = uint64(buf[off>>3]) & (1<<w.n - 1)
+	}
+}
+
 // Put appends v encoded per s. It panics when v is outside the slot's
 // range: an unsound layout must fail loudly at encode time (the explorer
 // reports the panic as a model fault).
 func (w *BitWriter) Put(s Slot, v int32) {
-	if v < s.Lo || v > s.Hi {
-		panic(fmt.Sprintf("statecodec: value %d outside slot range [%d, %d]", v, s.Lo, s.Hi))
-	}
-	if s.Bits == 0 {
-		return
+	// One unsigned compare covers both bounds: below Lo, v-Lo wraps past
+	// Hi-Lo.
+	if uint32(v-s.Lo) > uint32(s.Hi-s.Lo) {
+		outOfRange(s, v)
 	}
 	w.acc |= uint64(uint32(v-s.Lo)) << w.n
 	w.n += uint32(s.Bits)
+	if w.n >= 32 {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(w.acc))
+		w.acc >>= 32
+		w.n -= 32
+	}
+}
+
+// outOfRange reports a value outside its slot, out of Put's hot path.
+func outOfRange(s Slot, v int32) {
+	panic(fmt.Sprintf("statecodec: value %d outside slot range [%d, %d]", v, s.Lo, s.Hi))
+}
+
+// flushBytes moves every whole pending byte into the buffer.
+func (w *BitWriter) flushBytes() {
 	for w.n >= 8 {
 		w.buf = append(w.buf, byte(w.acc))
 		w.acc >>= 8
@@ -134,12 +161,28 @@ func (w *BitWriter) Put(s Slot, v int32) {
 
 // Finish flushes the pending partial byte and returns the buffer.
 func (w *BitWriter) Finish() []byte {
+	w.flushBytes()
 	if w.n > 0 {
 		w.buf = append(w.buf, byte(w.acc))
 		w.acc = 0
 		w.n = 0
 	}
 	return w.buf
+}
+
+// FinishAt completes an overwrite begun by ResetAt on buf: it flushes
+// the written bits into buf, merges the last partial byte with buf's
+// bits above it, and returns buf at its full length.
+func (w *BitWriter) FinishAt(buf []byte) []byte {
+	w.flushBytes()
+	if w.n > 0 {
+		i := len(w.buf)
+		m := byte(1)<<w.n - 1
+		buf[i] = buf[i]&^m | byte(w.acc)&m
+		w.acc = 0
+		w.n = 0
+	}
+	return buf
 }
 
 // BitReader unpacks slot values written by BitWriter, in the same slot

@@ -1,6 +1,7 @@
 package statecodec_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -40,6 +41,55 @@ func TestBitRoundTrip(t *testing.T) {
 			if got := r.Get(s); got != vals[i] {
 				t.Fatalf("trial %d slot %d (%+v): got %d want %d", trial, i, s, got, vals[i])
 			}
+		}
+	}
+}
+
+// TestBitWriterOverwrite checks ResetAt/FinishAt: overwriting a run of
+// slots inside an encoding in place gives exactly the bytes of encoding
+// the changed values from scratch, at every bit alignment.
+func TestBitWriterOverwrite(t *testing.T) {
+	slots := []statecodec.Slot{
+		statecodec.MakeSlot(0, 0),
+		statecodec.MakeSlot(0, 1),
+		statecodec.MakeSlot(-64, 191),
+		statecodec.MakeSlot(-3, 12),
+		statecodec.MakeSlot(0, 1<<20),
+	}
+	rng := rand.New(rand.NewSource(2))
+	var w statecodec.BitWriter
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(40)
+		order := make([]statecodec.Slot, n)
+		vals := make([]int32, n)
+		for i := range order {
+			order[i] = slots[rng.Intn(len(slots))]
+			vals[i] = order[i].Lo + rng.Int31n(order[i].Hi-order[i].Lo+1)
+		}
+		encode := func() []byte {
+			w.Reset(nil)
+			for i, s := range order {
+				w.Put(s, vals[i])
+			}
+			return append([]byte(nil), w.Finish()...)
+		}
+		key := encode()
+		lo := rng.Intn(n)
+		hi := lo + rng.Intn(n-lo+1)
+		off := 0
+		for _, s := range order[:lo] {
+			off += int(s.Bits)
+		}
+		for i := lo; i < hi; i++ {
+			vals[i] = order[i].Lo + rng.Int31n(order[i].Hi-order[i].Lo+1)
+		}
+		want := encode()
+		w.ResetAt(key, off)
+		for i := lo; i < hi; i++ {
+			w.Put(order[i], vals[i])
+		}
+		if got := w.FinishAt(key); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: overwrite of slots [%d, %d) at bit %d gave %x, want %x", trial, lo, hi, off, got, want)
 		}
 	}
 }

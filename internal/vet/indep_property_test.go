@@ -271,7 +271,10 @@ func genProgram(seed int64) *machine.Program {
 
 // TestIndependencePropertyRandomized: 200 seeds, every declared
 // independence dynamically validated over the full pilot state space.
+// The explorations run with the key oracle on, so every random program
+// also checks the explorer's incremental successor keys.
 func TestIndependencePropertyRandomized(t *testing.T) {
+	t.Cleanup(machine.EnableKeyOracle())
 	seeds := 200
 	if testing.Short() {
 		seeds = 40
