@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -25,6 +27,9 @@ import (
 // (the CAS succeeds when nobody interferes), so lock-free algorithms
 // are never flagged; spins on another thread's state (a hazard-pointer
 // wait, a lock acquisition) diverge solo and are.
+//
+// CheckReductionPilot restricts the probe to the statements a reduction
+// prioritizes and checks lock regions in the same walk.
 
 // PilotOptions bounds the τ-cycle probe.
 type PilotOptions struct {
@@ -71,7 +76,7 @@ func (o PilotOptions) withDefaults() PilotOptions {
 }
 
 // walkPilot is the breadth-first walk over the reachable states of a
-// pilot instance that the τ-cycle probe and both dynamic validators
+// pilot instance that the τ-cycle probe and the dynamic validators
 // share. States are interned under the raw encoding (encodeRaw), so
 // values outside any layout never stop it, and the collection stops
 // growing at opt.MaxStates. visit sees each state as it is dequeued,
@@ -80,7 +85,10 @@ func (o PilotOptions) withDefaults() PilotOptions {
 // it happened (the successors emitted before it are kept), and a faulting
 // Program.Init leaves nothing to visit.
 func walkPilot(p *Program, opt PilotOptions, visit func(cur *state) error) error {
-	w := &pilotWalker{x: newExpander(p, opt.Threads), ids: make(map[string]struct{}), max: opt.MaxStates}
+	if fn := pilotObserver.Load(); fn != nil {
+		(*fn)(p)
+	}
+	w := &pilotWalker{x: newExpander(p, opt.Threads), ids: make(map[string]struct{}, opt.MaxStates), max: opt.MaxStates}
 	if contain(func() { w.intern(initialState(p, Options{Threads: opt.Threads, Ops: opt.Ops})) }) != nil {
 		return nil
 	}
@@ -93,6 +101,18 @@ func walkPilot(p *Program, opt PilotOptions, visit func(cur *state) error) error
 		_, _ = w.x.expand(cur, nil, w)
 	}
 	return nil
+}
+
+// pilotObserver, when set, is called at the start of every pilot walk,
+// so tests can count the walks an analysis runs.
+var pilotObserver atomic.Pointer[func(p *Program)]
+
+// SetPilotObserver installs fn, which must be non-nil, as the pilot-walk
+// observer and returns a function restoring the previous one. Intended
+// for tests only; fn must be safe for concurrent calls.
+func SetPilotObserver(fn func(p *Program)) (restore func()) {
+	prev := pilotObserver.Swap(&fn)
+	return func() { pilotObserver.Store(prev) }
 }
 
 // pilotWalker carries the BFS set of one walkPilot run.
@@ -135,44 +155,74 @@ func (w *pilotWalker) intern(st *state) {
 // pilot cannot encode (oversized schemas); a statement that faults during
 // the probe counts as blocked.
 func FindTauCycles(p *Program, opt PilotOptions) []TauCycle {
+	_, cycles := CheckReductionPilot(p, opt, nil, func(int, int) bool { return true })
+	return cycles
+}
+
+// CheckReductionPilot runs the dynamic safety net behind vet's
+// τ-confluence analysis in one pilot walk over p. held[r](mi, pc) claims
+// statement pc of method mi for critical region r; refuted[r] reports a
+// pilot state with two running threads inside region r. cycles are the
+// solo τ-cycles through the statements confluent accepts: solo walks
+// start and step only there. A program that fails Validate refutes every
+// claim; truncation at opt.MaxStates or opt.MaxViews weakens coverage,
+// never a reported refutation or cycle.
+func CheckReductionPilot(p *Program, opt PilotOptions, held []func(mi, pc int) bool, confluent func(mi, pc int) bool) (refuted []bool, cycles []TauCycle) {
+	refuted = make([]bool, len(held))
 	if p.Validate() != nil {
-		return nil
+		for r := range refuted {
+			refuted[r] = true
+		}
+		return refuted, nil
 	}
 	// The probe stores raw 4-byte field encodings, so unlike the state
 	// encoder it has no value-range limit; the size guards only keep
 	// degenerate (fuzzed) programs from allocating absurd scratch states.
-	if p.HeapCap > 255 || p.NLocals > 255 || len(p.Globals.Names) > 255 {
-		return nil
+	probe := p.HeapCap <= 255 && p.NLocals <= 255 && len(p.Globals.Names) <= 255
+	if !probe && len(held) == 0 {
+		return refuted, nil
 	}
 	opt = opt.withDefaults()
 	d := &tauProbe{
-		prog:        p,
-		opt:         opt,
-		solo:        newExpander(p, opt.Threads),
-		color:       make(map[string]int8),
-		gray:        make(map[string]int),
-		found:       make(map[string][]int),
-		foundMethod: make(map[string]int),
+		prog:   p,
+		opt:    opt,
+		solo:   newExpander(p, opt.Threads),
+		follow: confluent,
+		color:  make(map[string]int8),
+		gray:   make(map[string]int),
+		found:  make(map[string]TauCycle),
 	}
-	// Every running thread of every reachable state starts a solo walk.
 	_ = walkPilot(p, opt, func(cur *state) error {
+		for r, h := range held {
+			inside := 0
+			for t := range cur.th {
+				if th := &cur.th[t]; th.status == statusRunning && h(int(th.method), int(th.pc)) {
+					inside++
+				}
+			}
+			refuted[r] = refuted[r] || inside > 1
+		}
 		for t := range cur.th {
-			if cur.th[t].status == statusRunning && d.views < opt.MaxViews {
+			th := &cur.th[t]
+			if probe && th.status == statusRunning && d.views < opt.MaxViews && confluent(int(th.method), int(th.pc)) {
 				d.stack = d.stack[:0]
-				d.walk(cur, t, int(cur.th[t].method))
+				d.walk(cur, t, int(th.method))
 			}
 		}
 		return nil
 	})
-	return d.collect()
+	return refuted, d.collect()
 }
 
-// tauProbe carries the solo-walk state of one FindTauCycles run.
+// tauProbe carries the solo-walk state of one τ-cycle probe.
 type tauProbe struct {
 	prog *Program
 	opt  PilotOptions
 	solo expander
 	buf  []byte
+	// follow restricts the probe: walks start only at statements it
+	// accepts and never step to any other.
+	follow func(mi, pc int) bool
 
 	// Solo-walk memo. A "view" is the full canonical state plus the
 	// walking thread's index; its future under a solo schedule depends on
@@ -184,8 +234,7 @@ type tauProbe struct {
 	stack []int // pc per stack entry; the method is fixed during a walk
 	views int
 
-	found       map[string][]int // cycle key -> PCs; de-duplicated
-	foundMethod map[string]int
+	found map[string]TauCycle // de-duplicated by (method, pc set)
 }
 
 // walk runs the memoized depth-first solo walk of thread t from the
@@ -228,6 +277,9 @@ func (d *tauProbe) walk(st *state, t, mi int) {
 			if out.pc < 0 || int(out.pc) >= len(d.prog.Methods[mi].Body) {
 				continue // a return is a visible boundary: the path ends
 			}
+			if !d.follow(mi, int(out.pc)) {
+				continue // decided before the successor is built
+			}
 			next := d.solo.work.clone()
 			next.th[t].pc = out.pc
 			d.solo.canon.run(next)
@@ -245,27 +297,16 @@ func (d *tauProbe) walk(st *state, t, mi int) {
 	d.color[key] = 2
 }
 
-// record de-duplicates a closed cycle by its (method, pc-set) identity.
+// record de-duplicates a closed cycle by its exact (method, pc-set)
+// identity.
 func (d *tauProbe) record(mi int, cyclePCs []int) {
-	set := map[int]bool{}
-	for _, pc := range cyclePCs {
-		set[pc] = true
+	pcs := slices.Clone(cyclePCs)
+	slices.Sort(pcs)
+	pcs = slices.Compact(pcs)
+	k := fmt.Sprint(mi, pcs)
+	if _, dup := d.found[k]; !dup {
+		d.found[k] = TauCycle{MethodIndex: mi, PCs: pcs}
 	}
-	pcs := make([]int, 0, len(set))
-	for pc := range set {
-		pcs = append(pcs, pc)
-	}
-	sort.Ints(pcs)
-	key := []byte{byte(mi)}
-	for _, pc := range pcs {
-		key = append(key, byte(pc), ',')
-	}
-	k := string(key)
-	if _, dup := d.found[k]; dup {
-		return
-	}
-	d.found[k] = pcs
-	d.foundMethod[k] = mi
 }
 
 // collect renders the de-duplicated cycles in deterministic order.
@@ -274,11 +315,10 @@ func (d *tauProbe) collect() []TauCycle {
 		return nil
 	}
 	out := make([]TauCycle, 0, len(d.found))
-	for k, pcs := range d.found {
-		mi := d.foundMethod[k]
-		m := &d.prog.Methods[mi]
-		c := TauCycle{Method: m.Name, MethodIndex: mi, PCs: pcs}
-		for _, pc := range pcs {
+	for _, c := range d.found {
+		m := &d.prog.Methods[c.MethodIndex]
+		c.Method = m.Name
+		for _, pc := range c.PCs {
 			lbl := m.Body[pc].Label
 			if lbl == "" {
 				lbl = fmt.Sprintf("%s.%d", m.Name, pc)
@@ -287,22 +327,13 @@ func (d *tauProbe) collect() []TauCycle {
 		}
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].MethodIndex != out[j].MethodIndex {
-			return out[i].MethodIndex < out[j].MethodIndex
+	slices.SortFunc(out, func(a, b TauCycle) int {
+		if c := cmp.Compare(a.MethodIndex, b.MethodIndex); c != 0 {
+			return c
 		}
-		return lessInts(out[i].PCs, out[j].PCs)
+		return slices.Compare(a.PCs, b.PCs)
 	})
 	return out
-}
-
-func lessInts(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // encodeRaw serializes a state (and a distinguishing thread index for

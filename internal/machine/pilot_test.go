@@ -1,0 +1,62 @@
+package machine
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// farLoopsProgram has one 260-statement method whose first statement
+// sends the first caller to a self-loop at pc 1 and every later caller
+// to a self-loop at pc 257. The two pcs agree modulo 256.
+func farLoopsProgram() *Program {
+	body := make([]Stmt, 260)
+	for i := range body {
+		body[i] = Stmt{Exec: func(c *Ctx) { c.Return(ValOK) }}
+	}
+	body[0].Exec = func(c *Ctx) {
+		if c.V(0) == 0 {
+			c.SetV(0, 1)
+			c.Goto(1)
+		} else {
+			c.Goto(257)
+		}
+	}
+	body[1].Exec = func(c *Ctx) { c.Goto(1) }
+	body[257].Exec = func(c *Ctx) { c.Goto(257) }
+	return &Program{
+		Name:    "far-loops",
+		Globals: Schema{Names: []string{"flag"}, Kinds: []VarKind{KVal}},
+		Methods: []Method{{Name: "Spin", Body: body}},
+	}
+}
+
+// TestTauProbeKeepsCyclesApartBeyondByteRange: the probe de-duplicates
+// cycles by their exact (method, pc set), so two self-loops whose pcs
+// agree in their low byte are two cycles.
+func TestTauProbeKeepsCyclesApartBeyondByteRange(t *testing.T) {
+	var got [][]int
+	for _, c := range FindTauCycles(farLoopsProgram(), PilotOptions{}) {
+		got = append(got, c.PCs)
+	}
+	if want := [][]int{{1}, {257}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("cycles %v, want %v", got, want)
+	}
+}
+
+// TestCheckReductionPilotRestrictsProbe: the reduction pilot refutes a
+// region claim exactly when two threads co-occupy it, and probes for
+// τ-cycles only through the statements it is told are confluent.
+func TestCheckReductionPilotRestrictsProbe(t *testing.T) {
+	at := func(pcs ...int) func(mi, pc int) bool {
+		return func(_, pc int) bool { return slices.Contains(pcs, pc) }
+	}
+	refuted, cycles := CheckReductionPilot(farLoopsProgram(), PilotOptions{},
+		[]func(mi, pc int) bool{at(1), at(1, 257)}, at(0, 257))
+	if want := []bool{false, true}; !reflect.DeepEqual(refuted, want) {
+		t.Errorf("refuted %v, want %v", refuted, want)
+	}
+	if len(cycles) != 1 || !reflect.DeepEqual(cycles[0].PCs, []int{257}) {
+		t.Errorf("cycles %+v, want only the self-loop at pc 257", cycles)
+	}
+}

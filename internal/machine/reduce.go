@@ -152,58 +152,6 @@ type indepValidator struct {
 	indep IndependenceOracle
 }
 
-// MutexViolation reports a dynamic refutation of a claimed mutual
-// exclusion: a reachable pilot state with two running threads both
-// inside statements the claim says are protected by the same lock.
-type MutexViolation struct {
-	Program          string
-	Thread1, Thread2 int
-	Method1, Method2 string
-	PC1, PC2         int
-}
-
-// Error implements the error interface.
-func (v *MutexViolation) Error() string {
-	return fmt.Sprintf("machine: %s: threads t%d (%s.%d) and t%d (%s.%d) co-occupy statements claimed mutually exclusive",
-		v.Program, v.Thread1+1, v.Method1, v.PC1, v.Thread2+1, v.Method2, v.PC2)
-}
-
-// ValidateMutualExclusion dynamically checks a mutual-exclusion claim
-// over a pilot instance of p: held(mi, pc) declares statement pc of
-// method mi to lie inside a critical region, and no reachable state may
-// have two running threads simultaneously at held statements. Returns
-// the first violation found, or nil when the claim survives the whole
-// pilot state space (bounded by opt.MaxStates; truncation weakens
-// coverage, never soundness of a reported violation). This is the
-// safety net behind the lock-region masking of vet's confluence
-// analysis.
-func ValidateMutualExclusion(p *Program, opt PilotOptions, held func(mi, pc int) bool) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	return walkPilot(p, opt.withDefaults(), func(cur *state) error {
-		first := -1
-		for t := range cur.th {
-			th := &cur.th[t]
-			if th.status != statusRunning || !held(int(th.method), int(th.pc)) {
-				continue
-			}
-			if first < 0 {
-				first = t
-				continue
-			}
-			f := &cur.th[first]
-			return &MutexViolation{
-				Program: p.Name,
-				Thread1: first, Thread2: t,
-				Method1: p.Methods[f.method].Name, Method2: p.Methods[th.method].Name,
-				PC1: int(f.pc), PC2: int(th.pc),
-			}
-		}
-		return nil
-	})
-}
-
 // execStmt runs thread t's current statement on a clone of st, applying
 // the first outcome the way the explorer does. ok is false when the
 // statement blocks (no outcome) or faults. IR-backed statements emit at

@@ -33,9 +33,10 @@ import (
 //      prioritized τ-steps would let the reduced exploration
 //      postpone the other threads forever — exactly the divergence
 //      ≈div must preserve. Cross-method cycles need a return and a
-//      call, both visible, so per-method acyclicity suffices; the
-//      bounded taucycle pilot re-checks this dynamically and demotes
-//      any confluent cycle it can actually drive (belt and braces).
+//      call, both visible, so per-method acyclicity suffices; Reduce's
+//      bounded pilot walk re-checks this dynamically through the
+//      confluent statements and demotes any cycle it can actually
+//      drive (belt and braces).
 //
 // Prioritizing such a step is an ample-set-style reduction: from a
 // state with a thread at a confluent statement, the explorer emits
@@ -85,8 +86,8 @@ type ReductionArtifact struct {
 	// conditions but were rejected by the acyclicity checks.
 	Demoted []bool `json:"demoted,omitempty"`
 	// Locks names the globals verified as spin locks by the lock-region
-	// analysis (statically, then cross-checked by the mutual-exclusion
-	// pilot); Region names the lock whose critical region contains each
+	// analysis (statically, then cross-checked by the reduction pilot);
+	// Region names the lock whose critical region contains each
 	// statement ("" outside every region). Conflicts between statements
 	// of the same region are masked in the confluence classification:
 	// the lock keeps them from ever being co-enabled.
@@ -143,20 +144,33 @@ func Reduce(p *machine.Program, opts Options) *ReductionArtifact {
 	}
 
 	// Lock regions mask conflicts that can never materialize: two
-	// statements holding the same lock are never co-enabled. Each
-	// statically inferred region is cross-checked against the dynamic
-	// pilot and dropped if any reachable pilot state refutes it.
+	// statements holding the same lock are never co-enabled. Each round
+	// classifies with the surviving inferred regions trusted, then one
+	// pilot walk cross-checks every region and probes the confluent
+	// statements for τ-cycles. A refuted region costs another round.
+	regions := lockRegionsOf(p)
 	pilot := machine.PilotOptions{Threads: threads, Ops: ops, MaxStates: opts.MaxPilotStates}
-	a.Region = make([]string, n)
-	var regions []lockRegion
-	for _, r := range inferLockRegions(p) {
-		r := r
-		if machine.ValidateMutualExclusion(p, pilot, func(mi, pc int) bool {
-			return mi < len(r.held) && pc < len(r.held[mi]) && r.held[mi][pc]
-		}) != nil {
-			continue
+	for {
+		a.classify(p, regions)
+		held := make([]func(mi, pc int) bool, len(regions))
+		for r := range regions {
+			h := regions[r].held
+			held[r] = func(mi, pc int) bool { return mi < len(h) && pc < len(h[mi]) && h[mi][pc] }
 		}
-		regions = append(regions, r)
+		refuted, cycles := machine.CheckReductionPilot(p, pilot, held, a.isConfluent)
+		if !slices.Contains(refuted, true) {
+			a.demoteTauCycles(cycles)
+			break
+		}
+		for r := len(regions) - 1; r >= 0; r-- {
+			if refuted[r] {
+				regions = slices.Delete(regions, r, r+1)
+			}
+		}
+	}
+
+	a.Region = make([]string, n)
+	for _, r := range regions {
 		a.Locks = append(a.Locks, r.name)
 		for i, s := range a.Stmts {
 			if r.held[s.MethodIndex][s.PC] && a.Region[i] == "" {
@@ -164,6 +178,22 @@ func Reduce(p *machine.Program, opts Options) *ReductionArtifact {
 			}
 		}
 	}
+	return a
+}
+
+// Test seams: the safety-net tests switch off static acyclicity and add
+// unproven regions, to show the pilot catches what those would miss.
+var (
+	lockRegionsOf    = inferLockRegions
+	staticAcyclicity = true
+)
+
+// classify marks the statements that are reachable and total and whose
+// every conflict is absent (footprint independence), vacuous (the other
+// statement is unreachable) or impossible (same lock region of regions),
+// then enforces static acyclicity.
+func (a *ReductionArtifact) classify(p *machine.Program, regions []lockRegion) {
+	n := len(a.Stmts)
 	sameRegion := func(i, j int) bool {
 		si, sj := a.Stmts[i], a.Stmts[j]
 		for _, r := range regions {
@@ -173,10 +203,6 @@ func Reduce(p *machine.Program, opts Options) *ReductionArtifact {
 		}
 		return false
 	}
-
-	// Local confluence: reachable and total, and every conflict either
-	// absent (footprint independence), vacuous (the other statement is
-	// unreachable) or impossible (same lock region).
 	reachFlat := make([]bool, n)
 	for mi := range p.Methods {
 		reach := reachableStmts(&p.Methods[mi])
@@ -199,10 +225,16 @@ func Reduce(p *machine.Program, opts Options) *ReductionArtifact {
 			a.Confluent[i] = conf
 		}
 	}
+	if staticAcyclicity {
+		a.demoteCycles(p)
+	}
+}
 
-	a.demoteCycles(p)
-	a.demoteTauCycles(p, pilot)
-	return a
+// isConfluent reports whether statement pc of method mi is classified
+// confluent.
+func (a *ReductionArtifact) isConfluent(mi, pc int) bool {
+	i, ok := a.Index(mi, pc)
+	return ok && a.Confluent[i]
 }
 
 // demoteCycles enforces static acyclicity: within each method, every
@@ -241,29 +273,18 @@ func (a *ReductionArtifact) demoteCycles(p *machine.Program) {
 	}
 }
 
-// demoteTauCycles cross-checks acyclicity against the dynamic τ-cycle
-// pilot: any solo τ-cycle the pilot can drive whose statements are all
-// still confluent is demoted. With static acyclicity already enforced
-// this should find nothing; it is the independent safety net the
-// divergence argument leans on.
-func (a *ReductionArtifact) demoteTauCycles(p *machine.Program, opt machine.PilotOptions) {
-	for _, c := range machine.FindTauCycles(p, opt) {
-		if c.MethodIndex < 0 || c.MethodIndex >= len(a.base) {
-			continue
-		}
-		all := len(c.PCs) > 0
-		for _, pc := range c.PCs {
-			if pc < 0 || pc >= a.bodyLens[c.MethodIndex] || !a.Confluent[a.base[c.MethodIndex]+pc] {
-				all = false
-				break
+// demoteTauCycles demotes every pilot τ-cycle whose statements are all
+// still confluent. With static acyclicity enforced there should be none;
+// the pilot is the independent safety net the divergence argument leans
+// on.
+func (a *ReductionArtifact) demoteTauCycles(cycles []machine.TauCycle) {
+	for _, c := range cycles {
+		if !slices.ContainsFunc(c.PCs, func(pc int) bool { return !a.isConfluent(c.MethodIndex, pc) }) {
+			for _, pc := range c.PCs {
+				i, _ := a.Index(c.MethodIndex, pc)
+				a.Confluent[i] = false
+				a.Demoted[i] = true
 			}
-		}
-		if !all {
-			continue
-		}
-		for _, pc := range c.PCs {
-			a.Confluent[a.base[c.MethodIndex]+pc] = false
-			a.Demoted[a.base[c.MethodIndex]+pc] = true
 		}
 	}
 }

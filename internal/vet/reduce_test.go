@@ -1,6 +1,7 @@
 package vet_test
 
 import (
+	"fmt"
 	"testing"
 
 	bbvlexamples "repro/examples/bbvl"
@@ -11,7 +12,7 @@ import (
 )
 
 // loadExample compiles one embedded BBVL example model.
-func loadExample(t *testing.T, name string) *bbvl.Model {
+func loadExample(t testing.TB, name string) *bbvl.Model {
 	t.Helper()
 	src, err := bbvlexamples.Source(name)
 	if err != nil {
@@ -233,5 +234,25 @@ method Pop() { P5: return empty }
 		if w, ok := want[s.Label]; ok && (len(art.Writes[i]) != 1 || art.Writes[i][0] != w) {
 			t.Errorf("%s writes %v, want [%s]\n%s", s.Label, art.Writes[i], w, art.Format())
 		}
+	}
+}
+
+// BenchmarkReduce times the reduction analysis on the model shapes of
+// bbvbench's bbvl-reduction workload.
+func BenchmarkReduce(b *testing.B) {
+	for _, sh := range []struct {
+		model        string
+		threads, ops int
+	}{
+		{"spinlock-stack", 2, 3}, {"spinlock-stack", 3, 2},
+		{"spinlock-queue", 2, 3}, {"spinlock-queue", 3, 2},
+		{"treiber", 2, 3}, {"msqueue", 2, 3},
+	} {
+		b.Run(fmt.Sprintf("%s-%dx%d", sh.model, sh.threads, sh.ops), func(b *testing.B) {
+			p := loadExample(b, sh.model).Build(algorithms.Config{Threads: sh.threads, Ops: sh.ops})
+			for i := 0; i < b.N; i++ {
+				vet.Reduce(p, vet.Options{Threads: sh.threads, Ops: sh.ops})
+			}
+		})
 	}
 }

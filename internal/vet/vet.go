@@ -73,8 +73,8 @@ type Options struct {
 	// lock acquisition by design, and its liveness check is
 	// deadlock-freedom, not lock-freedom.
 	LockBased bool
-	// MaxPilotStates bounds the τ-cycle probe's reachable-state
-	// collection; 0 uses the probe default.
+	// MaxPilotStates bounds the reachable-state collection of the
+	// τ-cycle probe and of Reduce's pilot walk; 0 uses the default.
 	MaxPilotStates int
 	// NoTauCycle disables the τ-cycle probe entirely (used for abstract
 	// programs, whose atomic bodies cannot spin).
