@@ -38,11 +38,11 @@ func statesEqual(a, b *state) bool {
 }
 
 // TestPackedCodecRoundTrip drives 500 random canonical states per
-// example program through the codec and checks three properties:
+// example program through the codec and checks four properties:
 // decode(encode(s)) == s, re-encoding the decode reproduces the same
-// bytes (determinism), and packed keys collide exactly when the raw
-// full-width pilot keys do (injectivity, so state identity is
-// layout-independent).
+// bytes (determinism), packed keys collide exactly when the
+// range-unlimited pilot keys do (injectivity, so state identity is
+// layout-independent), and the pilot key decodes back to s.
 func TestPackedCodecRoundTrip(t *testing.T) {
 	programs := []*Program{
 		quickProgram(3, 2, []VarKind{KVal, KPtr, KTagged}),
@@ -65,7 +65,7 @@ func TestPackedCodecRoundTrip(t *testing.T) {
 				st := randomState(rng, p, heapCap)
 				can.run(st)
 				packed := append([]byte(nil), cdc.encode(nil, st)...)
-				raw := string(encodeRaw(nil, st, -1))
+				raw := string(appendPilotKey(nil, st))
 				got := &state{
 					g:  &Global{Vars: make([]int32, len(p.Globals.Kinds)), Heap: make([]Node, heapCap+1)},
 					th: []thread{{locals: make([]int32, p.NLocals)}},
@@ -73,6 +73,14 @@ func TestPackedCodecRoundTrip(t *testing.T) {
 				cdc.decode(packed, got)
 				if !statesEqual(st, got) {
 					t.Fatalf("trial %d: decode(encode(s)) != s", trial)
+				}
+				back := &state{
+					g:  &Global{Vars: make([]int32, len(p.Globals.Kinds)), Heap: make([]Node, heapCap+1)},
+					th: []thread{{locals: make([]int32, p.NLocals)}},
+				}
+				decodePilotKey([]byte(raw), back)
+				if !statesEqual(st, back) || back.hw != st.hw {
+					t.Fatalf("trial %d: decodePilotKey(appendPilotKey(s)) != s", trial)
 				}
 				if again := cdc.encode(nil, got); !bytes.Equal(again, packed) {
 					t.Fatalf("trial %d: re-encode differs: %x vs %x", trial, again, packed)

@@ -2,10 +2,14 @@ package machine
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sync/atomic"
-	"unsafe"
+
+	"repro/internal/lts"
+	"repro/internal/statecodec"
 )
 
 // This file implements the structural τ-cycle probe behind the vet
@@ -21,12 +25,13 @@ import (
 // The probe works on any Program, including hand-coded registry
 // algorithms whose statements are opaque Go closures: it never inspects
 // statement bodies, only executes them the way the explorer does. It
-// explores a small pilot instance breadth-first to collect genuinely
-// reachable states, then runs a memoized depth-first solo walk from
-// every running thread of every state. CAS-retry loops terminate solo
-// (the CAS succeeds when nobody interferes), so lock-free algorithms
-// are never flagged; spins on another thread's state (a hazard-pointer
-// wait, a lock acquisition) diverge solo and are.
+// explores a small pilot instance breadth-first and records, per thread,
+// every τ-step that stays inside the method. A solo τ-cycle is a cycle
+// of one thread's steps, so every nontrivial SCC (or self-loop) of a
+// thread's step graph is one. CAS-retry loops terminate solo (the CAS
+// succeeds when nobody interferes), so lock-free algorithms are never
+// flagged; spins on another thread's state (a hazard-pointer wait, a
+// lock acquisition) diverge solo and are.
 //
 // CheckReductionPilot restricts the probe to the statements a reduction
 // prioritizes and checks lock regions in the same walk.
@@ -36,13 +41,12 @@ type PilotOptions struct {
 	// Threads and Ops size the pilot instance; 0 defaults to 2.
 	Threads int
 	Ops     int
-	// MaxStates bounds the breadth-first reachable-state collection;
-	// 0 defaults to 60000. Hitting the bound truncates coverage (fewer
-	// probe states), never correctness.
+	// MaxStates bounds the breadth-first walk; 0 defaults to 60000. A
+	// walk that reaches the bound interns no further states, so lock
+	// regions are checked on the interned states only and the probe sees
+	// only the cycles among them: truncation weakens coverage, never a
+	// reported refutation or cycle.
 	MaxStates int
-	// MaxViews bounds the total number of distinct solo-run views the
-	// depth-first walks may visit; 0 defaults to 200000.
-	MaxViews int
 }
 
 // TauCycle is one detected solo τ-cycle: a set of statement indices of
@@ -69,38 +73,44 @@ func (o PilotOptions) withDefaults() PilotOptions {
 	if o.MaxStates <= 0 {
 		o.MaxStates = 60000
 	}
-	if o.MaxViews <= 0 {
-		o.MaxViews = 200000
-	}
 	return o
 }
 
 // walkPilot is the breadth-first walk over the reachable states of a
 // pilot instance that the τ-cycle probe and the dynamic validators
-// share. States are interned under the raw encoding (encodeRaw), so
-// values outside any layout never stop it, and the collection stops
-// growing at opt.MaxStates. visit sees each state as it is dequeued,
-// before its successors are enumerated; a non-nil error from visit ends
-// the walk with that error. A model fault blocks the faulting state where
-// it happened (the successors emitted before it are kept), and a faulting
-// Program.Init leaves nothing to visit.
-func walkPilot(p *Program, opt PilotOptions, visit func(cur *state) error) error {
+// share. States are interned under their pilot keys (appendPilotKey), so
+// values outside any layout never stop it, and the walk stops interning
+// at opt.MaxStates; a state's entry index is its pilot ID. visit sees
+// each state as it is dequeued, before its successors are enumerated; a
+// non-nil error from visit ends the walk with that error. A model fault
+// ends only the faulting thread's expansion of the state (the successors
+// it emitted before are kept), and a faulting Program.Init leaves
+// nothing to visit. With follow non-nil the walk also records the τ-steps
+// the probe reads (pilotWalker.edges).
+func walkPilot(p *Program, opt PilotOptions, follow func(mi, pc int) bool, visit func(cur *state) error) (*pilotWalker, error) {
 	if fn := pilotObserver.Load(); fn != nil {
 		(*fn)(p)
 	}
-	w := &pilotWalker{x: newExpander(p, opt.Threads), ids: make(map[string]struct{}, opt.MaxStates), max: opt.MaxStates}
-	if contain(func() { w.intern(initialState(p, Options{Threads: opt.Threads, Ops: opt.Ops})) }) != nil {
-		return nil
+	w := &pilotWalker{x: newExpander(p, opt.Threads), seed: maphash.MakeSeed(), max: opt.MaxStates, follow: follow, view: -1}
+	if follow != nil {
+		w.edges = lts.NewCSRBuilder(nil, nil)
+	}
+	if contain(func() { w.intern(initialState(p, Options{Threads: opt.Threads, Ops: opt.Ops}), true) }) != nil {
+		return w, nil
 	}
 	cur := newScratchState(p, opt.Threads)
-	for si := 0; si < len(w.keys); si++ {
-		decodeRaw(w.keys[si], cur)
+	for w.src = 0; int(w.src) < w.tab.Len(); w.src++ {
+		decodePilotKey(w.tab.Key(w.src), cur)
 		if err := visit(cur); err != nil {
-			return err
+			return w, err
 		}
-		_, _ = w.x.expand(cur, nil, w)
+		for t := range cur.th {
+			th := &cur.th[t]
+			w.from = follow != nil && th.status == statusRunning && follow(int(th.method), int(th.pc))
+			_ = contain(func() { w.x.expandThread(cur, t, w) })
+		}
 	}
-	return nil
+	return w, nil
 }
 
 // pilotObserver, when set, is called at the start of every pilot walk,
@@ -115,39 +125,123 @@ func SetPilotObserver(fn func(p *Program)) (restore func()) {
 	return func() { pilotObserver.Store(prev) }
 }
 
-// pilotWalker carries the BFS set of one walkPilot run.
+// pilotWalker carries the intern table and the recorded τ-steps of one
+// walkPilot run. Entries are numbered in insertion order, so the hash
+// seed never reaches any output.
 type pilotWalker struct {
 	x    expander
-	ids  map[string]struct{}
-	keys [][]byte
+	tab  statecodec.Table
+	seed maphash.Seed
 	buf  []byte
 	max  int
+	// follow selects the recorded τ-steps: a step of thread t from a
+	// statement follow accepts (from is set while such a thread expands)
+	// to another statement of the method it accepts. edges holds them over
+	// views — view s·threads+t is state s seen by thread t — labelled with
+	// the source pc; view is the last view begun and src the state being
+	// expanded.
+	follow func(mi, pc int) bool
+	from   bool
+	edges  *lts.CSRBuilder
+	view   int32
+	src    int32
 }
 
 // emit implements transSink: intern the successor while the state budget
-// lasts.
-func (w *pilotWalker) emit(x *expander, _ symTrans) bool {
-	if len(w.keys) < w.max {
-		w.intern(x.succ)
+// lasts, and record it as a τ-step when follow selects it. A successor is
+// encoded only when it is interned or recorded.
+func (w *pilotWalker) emit(x *expander, tr symTrans) bool {
+	nt := &x.succ.th[tr.t]
+	step := w.from && nt.status == statusRunning && w.follow(int(tr.m), int(nt.pc))
+	room := w.tab.Len() < w.max
+	if !step && !room {
+		return true
+	}
+	dst, ok := w.intern(x.succ, room)
+	if step && ok {
+		n := int32(len(x.succ.th))
+		v := w.src*n + tr.t
+		for w.view < v {
+			w.view++
+			_ = w.edges.BeginState(w.view)
+		}
+		w.edges.Emit(lts.Tau, lts.LabelID(tr.pc), dst*n+tr.t)
 	}
 	return true
 }
 
-// bytesString views b as a string without copying. The caller must never
-// mutate b afterwards; interned state keys are write-once.
-func bytesString(b []byte) string {
-	return unsafe.String(unsafe.SliceData(b), len(b))
+// intern canonicalizes st and returns its entry, adding it when add is
+// set; ok is false when st is neither present nor added.
+func (w *pilotWalker) intern(st *state, add bool) (i int32, ok bool) {
+	w.x.canon.run(st)
+	w.buf = appendPilotKey(w.buf[:0], st)
+	h := maphash.Bytes(w.seed, w.buf)
+	if add {
+		i, _ = w.tab.Intern(h, w.buf)
+		return i, true
+	}
+	return w.tab.Find(h, w.buf)
 }
 
-func (w *pilotWalker) intern(st *state) {
-	w.x.canon.run(st)
-	w.buf = encodeRaw(w.buf[:0], st, -1)
-	if _, ok := w.ids[string(w.buf)]; ok {
-		return
+// tauCycles reads the solo τ-cycles off the recorded steps: every τ-SCC
+// of the view graph with an internal edge — more than one view, or a
+// self-loop — is one cycle of one thread in one method, through the
+// source pcs of its internal edges. Cycles are de-duplicated by (method,
+// pc set) and sorted by (method index, pcs).
+func (w *pilotWalker) tauCycles() []TauCycle {
+	if w.view < 0 { // no step recorded, or none followed
+		return nil
 	}
-	key := append([]byte(nil), w.buf...)
-	w.ids[bytesString(key)] = struct{}{}
-	w.keys = append(w.keys, key)
+	n := int32(len(w.x.work.th))
+	l := w.edges.Build(w.tab.Len()*int(n), 0)
+	scc := lts.TauSCCs(l)
+	byComp := make(map[int32]*TauCycle)
+	for v := int32(0); int(v) < l.NumStates(); v++ {
+		c := scc.Comp[v]
+		for _, e := range l.Succ(v) {
+			if scc.Comp[e.Dst] != c {
+				continue
+			}
+			tc := byComp[c]
+			if tc == nil {
+				decodePilotKey(w.tab.Key(v/n), w.x.work)
+				tc = &TauCycle{MethodIndex: int(w.x.work.th[v%n].method)}
+				byComp[c] = tc
+			}
+			tc.PCs = append(tc.PCs, int(e.Label))
+		}
+	}
+	if len(byComp) == 0 {
+		return nil
+	}
+	out := make([]TauCycle, 0, len(byComp))
+	for _, tc := range byComp {
+		slices.Sort(tc.PCs)
+		tc.PCs = slices.Compact(tc.PCs)
+		out = append(out, *tc)
+	}
+	slices.SortFunc(out, func(a, b TauCycle) int {
+		if c := cmp.Compare(a.MethodIndex, b.MethodIndex); c != 0 {
+			return c
+		}
+		return slices.Compare(a.PCs, b.PCs)
+	})
+	out = slices.CompactFunc(out, func(a, b TauCycle) bool {
+		return a.MethodIndex == b.MethodIndex && slices.Equal(a.PCs, b.PCs)
+	})
+	for i := range out {
+		c := &out[i]
+		m := &w.x.prog.Methods[c.MethodIndex]
+		c.Method = m.Name
+		for _, pc := range c.PCs {
+			lbl := m.Body[pc].Label
+			if lbl == "" {
+				lbl = fmt.Sprintf("%s.%d", m.Name, pc)
+			}
+			c.Labels = append(c.Labels, lbl)
+		}
+	}
+	return out
 }
 
 // FindTauCycles probes p for solo τ-cycles and returns them sorted by
@@ -163,10 +257,10 @@ func FindTauCycles(p *Program, opt PilotOptions) []TauCycle {
 // τ-confluence analysis in one pilot walk over p. held[r](mi, pc) claims
 // statement pc of method mi for critical region r; refuted[r] reports a
 // pilot state with two running threads inside region r. cycles are the
-// solo τ-cycles through the statements confluent accepts: solo walks
-// start and step only there. A program that fails Validate refutes every
-// claim; truncation at opt.MaxStates or opt.MaxViews weakens coverage,
-// never a reported refutation or cycle.
+// solo τ-cycles through the statements confluent accepts: only steps
+// from one such statement to another are probed. A program that fails
+// Validate refutes every claim; truncation at opt.MaxStates weakens
+// coverage, never a reported refutation or cycle.
 func CheckReductionPilot(p *Program, opt PilotOptions, held []func(mi, pc int) bool, confluent func(mi, pc int) bool) (refuted []bool, cycles []TauCycle) {
 	refuted = make([]bool, len(held))
 	if p.Validate() != nil {
@@ -175,24 +269,15 @@ func CheckReductionPilot(p *Program, opt PilotOptions, held []func(mi, pc int) b
 		}
 		return refuted, nil
 	}
-	// The probe stores raw 4-byte field encodings, so unlike the state
-	// encoder it has no value-range limit; the size guards only keep
-	// degenerate (fuzzed) programs from allocating absurd scratch states.
-	probe := p.HeapCap <= 255 && p.NLocals <= 255 && len(p.Globals.Names) <= 255
-	if !probe && len(held) == 0 {
-		return refuted, nil
+	// Pilot keys have no value-range limit; the size guards only keep
+	// degenerate (fuzzed) programs out of the probe.
+	if p.HeapCap > 255 || p.NLocals > 255 || len(p.Globals.Names) > 255 {
+		if len(held) == 0 {
+			return refuted, nil
+		}
+		confluent = nil
 	}
-	opt = opt.withDefaults()
-	d := &tauProbe{
-		prog:   p,
-		opt:    opt,
-		solo:   newExpander(p, opt.Threads),
-		follow: confluent,
-		color:  make(map[string]int8),
-		gray:   make(map[string]int),
-		found:  make(map[string]TauCycle),
-	}
-	_ = walkPilot(p, opt, func(cur *state) error {
+	w, _ := walkPilot(p, opt.withDefaults(), confluent, func(cur *state) error {
 		for r, h := range held {
 			inside := 0
 			for t := range cur.th {
@@ -202,202 +287,57 @@ func CheckReductionPilot(p *Program, opt PilotOptions, held []func(mi, pc int) b
 			}
 			refuted[r] = refuted[r] || inside > 1
 		}
-		for t := range cur.th {
-			th := &cur.th[t]
-			if probe && th.status == statusRunning && d.views < opt.MaxViews && confluent(int(th.method), int(th.pc)) {
-				d.stack = d.stack[:0]
-				d.walk(cur, t, int(th.method))
-			}
-		}
 		return nil
 	})
-	return refuted, d.collect()
+	return refuted, w.tauCycles()
 }
 
-// tauProbe carries the solo-walk state of one τ-cycle probe.
-type tauProbe struct {
-	prog *Program
-	opt  PilotOptions
-	solo expander
-	buf  []byte
-	// follow restricts the probe: walks start only at statements it
-	// accepts and never step to any other.
-	follow func(mi, pc int) bool
-
-	// Solo-walk memo. A "view" is the full canonical state plus the
-	// walking thread's index; its future under a solo schedule depends on
-	// nothing else, so colors are sound across probe states. color is 1
-	// while the view is on the walk stack (gray) and 2 when exhausted
-	// (black); gray maps an on-stack view to its stack index.
-	color map[string]int8
-	gray  map[string]int
-	stack []int // pc per stack entry; the method is fixed during a walk
-	views int
-
-	found map[string]TauCycle // de-duplicated by (method, pc set)
-}
-
-// walk runs the memoized depth-first solo walk of thread t from the
-// canonical state st. It returns when the view is exhausted; cycles are
-// recorded into d.found as they close.
-func (d *tauProbe) walk(st *state, t, mi int) {
-	d.views++
-	if d.views > d.opt.MaxViews {
-		return
-	}
-	d.buf = encodeRaw(d.buf[:0], st, t)
-	key := string(d.buf)
-	switch d.color[key] {
-	case 1: // gray: the walk closed a cycle
-		d.record(mi, d.stack[d.gray[key]:])
-		return
-	case 2: // black: already exhausted, no new cycles through here
-		return
-	}
-	th := &st.th[t]
-	if th.status != statusRunning {
-		// A return (or completed method) is a visible-action boundary;
-		// the solo τ-path ends here.
-		d.color[key] = 2
-		return
-	}
-	pc := int(th.pc)
-	d.color[key] = 1
-	d.gray[key] = len(d.stack)
-	d.stack = append(d.stack, pc)
-
-	// Successors are materialized before any recursion: the recursive
-	// walks reuse d.solo (its work state and outcome buffer), so neither
-	// may be read after the first recursive call.
-	var succs []*state
-	st.copyInto(d.solo.work)
-	if contain(func() {
-		d.solo.step(d.solo.work, t)
-		for _, out := range d.solo.ctx.outs {
-			if out.pc < 0 || int(out.pc) >= len(d.prog.Methods[mi].Body) {
-				continue // a return is a visible boundary: the path ends
-			}
-			if !d.follow(mi, int(out.pc)) {
-				continue // decided before the successor is built
-			}
-			next := d.solo.work.clone()
-			next.th[t].pc = out.pc
-			d.solo.canon.run(next)
-			succs = append(succs, next)
-		}
-	}) != nil {
-		succs = nil // a faulting statement cannot continue the solo path
-	}
-	for _, next := range succs {
-		d.walk(next, t, mi)
-	}
-
-	d.stack = d.stack[:len(d.stack)-1]
-	delete(d.gray, key)
-	d.color[key] = 2
-}
-
-// record de-duplicates a closed cycle by its exact (method, pc-set)
-// identity.
-func (d *tauProbe) record(mi int, cyclePCs []int) {
-	pcs := slices.Clone(cyclePCs)
-	slices.Sort(pcs)
-	pcs = slices.Compact(pcs)
-	k := fmt.Sprint(mi, pcs)
-	if _, dup := d.found[k]; !dup {
-		d.found[k] = TauCycle{MethodIndex: mi, PCs: pcs}
-	}
-}
-
-// collect renders the de-duplicated cycles in deterministic order.
-func (d *tauProbe) collect() []TauCycle {
-	if len(d.found) == 0 {
-		return nil
-	}
-	out := make([]TauCycle, 0, len(d.found))
-	for _, c := range d.found {
-		m := &d.prog.Methods[c.MethodIndex]
-		c.Method = m.Name
-		for _, pc := range c.PCs {
-			lbl := m.Body[pc].Label
-			if lbl == "" {
-				lbl = fmt.Sprintf("%s.%d", m.Name, pc)
-			}
-			c.Labels = append(c.Labels, lbl)
-		}
-		out = append(out, c)
-	}
-	slices.SortFunc(out, func(a, b TauCycle) int {
-		if c := cmp.Compare(a.MethodIndex, b.MethodIndex); c != 0 {
-			return c
-		}
-		return slices.Compare(a.PCs, b.PCs)
-	})
-	return out
-}
-
-// encodeRaw serializes a state (and a distinguishing thread index for
-// solo-walk views; -1 for plain states) with 4 bytes per field. Unlike
-// the exploration encoder it cannot fail on out-of-range values, which
+// appendPilotKey serializes the canonical state st with every field a
+// zig-zag varint, so the common small values take one byte. Unlike the
+// exploration encoder it cannot fail on out-of-range values, which
 // matters because the probe also runs on defective programs that vet is
 // about to warn about.
-func encodeRaw(buf []byte, st *state, viewThread int) []byte {
-	put := func(v int32) {
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	put(int32(viewThread))
+func appendPilotKey(buf []byte, st *state) []byte {
 	for _, v := range st.g.Vars {
-		put(v)
+		buf = binary.AppendVarint(buf, int64(v))
 	}
-	hw := 0
-	for i := len(st.g.Heap) - 1; i >= 1; i-- {
-		if st.g.Heap[i] != (Node{}) {
-			hw = i
-			break
-		}
-	}
-	put(int32(hw))
-	for i := 1; i <= hw; i++ {
+	buf = binary.AppendVarint(buf, int64(st.hw))
+	for i := 1; i <= int(st.hw); i++ {
 		n := &st.g.Heap[i]
 		m := int32(0)
 		if n.Mark {
 			m = 1
 		}
-		for _, v := range []int32{n.Kind, n.Val, n.Key, n.Next, n.A, n.B, n.C, n.D, m, n.Lock} {
-			put(v)
+		for _, v := range [...]int32{n.Kind, n.Val, n.Key, n.Next, n.A, n.B, n.C, n.D, m, n.Lock} {
+			buf = binary.AppendVarint(buf, int64(v))
 		}
 	}
 	for ti := range st.th {
 		th := &st.th[ti]
-		for _, v := range []int32{th.status, th.method, th.arg, th.pc, th.ret, th.ops} {
-			put(v)
+		for _, v := range [...]int32{th.status, th.method, th.arg, th.pc, th.ret, th.ops} {
+			buf = binary.AppendVarint(buf, int64(v))
 		}
 		for _, l := range th.locals {
-			put(l)
+			buf = binary.AppendVarint(buf, int64(l))
 		}
 	}
 	return buf
 }
 
-// decodeRaw reconstructs a state from its encodeRaw form into st, which
-// must be shaped for the program. The leading view-thread field is
-// skipped.
-func decodeRaw(buf []byte, st *state) {
-	i := 0
+// decodePilotKey reconstructs a state from its appendPilotKey form into
+// st, which must be shaped for the program.
+func decodePilotKey(buf []byte, st *state) {
 	get := func() int32 {
-		v := int32(buf[i]) | int32(buf[i+1])<<8 | int32(buf[i+2])<<16 | int32(buf[i+3])<<24
-		i += 4
-		return v
+		v, n := binary.Varint(buf)
+		buf = buf[n:]
+		return int32(v)
 	}
-	_ = get() // view thread
 	for j := range st.g.Vars {
 		st.g.Vars[j] = get()
 	}
-	hw := int(get())
-	for j := range st.g.Heap {
-		st.g.Heap[j] = Node{}
-	}
-	for j := 1; j <= hw; j++ {
+	st.hw = get()
+	clear(st.g.Heap)
+	for j := 1; j <= int(st.hw); j++ {
 		n := &st.g.Heap[j]
 		n.Kind = get()
 		n.Val = get()

@@ -60,3 +60,42 @@ func TestCheckReductionPilotRestrictsProbe(t *testing.T) {
 		t.Errorf("cycles %+v, want only the self-loop at pc 257", cycles)
 	}
 }
+
+// faultBesideSpinProgram lets thread 0 raise flag a and then fault at
+// pc 1 whenever it is scheduled. Thread 1 raises flag b if it finds a
+// raised, and thread 2 spins at pc 2 if it finds b raised. The spin is
+// reachable only by stepping thread 1 in a state where thread 0 faults.
+func faultBesideSpinProgram() *Program {
+	return &Program{
+		Name:    "fault-beside-spin",
+		Globals: Schema{Names: []string{"a", "b"}, Kinds: []VarKind{KVal, KVal}},
+		Methods: []Method{{Name: "Run", Body: []Stmt{
+			{Exec: func(c *Ctx) {
+				switch {
+				case c.T == 0:
+					c.SetV(0, 1)
+					c.Goto(1)
+				case c.T == 1 && c.V(0) == 1:
+					c.SetV(1, 1)
+					c.Return(ValOK)
+				case c.T == 2 && c.V(1) == 1:
+					c.Goto(2)
+				default:
+					c.Return(ValOK)
+				}
+			}},
+			{Exec: func(c *Ctx) { panic("fault") }},
+			{Exec: func(c *Ctx) { c.Goto(2) }},
+		}}},
+	}
+}
+
+// TestTauProbeSurvivesAnotherThreadsFault: a fault ends only the
+// faulting thread's expansion of a state, so the other threads still
+// step there and the probe reports thread 2's spin.
+func TestTauProbeSurvivesAnotherThreadsFault(t *testing.T) {
+	cycles := FindTauCycles(faultBesideSpinProgram(), PilotOptions{Threads: 3, Ops: 1})
+	if len(cycles) != 1 || !reflect.DeepEqual(cycles[0].PCs, []int{2}) {
+		t.Fatalf("cycles %+v, want the self-loop at pc 2", cycles)
+	}
+}

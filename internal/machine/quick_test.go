@@ -139,9 +139,9 @@ func TestQuickCanonicalizationIdempotent(t *testing.T) {
 		st := randomState(r, p, 6)
 		c := newCanonicalizer(p, 7)
 		c.run(st)
-		first := string(encodeRaw(nil, st, -1))
+		first := string(appendPilotKey(nil, st))
 		c.run(st)
-		second := string(encodeRaw(nil, st, -1))
+		second := string(appendPilotKey(nil, st))
 		return first == second
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -201,9 +201,9 @@ func TestQuickCanonicalizationPermutationInvariant(t *testing.T) {
 
 		c := newCanonicalizer(p, heapCap+1)
 		c.run(st)
-		a := string(encodeRaw(nil, st, -1))
+		a := string(appendPilotKey(nil, st))
 		c.run(permuted)
-		b := string(encodeRaw(nil, permuted, -1))
+		b := string(appendPilotKey(nil, permuted))
 		return a == b
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {

@@ -132,7 +132,7 @@ func (v *IndependenceViolation) Error() string {
 // relation survives the whole pilot state space — the soundness oracle
 // behind the vet independence analysis's property test.
 //
-// The pilot uses the raw (range-unlimited) state encoding, so it also
+// The pilot keys states without a value-range limit, so it also
 // works on randomized programs whose values stray outside the packed
 // encoder's range.
 func ValidateIndependence(p *Program, opt PilotOptions, indep IndependenceOracle) error {
@@ -141,7 +141,8 @@ func ValidateIndependence(p *Program, opt PilotOptions, indep IndependenceOracle
 	}
 	opt = opt.withDefaults()
 	v := &indepValidator{prog: p, x: newExpander(p, opt.Threads), indep: indep}
-	return walkPilot(p, opt, v.checkState)
+	_, err := walkPilot(p, opt, nil, v.checkState)
+	return err
 }
 
 // indepValidator carries the statement-execution scratch of one
@@ -170,11 +171,11 @@ func (v *indepValidator) execStmt(st *state, t int) (next *state, ok bool) {
 	return work, true
 }
 
-// canonicalKey canonicalizes a clone of st and returns its raw encoding.
+// canonicalKey canonicalizes a clone of st and returns its pilot key.
 func (v *indepValidator) canonicalKey(st *state) string {
 	c := st.clone()
 	v.x.canon.run(c)
-	return string(encodeRaw(nil, c, -1))
+	return string(appendPilotKey(nil, c))
 }
 
 // checkState validates every declared-independent pair of co-enabled
