@@ -32,9 +32,6 @@ import (
 // succeeds when nobody interferes), so lock-free algorithms are never
 // flagged; spins on another thread's state (a hazard-pointer wait, a
 // lock acquisition) diverge solo and are.
-//
-// CheckReductionPilot restricts the probe to the statements a reduction
-// prioritizes and checks lock regions in the same walk.
 
 // PilotOptions bounds the τ-cycle probe.
 type PilotOptions struct {
@@ -42,10 +39,10 @@ type PilotOptions struct {
 	Threads int
 	Ops     int
 	// MaxStates bounds the breadth-first walk; 0 defaults to 60000. A
-	// walk that reaches the bound interns no further states, so lock
-	// regions are checked on the interned states only and the probe sees
-	// only the cycles among them: truncation weakens coverage, never a
-	// reported refutation or cycle.
+	// walk that reaches the bound interns no further states, so the probe
+	// sees only the cycles among the interned states and the validator
+	// checks only those states: truncation weakens coverage, never a
+	// reported cycle or violation.
 	MaxStates int
 }
 
@@ -85,14 +82,14 @@ func (o PilotOptions) withDefaults() PilotOptions {
 // non-nil error from visit ends the walk with that error. A model fault
 // ends only the faulting thread's expansion of the state (the successors
 // it emitted before are kept), and a faulting Program.Init leaves
-// nothing to visit. With follow non-nil the walk also records the τ-steps
-// the probe reads (pilotWalker.edges).
-func walkPilot(p *Program, opt PilotOptions, follow func(mi, pc int) bool, visit func(cur *state) error) (*pilotWalker, error) {
+// nothing to visit. With probe set the walk also records the τ-steps the
+// probe reads (pilotWalker.edges).
+func walkPilot(p *Program, opt PilotOptions, probe bool, visit func(cur *state) error) (*pilotWalker, error) {
 	if fn := pilotObserver.Load(); fn != nil {
 		(*fn)(p)
 	}
-	w := &pilotWalker{x: newExpander(p, opt.Threads), seed: maphash.MakeSeed(), max: opt.MaxStates, follow: follow, view: -1}
-	if follow != nil {
+	w := &pilotWalker{x: newExpander(p, opt.Threads), seed: maphash.MakeSeed(), max: opt.MaxStates, view: -1}
+	if probe {
 		w.edges = lts.NewCSRBuilder(nil, nil)
 	}
 	if contain(func() { w.intern(initialState(p, Options{Threads: opt.Threads, Ops: opt.Ops}), true) }) != nil {
@@ -106,7 +103,7 @@ func walkPilot(p *Program, opt PilotOptions, follow func(mi, pc int) bool, visit
 		}
 		for t := range cur.th {
 			th := &cur.th[t]
-			w.from = follow != nil && th.status == statusRunning && follow(int(th.method), int(th.pc))
+			w.from = w.edges != nil && th.status == statusRunning
 			_ = contain(func() { w.x.expandThread(cur, t, w) })
 		}
 	}
@@ -134,25 +131,22 @@ type pilotWalker struct {
 	seed maphash.Seed
 	buf  []byte
 	max  int
-	// follow selects the recorded τ-steps: a step of thread t from a
-	// statement follow accepts (from is set while such a thread expands)
-	// to another statement of the method it accepts. edges holds them over
-	// views — view s·threads+t is state s seen by thread t — labelled with
-	// the source pc; view is the last view begun and src the state being
-	// expanded.
-	follow func(mi, pc int) bool
-	from   bool
-	edges  *lts.CSRBuilder
-	view   int32
-	src    int32
+	// edges, non-nil when the walk probes, records every τ-step of a
+	// running thread t (from is set while such a thread expands) that
+	// stays in its method. It holds them over views — view s·threads+t is
+	// state s seen by thread t — labelled with the source pc; view is the
+	// last view begun and src the state being expanded.
+	from  bool
+	edges *lts.CSRBuilder
+	view  int32
+	src   int32
 }
 
 // emit implements transSink: intern the successor while the state budget
-// lasts, and record it as a τ-step when follow selects it. A successor is
-// encoded only when it is interned or recorded.
+// lasts, and record it when it is a probed τ-step. A successor is encoded
+// only when it is interned or recorded.
 func (w *pilotWalker) emit(x *expander, tr symTrans) bool {
-	nt := &x.succ.th[tr.t]
-	step := w.from && nt.status == statusRunning && w.follow(int(tr.m), int(nt.pc))
+	step := w.from && x.succ.th[tr.t].status == statusRunning
 	room := w.tab.Len() < w.max
 	if !step && !room {
 		return true
@@ -189,7 +183,7 @@ func (w *pilotWalker) intern(st *state, add bool) (i int32, ok bool) {
 // source pcs of its internal edges. Cycles are de-duplicated by (method,
 // pc set) and sorted by (method index, pcs).
 func (w *pilotWalker) tauCycles() []TauCycle {
-	if w.view < 0 { // no step recorded, or none followed
+	if w.view < 0 { // no step recorded
 		return nil
 	}
 	n := int32(len(w.x.work.th))
@@ -245,51 +239,17 @@ func (w *pilotWalker) tauCycles() []TauCycle {
 }
 
 // FindTauCycles probes p for solo τ-cycles and returns them sorted by
-// (method index, first statement index). It returns nil for programs the
-// pilot cannot encode (oversized schemas); a statement that faults during
-// the probe counts as blocked.
+// (method index, first statement index). It returns nil for programs
+// that fail Validate and for oversized schemas; a statement that faults
+// during the probe counts as blocked.
 func FindTauCycles(p *Program, opt PilotOptions) []TauCycle {
-	_, cycles := CheckReductionPilot(p, opt, nil, func(int, int) bool { return true })
-	return cycles
-}
-
-// CheckReductionPilot runs the dynamic safety net behind vet's
-// τ-confluence analysis in one pilot walk over p. held[r](mi, pc) claims
-// statement pc of method mi for critical region r; refuted[r] reports a
-// pilot state with two running threads inside region r. cycles are the
-// solo τ-cycles through the statements confluent accepts: only steps
-// from one such statement to another are probed. A program that fails
-// Validate refutes every claim; truncation at opt.MaxStates weakens
-// coverage, never a reported refutation or cycle.
-func CheckReductionPilot(p *Program, opt PilotOptions, held []func(mi, pc int) bool, confluent func(mi, pc int) bool) (refuted []bool, cycles []TauCycle) {
-	refuted = make([]bool, len(held))
-	if p.Validate() != nil {
-		for r := range refuted {
-			refuted[r] = true
-		}
-		return refuted, nil
-	}
 	// Pilot keys have no value-range limit; the size guards only keep
 	// degenerate (fuzzed) programs out of the probe.
-	if p.HeapCap > 255 || p.NLocals > 255 || len(p.Globals.Names) > 255 {
-		if len(held) == 0 {
-			return refuted, nil
-		}
-		confluent = nil
-	}
-	w, _ := walkPilot(p, opt.withDefaults(), confluent, func(cur *state) error {
-		for r, h := range held {
-			inside := 0
-			for t := range cur.th {
-				if th := &cur.th[t]; th.status == statusRunning && h(int(th.method), int(th.pc)) {
-					inside++
-				}
-			}
-			refuted[r] = refuted[r] || inside > 1
-		}
+	if p.Validate() != nil || p.HeapCap > 255 || p.NLocals > 255 || len(p.Globals.Names) > 255 {
 		return nil
-	})
-	return refuted, w.tauCycles()
+	}
+	w, _ := walkPilot(p, opt.withDefaults(), true, func(*state) error { return nil })
+	return w.tauCycles()
 }
 
 // appendPilotKey serializes the canonical state st with every field a

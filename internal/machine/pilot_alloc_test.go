@@ -11,9 +11,9 @@ import (
 
 // TestPilotWalkAllocs pins the allocation profile of the pilot walk: its
 // states live in one arena-backed intern table and its recorded τ-steps
-// in one CSR, so a CheckReductionPilot call allocates a number of times
-// that grows with the logarithm of the state count, not with the count.
-// The msqueue 2×3 pilot fills its default 60,000-state bound.
+// in one CSR, so a FindTauCycles call allocates a number of times that
+// grows with the logarithm of the state count, not with the count. The
+// msqueue 2×3 pilot fills its default 60,000-state bound.
 func TestPilotWalkAllocs(t *testing.T) {
 	src, err := bbvlexamples.Source("msqueue")
 	if err != nil {
@@ -24,12 +24,10 @@ func TestPilotWalkAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := m.Build(algorithms.Config{Threads: 2, Ops: 3})
-	never := func(mi, pc int) bool { return false }
-	always := func(mi, pc int) bool { return true }
 	allocs := testing.AllocsPerRun(3, func() {
-		machine.CheckReductionPilot(p, machine.PilotOptions{Threads: 2, Ops: 3}, []func(mi, pc int) bool{never}, always)
+		machine.FindTauCycles(p, machine.PilotOptions{Threads: 2, Ops: 3})
 	})
 	if allocs >= 2000 {
-		t.Fatalf("CheckReductionPilot on msqueue 2×3 allocated %.0f times per call; want under 2000", allocs)
+		t.Fatalf("FindTauCycles on msqueue 2×3 allocated %.0f times per call; want under 2000", allocs)
 	}
 }

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -41,23 +40,6 @@ func TestTauProbeKeepsCyclesApartBeyondByteRange(t *testing.T) {
 	}
 	if want := [][]int{{1}, {257}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("cycles %v, want %v", got, want)
-	}
-}
-
-// TestCheckReductionPilotRestrictsProbe: the reduction pilot refutes a
-// region claim exactly when two threads co-occupy it, and probes for
-// τ-cycles only through the statements it is told are confluent.
-func TestCheckReductionPilotRestrictsProbe(t *testing.T) {
-	at := func(pcs ...int) func(mi, pc int) bool {
-		return func(_, pc int) bool { return slices.Contains(pcs, pc) }
-	}
-	refuted, cycles := CheckReductionPilot(farLoopsProgram(), PilotOptions{},
-		[]func(mi, pc int) bool{at(1), at(1, 257)}, at(0, 257))
-	if want := []bool{false, true}; !reflect.DeepEqual(refuted, want) {
-		t.Errorf("refuted %v, want %v", refuted, want)
-	}
-	if len(cycles) != 1 || !reflect.DeepEqual(cycles[0].PCs, []int{257}) {
-		t.Errorf("cycles %+v, want only the self-loop at pc 257", cycles)
 	}
 }
 

@@ -141,7 +141,7 @@ func ValidateIndependence(p *Program, opt PilotOptions, indep IndependenceOracle
 	}
 	opt = opt.withDefaults()
 	v := &indepValidator{prog: p, x: newExpander(p, opt.Threads), indep: indep}
-	_, err := walkPilot(p, opt, nil, v.checkState)
+	_, err := walkPilot(p, opt, false, v.checkState)
 	return err
 }
 

@@ -33,10 +33,7 @@ import (
 //      prioritized τ-steps would let the reduced exploration
 //      postpone the other threads forever — exactly the divergence
 //      ≈div must preserve. Cross-method cycles need a return and a
-//      call, both visible, so per-method acyclicity suffices; Reduce's
-//      bounded pilot walk re-checks this dynamically through the
-//      confluent statements and demotes any cycle it can actually
-//      drive (belt and braces).
+//      call, both visible, so per-method acyclicity suffices.
 //
 // Prioritizing such a step is an ample-set-style reduction: from a
 // state with a thread at a confluent statement, the explorer emits
@@ -46,8 +43,10 @@ import (
 // diverging thread still diverges after it), and the visible branching
 // structure is untouched — the reduced LTS is divergence-sensitive
 // branching bisimilar to the full one, so equivalence verdicts,
-// lock-freedom, deadlocks and even quotient block counts agree. See
-// DESIGN.md for the full argument.
+// lock-freedom, deadlocks and even quotient block counts agree. All
+// three conditions are proved statically; the tests replay the relation
+// Reduce trusts through machine.ValidateIndependence. See DESIGN.md for
+// the full argument.
 
 // StmtRef names one statement in the artifact's method-major flat
 // statement order.
@@ -65,7 +64,7 @@ type StmtRef struct {
 type ReductionArtifact struct {
 	// Program is the analyzed program's name; Threads and Ops are the
 	// instance bounds the analysis assumed (they size the heap-
-	// sufficiency check and the τ-cycle pilot).
+	// sufficiency check).
 	Program string `json:"program"`
 	Threads int    `json:"threads"`
 	Ops     int    `json:"ops"`
@@ -83,14 +82,13 @@ type ReductionArtifact struct {
 	// Confluent marks the statements the explorer may prioritize.
 	Confluent []bool `json:"confluent"`
 	// Demoted marks statements that satisfied the local confluence
-	// conditions but were rejected by the acyclicity checks.
+	// conditions but were rejected by the acyclicity check.
 	Demoted []bool `json:"demoted,omitempty"`
-	// Locks names the globals verified as spin locks by the lock-region
-	// analysis (statically, then cross-checked by the reduction pilot);
-	// Region names the lock whose critical region contains each
-	// statement ("" outside every region). Conflicts between statements
-	// of the same region are masked in the confluence classification:
-	// the lock keeps them from ever being co-enabled.
+	// Locks names the globals the lock-region analysis (regions.go)
+	// proves to be spin locks; Region names the lock whose critical
+	// region contains each statement ("" outside every region). Conflicts
+	// between statements of the same region are masked in the confluence
+	// classification: the lock keeps them from ever being co-enabled.
 	Locks  []string `json:"locks,omitempty"`
 	Region []string `json:"region,omitempty"`
 
@@ -144,30 +142,9 @@ func Reduce(p *machine.Program, opts Options) *ReductionArtifact {
 	}
 
 	// Lock regions mask conflicts that can never materialize: two
-	// statements holding the same lock are never co-enabled. Each round
-	// classifies with the surviving inferred regions trusted, then one
-	// pilot walk cross-checks every region and probes the confluent
-	// statements for τ-cycles. A refuted region costs another round.
-	regions := lockRegionsOf(p)
-	pilot := machine.PilotOptions{Threads: threads, Ops: ops, MaxStates: opts.MaxPilotStates}
-	for {
-		a.classify(p, regions)
-		held := make([]func(mi, pc int) bool, len(regions))
-		for r := range regions {
-			h := regions[r].held
-			held[r] = func(mi, pc int) bool { return mi < len(h) && pc < len(h[mi]) && h[mi][pc] }
-		}
-		refuted, cycles := machine.CheckReductionPilot(p, pilot, held, a.isConfluent)
-		if !slices.Contains(refuted, true) {
-			a.demoteTauCycles(cycles)
-			break
-		}
-		for r := len(regions) - 1; r >= 0; r-- {
-			if refuted[r] {
-				regions = slices.Delete(regions, r, r+1)
-			}
-		}
-	}
+	// statements holding the same lock are never co-enabled.
+	regions := inferLockRegions(p)
+	a.classify(p, regions)
 
 	a.Region = make([]string, n)
 	for _, r := range regions {
@@ -181,28 +158,12 @@ func Reduce(p *machine.Program, opts Options) *ReductionArtifact {
 	return a
 }
 
-// Test seams: the safety-net tests switch off static acyclicity and add
-// unproven regions, to show the pilot catches what those would miss.
-var (
-	lockRegionsOf    = inferLockRegions
-	staticAcyclicity = true
-)
-
 // classify marks the statements that are reachable and total and whose
-// every conflict is absent (footprint independence), vacuous (the other
-// statement is unreachable) or impossible (same lock region of regions),
-// then enforces static acyclicity.
+// every conflict is absent or impossible (commutes) or vacuous (the other
+// statement is unreachable), then enforces static acyclicity.
 func (a *ReductionArtifact) classify(p *machine.Program, regions []lockRegion) {
 	n := len(a.Stmts)
-	sameRegion := func(i, j int) bool {
-		si, sj := a.Stmts[i], a.Stmts[j]
-		for _, r := range regions {
-			if r.held[si.MethodIndex][si.PC] && r.held[sj.MethodIndex][sj.PC] {
-				return true
-			}
-		}
-		return false
-	}
+	commutes := a.commutes(regions)
 	reachFlat := make([]bool, n)
 	for mi := range p.Methods {
 		reach := reachableStmts(&p.Methods[mi])
@@ -220,21 +181,30 @@ func (a *ReductionArtifact) classify(p *machine.Program, regions []lockRegion) {
 			}
 			conf := true
 			for j := 0; j < n && conf; j++ {
-				conf = !reachFlat[j] || a.Independent[i][j] || sameRegion(i, j)
+				conf = !reachFlat[j] || commutes(i, j)
 			}
 			a.Confluent[i] = conf
 		}
 	}
-	if staticAcyclicity {
-		a.demoteCycles(p)
-	}
+	a.demoteCycles(p)
 }
 
-// isConfluent reports whether statement pc of method mi is classified
-// confluent.
-func (a *ReductionArtifact) isConfluent(mi, pc int) bool {
-	i, ok := a.Index(mi, pc)
-	return ok && a.Confluent[i]
+// commutes returns the relation classify trusts between two flat
+// statements: their footprints are independent, or both are held under
+// one of regions, so they are never co-enabled.
+func (a *ReductionArtifact) commutes(regions []lockRegion) func(i, j int) bool {
+	return func(i, j int) bool {
+		if a.Independent[i][j] {
+			return true
+		}
+		si, sj := a.Stmts[i], a.Stmts[j]
+		for _, r := range regions {
+			if r.held[si.MethodIndex][si.PC] && r.held[sj.MethodIndex][sj.PC] {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // demoteCycles enforces static acyclicity: within each method, every
@@ -268,22 +238,6 @@ func (a *ReductionArtifact) demoteCycles(p *machine.Program) {
 				a.Confluent[a.base[mi]+si] = false
 				a.Demoted[a.base[mi]+si] = true
 				cyclic = true
-			}
-		}
-	}
-}
-
-// demoteTauCycles demotes every pilot τ-cycle whose statements are all
-// still confluent. With static acyclicity enforced there should be none;
-// the pilot is the independent safety net the divergence argument leans
-// on.
-func (a *ReductionArtifact) demoteTauCycles(cycles []machine.TauCycle) {
-	for _, c := range cycles {
-		if !slices.ContainsFunc(c.PCs, func(pc int) bool { return !a.isConfluent(c.MethodIndex, pc) }) {
-			for _, pc := range c.PCs {
-				i, _ := a.Index(c.MethodIndex, pc)
-				a.Confluent[i] = false
-				a.Demoted[i] = true
 			}
 		}
 	}
@@ -354,10 +308,16 @@ func (a *ReductionArtifact) Machine() *machine.Reduction {
 // machine.ValidateIndependence consumes. Out-of-range statements are
 // never declared independent.
 func (a *ReductionArtifact) Oracle() machine.IndependenceOracle {
+	return a.oracle(func(i, j int) bool { return a.Independent[i][j] })
+}
+
+// oracle lifts a relation over flat statement indices to (method, pc)
+// pairs; out-of-range statements are never related.
+func (a *ReductionArtifact) oracle(rel func(i, j int) bool) machine.IndependenceOracle {
 	return func(m1, pc1, m2, pc2 int) bool {
 		i, ok1 := a.Index(m1, pc1)
 		j, ok2 := a.Index(m2, pc2)
-		return ok1 && ok2 && a.Independent[i][j]
+		return ok1 && ok2 && rel(i, j)
 	}
 }
 

@@ -2,25 +2,22 @@ package vet
 
 import "repro/internal/machine"
 
-// DisableStaticAcyclicity leaves acyclicity to the pilot alone until
-// restore is called.
-func DisableStaticAcyclicity() (restore func()) {
-	staticAcyclicity = false
-	return func() { staticAcyclicity = true }
-}
-
-// AddBogusRegion makes Reduce trust, besides the inferred lock regions,
-// a region that claims every statement, until restore is called.
-func AddBogusRegion() (restore func()) {
-	lockRegionsOf = func(p *machine.Program) []lockRegion {
-		bogus := lockRegion{name: "bogus", held: make([][]bool, len(p.Methods))}
+// TrustedOracle returns the relation a's confluence classification
+// trusts for p, in the shape machine.ValidateIndependence consumes: two
+// statements are footprint-independent, or both are held under one
+// inferred lock region. With bogus set it also trusts a region that
+// claims every statement. a must be Reduce's artifact for p.
+func TrustedOracle(p *machine.Program, a *ReductionArtifact, bogus bool) machine.IndependenceOracle {
+	regions := inferLockRegions(p)
+	if bogus {
+		all := lockRegion{name: "bogus", held: make([][]bool, len(p.Methods))}
 		for mi := range p.Methods {
-			bogus.held[mi] = make([]bool, len(p.Methods[mi].Body))
-			for si := range bogus.held[mi] {
-				bogus.held[mi][si] = true
+			all.held[mi] = make([]bool, len(p.Methods[mi].Body))
+			for si := range all.held[mi] {
+				all.held[mi][si] = true
 			}
 		}
-		return append(inferLockRegions(p), bogus)
+		regions = append(regions, all)
 	}
-	return func() { lockRegionsOf = inferLockRegions }
+	return a.oracle(a.commutes(regions))
 }

@@ -20,7 +20,9 @@ import (
 // The generator deliberately covers the analysis's hard cases: fresh
 // and published pointers, field accesses through shared bases (which
 // may fault), CAS on globals and fields, small heaps that can exhaust,
-// branches with falling paths, and goto cycles.
+// branches with falling paths, and goto cycles. Lock seeds add a spin
+// lock around a critical region of every method, so the lock-region
+// masking of the confluence classification is replayed too.
 
 // progGen builds one random program, keeping pointer/value kind
 // discipline so canonicalization stays meaningful (pointer slots only
@@ -32,6 +34,9 @@ type progGen struct {
 	valLocals  []int
 	ptrLocals  []int
 	nstmts     int
+	// targets, when non-nil, are the statements a goto may jump to;
+	// otherwise any statement of the method.
+	targets []int
 }
 
 func (g *progGen) pick(xs []int) (int, bool) {
@@ -156,7 +161,72 @@ func (g *progGen) bodyInstr() (machine.Instr, bool) {
 }
 
 func (g *progGen) gotoInstr() machine.Instr {
+	if g.targets != nil {
+		return machine.Instr{Op: machine.IRGoto, Target: g.targets[g.rng.Intn(len(g.targets))]}
+	}
 	return machine.Instr{Op: machine.IRGoto, Target: g.rng.Intn(g.nstmts)}
+}
+
+// statement builds one random statement: up to two body instructions,
+// then (mostly) a terminator, with extra spliced in between.
+func (g *progGen) statement(label string, extra ...machine.Instr) machine.Stmt {
+	var seq []machine.Instr
+	for k := g.rng.Intn(3); k > 0; k-- {
+		if in, ok := g.bodyInstr(); ok {
+			seq = append(seq, in)
+		}
+	}
+	seq = append(seq, extra...)
+	if g.rng.Intn(10) > 0 { // 10%: no terminator — every path blocks
+		seq = append(seq, g.terminator()...)
+	}
+	if seq == nil {
+		// A statement with no instructions blocks forever; keep its IR
+		// non-nil so the program still counts as compiled.
+		seq = []machine.Instr{}
+	}
+	return irStmt(label, seq)
+}
+
+// lockedBody builds a method body guarded by the spin lock global l:
+// statement 0 is the acquire `if cas(L, 0, self) { goto 1 } else {
+// goto 0 }`, statements 1..r are the critical region, whose gotos only
+// go forward inside it, and statement r ends with the release `L = 0`.
+// Gotos from the release and from the statement after it, if any, go
+// back to the acquire or to that statement, and in a quarter of the
+// methods also to one region statement.
+func (g *progGen) lockedBody(mi, l int) []machine.Stmt {
+	r := 2 + g.rng.Intn(2)
+	g.nstmts = r + 1 + g.rng.Intn(2)
+	label := func(si int) string { return fmt.Sprintf("M%dS%d", mi, si) }
+	body := []machine.Stmt{irStmt(label(0), []machine.Instr{{
+		Op: machine.IRIfCas, LHS: globalLoc(l), A: lit(0), B: machine.Operand{Kind: machine.OperandSelf},
+		Then: []machine.Instr{{Op: machine.IRGoto, Target: 1}},
+		Else: []machine.Instr{{Op: machine.IRGoto, Target: 0}},
+	}})}
+	for si := 1; si < r; si++ {
+		g.targets = nil
+		for tgt := si + 1; tgt <= r; tgt++ {
+			g.targets = append(g.targets, tgt)
+		}
+		body = append(body, g.statement(label(si)))
+	}
+	g.targets = []int{0}
+	for si := r + 1; si < g.nstmts; si++ {
+		g.targets = append(g.targets, si)
+	}
+	if g.rng.Intn(4) == 0 {
+		// A jump back into the region enters it unheld: the lock-region
+		// analysis must drop the statements it reaches from the region,
+		// and reject L if they include the release.
+		g.targets = append(g.targets, 1+g.rng.Intn(r))
+	}
+	body = append(body, g.statement(label(r), machine.Instr{Op: machine.IRAssign, LHS: globalLoc(l), A: lit(0)}))
+	for si := r + 1; si < g.nstmts; si++ {
+		body = append(body, g.statement(label(si)))
+	}
+	g.targets = nil
+	return body
 }
 
 // terminator yields an instruction sequence suffix that (usually)
@@ -190,8 +260,11 @@ func (g *progGen) terminator() []machine.Instr {
 	return []machine.Instr{g.gotoInstr()}
 }
 
-// genProgram builds the random program for one seed.
-func genProgram(seed int64) *machine.Program {
+// genProgram builds the random program for one seed. With lock set the
+// program has one more value global, L, which only the acquires and
+// releases of lockedBody write, and no pointer variables, so that its
+// threads seldom fault before they contend for the lock.
+func genProgram(seed int64, lock bool) *machine.Program {
 	rng := rand.New(rand.NewSource(seed))
 	g := &progGen{rng: rng}
 
@@ -200,7 +273,7 @@ func genProgram(seed int64) *machine.Program {
 	kinds := make([]machine.VarKind, nglobals)
 	for i := range names {
 		names[i] = fmt.Sprintf("G%d", i)
-		if rng.Intn(3) == 0 {
+		if rng.Intn(3) == 0 && !lock {
 			kinds[i] = machine.KPtr
 			g.ptrGlobals = append(g.ptrGlobals, i)
 		} else {
@@ -208,10 +281,14 @@ func genProgram(seed int64) *machine.Program {
 			g.valGlobals = append(g.valGlobals, i)
 		}
 	}
+	if lock {
+		names = append(names, "L")
+		kinds = append(kinds, machine.KVal)
+	}
 	nlocals := 2 + rng.Intn(2)
 	localKinds := make([]machine.VarKind, nlocals)
 	for i := range localKinds {
-		if rng.Intn(2) == 0 {
+		if rng.Intn(2) == 0 && !lock {
 			localKinds[i] = machine.KPtr
 			g.ptrLocals = append(g.ptrLocals, i)
 		} else {
@@ -226,31 +303,14 @@ func genProgram(seed int64) *machine.Program {
 	nmethods := 1 + rng.Intn(2)
 	var methods []machine.Method
 	for mi := 0; mi < nmethods; mi++ {
-		g.nstmts = 2 + rng.Intn(3)
 		var body []machine.Stmt
-		for si := 0; si < g.nstmts; si++ {
-			var seq []machine.Instr
-			for k := rng.Intn(3); k > 0; k-- {
-				if in, ok := g.bodyInstr(); ok {
-					seq = append(seq, in)
-				}
+		if lock {
+			body = g.lockedBody(mi, nglobals)
+		} else {
+			g.nstmts = 2 + rng.Intn(3)
+			for si := 0; si < g.nstmts; si++ {
+				body = append(body, g.statement(fmt.Sprintf("M%dS%d", mi, si)))
 			}
-			if rng.Intn(10) > 0 { // 10%: no terminator — every path blocks
-				seq = append(seq, g.terminator()...)
-			}
-			if seq == nil {
-				// A statement with no instructions blocks forever; keep
-				// its IR non-nil so the program still counts as compiled.
-				seq = []machine.Instr{}
-			}
-			label := fmt.Sprintf("M%dS%d", mi, si)
-			body = append(body, machine.Stmt{
-				Label: label,
-				Exec: func(c *machine.Ctx) {
-					machine.RunIR(c, seq)
-				},
-				IR: seq,
-			})
 		}
 		m := machine.Method{Name: fmt.Sprintf("M%d", mi), Body: body}
 		if rng.Intn(2) == 0 {
@@ -269,20 +329,27 @@ func genProgram(seed int64) *machine.Program {
 	}
 }
 
-// TestIndependencePropertyRandomized: 200 seeds, every declared
-// independence dynamically validated over the full pilot state space.
-// The explorations run with the key oracle on, so every random program
-// also checks the explorer's incremental successor keys.
+// TestIndependencePropertyRandomized: 200 seeds, and 60 lock seeds,
+// every pair the confluence classification trusts (declared independent,
+// or held under one inferred lock region) dynamically validated over the
+// full pilot state space, and every reduced exploration compared with the
+// full one under ≈div. The explorations run with the key oracle on, so
+// every random program also checks the explorer's incremental successor
+// keys.
 func TestIndependencePropertyRandomized(t *testing.T) {
 	t.Cleanup(machine.EnableKeyOracle())
-	seeds := 200
+	seeds, lockSeeds := 200, 60
 	if testing.Short() {
-		seeds = 40
+		seeds, lockSeeds = 40, 20
 	}
-	totalIndep, checkedEquiv := 0, 0
-	for seed := 0; seed < seeds; seed++ {
-		p := genProgram(int64(seed))
-		art := vet.Reduce(p, vet.Options{Threads: 2, Ops: 2, MaxPilotStates: 2000})
+	totalIndep, checkedEquiv, lockedEquiv := 0, 0, 0
+	for k := 0; k < seeds+lockSeeds; k++ {
+		seed, lock := int64(k), k >= seeds
+		if lock {
+			seed = int64(200 + k - seeds) // lock seeds follow seeds 0–199
+		}
+		p := genProgram(seed, lock)
+		art := vet.Reduce(p, vet.Options{Threads: 2, Ops: 2})
 		if art == nil {
 			t.Fatalf("seed %d: Reduce returned nil for an IR program", seed)
 		}
@@ -293,9 +360,9 @@ func TestIndependencePropertyRandomized(t *testing.T) {
 				}
 			}
 		}
-		err := machine.ValidateIndependence(p, machine.PilotOptions{Threads: 2, Ops: 2, MaxStates: 20000}, art.Oracle())
-		if err != nil {
-			t.Errorf("seed %d: %v\n%s", seed, err, art.Format())
+		verr := machine.ValidateIndependence(p, machine.PilotOptions{Threads: 2, Ops: 2, MaxStates: 20000}, vet.TrustedOracle(p, art, false))
+		if verr != nil {
+			t.Errorf("seed %d: %v\n%s", seed, verr, art.Format())
 		}
 		// End-to-end: the reduced exploration (confluence masking, lock
 		// regions, τ-chain compression and all) must stay ≈div-equivalent
@@ -324,6 +391,8 @@ func TestIndependencePropertyRandomized(t *testing.T) {
 		} else if !eq {
 			t.Errorf("seed %d: reduced LTS not ≈div-equivalent to full (%d vs %d states)\n%s",
 				seed, reduced.NumStates(), full.NumStates(), art.Format())
+		} else if lock && len(art.Locks) > 0 && verr == nil {
+			lockedEquiv++
 		}
 	}
 	// The test is vacuous if the generator never produces independent
@@ -334,5 +403,10 @@ func TestIndependencePropertyRandomized(t *testing.T) {
 	if checkedEquiv == 0 {
 		t.Fatal("no seed reached the full-vs-reduced equivalence check")
 	}
-	t.Logf("validated %d declared-independent statement pairs across %d seeds; %d full-vs-reduced equivalence checks", totalIndep, seeds, checkedEquiv)
+	// Region masking is covered only if lock seeds infer their lock and
+	// reach both checks.
+	if lockedEquiv*10 < lockSeeds {
+		t.Fatalf("only %d of %d lock seeds inferred a region and passed both checks; want at least a tenth", lockedEquiv, lockSeeds)
+	}
+	t.Logf("validated %d declared-independent statement pairs across %d seeds; %d full-vs-reduced equivalence checks, %d of them on lock seeds with an inferred region", totalIndep, seeds+lockSeeds, checkedEquiv, lockedEquiv)
 }

@@ -99,19 +99,48 @@ func TestReduceExampleConfluence(t *testing.T) {
 	}
 }
 
-// TestReduceExamplesValidateDynamically replays every declared
-// independence of the example models through the dynamic two-order
-// commutation check over the full pilot state space.
+// oracleShapes are the instance sizes the dynamic oracles replay every
+// example model at.
+var oracleShapes = []algorithms.Config{{Threads: 2, Ops: 2}, {Threads: 2, Ops: 3}, {Threads: 3, Ops: 2}}
+
+// TestReduceExamplesValidateDynamically replays the relation the
+// confluence classification trusts — every declared independence, and
+// every pair of statements held under one inferred lock region — through
+// the dynamic two-order commutation check over the pilot state space of
+// every example model. A region pair is checked wherever two threads
+// sit inside the region at once, which the static mutual-exclusion
+// proof that Reduce trusts says never happens.
 func TestReduceExamplesValidateDynamically(t *testing.T) {
 	for _, name := range bbvlexamples.Names() {
 		m := loadExample(t, name)
-		p := m.Build(algorithms.Config{Threads: 2, Ops: 2})
-		art := vet.Reduce(p, vet.Options{Threads: 2, Ops: 2})
-		if art == nil {
-			t.Fatalf("%s: Reduce returned nil", name)
+		for _, cfg := range oracleShapes {
+			p := m.Build(cfg)
+			art := vet.Reduce(p, vet.Options{Threads: cfg.Threads, Ops: cfg.Ops})
+			if art == nil {
+				t.Fatalf("%s: Reduce returned nil", name)
+			}
+			opt := machine.PilotOptions{Threads: cfg.Threads, Ops: cfg.Ops}
+			if err := machine.ValidateIndependence(p, opt, vet.TrustedOracle(p, art, false)); err != nil {
+				t.Errorf("%s %dx%d: %v\n%s", name, cfg.Threads, cfg.Ops, err, art.Format())
+			}
 		}
-		if err := machine.ValidateIndependence(p, machine.PilotOptions{Threads: 2, Ops: 2}, art.Oracle()); err != nil {
-			t.Errorf("%s: %v\n%s", name, err, art.Format())
+	}
+}
+
+// TestRegionOracleRejectsBogusRegion: the oracle of
+// TestReduceExamplesValidateDynamically is not vacuous. A region that
+// claims every statement masks conflicts two threads can race on, and
+// the oracle must refute it on every example model and size.
+func TestRegionOracleRejectsBogusRegion(t *testing.T) {
+	for _, name := range bbvlexamples.Names() {
+		m := loadExample(t, name)
+		for _, cfg := range oracleShapes {
+			p := m.Build(cfg)
+			art := vet.Reduce(p, vet.Options{Threads: cfg.Threads, Ops: cfg.Ops})
+			opt := machine.PilotOptions{Threads: cfg.Threads, Ops: cfg.Ops}
+			if machine.ValidateIndependence(p, opt, vet.TrustedOracle(p, art, true)) == nil {
+				t.Errorf("%s %dx%d: the oracle accepted a region claiming every statement", name, cfg.Threads, cfg.Ops)
+			}
 		}
 	}
 }

@@ -33,9 +33,9 @@ import "repro/internal/machine"
 //
 // The held sets feed ReductionArtifact's confluence classification:
 // statements holding the same lock mask their mutual conflicts. Reduce
-// additionally cross-checks every inferred region in its one pilot walk
-// (machine.CheckReductionPilot) and drops any region the pilot refutes —
-// belt and braces, like the τ-cycle demotion.
+// trusts this proof as it stands; the tests replay the masked pairs
+// through machine.ValidateIndependence, which fails when two threads
+// inside one region at once run statements that do not commute.
 
 // lockRegion is one verified lock with its per-statement held sets.
 type lockRegion struct {

@@ -66,16 +66,14 @@ func (f Finding) String() string {
 
 // Options configures one vet pass.
 type Options struct {
-	// Threads and Ops size the τ-cycle pilot instance; 0 defaults to 2.
+	// Threads and Ops size the instance the τ-cycle pilot walks and the
+	// one Reduce's heap-sufficiency check assumes; 0 defaults to 2.
 	Threads int
 	Ops     int
 	// LockBased skips the τ-cycle probe: a lock-based object spins on
 	// lock acquisition by design, and its liveness check is
 	// deadlock-freedom, not lock-freedom.
 	LockBased bool
-	// MaxPilotStates bounds the reachable-state collection of the
-	// τ-cycle probe and of Reduce's pilot walk; 0 uses the default.
-	MaxPilotStates int
 	// NoTauCycle disables the τ-cycle probe entirely (used for abstract
 	// programs, whose atomic bodies cannot spin).
 	NoTauCycle bool
