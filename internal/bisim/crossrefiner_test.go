@@ -373,20 +373,18 @@ func TestSplitterSigTableBounded(t *testing.T) {
 }
 
 // maxSplitterBytesPerState bounds TestSplitterBytesPerState. The
-// ID-column splitter allocates about 31 B/state on its system; the
-// slice-per-state splitter it replaced allocated 166 B/state.
+// splitter allocates about 40 B/state on its system; the slice-per-state
+// splitter the ID column replaced allocated 166 B/state.
 const maxSplitterBytesPerState = 56
 
-// TestSplitterBytesPerState bounds the bytes splitterOnDAG allocates per
-// state on a 120,000-state τ-DAG: signatures live once each in the
-// intern table and states hold an int32 ID, so the refinement's
-// allocation is a few int32 columns per state and transition. A
-// slice-per-state signature column (a 24-byte header plus its words for
-// every state) breaks the bound.
-func TestSplitterBytesPerState(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocates a 120,000-state system")
-	}
+// typedDAG returns a 120,000-state τ-DAG whose quotient is tiny. State s
+// has type s mod 24, and its type fixes its behaviour, as in the state
+// space of a concurrent object. Its visible step, labelled by the type's
+// letter, goes to a state of the next type, so types separate by their
+// future words over up to 24 rounds; half the states also take an inert
+// τ step to a lower state of their type, as the τ-SCC collapse numbers
+// them. The first row of states are unreachable sinks.
+func typedDAG() *lts.LTS {
 	const n, types = 120_000, 24
 	r := rand.New(rand.NewSource(1))
 	acts := lts.NewAlphabet()
@@ -395,13 +393,6 @@ func TestSplitterBytesPerState(t *testing.T) {
 	for c := range word {
 		word[c] = vis[r.Intn(len(vis))]
 	}
-	// State s has type s mod types, and its type fixes its behaviour, as
-	// in the state space of a concurrent object, whose quotient is tiny.
-	// Its visible step, labelled by the type's letter, goes to a state of
-	// the next type, so types separate by their future words over up to
-	// types rounds; half the states also take an inert τ step to a lower
-	// state of their type, as the τ-SCC collapse numbers them. The first
-	// row of states are unreachable sinks.
 	bl := lts.NewBuilder(acts)
 	bl.SetInit(n - 1)
 	bl.AddStates(n)
@@ -413,7 +404,20 @@ func TestSplitterBytesPerState(t *testing.T) {
 			bl.AddID(s, lts.Tau, c+types*(1+r.Intn(row-1)))
 		}
 	}
-	l := bl.Build()
+	return bl.Build()
+}
+
+// TestSplitterBytesPerState bounds the bytes splitterOnDAG allocates per
+// state on typedDAG: signatures live once each in the intern table and
+// states hold an int32 ID, so the refinement's allocation is a few int32
+// columns per state and transition. A slice-per-state signature column
+// (a 24-byte header plus its words for every state) breaks the bound.
+func TestSplitterBytesPerState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates a 120,000-state system")
+	}
+	l := typedDAG()
+	n := l.NumStates()
 	divergent := make([]bool, n)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -422,10 +426,36 @@ func TestSplitterBytesPerState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perState := float64(after.TotalAlloc-before.TotalAlloc) / n
+	perState := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 	t.Logf("%d states, %d transitions, %d blocks, %d rounds: %.1f B/state", n, l.NumTransitions(), p.Num, p.Rounds, perState)
 	if perState > maxSplitterBytesPerState {
 		t.Fatalf("splitter allocated %.1f B/state, bound %d", perState, maxSplitterBytesPerState)
+	}
+}
+
+// maxSplitterSignsPerState bounds TestSplitterSignsOnlyInvalidated. On
+// typedDAG the splitter computes 4.04 signatures per state; one that
+// re-signs every child of a split block and every predecessor of one,
+// as if all children were fresh blocks, computes 5.83.
+const maxSplitterSignsPerState = 4.5
+
+// TestSplitterSignsOnlyInvalidated bounds the signatures splitterOnDAG
+// computes over a run on typedDAG: a split keeps the block's label on
+// its largest child, so only the other children's members and their
+// predecessors are re-signed.
+func TestSplitterSignsOnlyInvalidated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("refines a 120,000-state system")
+	}
+	l := typedDAG()
+	_, tree, err := splitterOnDAG(context.Background(), l, make([]bool, l.NumStates()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perState := float64(tree.signed) / float64(l.NumStates())
+	t.Logf("%d signatures: %.2f per state", tree.signed, perState)
+	if perState > maxSplitterSignsPerState {
+		t.Fatalf("splitter computed %.2f signatures per state, bound %.1f", perState, maxSplitterSignsPerState)
 	}
 }
 

@@ -112,7 +112,7 @@ func ExplainContext(ctx context.Context, a, b *lts.LTS, k Kind) (*Explanation, b
 		return nil, false, err
 	}
 	cu, cv := c.stateOf[u.Init], c.stateOf[initB]
-	if tree.leafOf[cu] == tree.leafOf[cv] {
+	if tree.label[cu] == tree.label[cv] {
 		return nil, false, nil // bisimilar
 	}
 	w := &witnessExtractor{u: u, c: c.l, stateOf: c.stateOf, t: tree, shift: int32(a.NumStates())}

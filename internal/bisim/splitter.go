@@ -1,6 +1,7 @@
 package bisim
 
 import (
+	"cmp"
 	"context"
 	"slices"
 
@@ -14,21 +15,32 @@ import (
 // extraction needs: the block of state s after round r is the deepest
 // ancestor of s's leaf created in round ≤ r.
 //
+// Signatures do not name blocks by node but by label. Every leaf has one
+// label, and when a block splits its largest child keeps the block's
+// label while the others take fresh ones, so a signature that only
+// reaches the largest child stays valid without being recomputed. Each
+// label keeps a doubly linked member list in increasing state order, so
+// splits renumber deterministically and a child leaves its parent's list
+// in time proportional to its own size.
+//
 // The pool holds at most 2n−1 nodes (n leaves, each split creates ≥ 2
 // fresh children, so ≤ n−1 inner nodes) and grows as splits happen;
-// membership is a singly linked list per leaf kept in increasing state
-// order, so splits renumber deterministically.
+// labels number the leaves, so there are at most n of them.
 type splitTree struct {
 	l         *lts.LTS
 	divergent []bool
 	rounds    int
+	signed    int // signatures computed over the run
 
 	parent []int32 // node → parent node, -1 at the root
 	round  []int32 // node → creation round (0 for the root)
 
-	head, tail []int32 // node → first/last member state, -1 when inner/empty
-	next       []int32 // state → successor in its leaf's member list, -1 last
-	leafOf     []int32 // state → current leaf node
+	nodeOf []int32 // label → its current leaf node
+	head   []int32 // label → first member state, -1 when empty
+	size   []int32 // label → member count
+
+	label      []int32 // state → label of its current leaf
+	next, prev []int32 // state → neighbour in its label's member list, -1 at the ends
 }
 
 func newSplitTree(l *lts.LTS, divergent []bool) *splitTree {
@@ -38,13 +50,17 @@ func newSplitTree(l *lts.LTS, divergent []bool) *splitTree {
 		divergent: divergent,
 		parent:    []int32{-1},
 		round:     []int32{0},
-		head:      []int32{-1},
-		tail:      []int32{-1},
+		label:     make([]int32, n),
 		next:      make([]int32, n),
-		leafOf:    make([]int32, n),
+		prev:      make([]int32, n),
 	}
-	for s := 0; s < n; s++ {
-		t.appendMember(0, int32(s))
+	t.newLabel(0)
+	for s := range n {
+		t.next[s], t.prev[s] = int32(s+1), int32(s-1)
+	}
+	if n > 0 {
+		t.head[0], t.size[0] = 0, int32(n)
+		t.next[n-1] = -1
 	}
 	return t
 }
@@ -54,27 +70,25 @@ func (t *splitTree) newNode(parent, round int32) int32 {
 	id := int32(len(t.parent))
 	t.parent = append(t.parent, parent)
 	t.round = append(t.round, round)
-	t.head = append(t.head, -1)
-	t.tail = append(t.tail, -1)
 	return id
 }
 
-// appendMember links state s at the end of node's member list.
-func (t *splitTree) appendMember(node, s int32) {
-	t.leafOf[s] = node
-	t.next[s] = -1
-	if t.tail[node] >= 0 {
-		t.next[t.tail[node]] = s
-	} else {
-		t.head[node] = s
-	}
-	t.tail[node] = s
+// newLabel allocates an empty label naming leaf node.
+func (t *splitTree) newLabel(node int32) int32 {
+	id := int32(len(t.nodeOf))
+	t.nodeOf = append(t.nodeOf, node)
+	t.head = append(t.head, -1)
+	t.size = append(t.size, 0)
+	return id
 }
+
+// leaf returns the current leaf node of state s.
+func (t *splitTree) leaf(s int32) int32 { return t.nodeOf[t.label[s]] }
 
 // nodeAt returns the block of state s in the historical partition after
 // round r; r = 0 is the initial single-block partition.
 func (t *splitTree) nodeAt(s, r int32) int32 {
-	n := t.leafOf[s]
+	n := t.leaf(s)
 	for t.round[n] > r {
 		n = t.parent[n]
 	}
@@ -84,7 +98,7 @@ func (t *splitTree) nodeAt(s, r int32) int32 {
 // sepRound returns the first refinement round whose partition separates u
 // and v, or 0 when they ended in the same block (bisimilar).
 func (t *splitTree) sepRound(u, v int32) int32 {
-	if t.leafOf[u] == t.leafOf[v] {
+	if t.label[u] == t.label[v] {
 		return 0
 	}
 	// Walk v's leaf-to-root chain until it meets an ancestor of u: that
@@ -92,10 +106,10 @@ func (t *splitTree) sepRound(u, v int32) int32 {
 	// atomically in a single round, both chains leave it in the round the
 	// LCA's children were created — the first separating round.
 	anc := make(map[int32]bool, 8)
-	for n := t.leafOf[u]; n >= 0; n = t.parent[n] {
+	for n := t.leaf(u); n >= 0; n = t.parent[n] {
 		anc[n] = true
 	}
-	child := t.leafOf[v]
+	child := t.leaf(v)
 	for n := t.parent[child]; n >= 0; n = t.parent[n] {
 		if anc[n] {
 			break
@@ -103,6 +117,27 @@ func (t *splitTree) sepRound(u, v int32) int32 {
 		child = n
 	}
 	return t.round[child]
+}
+
+// move unlinks state s from its label's member list and appends it to
+// group g's list, which is being built in increasing state order.
+func (t *splitTree) move(s int32, g *splitGroup) {
+	from := t.label[s]
+	if p := t.prev[s]; p >= 0 {
+		t.next[p] = t.next[s]
+	} else {
+		t.head[from] = t.next[s]
+	}
+	if nx := t.next[s]; nx >= 0 {
+		t.prev[nx] = t.prev[s]
+	}
+	t.label[s], t.next[s], t.prev[s] = g.label, -1, g.tail
+	if g.tail >= 0 {
+		t.next[g.tail] = s
+	} else {
+		t.head[g.label] = s
+	}
+	g.tail = s
 }
 
 // sigStore is the splitter's signature column: every distinct signature
@@ -205,17 +240,28 @@ func (st *sigStore) compact(ids []int32) {
 // partition, its block numbering (canonical first-occurrence order) and
 // the round count are byte-identical to naive signature refinement, which
 // recomputes every signature every round (the oracle in the tests).
-// Within a round, only dirty states are reprocessed:
-// members of blocks split in the previous round and their predecessors
-// (the splitter queue), plus same-block τ-predecessors of states whose
-// signature changed this round (inert inheritance cascades up the DAG,
-// which increasing-ID processing order makes single-pass).
+// Within a round, only dirty states are reprocessed: members of the
+// relabelled children of blocks split in the previous round and their
+// predecessors (the splitter queue; see split), plus same-block
+// τ-predecessors of states whose signature changed this round (inert
+// inheritance cascades up the DAG, which increasing-ID processing order
+// makes single-pass).
+//
+// Invariant: the stored signature ID of every clean state is exact — it
+// is the state's signature under the current labels. A split keeps it so
+// by relabelling only what the signature of a clean state cannot name,
+// and the sweep restores it for every dirty state it visits. Hence
+// every block's members hold one ID at the start of a sweep, a block
+// splits exactly when some member's ID changes, and grouping by ID is
+// grouping by signature.
 func splitterOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partition, *splitTree, error) {
 	n := l.NumStates()
 	t := newSplitTree(l, divergent)
 
 	// Reverse-edge CSR: the predecessors of s are predSrc[predOff[s]:
-	// predOff[s+1]], a τ predecessor p stored complemented as ^p.
+	// predOff[s+1]], a τ predecessor p stored complemented as ^p and
+	// ahead of every visible one, so the inert cascade stops at the first
+	// p ≥ 0.
 	predOff := make([]int32, n+1)
 	for s := 0; s < n; s++ {
 		for _, tr := range l.Succ(int32(s)) {
@@ -227,73 +273,106 @@ func splitterOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partitio
 	}
 	predSrc := make([]int32, l.NumTransitions())
 	fill := append([]int32(nil), predOff[:n]...)
-	for s := 0; s < n; s++ {
-		for _, tr := range l.Succ(int32(s)) {
-			p := int32(s)
-			if lts.IsTau(tr.Action) {
-				p = ^p
+	for _, tau := range []bool{true, false} {
+		for s := 0; s < n; s++ {
+			for _, tr := range l.Succ(int32(s)) {
+				if lts.IsTau(tr.Action) != tau {
+					continue
+				}
+				p := int32(s)
+				if tau {
+					p = ^p
+				}
+				predSrc[fill[tr.Dst]] = p
+				fill[tr.Dst]++
 			}
-			predSrc[fill[tr.Dst]] = p
-			fill[tr.Dst]++
 		}
 	}
 
-	sigs, sigID := newSigStore(n), make([]int32, n)
-	dirty := make([]bool, n)
+	sigs := newSigStore(n)
+	sp := &splitter{
+		t:       t,
+		sigID:   make([]int32, n),
+		dirty:   make([]bool, n),
+		predOff: predOff,
+		predSrc: predSrc,
+		chNext:  fill, // spent: the CSR is built
+	}
+	sigID, dirty, label, chNext := sp.sigID, sp.dirty, t.label, sp.chNext
 	for s := range dirty {
 		dirty[s] = true
 	}
 	var (
-		sig      []uint64
-		cands    []int32
-		candSeen []bool  // node → queued in cands this round
-		groupOf  []int32 // signature ID → group, valid where stampOf matches
-		stampOf  []int32 // signature ID → stamp of the block that grouped it
-		children []int32 // group → child node
-		stamp    int32
+		sig    []uint64
+		cands  []int32 // labels whose members changed signature this round
+		signed int
 	)
 	for round := int32(1); ; round++ {
 		if err := checkCtx(ctx, "splitter refinement"); err != nil {
 			return nil, nil, err
 		}
 		cands = cands[:0]
-		if len(candSeen) < len(t.parent) {
-			candSeen = append(candSeen, make([]bool, len(t.parent)-len(candSeen))...)
+		for len(sp.chHead) < len(t.nodeOf) {
+			sp.chHead = append(sp.chHead, -1)
+			sp.chTail = append(sp.chTail, -1)
 		}
+		chHead, chTail := sp.chHead, sp.chTail
 		for s := 0; s < n; s++ {
 			if !dirty[s] {
 				continue
 			}
 			dirty[s] = false
-			sb := t.leafOf[s]
+			sb := label[s]
 			sig = sig[:0]
+			// While only is set, every step so far is inert τ into states
+			// of signature inherit, and s's signature is that one's.
+			inherit, only := int32(-1), !divergent[s]
 			for _, tr := range l.Succ(int32(s)) {
-				tb := t.leafOf[tr.Dst]
+				tb := label[tr.Dst]
 				if lts.IsTau(tr.Action) && tb == sb {
 					// Inert: inherit the τ-successor's signature. The
 					// collapse guarantees tr.Dst < s, so its ID is final
 					// for this round.
-					sig = sigs.appendWords(sig, sigID[tr.Dst])
-					continue
+					d := sigID[tr.Dst]
+					if only && (inherit < 0 || inherit == d) {
+						inherit = d
+						continue
+					}
+					sig = sigs.appendWords(sig, d)
+				} else {
+					sig = append(sig, sigPair(tr.Action, tb))
 				}
-				sig = append(sig, sigPair(tr.Action, tb))
+				only = false
 			}
-			if divergent[s] {
-				sig = append(sig, sigPair(divergenceAction, sb))
+			signed++
+			id := inherit
+			if !only || inherit < 0 {
+				if inherit >= 0 {
+					sig = sigs.appendWords(sig, inherit)
+				}
+				if divergent[s] {
+					sig = append(sig, sigPair(divergenceAction, sb))
+				}
+				id = sigs.intern(sortDedup(sig))
 			}
-			id := sigs.intern(sortDedup(sig))
 			if id == sigID[s] {
 				continue
 			}
 			sigs.assign(sigID, s, id)
-			if !candSeen[sb] {
-				candSeen[sb] = true
+			if chHead[sb] < 0 {
 				cands = append(cands, sb)
+				chHead[sb] = int32(s)
+			} else {
+				chNext[chTail[sb]] = int32(s)
 			}
+			chTail[sb], chNext[s] = int32(s), -1
 			// A same-block τ-predecessor inherits this signature; it has a
 			// higher state ID, so this round's sweep still reaches it.
 			for _, p := range predSrc[predOff[s]:predOff[s+1]] {
-				if p < 0 && t.leafOf[^p] == sb {
+				if p >= 0 {
+					break
+				}
+				if label[^p] == sb {
 					dirty[^p] = true
 				}
 			}
@@ -302,44 +381,17 @@ func splitterOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partitio
 			t.rounds = int(round)
 			break
 		}
-		slices.Sort(cands)
-		if k := sigs.tab.Len(); len(stampOf) < k {
-			groupOf = append(groupOf, make([]int32, k-len(groupOf))...)
-			stampOf = append(stampOf, make([]int32, k-len(stampOf))...)
+		// Split candidates in leaf node order, so the tree's nodes are
+		// numbered as if every child were fresh.
+		slices.SortFunc(cands, func(a, b int32) int { return cmp.Compare(t.nodeOf[a], t.nodeOf[b]) })
+		if k := sigs.tab.Len(); len(sp.stampOf) < k {
+			sp.groupOf = append(sp.groupOf, make([]int32, k-len(sp.groupOf))...)
+			sp.stampOf = append(sp.stampOf, make([]int32, k-len(sp.stampOf))...)
 		}
 		split := false
 		for _, B := range cands {
-			candSeen[B] = false
-			// Group members by signature ID, in first-occurrence order so
-			// the children and their member lists come out deterministic.
-			stamp++
-			children = children[:0]
-			for s := t.head[B]; s >= 0; s = t.next[s] {
-				if id := sigID[s]; stampOf[id] != stamp {
-					stampOf[id], groupOf[id] = stamp, int32(len(children))
-					children = append(children, -1)
-				}
-			}
-			if len(children) < 2 {
-				continue // the whole block changed its signature uniformly
-			}
-			split = true
-			for g := range children {
-				children[g] = t.newNode(B, round)
-			}
-			// Move every member to its group's child. The splitter queue:
-			// the next round reprocesses the members of the fresh blocks
-			// and every predecessor of one (p, or ^p for a τ edge).
-			s := t.head[B]
-			t.head[B], t.tail[B] = -1, -1
-			for s >= 0 {
-				next := t.next[s]
-				t.appendMember(children[groupOf[sigID[s]]], s)
-				dirty[s] = true
-				for _, p := range predSrc[predOff[s]:predOff[s+1]] {
-					dirty[max(p, ^p)] = true
-				}
-				s = next
+			if sp.split(B, round) {
+				split = true
 			}
 		}
 		if !split {
@@ -355,22 +407,153 @@ func splitterOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partitio
 			splitterRoundHook(sigs)
 		}
 	}
+	t.signed = signed
 
 	// Canonical partition: dense renumbering by first occurrence in state
-	// order, matching signature interning order exactly.
+	// order, matching signature interning order exactly. Labels and leaves
+	// are in one-to-one correspondence, so renumbering labels suffices.
 	blockOf := make([]int32, n)
-	renum := make([]int32, len(t.parent))
+	renum := make([]int32, len(t.nodeOf))
 	for i := range renum {
 		renum[i] = -1
 	}
 	var num int32
 	for s := 0; s < n; s++ {
-		leaf := t.leafOf[s]
-		if renum[leaf] < 0 {
-			renum[leaf] = num
+		L := label[s]
+		if renum[L] < 0 {
+			renum[L] = num
 			num++
 		}
-		blockOf[s] = renum[leaf]
+		blockOf[s] = renum[L]
 	}
 	return &Partition{BlockOf: blockOf, Num: int(num), Rounds: t.rounds}, t, nil
+}
+
+// splitter is the state a split reads and writes beyond the tree.
+type splitter struct {
+	t                *splitTree
+	sigID            []int32 // state → signature ID
+	dirty            []bool  // state → re-sign in the next sweep
+	predOff, predSrc []int32 // reverse-edge CSR (see splitterOnDAG)
+	groupOf          []int32 // signature ID → group, valid where stampOf matches
+	stampOf          []int32 // signature ID → stamp of the block that grouped it
+	stamp            int32
+	groups           []splitGroup
+
+	// The members whose signature changed this round, per label in
+	// increasing state order: a list from chHead through chNext to
+	// chTail, or chHead = -1.
+	chHead, chTail []int32 // label → first/last changed member
+	chNext         []int32 // state → next changed member of its label, -1 last
+}
+
+// splitGroup is one child of a splitting block: its size, its label
+// and, while members move in, the tail of its member list.
+type splitGroup struct {
+	size, label, tail int32
+}
+
+// addGroup opens an empty group for the members with signature ID id.
+func (sp *splitter) addGroup(id int32) int32 {
+	g := int32(len(sp.groups))
+	sp.stampOf[id], sp.groupOf[id] = sp.stamp, g
+	sp.groups = append(sp.groups, splitGroup{tail: -1})
+	return g
+}
+
+// split splits block B by signature ID, given the list of members
+// whose signature changed this round (chHead[B]), and reports whether B
+// split. At the start of a sweep every block's members hold one ID (they
+// were grouped by it, or none changed), so the members not on the list
+// form one group and are never looked at one by one unless a changed
+// group outgrows them.
+//
+// Children are numbered in first-occurrence order over B's members, as
+// a split of every member would number them. The largest child (the
+// first on a tie) keeps B's label; each other child takes a fresh label,
+// and its members and their predecessors are re-signed in the next
+// sweep (the splitter queue). Every other state's signature stays exact:
+// a pair naming B's label now names the largest child, which is where
+// its edge still goes, and an inert τ step into the largest child stays
+// inert.
+func (sp *splitter) split(B, round int32) bool {
+	t := sp.t
+	sp.stamp++
+	sp.groups = sp.groups[:0]
+	first := sp.chHead[B]
+	sp.chHead[B] = -1
+	// Walk the changed list against B's member list: until they part,
+	// every member so far changed, and where they part m is the first
+	// member whose signature held.
+	var changed int32
+	unchanged := int32(-1) // the held members' group, once met
+	m := t.head[B]
+	for s := first; s >= 0; s = sp.chNext[s] {
+		if unchanged < 0 {
+			if m == s {
+				m = t.next[m]
+			} else {
+				unchanged = sp.addGroup(sp.sigID[m])
+			}
+		}
+		id := sp.sigID[s]
+		if sp.stampOf[id] != sp.stamp {
+			sp.addGroup(id)
+		}
+		sp.groups[sp.groupOf[id]].size++
+		changed++
+	}
+	if unchanged < 0 && m >= 0 {
+		unchanged = sp.addGroup(sp.sigID[m])
+	}
+	if unchanged >= 0 {
+		sp.groups[unchanged].size = t.size[B] - changed
+	}
+	if len(sp.groups) < 2 {
+		return false // the whole block changed its signature uniformly
+	}
+	keep := int32(0)
+	for g, gr := range sp.groups {
+		if gr.size > sp.groups[keep].size {
+			keep = int32(g)
+		}
+	}
+	parent := t.nodeOf[B]
+	for g := range sp.groups {
+		gr := &sp.groups[g]
+		node := t.newNode(parent, round)
+		if int32(g) == keep {
+			gr.label = B
+			t.nodeOf[B], t.size[B] = node, gr.size
+			continue
+		}
+		gr.label = t.newLabel(node)
+		t.size[gr.label] = gr.size
+	}
+	if keep == unchanged {
+		for s := first; s >= 0; s = sp.chNext[s] {
+			sp.relabel(s)
+		}
+		return true
+	}
+	// A changed group is the largest, so B's whole list is at most twice
+	// its size: walk it and move everyone else out.
+	for s := t.head[B]; s >= 0; {
+		next := t.next[s]
+		if sp.groupOf[sp.sigID[s]] != keep {
+			sp.relabel(s)
+		}
+		s = next
+	}
+	return true
+}
+
+// relabel moves state s to its group's child and queues it and its
+// predecessors (p, or ^p for a τ edge) for re-signing.
+func (sp *splitter) relabel(s int32) {
+	sp.t.move(s, &sp.groups[sp.groupOf[sp.sigID[s]]])
+	sp.dirty[s] = true
+	for _, p := range sp.predSrc[sp.predOff[s]:sp.predOff[s+1]] {
+		sp.dirty[max(p, ^p)] = true
+	}
 }

@@ -510,14 +510,17 @@ func (e *explorer) intern(k []byte) int32 {
 	return id
 }
 
-// newScratchState allocates a state shaped for the program.
+// newScratchState allocates a state shaped for the program. Scratch
+// states are written on every step, so each of its parts sits on cache
+// lines of its own (isolated).
 func newScratchState(p *Program, threads int) *state {
-	st := &state{
-		g:  &Global{Vars: make([]int32, len(p.Globals.Names)), Heap: make([]Node, p.HeapCap+1)},
-		th: make([]thread, threads),
-	}
+	st := isolatedNew[state]()
+	st.g = isolatedNew[Global]()
+	st.g.Vars = isolated[int32](len(p.Globals.Names), len(p.Globals.Names))
+	st.g.Heap = isolated[Node](p.HeapCap+1, p.HeapCap+1)
+	st.th = isolated[thread](threads, threads)
 	for i := range st.th {
-		st.th[i].locals = make([]int32, p.NLocals)
+		st.th[i].locals = isolated[int32](p.NLocals, p.NLocals)
 	}
 	return st
 }
@@ -676,12 +679,18 @@ func newExpander(p *Program, threads int) expander {
 		chain:    newScratchState(p, threads),
 		chainMax: threads*total + 1,
 		class:    classifyProgram(p),
+		ctx:      Ctx{outs: isolated[outcome](0, outsCap)},
 	}
 	if keyOracle.Load() > 0 {
 		x.oracle = newScratchState(p, threads)
 	}
 	return x
 }
+
+// outsCap is the outcome capacity an expander starts with, enough for
+// every statement of the shipped models; a statement with more outcomes
+// grows the buffer.
+const outsCap = 8
 
 // zeroArg is the argument list of no-argument methods.
 var zeroArg = []int32{0}

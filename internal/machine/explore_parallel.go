@@ -74,6 +74,23 @@ type pworker struct {
 	faultAt int
 }
 
+// newPWorker builds one worker. Its struct and every scratch object it
+// writes per step sit on cache lines of their own (isolated), so no two
+// workers ever write to one line.
+func newPWorker(p *Program, opt Options, cdc codec, store statecodec.Store) *pworker {
+	w := isolatedNew[pworker]()
+	w.x = newExpander(p, opt.Threads)
+	// Every worker applies the identical pruning rule inside
+	// expandState, so reduction keeps the LTS byte-identical across
+	// worker counts.
+	w.x.red = opt.Reduction
+	w.x.key = cdc.keyBuf(p, opt.Threads)
+	w.buf = cdc.keyBuf(p, opt.Threads)
+	w.cur = newScratchState(p, opt.Threads)
+	w.cdc, w.store = cdc, store
+	return w
+}
+
 // emit implements transSink: key the successor, intern it into the
 // shared store, and buffer the transition.
 func (w *pworker) emit(x *expander, tr symTrans) bool {
@@ -112,16 +129,7 @@ func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, ac
 
 	ws := make([]*pworker, workers)
 	for i := range ws {
-		ws[i] = &pworker{
-			x:     newExpander(p, opt.Threads),
-			cur:   newScratchState(p, opt.Threads),
-			cdc:   cdc,
-			store: store,
-		}
-		// Every worker applies the identical pruning rule inside
-		// expandState, so reduction keeps the LTS byte-identical across
-		// worker counts.
-		ws[i].x.red = opt.Reduction
+		ws[i] = newPWorker(p, opt, cdc, store)
 	}
 
 	info := &Info{}

@@ -137,6 +137,14 @@ func newCodec(p *Program, opt Options) codec {
 	return c
 }
 
+// keyBuf returns an empty key buffer, on cache lines of its own, long
+// enough for every key of p at the given thread count: the globals and
+// watermark, a full heap and every thread.
+func (c codec) keyBuf(p *Program, threads int) []byte {
+	bits := c.prefix + p.HeapCap*c.nodeBits + threads*c.threadBits
+	return isolated[byte](0, (bits+7)/8)
+}
+
 // encode serializes a state whose heap is canonical and whose watermark
 // is set: globals, the heap watermark, the cells up to it (a dense
 // prefix), then every thread.

@@ -77,11 +77,12 @@ type canonicalizer struct {
 }
 
 func newCanonicalizer(p *Program, heapLen int) *canonicalizer {
-	return &canonicalizer{
-		prog:    p,
-		old2new: make([]int32, heapLen),
-		newHeap: make([]Node, heapLen),
-	}
+	c := isolatedNew[canonicalizer]()
+	c.prog = p
+	c.old2new = isolated[int32](heapLen, heapLen)
+	c.order = isolated[int32](0, heapLen) // each live cell once
+	c.newHeap = isolated[Node](heapLen, heapLen)
+	return c
 }
 
 // run canonicalizes st in place.

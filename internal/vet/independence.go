@@ -447,8 +447,10 @@ func killAll(f []bool) {
 	}
 }
 
+// cloneBools copies f. The copy is never nil, even for a method without
+// locals: fixFresh reads a nil entry set as "not reached yet".
 func cloneBools(f []bool) []bool {
-	return append([]bool(nil), f...)
+	return append(make([]bool, 0, len(f)), f...)
 }
 
 // meetInto intersects src into dst, reporting whether dst shrank.
