@@ -163,7 +163,41 @@ func BenchmarkWeakPartitionQuotient(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p, _ := bisim.WeakContext(context.Background(), q)
+		p, _ := bisim.PartitionContext(context.Background(), q, bisim.KindWeak)
+		if p.Num == 0 {
+			b.Fatal("empty partition")
+		}
+	}
+}
+
+// BenchmarkDivWeakFull measures weak bisimulation with explicit
+// divergence on the full ms-queue 2×3 implementation ⊎ specification, as
+// `bbverify compare` decides it: divergence would not survive the
+// quotient, so this kind runs on the unreduced union.
+func BenchmarkDivWeakFull(b *testing.B) {
+	alg, err := algorithms.ByID("ms-queue")
+	if err != nil {
+		b.Fatal(err)
+	}
+	acts := lts.NewAlphabet()
+	cfg := algorithms.Config{Threads: 2, Ops: 3, Vals: []int32{1}}
+	opts := machine.Options{Threads: 2, Ops: 3, Acts: acts}
+	impl, _, err := machine.ExploreWithInfoContext(context.Background(), alg.Build(cfg), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, _, err := machine.ExploreWithInfoContext(context.Background(), alg.Spec(cfg), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, _, err := lts.DisjointUnion(impl, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, _ := bisim.PartitionContext(context.Background(), u, bisim.KindDivWeak)
 		if p.Num == 0 {
 			b.Fatal("empty partition")
 		}

@@ -37,17 +37,23 @@ func checkCtx(ctx context.Context, stage string) error {
 // divergenceAction is the synthetic visible action used to encode
 // divergence when computing divergence-sensitive branching bisimulation.
 // It is never interned into an Alphabet; the ID is chosen outside any
-// realistic alphabet range and only lives inside signature pairs.
+// realistic alphabet range and only lives inside signature pairs and the
+// τ-free systems of strong and weak refinement.
 const divergenceAction lts.ActionID = 1<<30 - 1
 
-// checkDivergenceReserve guards the reserved δ action ID: if an alphabet
-// ever grew to n ≥ divergenceAction interned actions, a genuine action
-// would silently collide with δ inside divergence-sensitive signatures
-// and corrupt the partition. The guard fails loudly instead; it is called
-// wherever δ signature pairs are built.
-func checkDivergenceReserve(n int) {
-	if lts.ActionID(n) > divergenceAction {
-		panic(fmt.Sprintf("bisim: alphabet with %d actions collides with the reserved divergence action ID %d", n, divergenceAction))
+// tauHat is the synthetic visible action τ̂ that stands for τ in the
+// τ-free systems strong and weak refinement run on (strong, saturate).
+// Like δ it never comes from an Alphabet.
+const tauHat lts.ActionID = 1<<30 - 2
+
+// checkReservedActions guards the reserved action IDs τ̂ and δ: if an
+// alphabet ever grew to n > τ̂ interned actions, a genuine action would
+// silently collide with τ̂ or δ and corrupt the partition. The guard
+// fails loudly instead; it is called wherever δ signature pairs or a
+// τ-free system are built.
+func checkReservedActions(n int) {
+	if lts.ActionID(n) > tauHat {
+		panic(fmt.Sprintf("bisim: alphabet with %d actions collides with the reserved action IDs %d (τ̂) and %d (δ)", n, tauHat, divergenceAction))
 	}
 }
 
@@ -92,7 +98,7 @@ type tauCollapse struct {
 // those states a visible δ self-loop.
 func collapse(l *lts.LTS, divSensitive bool) *tauCollapse {
 	if divSensitive {
-		checkDivergenceReserve(l.Acts.Len())
+		checkReservedActions(l.Acts.Len())
 	}
 	scc := lts.TauSCCs(l)
 	cl, stateOf := lts.CollapseTauSCCs(l, scc)

@@ -30,7 +30,7 @@ func TestCancelBeforeRefinement(t *testing.T) {
 	cancel()
 
 	checks := map[string]func() error{
-		"strong": func() error { _, err := StrongContext(ctx, l); return err },
+		"strong": func() error { _, err := PartitionContext(ctx, l, KindStrong); return err },
 		"branching": func() error {
 			_, err := BranchingContext(ctx, l)
 			return err
@@ -39,7 +39,8 @@ func TestCancelBeforeRefinement(t *testing.T) {
 			_, err := DivergenceSensitiveBranchingContext(ctx, l)
 			return err
 		},
-		"weak": func() error { _, err := WeakContext(ctx, l); return err },
+		"weak":     func() error { _, err := PartitionContext(ctx, l, KindWeak); return err },
+		"div-weak": func() error { _, err := PartitionContext(ctx, l, KindDivWeak); return err },
 		"reduce": func() error {
 			_, _, err := ReduceBranchingContext(ctx, l)
 			return err

@@ -74,6 +74,176 @@ func branchingOnDAG(ctx context.Context, l *lts.LTS, divergent []bool) (*Partiti
 	}
 }
 
+// uniform returns the single-block partition over n states.
+func uniform(n int) *Partition {
+	return &Partition{BlockOf: make([]int32, n), Num: 1}
+}
+
+// naiveRefine is naive signature refinement, the byte-identity oracle
+// for strong and weak refinement: every round recomputes every state's
+// signature with sig, which appends the state's (action, block) pairs
+// under the current partition, and numbers the (block, signature) keys
+// by first occurrence in state order in a fresh map.
+func naiveRefine(n int, sig func(s int, blockOf []int32, dst []uint64) []uint64) *Partition {
+	p := uniform(n)
+	var (
+		ws  []uint64
+		key []byte
+	)
+	for rounds := 1; ; rounds++ {
+		table := make(map[string]int32)
+		next := make([]int32, n)
+		for s := 0; s < n; s++ {
+			ws = sig(s, p.BlockOf, ws[:0])
+			slices.Sort(ws)
+			ws = slices.Compact(ws)
+			key = binary.LittleEndian.AppendUint32(key[:0], uint32(p.BlockOf[s]))
+			for _, w := range ws {
+				key = binary.LittleEndian.AppendUint64(key, w)
+			}
+			id, ok := table[string(key)]
+			if !ok {
+				id = int32(len(table))
+				table[string(key)] = id
+			}
+			next[s] = id
+		}
+		if len(table) == p.Num {
+			p.Rounds = rounds
+			return p
+		}
+		p = &Partition{BlockOf: next, Num: len(table)}
+	}
+}
+
+// oraclePair packs an (action, block) signature pair for the oracles.
+func oraclePair(a lts.ActionID, block int32) uint64 {
+	return uint64(uint32(a))<<32 | uint64(uint32(block))
+}
+
+// strongOracle is naive strong refinement of l: the signature of s is
+// {(a, P(t)) | s --a--> t}, τ included.
+func strongOracle(l *lts.LTS) *Partition {
+	return naiveRefine(l.NumStates(), func(s int, blockOf []int32, dst []uint64) []uint64 {
+		for _, tr := range l.Succ(int32(s)) {
+			dst = append(dst, oraclePair(tr.Action, blockOf[tr.Dst]))
+		}
+		return dst
+	})
+}
+
+// oracleDelta is the weak oracle's divergence action, outside every
+// alphabet.
+const oracleDelta lts.ActionID = -1
+
+// weakOracle is naive weak refinement of l itself, with explicit
+// divergence when div: the signature of s is
+//
+//	{(τ, P(t)) | s ⇒ t} ∪ {(a, P(t)) | s ⇒ u --a--> v ⇒ t, a visible}
+//	∪ {(δ, P(t)) | s ⇒ u ⇒ t, u on a τ-cycle}   (when div)
+//
+// The weak steps are found once, by a breadth-first τ-closure of every
+// state, and each round maps their targets to blocks.
+func weakOracle(l *lts.LTS, div bool) *Partition {
+	n := l.NumStates()
+	closure := make([][]int32, n)
+	seen := make([]int, n)
+	for s := range seen {
+		seen[s] = -1
+	}
+	for s := 0; s < n; s++ {
+		cl := []int32{int32(s)}
+		seen[s] = s
+		for i := 0; i < len(cl); i++ {
+			for _, tr := range l.Succ(cl[i]) {
+				if lts.IsTau(tr.Action) && seen[tr.Dst] != s {
+					seen[tr.Dst] = s
+					cl = append(cl, tr.Dst)
+				}
+			}
+		}
+		slices.Sort(cl)
+		closure[s] = cl
+	}
+	// u is on a τ-cycle iff a τ-successor of u reaches u again.
+	onCycle := make([]bool, n)
+	for u := 0; u < n; u++ {
+		for _, tr := range l.Succ(int32(u)) {
+			if _, ok := slices.BinarySearch(closure[tr.Dst], int32(u)); ok && lts.IsTau(tr.Action) {
+				onCycle[u] = true
+			}
+		}
+	}
+	// steps[s] holds (a, t) for every weak step s =a=> t, grouped by a.
+	steps := make([][]uint64, n)
+	var (
+		edges []uint64 // (a, v) for every s ⇒ u --a--> v, a visible
+		hit   = make([]int, n)
+		epoch int
+	)
+	for s := 0; s < n; s++ {
+		var st []uint64
+		add := func(a lts.ActionID, ts []int32) {
+			for _, t := range ts {
+				if hit[t] != epoch {
+					hit[t] = epoch
+					st = append(st, oraclePair(a, t))
+				}
+			}
+		}
+		epoch++
+		add(lts.Tau, closure[s])
+		epoch++
+		edges = edges[:0]
+		for _, u := range closure[s] {
+			if div && onCycle[u] {
+				add(oracleDelta, closure[u])
+			}
+			for _, tr := range l.Succ(u) {
+				if !lts.IsTau(tr.Action) {
+					edges = append(edges, oraclePair(tr.Action, tr.Dst))
+				}
+			}
+		}
+		slices.Sort(edges)
+		act := lts.Tau
+		for _, e := range slices.Compact(edges) {
+			if a := lts.ActionID(e >> 32); a != act {
+				act = a
+				epoch++
+			}
+			add(act, closure[int32(uint32(e))])
+		}
+		steps[s] = st
+	}
+	// mark[b] == stamp when block b is already paired with the current
+	// action of the current state.
+	mark, stamp := make([]int, n), 0
+	return naiveRefine(n, func(s int, blockOf []int32, dst []uint64) []uint64 {
+		act := ^uint64(0) // no action: w>>32 < 1<<32
+		for _, w := range steps[s] {
+			if w>>32 != act {
+				act = w >> 32
+				stamp++
+			}
+			if b := blockOf[int32(uint32(w))]; mark[b] != stamp {
+				mark[b] = stamp
+				dst = append(dst, act<<32|uint64(uint32(b)))
+			}
+		}
+		return dst
+	})
+}
+
+// kindOracle computes the strong, weak or div-weak partition of l with
+// the naive oracles.
+func kindOracle(l *lts.LTS, k Kind) *Partition {
+	if k == KindStrong {
+		return strongOracle(l)
+	}
+	return weakOracle(l, k == KindDivWeak)
+}
+
 // samePartition reports whether the two partitions are byte-identical —
 // same block IDs (not merely the same equivalence), same block count,
 // same number of refinement rounds. The splitter canonicalizes block IDs
@@ -128,6 +298,82 @@ func TestCrossRefinerTableIIPartitions(t *testing.T) {
 					t.Errorf("%s (%s, div=%v): signature %d blocks/%d rounds, splitter %d blocks/%d rounds",
 						a.ID, p.Name, div, sig.Num, sig.Rounds, spl.Num, spl.Rounds)
 				}
+			}
+		}
+	}
+}
+
+// TestCrossRefinerTableVIIPartitions compares strong and weak refinement
+// with the signature oracles on the eight Table VII rows at their quick
+// sizes: strong, weak and divergence-sensitive weak bisimulation of the
+// implementation ⊎ specification, and weak bisimulation of the union of
+// their branching quotients (how Table VII decides ~w). The partitions
+// must be byte-identical.
+func TestCrossRefinerTableVIIPartitions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exploration-heavy")
+	}
+	rows := []struct {
+		id             string
+		threads, ops   int
+		singleValQueue bool
+	}{
+		{"ms-queue", 2, 3, true},
+		{"dglm-queue", 2, 3, true},
+		{"hw-queue", 2, 2, true},
+		{"hm-list", 2, 2, false},
+		{"lazy-list", 2, 2, false},
+		{"ccas", 3, 1, false},
+		{"treiber", 2, 2, false},
+		{"hsy-stack", 2, 2, false},
+	}
+	ctx := context.Background()
+	for _, r := range rows {
+		a, err := algorithms.ByID(r.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := algorithms.Config{Threads: r.threads, Ops: r.ops}
+		if r.singleValQueue {
+			cfg.Vals = []int32{1}
+		}
+		acts := lts.NewAlphabet()
+		var sys [2]*lts.LTS
+		for i, p := range []*machine.Program{a.Build(cfg), a.Spec(cfg)} {
+			sys[i], _, err = machine.ExploreWithInfoContext(ctx, p, machine.Options{Threads: r.threads, Ops: r.ops, Acts: acts, Workers: 1})
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+		}
+		u, _, err := lts.DisjointUnion(sys[0], sys[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var quo [2]*lts.LTS
+		for i, l := range sys {
+			if quo[i], _, err = ReduceBranchingContext(ctx, l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		qu, _, err := lts.DisjointUnion(quo[0], quo[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := []struct {
+			name string
+			l    *lts.LTS
+			k    Kind
+		}{
+			{"impl⊎spec", u, KindStrong},
+			{"impl⊎spec", u, KindWeak},
+			{"impl⊎spec", u, KindDivWeak},
+			{"quotient union", qu, KindWeak},
+		}
+		for _, c := range cases {
+			sig, spl := kindOracle(c.l, c.k), mustPartition(t, c.l, c.k)
+			if !samePartition(sig, spl) {
+				t.Errorf("%s %d×%d %s (%v, %d states): signature %d blocks/%d rounds, splitter %d blocks/%d rounds",
+					r.id, r.threads, r.ops, c.name, c.k, c.l.NumStates(), sig.Num, sig.Rounds, spl.Num, spl.Rounds)
 			}
 		}
 	}
@@ -190,8 +436,10 @@ func crossLTS(seed int64) *lts.LTS {
 
 // TestCrossRefinerPartitionsIdentical: on random systems with τ-cycles,
 // divergent states, duplicate edges, wide action IDs and long chains, the
-// splitter and the signature oracle produce byte-identical partitions for
-// both branching and divergence-sensitive branching bisimulation.
+// splitter and the signature oracles produce byte-identical partitions
+// for all five kinds: branching and divergence-sensitive branching
+// bisimulation, and strong, weak and divergence-sensitive weak
+// bisimulation.
 func TestCrossRefinerPartitionsIdentical(t *testing.T) {
 	maxRounds, divergent := 0, 0
 	for seed := int64(0); seed < 400; seed++ {
@@ -206,6 +454,13 @@ func TestCrossRefinerPartitionsIdentical(t *testing.T) {
 					seed, div, sig.Num, sig.Rounds, spl.Num, spl.Rounds)
 			}
 			maxRounds = max(maxRounds, spl.Rounds)
+		}
+		for _, k := range []Kind{KindStrong, KindWeak, KindDivWeak} {
+			sig, spl := kindOracle(l, k), mustPartition(t, l, k)
+			if !samePartition(sig, spl) {
+				t.Fatalf("seed %d %v: signature %d blocks/%d rounds, splitter %d blocks/%d rounds",
+					seed, k, sig.Num, sig.Rounds, spl.Num, spl.Rounds)
+			}
 		}
 	}
 	if maxRounds <= 100 || divergent < 40 {

@@ -2,10 +2,9 @@
 // verification framework: strong bisimulation, branching bisimulation
 // (van Glabbeek–Weijland), divergence-sensitive branching bisimulation and
 // weak bisimulation (Milner), plus quotient construction (Definition 5.1
-// of the paper) and distinguishing experiments. Strong and weak
-// bisimulation use signature-based partition refinement; both branching
-// kinds use one splitting-tree refiner (splitter.go), whose split history
-// also yields the distinguishing experiments.
+// of the paper) and distinguishing experiments. All five kinds run on one
+// splitting-tree refiner (splitter.go), whose split history also yields
+// the distinguishing experiments.
 //
 // Branching bisimulation is computed after collapsing τ-SCCs, which is
 // sound because all states on a τ-cycle are branching bisimilar
@@ -18,6 +17,11 @@
 // a fresh visible self-loop δ. In a finite system an infinite τ-path must
 // enter a τ-cycle, so divergence is exactly reachability of a divergent
 // SCC, and the δ loops make the refinement divergence-aware.
+//
+// Strong, weak and divergence-sensitive weak bisimulation are the
+// splitter's refinement of a system without τ edges: strong runs on a
+// copy whose τ is the reserved visible action τ̂, and the weak kinds run
+// on the τ-saturation of the branching quotient (weak.go).
 package bisim
 
 import (
@@ -43,17 +47,11 @@ type Partition struct {
 // SameBlock reports whether two states are equivalent under the partition.
 func (p *Partition) SameBlock(a, b int32) bool { return p.BlockOf[a] == p.BlockOf[b] }
 
-// uniform returns the single-block partition over n states.
-func uniform(n int) *Partition {
-	return &Partition{BlockOf: make([]int32, n), Num: 1}
-}
-
 // sigIntern numbers signatures — sorted, deduplicated uint64 words,
 // each an (action<<32 | block) pair — densely in first-occurrence order.
 // Keys live in a pointer-free statecodec.Table, the one behind every
 // state store, as their little-endian bytes; hashWords supplies the
-// table's hash. Strong and weak refinement start a fresh one per round;
-// the splitter keeps one for the whole run (sigStore).
+// table's hash. The splitter keeps one for the whole run (sigStore).
 type sigIntern struct {
 	tab statecodec.Table
 	buf []byte // scratch for the key bytes
@@ -107,38 +105,26 @@ func sortDedup(sig []uint64) []uint64 {
 	return out
 }
 
-// blockKey finishes a (block, signature) key for strong and weak
-// refinement: key[0] is the state's current block and key[1:] its
-// signature pairs, which blockKey sorts and deduplicates in place.
-func blockKey(key []uint64) []uint64 {
-	return key[:1+len(sortDedup(key[1:]))]
-}
-
-// StrongContext computes the strong bisimulation partition of l: τ is
-// treated as an ordinary action. The refinement loop polls ctx once per
-// round and returns a *CanceledError when it is done.
-func StrongContext(ctx context.Context, l *lts.LTS) (*Partition, error) {
+// strong computes the strong bisimulation partition of l: τ is an
+// ordinary action. The splitter refines the copy of l in which τ is the
+// visible τ̂: no step of the copy is inert, so its signatures are the
+// strong ones and its level-synchronized rounds those of naive signature
+// refinement.
+func strong(ctx context.Context, l *lts.LTS) (*Partition, error) {
+	checkReservedActions(l.Acts.Len())
 	n := l.NumStates()
-	p := uniform(n)
-	var key []uint64
-	for rounds := 1; ; rounds++ {
-		if err := checkCtx(ctx, "strong refinement"); err != nil {
-			return nil, err
-		}
-		var table sigIntern
-		next := make([]int32, n)
-		for s := 0; s < n; s++ {
-			key = append(key[:0], uint64(p.BlockOf[s]))
-			for _, tr := range l.Succ(int32(s)) {
-				key = append(key, sigPair(tr.Action, p.BlockOf[tr.Dst]))
+	b := lts.NewCSRBuilder(l.Acts, nil)
+	b.Reserve(n, l.NumTransitions())
+	var row []lts.Transition
+	for s := range int32(n) {
+		row = append(row[:0], l.Succ(s)...)
+		for i := range row {
+			if lts.IsTau(row[i].Action) {
+				row[i].Action = tauHat
 			}
-			next[s] = table.intern(blockKey(key))
 		}
-		num := table.tab.Len()
-		if num == p.Num {
-			p.Rounds = rounds
-			return p, nil
-		}
-		p = &Partition{BlockOf: next, Num: num}
+		b.EmitRow(s, row) // rows arrive in increasing order, so it cannot fail
 	}
+	p, _, err := splitterOnDAG(ctx, b.Build(n, l.Init), make([]bool, n))
+	return p, err
 }

@@ -67,19 +67,21 @@ func (k Kind) String() string {
 }
 
 // PartitionContext computes the partition of l under the bisimulation
-// notion k, with cancellation like the per-kind entry points.
+// notion k; it is the entry point for strong, weak and divergence-
+// sensitive weak bisimulation. The refinement polls ctx once per round
+// and returns a *CanceledError when it is done.
 func PartitionContext(ctx context.Context, l *lts.LTS, k Kind) (*Partition, error) {
 	switch k {
 	case KindStrong:
-		return StrongContext(ctx, l)
+		return strong(ctx, l)
 	case KindBranching:
 		return BranchingContext(ctx, l)
 	case KindDivBranching:
 		return DivergenceSensitiveBranchingContext(ctx, l)
 	case KindWeak:
-		return WeakContext(ctx, l)
+		return weak(ctx, l, false)
 	case KindDivWeak:
-		return DivergenceSensitiveWeakContext(ctx, l)
+		return weak(ctx, l, true)
 	default:
 		return nil, fmt.Errorf("bisim: unknown kind %v", k)
 	}

@@ -2,106 +2,121 @@ package bisim
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/lts"
 )
 
-// WeakContext computes the weak bisimulation partition of l (Milner's ≈w, as
-// discussed in Section VII of the paper). Weak bisimulation matches a τ
-// step by any number of τ steps and a visible step a by τ* a τ*, without
-// the branching-bisimulation requirement that intermediate states remain
-// related.
+// weak computes the weak bisimulation partition of l (Milner's ~w, as
+// discussed in Section VII of the paper), or, when divSensitive, weak
+// bisimulation with explicit divergence (the "~w with explicit
+// divergence" of Section VII). Weak bisimulation matches a τ step by any
+// number of τ steps and a visible step a by τ* a τ*, without the
+// branching-bisimulation requirement that intermediate states remain
+// related; with explicit divergence, related states must also agree on
+// the ability to diverge.
 //
-// The computation materializes the τ-closure of every state, so it is
-// intended for moderately sized systems (the paper's Table VII instances);
-// branching bisimulation should be preferred at scale. The refinement
-// loop polls ctx once per round and returns a *CanceledError when it is
-// done.
-func WeakContext(ctx context.Context, l *lts.LTS) (*Partition, error) {
-	return weak(ctx, l, false)
-}
-
-// DivergenceSensitiveWeakContext computes weak bisimulation with
-// explicit divergence (the "~w with explicit divergence" of Section VII):
-// states on τ-cycles are additionally marked with a fresh visible
-// self-loop δ before refinement, so related states must agree on the
-// ability to diverge. Cancellation is as for WeakContext.
-func DivergenceSensitiveWeakContext(ctx context.Context, l *lts.LTS) (*Partition, error) {
-	return weak(ctx, l, true)
-}
-
+// Both are computed on the branching quotient: ≈ ⊆ ~w and ≈div ⊆ ~w-div,
+// so every round of naive weak refinement is coarser than ≈ (≈div), and
+// refining the quotient yields the same partitions round by round. The
+// quotient's τ-saturation (saturate) turns weak into strong refinement,
+// which the splitter runs; the result is lifted back and renumbered by
+// first occurrence over l's states, as naive refinement numbers blocks.
+// Only the quotient is saturated, so the τ-closures stay small even when
+// l is large.
 func weak(ctx context.Context, l *lts.LTS, divSensitive bool) (*Partition, error) {
-	if divSensitive {
-		checkDivergenceReserve(l.Acts.Len())
+	checkReservedActions(l.Acts.Len())
+	bp, err := branching(ctx, l, divSensitive)
+	if err != nil {
+		return nil, err
 	}
-	n := l.NumStates()
-	closure := tauClosures(l)
-	divergent := make([]bool, n)
+	q := lts.Lift(l, bp.BlockOf, bp.Num)
+	divergent := make([]bool, bp.Num)
 	if divSensitive {
 		scc := lts.TauSCCs(l)
-		for s := 0; s < n; s++ {
-			divergent[s] = scc.Divergent[scc.Comp[s]]
+		for s, b := range bp.BlockOf {
+			divergent[b] = divergent[b] || scc.Divergent[scc.Comp[s]]
 		}
 	}
-	p := uniform(n)
-	var (
-		key      []uint64
-		blockSet = make([]bool, 0)
-	)
-	// blocksOf collects the distinct blocks of a state's τ-closure.
-	blocksOf := func(s int32, pb []int32, dst []uint64, act lts.ActionID) []uint64 {
-		if cap(blockSet) < p.Num {
-			blockSet = make([]bool, p.Num)
-		}
-		bs := blockSet[:p.Num]
-		for _, t := range closure[s] {
-			bs[pb[t]] = true
-		}
-		for b, ok := range bs {
-			if ok {
-				dst = append(dst, sigPair(act, int32(b)))
-				bs[b] = false
-			}
-		}
-		return dst
+	qp, _, err := splitterOnDAG(ctx, saturate(q, divergent), make([]bool, bp.Num))
+	if err != nil {
+		return nil, err
 	}
-	for rounds := 1; ; rounds++ {
-		if err := checkCtx(ctx, "weak refinement"); err != nil {
-			return nil, err
-		}
-		var table sigIntern
-		next := make([]int32, n)
-		for s := 0; s < n; s++ {
-			key = append(key[:0], uint64(p.BlockOf[s]))
-			// (τ, P(t)) for every s ⇒ t, including t = s.
-			key = blocksOf(int32(s), p.BlockOf, key, lts.Tau)
-			// (a, P(t)) for every s ⇒ u --a--> v ⇒ t with a visible.
-			// A divergent u contributes a δ self-loop: s ⇒ u --δ--> u ⇒ t.
-			for _, u := range closure[int32(s)] {
-				if divergent[u] {
-					key = blocksOf(u, p.BlockOf, key, divergenceAction)
-				}
-				for _, tr := range l.Succ(u) {
-					if lts.IsTau(tr.Action) {
-						continue
-					}
-					key = blocksOf(tr.Dst, p.BlockOf, key, tr.Action)
-				}
-			}
-			next[s] = table.intern(blockKey(key))
-		}
-		num := table.tab.Len()
-		if num == p.Num {
-			p.Rounds = rounds
-			return p, nil
-		}
-		p = &Partition{BlockOf: next, Num: num}
+	renum := make([]int32, qp.Num)
+	for i := range renum {
+		renum[i] = -1
 	}
+	blockOf := make([]int32, len(bp.BlockOf))
+	var num int32
+	for s, b := range bp.BlockOf {
+		qb := qp.BlockOf[b]
+		if renum[qb] < 0 {
+			renum[qb] = num
+			num++
+		}
+		blockOf[s] = renum[qb]
+	}
+	return &Partition{BlockOf: blockOf, Num: int(num), Rounds: qp.Rounds}, nil
 }
 
-// tauClosures returns, for every state, the sorted list of states
-// reachable by zero or more τ steps. τ-SCCs are collapsed first so each
-// closure is computed once per component and shared.
+// saturate returns the τ-free system whose strong bisimilarity is weak
+// bisimilarity of l, with explicit divergence at the divergent states:
+//
+//	s --τ̂--> t  for every t ∈ τ*(s), s itself included;
+//	s --a--> t  for every s ⇒ u --a--> v ⇒ t with a visible;
+//	s --δ--> t  for every s ⇒ u ⇒ t with u divergent.
+//
+// Each state's edges are distinct.
+func saturate(l *lts.LTS, divergent []bool) *lts.LTS {
+	n := l.NumStates()
+	closure := tauClosures(l)
+	b := lts.NewCSRBuilder(l.Acts, nil)
+	// seen[t] == stamp marks the targets already emitted for the current
+	// (state, action) pair.
+	seen := make([]int32, n)
+	stamp := int32(0)
+	emit := func(a lts.ActionID, from []int32) {
+		for _, t := range from {
+			if seen[t] != stamp {
+				seen[t] = stamp
+				b.Emit(a, lts.NoLabel, t)
+			}
+		}
+	}
+	var steps []uint64 // (a<<32 | v) for every s ⇒ u --a--> v, sorted
+	for s := range int32(n) {
+		b.BeginState(s) // states arrive in increasing order, so it cannot fail
+		stamp++
+		emit(tauHat, closure[s])
+		stamp++
+		steps = steps[:0]
+		for _, u := range closure[s] {
+			if divergent[u] {
+				emit(divergenceAction, closure[u])
+			}
+			for _, tr := range l.Succ(u) {
+				if !lts.IsTau(tr.Action) {
+					steps = append(steps, uint64(tr.Action)<<32|uint64(tr.Dst))
+				}
+			}
+		}
+		slices.Sort(steps)
+		prev := lts.Tau
+		for _, st := range slices.Compact(steps) {
+			if a := lts.ActionID(st >> 32); a != prev {
+				prev = a
+				stamp++
+			}
+			emit(prev, closure[int32(uint32(st))])
+		}
+	}
+	return b.Build(n, l.Init)
+}
+
+// tauClosures returns, for every state, the list of states reachable by
+// zero or more τ steps. τ-SCCs are collapsed first so each closure is
+// computed once per component and shared. Its only caller, saturate, runs
+// on a branching quotient, where the closures are short.
 func tauClosures(l *lts.LTS) [][]int32 {
 	scc := lts.TauSCCs(l)
 	nc := scc.NumComps
