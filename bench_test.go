@@ -92,7 +92,7 @@ func BenchmarkExploreMSQueue(b *testing.B) {
 // generation-bound workloads of the paper's sweeps — the MS queue
 // (~250k states at 2x3 with one value) and the HM list — so the
 // parallel-BFS speedup lands in the bench trajectory. w1 is the
-// sequential baseline; every worker count produces the identical LTS.
+// one-worker baseline; every worker count produces the identical LTS.
 func BenchmarkExploreParallel(b *testing.B) {
 	cases := []struct {
 		id           string

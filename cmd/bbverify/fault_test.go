@@ -25,7 +25,7 @@ func TestMain(m *testing.M) {
 }
 
 // TestCheckModelFaultExitsCleanly runs `bbverify check -model` on a model
-// that dereferences nil at run time, sequentially and in parallel: the
+// that dereferences nil at run time, at one worker and at two: the
 // command exits 1 with the source position on stderr and no goroutine
 // dump.
 func TestCheckModelFaultExitsCleanly(t *testing.T) {

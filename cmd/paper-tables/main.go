@@ -33,7 +33,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("paper-tables", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "run reduced instances (fast demo)")
 	maxStates := fs.Int("max-states", 0, "per-instance state budget (0 = default)")
-	workers := fs.Int("workers", 0, "exploration workers (0 = all cores, 1 = sequential)")
+	workers := fs.Int("workers", 0, "exploration workers (0 = all cores, 1 = one worker)")
 	stages := fs.Bool("stages", false, "print per-stage runtime totals after each exhibit")
 	membudget := fs.String("membudget", "", "resident state-storage budget per exploration, e.g. 2GiB; past it, state storage spills to temp files (default: all in RAM) — exhibit contents are identical for any budget")
 	reduction := fs.Bool("reduction", false, "enable the static tau-confluence partial-order reduction in every exploration (verdicts and quotients are identical; raw state counts shrink for IR-carrying programs)")

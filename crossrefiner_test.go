@@ -9,7 +9,7 @@ import (
 // TestCrossRefinerExplainDeterministicAcrossWorkers pins satellite
 // determinism: the rendered distinguishing experiment for the same
 // inequivalent pair is byte-identical whether the state spaces were
-// explored sequentially or with 8 workers.
+// explored with one worker or with 8.
 func TestCrossRefinerExplainDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration-heavy")

@@ -121,7 +121,7 @@ var registryDigests = []ltsDigest{
 	{"treiber-versioned", "spec", 2, 2, "4eff46366842005e01a51756547eb49c6d0d3c3ba2e9552cf63f5ee5d172f62b", "79d7d68f7dd85a081d7374312132b3b1bbce11d9f0db2ad1f98796d1ef517b58"},
 }
 
-// exportDigests explores p sequentially with no layout and hashes its
+// exportDigests explores p with one worker and no layout and hashes its
 // AUT and DOT exports.
 func exportDigests(t *testing.T, p *machine.Program, threads, ops int) (aut, dot string) {
 	t.Helper()

@@ -52,8 +52,9 @@ type JobSpec struct {
 	Ops     int `json:"ops"`
 	// MaxStates caps exploration; 0 uses machine.DefaultMaxStates.
 	MaxStates int `json:"max_states,omitempty"`
-	// Workers is the exploration worker count (0 = all cores); it never
-	// changes the result, only wall-clock time.
+	// Workers is the exploration worker count (0 = all cores, 1 = one
+	// worker), at most MaxWorkers; it never changes the result, only
+	// wall-clock time.
 	Workers int `json:"workers,omitempty"`
 	// Refiner is accepted so that stored specs keep decoding under
 	// DisallowUnknownFields; it must still be "", "auto", "signature" or
@@ -244,6 +245,13 @@ func (s *JobSpec) Normalize() {
 // docs, tests and benchmark submit are 2×8 and 3×3.
 const MaxTotalOps = 64
 
+// MaxWorkers bounds the exploration worker count. The explorer builds
+// every requested worker's scratch (state copies, canonicalizer, key
+// buffers) before it expands a state, so an unbounded count from an
+// untrusted submission would exhaust memory there; no machine the
+// explorer targets has more cores than this.
+const MaxWorkers = 1024
+
 // Validate rejects malformed specs before they reach a worker.
 func (s *JobSpec) Validate() error {
 	_, _, err := s.validate()
@@ -266,6 +274,9 @@ func (s *JobSpec) validate() (*algorithms.Algorithm, *bbvl.Model, error) {
 	}
 	if s.MaxStates < 0 || s.Workers < 0 || s.TimeoutMS < 0 || s.MemBudgetMB < 0 {
 		return nil, nil, fmt.Errorf("api: max_states, workers, timeout_ms and mem_budget_mb must be non-negative")
+	}
+	if s.Workers > MaxWorkers {
+		return nil, nil, fmt.Errorf("api: workers must be at most %d (got %d)", MaxWorkers, s.Workers)
 	}
 	switch s.Refiner {
 	case "", "auto", "signature", "splitter":

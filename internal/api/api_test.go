@@ -113,6 +113,32 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsHugeWorkerCount pins the bound on untrusted worker
+// counts: a spec above MaxWorkers decodes, fails validation, and
+// RunBackend returns that error without starting an exploration, which
+// would build every requested worker's scratch first. The explore
+// observer panics before any worker is built, so a regression fails
+// here instead of allocating. MaxWorkers itself is valid.
+func TestValidateRejectsHugeWorkerCount(t *testing.T) {
+	defer machine.SetExploreObserver(func(*machine.Program) {
+		panic("a spec above MaxWorkers reached the explorer")
+	})()
+	spec, err := DecodeJobSpec(strings.NewReader(`{"kind":"check","algorithm":"treiber","threads":2,"ops":1,"workers":1073741824}`))
+	if err != nil {
+		t.Fatalf("decoding must not judge the worker count: %v", err)
+	}
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "workers must be at most 1024") {
+		t.Fatalf("Validate = %v, want the MaxWorkers error", err)
+	}
+	if _, err := RunBackend(context.Background(), spec, statecodec.Backend{}, nil); err == nil || !strings.Contains(err.Error(), "workers must be at most") {
+		t.Errorf("RunBackend = %v, want the MaxWorkers error", err)
+	}
+	spec.Workers = MaxWorkers
+	if err := spec.Validate(); err != nil {
+		t.Errorf("workers = MaxWorkers rejected: %v", err)
+	}
+}
+
 // TestRunKinds exercises each job kind on a small passing instance and
 // the check kind on the paper's buggy HM list, whose counterexample must
 // ride along in the result.

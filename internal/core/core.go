@@ -43,8 +43,8 @@ type Config struct {
 	// MaxStates caps each state-space generation; 0 uses the machine
 	// package default.
 	MaxStates int
-	// Workers sets the exploration worker count (0 = all cores, 1 =
-	// sequential); the generated LTSs — and hence every verdict — are
+	// Workers sets the exploration worker count (0 = all cores, 1 = one
+	// worker); the generated LTSs — and hence every verdict — are
 	// identical for any value. See machine.Options.Workers.
 	Workers int
 	// MemBudget bounds (in bytes) the resident state storage of each

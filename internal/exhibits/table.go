@@ -112,7 +112,7 @@ type Options struct {
 	// for tests and fast demos.
 	Quick bool
 	// Workers sets the state-space exploration worker count (0 = all
-	// cores, 1 = sequential). Exhibit contents are identical for any
+	// cores, 1 = one worker). Exhibit contents are identical for any
 	// value; only wall-clock time changes.
 	Workers int
 	// MemBudget bounds (in bytes) the resident state storage of each

@@ -11,9 +11,10 @@ import (
 	"repro/internal/statecodec"
 )
 
-// Parallel state-space generation: a level-synchronized BFS over a
+// State-space generation: a level-synchronized BFS over a
 // statecodec.Store (the in-memory store by default; the spilling
-// statestore when the platform wired one in via Options.Backend).
+// statestore when the platform wired one in via Options.Backend). Every
+// worker count, one included, runs this same loop.
 //
 // The frontier of each BFS level is the sequence of state keys pushed
 // during the previous level's merge, served by the store either from a
@@ -24,24 +25,27 @@ import (
 // reader), intern successor encodings into the store's sharded table,
 // and append their transitions — in symbolic form — to a per-worker
 // buffer. A single-threaded merge then walks the frontier in state
-// order, assigns IDs to newly discovered states in exactly the order
-// the sequential explorer would (frontier states ascending, transitions
-// in per-state emission order), resolves action and label IDs through
-// the same memoized interner, and bulk-appends each row to the CSR
-// builder. After the merge the level is closed: if the store is over
-// its memory budget, the closed intern-table generation spills to disk
-// — at that point every entry of the generation carries its final ID,
-// so the spill moves bytes, never decisions.
+// order and assigns IDs to newly discovered states in one fixed order:
+// frontier states ascending, and within a state its transitions in
+// emission order (expandState). It resolves action and label IDs
+// through one memoized interner in that same order, and bulk-appends
+// each row to the CSR builder. After the merge the level is closed: if
+// the store is over its memory budget, the closed intern-table
+// generation spills to disk — at that point every entry of the
+// generation carries its final ID, so the spill moves bytes, never
+// decisions.
 //
 // Consequently the produced LTS — state numbering, transition order,
-// alphabet interning, deadlock list — is identical to the sequential
-// explorer's for every worker count and every memory budget; only
-// wall-clock time and memory residency change. A model fault travels
-// through the level barrier the same way: each worker stops at its first
-// faulting state, and the merge replays the level up to the lowest
-// faulting frontier index — including the transitions that state emitted
-// before the fault, which may cross the state budget first — and then
-// returns that fault, exactly what the sequential explorer returns.
+// alphabet interning, deadlock list — is the same for every worker
+// count and every memory budget; only wall-clock time and memory
+// residency change. The state budget is checked as the merge numbers
+// each fresh state, so a level may intern past MaxStates before the
+// *StateLimitError surfaces. A model fault travels through the level
+// barrier the same way: each worker stops at its first faulting state,
+// and the merge replays the level up to the lowest faulting frontier
+// index — including the transitions that state emitted before the
+// fault, which may cross the state budget first — and then returns that
+// fault.
 
 // ptrans is one worker-recorded transition: the symbolic action plus
 // the successor's store reference, resolved to IDs during the merge.
@@ -93,10 +97,9 @@ func newPWorker(p *Program, opt Options, cdc codec, store statecodec.Store) *pwo
 
 // emit implements transSink: key the successor, intern it into the
 // shared store, and buffer the transition.
-func (w *pworker) emit(x *expander, tr symTrans) bool {
+func (w *pworker) emit(x *expander, tr symTrans) {
 	w.buf = x.successorKey(w.buf[:0], w.cdc)
 	w.trs = append(w.trs, ptrans{ref: w.store.Intern(w.buf), sym: tr})
-	return true
 }
 
 // frontierChunk is how many frontier states a worker claims at a time:
@@ -105,7 +108,7 @@ func (w *pworker) emit(x *expander, tr symTrans) bool {
 // costs.
 const frontierChunk = 64
 
-func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, acts, labels *lts.Alphabet, limit, workers int) (*lts.LTS, *Info, error) {
+func explore(ctx context.Context, p *Program, opt Options, cdc codec, acts, labels *lts.Alphabet, limit, workers int) (*lts.LTS, *Info, error) {
 	startTime := time.Now()
 	store, err := opt.Backend.OpenStore(statecodec.Config{MemBudget: opt.MemBudget, Dir: opt.SpillDir})
 	if err != nil {
@@ -135,6 +138,7 @@ func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, ac
 	info := &Info{}
 	csr := lts.NewCSRBuilder(acts, labels)
 	var row []lts.Transition
+	var rows []rowRef
 	base := 0 // ID of the first state of the current level
 	for {
 		lvl, err := store.NextLevel()
@@ -145,7 +149,12 @@ func exploreParallel(ctx context.Context, p *Program, opt Options, cdc codec, ac
 		if n == 0 {
 			break
 		}
-		rows := make([]rowRef, n)
+		// The merge reads only rows the expand phase wrote in this level
+		// (it stops at the lowest fault), so rows are reused uncleared.
+		if cap(rows) < n {
+			rows = make([]rowRef, n)
+		}
+		rows = rows[:n]
 
 		// Expand phase: workers claim chunks until the frontier is drained.
 		nw := workers

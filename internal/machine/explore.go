@@ -53,7 +53,7 @@ func canceled(ctx context.Context, prog string) error {
 // space was generated: a statement panicked (a nil or dangling
 // dereference, an exhausted heap, a foreign unlock, a goto past the end of
 // its body), Program.Init panicked, or a successor held a value outside
-// the state layout. Both explorers return the fault of the lowest state in
+// the state layout. The explorer returns the fault of the lowest state in
 // discovery order, so the error is the same for every worker count and
 // memory budget.
 type ModelFaultError struct {
@@ -136,9 +136,9 @@ func contain(fn func()) (fault any) {
 const cancelCheckMask = 1023
 
 // exploreObserver, when set, is called at the start of every exploration
-// (sequential or parallel) with the program being explored. It exists so
-// tests can prove how often the expensive generation stage actually runs
-// — e.g. that a core.Session explores each distinct program exactly once.
+// with the program being explored. It exists so tests can prove how often
+// the expensive generation stage actually runs — e.g. that a core.Session
+// explores each distinct program exactly once.
 var exploreObserver atomic.Pointer[func(p *Program)]
 
 // SetExploreObserver installs fn as the exploration observer and returns
@@ -164,10 +164,9 @@ type Options struct {
 	// MaxStates bounds the exploration; 0 means DefaultMaxStates.
 	MaxStates int
 	// Workers is the number of exploration workers: 0 uses
-	// runtime.GOMAXPROCS(0), 1 forces the sequential explorer, and larger
-	// values run the level-synchronized parallel explorer. Every worker
-	// count produces the same LTS, bit for bit (state IDs in sequential
-	// discovery order, transitions in the same order, identical alphabet
+	// runtime.GOMAXPROCS(0), and 1 is one worker. Every worker count
+	// produces the same LTS, bit for bit (state IDs in BFS discovery
+	// order, transitions in per-state emission order, identical alphabet
 	// interning), so results, quotients and verdicts never depend on it.
 	Workers int
 	// Acts supplies a shared action alphabet so that several systems
@@ -180,9 +179,8 @@ type Options struct {
 	// storage of the exploration; past it, a spill-capable Backend sheds
 	// closed intern-table generations and frontier levels to temp files.
 	// 0 keeps everything in RAM. The produced LTS is byte-identical for
-	// every budget. A positive budget routes through the store-backed
-	// explorer even when Workers == 1, and requires Backend.Open — the
-	// pure in-memory default cannot honor a budget.
+	// every budget. A positive budget requires Backend.Open — the pure
+	// in-memory default cannot honor a budget.
 	MemBudget int64
 	// SpillDir is the parent directory for spill temp files; empty uses
 	// the OS temp dir. All spill files live in a private subdirectory
@@ -287,10 +285,10 @@ type Info struct {
 // is a τ transition labeled (for diagnostics) with "t<i>.<stmt label>".
 //
 // When ctx is canceled or times out mid-exploration, it stops promptly —
-// the sequential BFS and every parallel worker poll the context — and
-// returns a *CanceledError wrapping the context cause. A model that
-// faults returns a *ModelFaultError; a state space past MaxStates returns
-// a *StateLimitError. Info carries the deadlock states and the storage
+// every worker and the level merge poll the context — and returns a
+// *CanceledError wrapping the context cause. A model that faults returns
+// a *ModelFaultError; a state space past MaxStates returns a
+// *StateLimitError. Info carries the deadlock states and the storage
 // telemetry.
 func ExploreWithInfoContext(ctx context.Context, p *Program, opt Options) (*lts.LTS, *Info, error) {
 	if err := validateOptions(p, opt); err != nil {
@@ -322,20 +320,7 @@ func ExploreWithInfoContext(ctx context.Context, p *Program, opt Options) (*lts.
 	if opt.MemBudget > 0 && opt.Backend.Open == nil {
 		return nil, nil, fmt.Errorf("machine: %s: Options.MemBudget requires a spill-capable Options.Backend (e.g. statestore.Runtime()); the in-memory default cannot honor a budget", p.Name)
 	}
-	// A memory budget needs the store-backed explorer; with one worker it
-	// produces the identical LTS, just through the state store.
-	if workers > 1 || opt.MemBudget > 0 {
-		return exploreParallel(ctx, p, opt, cdc, acts, labels, limit, workers)
-	}
-
-	e := &explorer{
-		ctx:  ctx,
-		prog: p,
-		opt:  opt,
-		cdc:  cdc,
-		ai:   newActionInterner(p, acts, labels),
-	}
-	return e.run(limit)
+	return explore(ctx, p, opt, cdc, acts, labels, limit, workers)
 }
 
 // validation helpers live on the option struct so both entry points share
@@ -377,24 +362,6 @@ func initialKey(p *Program, opt Options, cdc codec) (key []byte, err error) {
 	return key, nil
 }
 
-// explorer is the sequential state-space generator: a BFS over interned
-// canonical state encodings, emitting transitions straight into a CSR
-// builder. Its one unlocked table numbers states by entry index, which
-// is their discovery order.
-type explorer struct {
-	ctx   context.Context
-	prog  *Program
-	opt   Options
-	cdc   codec
-	ai    *actionInterner
-	tab   statecodec.Table
-	buf   []byte
-	limit int
-	err   error
-	csr   *lts.CSRBuilder
-	x     expander
-}
-
 // actKey packs (call?, thread, method, value) for the action cache.
 func actKey(call bool, t, m int, v int32) int64 {
 	k := int64(t)<<40 | int64(m)<<32 | int64(uint32(v))
@@ -406,9 +373,8 @@ func actKey(call bool, t, m int, v int32) int64 {
 
 // actionInterner resolves the symbolic transitions produced by expandState
 // to interned action and label IDs, memoized per (thread, method, value).
-// It is shared by the sequential explorer and the parallel merge; both
-// resolve transitions in the same deterministic emission order, so the
-// alphabets receive identical IDs either way.
+// The level merge resolves transitions in their deterministic emission
+// order, so the alphabets receive identical IDs for every worker count.
 type actionInterner struct {
 	prog     *Program
 	acts     *lts.Alphabet
@@ -497,19 +463,6 @@ func (ai *actionInterner) resolve(tr symTrans) (lts.ActionID, lts.LabelID) {
 	}
 }
 
-// intern interns the encoded state k, returning its ID. The state budget
-// is enforced here, at the moment the offending state is interned, so one
-// state's expansion cannot run arbitrarily far past MaxStates before the
-// error surfaces: e.err carries the StateLimitError as soon as the limit
-// is crossed and callers stop promptly.
-func (e *explorer) intern(k []byte) int32 {
-	id, fresh := e.tab.Intern(statecodec.Hash64(k), k)
-	if fresh && e.tab.Len() > e.limit && e.err == nil {
-		e.err = &StateLimitError{Program: e.prog.Name, Limit: e.limit}
-	}
-	return id
-}
-
 // newScratchState allocates a state shaped for the program. Scratch
 // states are written on every step, so each of its parts sits on cache
 // lines of its own (isolated).
@@ -523,71 +476,6 @@ func newScratchState(p *Program, threads int) *state {
 		st.th[i].locals = isolated[int32](p.NLocals, p.NLocals)
 	}
 	return st
-}
-
-func (e *explorer) run(limit int) (*lts.LTS, *Info, error) {
-	p := e.prog
-	start := time.Now()
-	e.limit = limit
-	e.x = newExpander(p, e.opt.Threads)
-	e.x.red = e.opt.Reduction
-	key, err := initialKey(p, e.opt, e.cdc)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.intern(key)
-	if e.err != nil {
-		return nil, nil, e.err
-	}
-
-	info := &Info{}
-	e.csr = lts.NewCSRBuilder(e.ai.acts, e.ai.labels)
-	cur := newScratchState(p, e.opt.Threads)
-	for si := int32(0); int(si) < e.tab.Len(); si++ {
-		if si&cancelCheckMask == 0 && e.ctx.Err() != nil {
-			return nil, nil, canceled(e.ctx, p.Name)
-		}
-		key := e.tab.Key(si)
-		e.cdc.decode(key, cur)
-		if err := e.csr.BeginState(si); err != nil {
-			return nil, nil, err
-		}
-		emitted, err := e.x.expand(cur, key, e)
-		if err != nil {
-			return nil, nil, err
-		}
-		if e.err != nil {
-			return nil, nil, e.err
-		}
-		if emitted == 0 && !allDone(cur) {
-			info.Deadlocks = append(info.Deadlocks, si)
-		}
-	}
-	info.Stats = ExploreStats{
-		States:            e.tab.Len(),
-		EncodedBytes:      e.tab.KeyBytes(),
-		PeakResidentBytes: e.tab.Bytes(),
-		PeakRSSBytes:      e.opt.Backend.ProcessPeakRSS(),
-		PrunedStates:      e.x.pruned,
-		CanonSkipped:      e.x.canonSkipped,
-		KeyPatched:        e.x.keyPatched,
-		Elapsed:           time.Since(start),
-	}
-	return e.csr.Build(e.tab.Len(), 0), info, nil
-}
-
-// emit implements transSink for the sequential explorer: key and intern
-// the successor, resolve the action, and write the transition to the
-// CSR builder. Expansion aborts once the state budget has been crossed.
-func (e *explorer) emit(x *expander, tr symTrans) bool {
-	e.buf = x.successorKey(e.buf[:0], e.cdc)
-	dst := e.intern(e.buf)
-	if e.err != nil {
-		return false
-	}
-	act, lbl := e.ai.resolve(tr)
-	e.csr.Emit(act, lbl, dst)
-	return true
 }
 
 // allDone reports whether every thread is idle with no operations left —
@@ -618,19 +506,17 @@ type symTrans struct {
 	pc   int32 // statement index, for symTau labels
 }
 
-// transSink consumes the transitions produced by expandState. emit may
-// return false to abort the expansion of the current state early (the
-// sequential explorer does so when the state budget is crossed).
+// transSink consumes the transitions produced by expandState.
 type transSink interface {
-	emit(x *expander, tr symTrans) bool
+	emit(x *expander, tr symTrans)
 }
 
 // expander bundles the per-worker scratch needed to enumerate the
 // successors of one state: the statement's mutated copy of the current
 // state (work), the per-outcome successor handed to the canonicalizer
 // (succ, rewritten in place), the statement context, and a private
-// canonicalizer. The sequential explorer owns one; every parallel worker
-// owns its own, so expansion never shares mutable state.
+// canonicalizer. Every worker owns its own, so expansion never shares
+// mutable state.
 type expander struct {
 	prog       *Program
 	work, succ *state
@@ -754,8 +640,7 @@ func (x *expander) advance(st *state, t int, out outcome) {
 // order the LTS stores them — threads ascending; within a thread, methods
 // and arguments in declaration order and statement outcomes in emission
 // order — leaving each successor in x.succ for the sink. It returns the
-// number of transitions handed to the sink (a partial count if the sink
-// aborted).
+// number of transitions handed to the sink.
 //
 // With a Reduction installed, a state with a running thread at a
 // licensed confluent statement expands to a single compressed
@@ -766,9 +651,9 @@ func (x *expander) advance(st *state, t int, out outcome) {
 // bisimilar to the chain's end (each hop is an inert confluent τ), so
 // the quotient is untouched while the skipped states never enter the
 // LTS at all. The chain is a pure function of the canonical state and
-// the artifact — a deterministic choice shared by the sequential
-// explorer and every parallel worker, keeping the reduced LTS
-// byte-identical across worker counts and memory budgets.
+// the artifact — a deterministic choice every worker makes alike,
+// keeping the reduced LTS byte-identical across worker counts and memory
+// budgets.
 func (x *expander) expandState(cur *state, sink transSink) int {
 	if x.red != nil {
 		if t := x.red.pick(cur); t >= 0 {
@@ -779,11 +664,7 @@ func (x *expander) expandState(cur *state, sink transSink) int {
 	}
 	emitted := 0
 	for t := range cur.th {
-		n, ok := x.expandThread(cur, t, sink)
-		emitted += n
-		if !ok {
-			break
-		}
+		emitted += x.expandThread(cur, t, sink)
 	}
 	return emitted
 }
@@ -835,15 +716,15 @@ func (x *expander) expandChain(cur *state, t int, sink transSink) (int, bool) {
 }
 
 // expandThread enumerates the transitions of thread t from state cur,
-// returning how many it produced and whether the sink wants more.
-func (x *expander) expandThread(cur *state, t int, sink transSink) (int, bool) {
+// returning how many it produced.
+func (x *expander) expandThread(cur *state, t int, sink transSink) int {
 	p := x.prog
 	emitted := 0
 	th := &cur.th[t]
 	switch th.status {
 	case statusIdle:
 		if th.ops == 0 {
-			return 0, true
+			return 0
 		}
 		for mi := range p.Methods {
 			args := p.Methods[mi].Args
@@ -864,9 +745,7 @@ func (x *expander) expandThread(cur *state, t int, sink transSink) (int, bool) {
 				// changes thread t's registers only.
 				x.succClass = classLocal
 				emitted++
-				if !sink.emit(x, x.at) {
-					return emitted, false
-				}
+				sink.emit(x, x.at)
 			}
 		}
 	case statusRunning:
@@ -879,9 +758,7 @@ func (x *expander) expandThread(cur *state, t int, sink transSink) (int, bool) {
 			x.advance(x.succ, t, out)
 			x.succClass = x.tauClass(th.method, th.pc, out)
 			emitted++
-			if !sink.emit(x, x.at) {
-				return emitted, false
-			}
+			sink.emit(x, x.at)
 		}
 	case statusReturning:
 		cur.copyInto(x.succ)
@@ -892,9 +769,7 @@ func (x *expander) expandThread(cur *state, t int, sink transSink) (int, bool) {
 		x.at = symTrans{kind: symRet, t: int32(t), m: th.method, val: th.ret}
 		x.succClass = classLocal
 		emitted++
-		if !sink.emit(x, x.at) {
-			return emitted, false
-		}
+		sink.emit(x, x.at)
 	}
-	return emitted, true
+	return emitted
 }

@@ -5,39 +5,63 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/lts"
 	"repro/internal/statecodec"
 )
 
-// TestDecodeKeysAllocFree pins the decode side of the BFS hot path:
-// interned state keys are slices of the table's key arena, so popping a
-// state off the frontier (decode of its key) must not allocate.
+// TestDecodeKeysAllocFree pins the decode side of the BFS hot path: a
+// level of the in-memory store hands out its keys as slices of the level
+// buffer, so reading every key of a level in frontier chunks and
+// decoding it must not allocate.
 func TestDecodeKeysAllocFree(t *testing.T) {
 	p := counterProgram()
 	opt := Options{Threads: 2, Ops: 2, Workers: 1}
-	e := &explorer{
-		ctx:  context.Background(),
-		prog: p,
-		opt:  opt,
-		cdc:  newCodec(p, opt),
-		ai:   newActionInterner(p, lts.NewAlphabet(), lts.NewAlphabet()),
+	spy := &decodeSpy{t: t, cdc: newCodec(p, opt), cur: newScratchState(p, opt.Threads)}
+	opt.Backend.Open = func(cfg statecodec.Config) (statecodec.Store, error) {
+		st, err := statecodec.OpenMem(cfg)
+		spy.Store = st
+		return spy, err
 	}
-	if _, _, err := e.run(DefaultMaxStates); err != nil {
+	if _, _, err := ExploreWithInfoContext(context.Background(), p, opt); err != nil {
 		t.Fatal(err)
 	}
-	n := e.tab.Len()
-	if n < 10 {
-		t.Fatalf("expected a non-trivial state space, got %d states", n)
+	if spy.widest < 10 {
+		t.Fatalf("expected a level of at least 10 states, the widest has %d", spy.widest)
 	}
-	cur := newScratchState(p, 2)
+}
+
+// decodeSpy wraps the explorer's store and, each time a level is
+// sealed, decodes all of its keys and fails the test if that allocates.
+type decodeSpy struct {
+	statecodec.Store
+	t      *testing.T
+	cdc    codec
+	cur    *state
+	cr     statecodec.ChunkReader
+	widest int
+}
+
+func (s *decodeSpy) NextLevel() (statecodec.Level, error) {
+	lvl, err := s.Store.NextLevel()
+	if err != nil || lvl.Len() == 0 {
+		return lvl, err
+	}
+	n := lvl.Len()
+	s.widest = max(s.widest, n)
 	allocs := testing.AllocsPerRun(10, func() {
-		for i := int32(0); int(i) < n; i++ {
-			e.cdc.decode(e.tab.Key(i), cur)
+		for start := 0; start < n; start += frontierChunk {
+			keys, err := lvl.Chunk(start, min(start+frontierChunk, n), &s.cr)
+			if err != nil {
+				s.t.Fatal(err)
+			}
+			for _, key := range keys {
+				s.cdc.decode(key, s.cur)
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("decoding all %d interned keys allocated %.1f times per sweep; want 0", n, allocs)
+		s.t.Errorf("decoding all %d keys of a level allocated %.1f times per sweep; want 0", n, allocs)
 	}
+	return lvl, nil
 }
 
 // TestTransitionBuffersPointerFree guards the GC cost of the parallel

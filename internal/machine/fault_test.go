@@ -33,8 +33,8 @@ method Pop() { P9: return empty }
 `
 
 // faultConfigs are the explorer configurations every fault test crosses:
-// the sequential explorer, the parallel one at two and eight workers, and
-// the store-backed explorer under an 8 MiB spill budget.
+// one, two and eight workers in RAM, one worker under an 8 MiB spill
+// budget, and four workers under a 1-byte budget that spills every level.
 var faultConfigs = []struct {
 	name      string
 	workers   int
@@ -93,8 +93,8 @@ func TestModelFaultIdenticalAcrossWorkers(t *testing.T) {
 
 // lateFault is a program whose Step statement faults only deep in the
 // state space, in many states of one BFS level, with a message that names
-// the faulting state: the parallel explorer must report the same
-// (lowest) one the sequential explorer hits first.
+// the faulting state: every worker count must report the lowest one in
+// discovery order.
 func lateFault() *machine.Program {
 	return &machine.Program{
 		Name:    "late-fault",

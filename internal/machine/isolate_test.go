@@ -66,10 +66,9 @@ type keySink struct {
 	keys [][]byte
 }
 
-func (k *keySink) emit(x *expander, tr symTrans) bool {
+func (k *keySink) emit(x *expander, tr symTrans) {
 	k.w.emit(x, tr)
 	k.keys = append(k.keys, append([]byte(nil), k.w.buf...))
-	return true
 }
 
 // hotLines returns the cache lines (address / cacheLine) of every object

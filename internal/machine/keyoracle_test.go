@@ -55,10 +55,10 @@ func TestKeyOracleExamples(t *testing.T) {
 					ctx := fmt.Sprintf("reduction=%t workers=%d membudget=%d", base.Reduction != nil, opt.Workers, opt.MemBudget)
 					got, stats := explore(opt)
 					if !bytes.Equal(got, want) {
-						t.Fatalf("%s: .aut differs from the sequential in-RAM exploration", ctx)
+						t.Fatalf("%s: .aut differs from the one-worker in-RAM exploration", ctx)
 					}
 					if stats.CanonSkipped != wantStats.CanonSkipped || stats.KeyPatched != wantStats.KeyPatched {
-						t.Fatalf("%s: %d canonicalizations skipped and %d keys patched, sequential %d and %d", ctx,
+						t.Fatalf("%s: %d canonicalizations skipped and %d keys patched, one worker in RAM %d and %d", ctx,
 							stats.CanonSkipped, stats.KeyPatched, wantStats.CanonSkipped, wantStats.KeyPatched)
 					}
 				}

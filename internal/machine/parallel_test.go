@@ -1,11 +1,12 @@
 package machine_test
 
-// Cross-validation of the parallel explorer against the sequential one:
-// the level-synchronized parallel BFS must produce an LTS that is
-// identical in every observable detail — state count, per-state successor
-// lists (actions, labels, destinations, order), alphabet interning and
-// deadlock info — for every registered benchmark, and the Table II
-// verdicts must not depend on the worker count.
+// Worker-count identities of the explorer: the level-synchronized BFS
+// must produce an LTS that is identical in every observable detail —
+// state count, per-state successor lists (actions, labels, destinations,
+// order), alphabet interning and deadlock info — at every worker count,
+// for every registered benchmark, and the Table II verdicts must not
+// depend on the worker count. One worker, whose expansion runs
+// sequentially, is the baseline.
 
 import (
 	"context"
@@ -71,27 +72,28 @@ func assertSameLTS(t *testing.T, ctx string, a, b *lts.LTS) {
 }
 
 // TestParallelMatchesSequential checks, for every registered benchmark at
-// 2 threads x 2 ops, that parallel exploration reproduces the sequential
-// LTS exactly (including the deadlock list). The key oracle checks every
-// successor keyed without the canonicalizer against the full path.
+// 2 threads x 2 ops, that exploring with 2 and 4 workers reproduces the
+// one-worker LTS exactly (including the deadlock list). The key oracle
+// checks every successor keyed without the canonicalizer against the
+// full path.
 func TestParallelMatchesSequential(t *testing.T) {
 	t.Cleanup(machine.EnableKeyOracle())
 	for _, alg := range algorithms.All() {
 		alg := alg
 		t.Run(alg.ID, func(t *testing.T) {
 			t.Parallel()
-			seq, seqInfo := exploreWith(t, alg, 2, 2, 1)
+			one, oneInfo := exploreWith(t, alg, 2, 2, 1)
 			for _, workers := range []int{2, 4} {
 				par, parInfo := exploreWith(t, alg, 2, 2, workers)
 				ctx := fmt.Sprintf("%s workers=%d", alg.ID, workers)
-				assertSameLTS(t, ctx, seq, par)
-				if len(seqInfo.Deadlocks) != len(parInfo.Deadlocks) {
-					t.Fatalf("%s: %d deadlocks vs %d", ctx, len(seqInfo.Deadlocks), len(parInfo.Deadlocks))
+				assertSameLTS(t, ctx, one, par)
+				if len(oneInfo.Deadlocks) != len(parInfo.Deadlocks) {
+					t.Fatalf("%s: %d deadlocks vs %d", ctx, len(oneInfo.Deadlocks), len(parInfo.Deadlocks))
 				}
-				for i := range seqInfo.Deadlocks {
-					if seqInfo.Deadlocks[i] != parInfo.Deadlocks[i] {
+				for i := range oneInfo.Deadlocks {
+					if oneInfo.Deadlocks[i] != parInfo.Deadlocks[i] {
 						t.Fatalf("%s: deadlock %d is state %d vs %d",
-							ctx, i, seqInfo.Deadlocks[i], parInfo.Deadlocks[i])
+							ctx, i, oneInfo.Deadlocks[i], parInfo.Deadlocks[i])
 					}
 				}
 			}
@@ -101,16 +103,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 // TestParallelVerdictsMatchSequential checks that the Table II verdicts
 // (linearizability for every benchmark, lock-freedom for the lock-free
-// ones) are identical under sequential and parallel exploration.
+// ones) are identical at one worker and at four.
 func TestParallelVerdictsMatchSequential(t *testing.T) {
 	for _, alg := range algorithms.TableII() {
 		alg := alg
 		t.Run(alg.ID, func(t *testing.T) {
 			t.Parallel()
 			cfg := algorithms.Config{Threads: 2, Ops: 2}
-			seqC := core.Config{Threads: 2, Ops: 2, Workers: 1}
+			oneC := core.Config{Threads: 2, Ops: 2, Workers: 1}
 			parC := core.Config{Threads: 2, Ops: 2, Workers: 4}
-			seqLin, err := core.NewSession(seqC).CheckLinearizabilityContext(context.Background(), alg.Build(cfg), alg.Spec(cfg))
+			oneLin, err := core.NewSession(oneC).CheckLinearizabilityContext(context.Background(), alg.Build(cfg), alg.Spec(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,15 +120,15 @@ func TestParallelVerdictsMatchSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seqLin.Linearizable != parLin.Linearizable ||
-				seqLin.ImplStates != parLin.ImplStates ||
-				seqLin.ImplQuotientStates != parLin.ImplQuotientStates {
-				t.Fatalf("linearizability diverged: seq %+v par %+v", seqLin, parLin)
+			if oneLin.Linearizable != parLin.Linearizable ||
+				oneLin.ImplStates != parLin.ImplStates ||
+				oneLin.ImplQuotientStates != parLin.ImplQuotientStates {
+				t.Fatalf("linearizability diverged: one worker %+v, four %+v", oneLin, parLin)
 			}
 			if alg.LockBased {
 				return
 			}
-			seqLF, err := core.NewSession(seqC).CheckLockFreeAutoContext(context.Background(), alg.Build(cfg))
+			oneLF, err := core.NewSession(oneC).CheckLockFreeAutoContext(context.Background(), alg.Build(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,15 +136,15 @@ func TestParallelVerdictsMatchSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seqLF.LockFree != parLF.LockFree || seqLF.ImplStates != parLF.ImplStates {
-				t.Fatalf("lock-freedom diverged: seq %+v par %+v", seqLF, parLF)
+			if oneLF.LockFree != parLF.LockFree || oneLF.ImplStates != parLF.ImplStates {
+				t.Fatalf("lock-freedom diverged: one worker %+v, four %+v", oneLF, parLF)
 			}
 		})
 	}
 }
 
-// TestParallelStress drives the parallel explorer at worker counts well
-// above the core count on a larger instance, so the race detector sees
+// TestParallelStress drives the explorer at worker counts well above the
+// core count on a larger instance, so the race detector sees
 // heavy shard-table and frontier contention.
 func TestParallelStress(t *testing.T) {
 	alg, err := algorithms.ByID("ms-queue")
@@ -150,16 +152,16 @@ func TestParallelStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	threads, ops := 2, 2
-	seq, _ := exploreWith(t, alg, threads, ops, 1)
+	one, _ := exploreWith(t, alg, threads, ops, 1)
 	for _, workers := range []int{3, 8, 4 * runtime.GOMAXPROCS(0)} {
 		par, _ := exploreWith(t, alg, threads, ops, workers)
-		assertSameLTS(t, fmt.Sprintf("ms-queue workers=%d", workers), seq, par)
+		assertSameLTS(t, fmt.Sprintf("ms-queue workers=%d", workers), one, par)
 	}
 }
 
-// TestParallelStateLimit checks that the parallel explorer reports the
-// same budget error as the sequential one and that a budget equal to the
-// state count succeeds. The memory-budget variants pin that MaxStates
+// TestParallelStateLimit checks that every worker count reports the same
+// budget error when the state count exceeds MaxStates by one, and that a
+// budget equal to the state count succeeds. The memory-budget variants pin that MaxStates
 // counts interned states, not resident ones: spilling states to disk
 // must neither loosen nor tighten the limit.
 func TestParallelStateLimit(t *testing.T) {

@@ -145,11 +145,11 @@ type pilotWalker struct {
 // emit implements transSink: intern the successor while the state budget
 // lasts, and record it when it is a probed τ-step. A successor is encoded
 // only when it is interned or recorded.
-func (w *pilotWalker) emit(x *expander, tr symTrans) bool {
+func (w *pilotWalker) emit(x *expander, tr symTrans) {
 	step := w.from && x.succ.th[tr.t].status == statusRunning
 	room := w.tab.Len() < w.max
 	if !step && !room {
-		return true
+		return
 	}
 	dst, ok := w.intern(x.succ, room)
 	if step && ok {
@@ -161,7 +161,6 @@ func (w *pilotWalker) emit(x *expander, tr symTrans) bool {
 		}
 		w.edges.Emit(lts.Tau, lts.LabelID(tr.pc), dst*n+tr.t)
 	}
-	return true
 }
 
 // intern canonicalizes st and returns its entry, adding it when add is

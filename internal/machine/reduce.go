@@ -22,10 +22,9 @@ import "fmt"
 //
 // Determinism: the rule is a pure function of the canonical state and
 // the artifact (lowest-index running thread at a confluent statement
-// wins), evaluated inside expandState, which both the sequential
-// explorer and every parallel worker share. Worker counts and memory
-// budgets therefore keep producing byte-identical LTSs with a Reduction
-// installed, exactly as without one.
+// wins), evaluated inside expandState, which every worker runs. Worker
+// counts and memory budgets therefore keep producing byte-identical LTSs
+// with a Reduction installed, exactly as without one.
 
 // Reduction is the statically computed τ-confluence artifact consumed
 // by Options.Reduction. Confluent[m][pc] reports that statement pc of

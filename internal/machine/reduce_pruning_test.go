@@ -124,7 +124,7 @@ func TestReductionShrinksAndStaysDeterministic(t *testing.T) {
 				ctx := fmt.Sprintf("%s variant %d (workers=%d membudget=%d)", name, i, opt.Workers, opt.MemBudget)
 				assertSameLTS(t, ctx, base, got)
 				if gotInfo.Stats.PrunedStates != baseInfo.Stats.PrunedStates {
-					t.Fatalf("%s: pruned %d states, sequential pruned %d",
+					t.Fatalf("%s: pruned %d states, one worker pruned %d",
 						ctx, gotInfo.Stats.PrunedStates, baseInfo.Stats.PrunedStates)
 				}
 			}

@@ -103,9 +103,10 @@ func (s *memStore) resident() int64 {
 // the previously returned level. Single-threaded (explorer loop only).
 func (s *memStore) NextLevel() (Level, error) {
 	s.peakResident = max(s.peakResident, s.resident())
-	s.cur.buf = nil
+	// The released level's buffers carry the next level.
+	old := s.cur
 	s.cur = s.next
-	s.next = &memLevel{}
+	s.next = &memLevel{offs: old.offs[:0], buf: old.buf[:0]}
 	return s.cur, nil
 }
 

@@ -16,7 +16,7 @@ import (
 // real τ-confluence pruning) and for hand-coded Table II registry
 // programs still written as Go closures (no IR — vet licenses nothing
 // and reduction must be an exact no-op), the full and the reduced exploration produce identical
-// verdicts AND identical quotient block counts, sequentially, with 8
+// verdicts AND identical quotient block counts, with one worker, with 8
 // workers, and with an 8 MiB memory budget spilling state storage to
 // disk. Only the raw explored-state count may shrink — and for the
 // lock-based models it must.
