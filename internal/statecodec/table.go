@@ -123,6 +123,18 @@ func (t *Table) Intern(h uint64, key []byte) (i int32, fresh bool) {
 	return i, true
 }
 
+// Tags calls fn with every entry and its tag, the high 32 bits of the
+// Hash64 it was interned under, in index order. A store that moves the
+// entries into another index takes their tags from here instead of
+// hashing every key again.
+func (t *Table) Tags(fn func(i int32, tag uint32)) {
+	for _, s := range t.index {
+		if s != 0 {
+			fn(int32(uint32(s))-1, uint32(s>>32))
+		}
+	}
+}
+
 // place stores slot in the first free index position from its tag on.
 func (t *Table) place(slot uint64) {
 	mask := uint64(len(t.index) - 1)

@@ -25,8 +25,15 @@ type spillWriter struct {
 	err error
 }
 
-func newSpillWriter(f *os.File) *spillWriter {
-	return &spillWriter{w: bufio.NewWriterSize(f, 1<<20)}
+// reset points the writer at f, allocating its 1 MiB buffer on first
+// use only.
+func (s *spillWriter) reset(f *os.File) {
+	if s.w == nil {
+		s.w = bufio.NewWriterSize(f, 1<<20)
+	} else {
+		s.w.Reset(f)
+	}
+	s.err = nil
 }
 
 func (s *spillWriter) write(b []byte) {
@@ -84,7 +91,8 @@ func (b *levelWriter) spill() error {
 	if err != nil {
 		return err
 	}
-	w := newSpillWriter(f)
+	w := &b.s.runW
+	w.reset(f)
 	w.write(b.buf)
 	if err := w.flush(); err != nil {
 		f.Close()

@@ -18,7 +18,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -41,41 +40,104 @@ type (
 	Stats = statecodec.Stats
 )
 
-// genEntryOverhead is the resident index cost of one spilled entry
-// (hash, offset, length, ID in the generation index arrays).
-const genEntryOverhead = 14
-
-// shardGen is the in-RAM index of one shard's slice of a spilled
-// generation: entries sorted by hash for binary search, with the key
-// bytes living in the generation's mmap'd file.
-type shardGen struct {
-	data   []byte // whole generation file contents (mmap'd, shared)
-	hashes []uint32
-	offs   []uint32
-	lens   []uint16
-	ids    []int32
+// coldEntry is where one spilled entry lives: its state ID and its
+// key's generation file, offset and length.
+type coldEntry struct {
+	id  int32
+	off uint32 // key offset in its generation file
+	len uint16 // key length
+	gen uint16 // generation file, an index into Store.gens
 }
 
-// find looks key (with hash h) up in this generation slice.
-func (g *shardGen) find(h uint32, key []byte) (int32, bool) {
-	i := sort.Search(len(g.hashes), func(i int) bool { return g.hashes[i] >= h })
-	for ; i < len(g.hashes) && g.hashes[i] == h; i++ {
-		off, ln := int(g.offs[i]), int(g.lens[i])
-		if ln == len(key) && bytes.Equal(g.data[off:off+ln], key) {
-			return g.ids[i], true
+// coldIndex is one shard's index over every entry it has spilled, from
+// all generations at once: linear probing from the tag scaled to the
+// slot count, so a spilled hit or miss is one probe sequence however
+// many generations have spilled. Each slot is 16 bytes: a uint32 tag,
+// the high 32 bits of the key's Hash64 with the low bit forced to 1 so
+// that 0 can mark an empty slot (a key's length cannot: a layout whose
+// slots are all singletons encodes every state in 0 bytes), and a
+// coldEntry. The tags sit in their own slice, so a probe reads 4 bytes
+// a slot and touches an entry, and its key in the mmap'd file, only on
+// a tag match.
+type coldIndex struct {
+	tags []uint32
+	ents []coldEntry
+	n    int // occupied slots
+}
+
+func (c *coldIndex) home(tag uint32) int {
+	return int(uint64(tag) * uint64(len(c.tags)) >> 32)
+}
+
+// find looks key up among the spilled entries; tag is the high 32 bits
+// of its Hash64, and gens resolves an entry's generation to its file
+// bytes. The load stays below 1, so the probe ends at an empty slot.
+func (c *coldIndex) find(tag uint32, key []byte, gens []generation) (int32, bool) {
+	if len(c.tags) == 0 {
+		return 0, false
+	}
+	tag |= 1
+	for p := c.home(tag); ; {
+		switch c.tags[p] {
+		case 0:
+			return 0, false
+		case tag:
+			e := &c.ents[p]
+			if int(e.len) == len(key) && bytes.Equal(gens[e.gen].data[e.off:e.off+uint32(e.len)], key) {
+				return e.id, true
+			}
+		}
+		if p++; p == len(c.tags) {
+			p = 0
 		}
 	}
-	return 0, false
 }
 
-// shard is one lock stripe, 128 bytes, so shard locks don't false-share.
+// reserve makes room for more entries. When they would push the load
+// past 7/8, it rebuilds the index with need + need/4 slots, a load of at
+// least 4/5: the index costs 16/load, 18.3 to 20 bytes per entry.
+func (c *coldIndex) reserve(more int) {
+	need := c.n + more
+	if 8*need <= 7*len(c.tags) {
+		return
+	}
+	tags, ents := c.tags, c.ents
+	size := max(need+need/4, need+1)
+	c.tags, c.ents, c.n = make([]uint32, size), make([]coldEntry, size), 0
+	for p, t := range tags {
+		if t != 0 {
+			c.put(t, ents[p])
+		}
+	}
+}
+
+// put inserts e, whose key's Hash64 has the high 32 bits tag, into a
+// reserved index; e must not be present.
+func (c *coldIndex) put(tag uint32, e coldEntry) {
+	tag |= 1
+	p := c.home(tag)
+	for c.tags[p] != 0 {
+		if p++; p == len(c.tags) {
+			p = 0
+		}
+	}
+	c.tags[p], c.ents[p] = tag, e
+	c.n++
+}
+
+// bytes is the index's resident size, from its real slice lengths.
+func (c *coldIndex) bytes() int64 { return 4*int64(len(c.tags)) + 12*int64(len(c.ents)) }
+
+// shard is one lock stripe: the hot table of entries interned since the
+// last flush, and the cold index of every entry spilled before it.
 type shard struct {
 	mu   sync.Mutex
 	hot  statecodec.Table
-	gens []shardGen // spilled generations, oldest first
+	cold coldIndex
 }
 
-// generation tracks one spilled generation file for cleanup.
+// generation is one spilled generation file: its bytes, which cold
+// entries point into, and what Close must release.
 type generation struct {
 	f      *os.File
 	data   []byte
@@ -101,8 +163,13 @@ type Store struct {
 	internedBytes atomic.Int64
 
 	gens    []generation
+	maxGens int // generation files a coldEntry can name
 	fileSeq int
 	stats   Stats
+
+	// One write buffer per stream, reset onto each new file: generation
+	// flushes and frontier runs can be open at once.
+	genW, runW spillWriter
 
 	cur  *Level // level being expanded
 	next *levelWriter
@@ -113,7 +180,7 @@ type Store struct {
 // Open creates an empty store. The caller must Close it to release any
 // spill files; Close is safe (and cheap) when nothing ever spilled.
 func Open(cfg Config) (*Store, error) {
-	s := &Store{cfg: cfg}
+	s := &Store{cfg: cfg, maxGens: math.MaxUint16 + 1}
 	s.next = &levelWriter{s: s}
 	return s, nil
 }
@@ -144,10 +211,8 @@ func (s *Store) Intern(key []byte) Ref {
 	if i, ok := sh.hot.Find(h, key); ok {
 		return statecodec.ShardRef(si, &sh.hot, i)
 	}
-	for gi := len(sh.gens) - 1; gi >= 0; gi-- {
-		if id, ok := sh.gens[gi].find(uint32(h>>32), key); ok {
-			return Ref{ID: id}
-		}
+	if id, ok := sh.cold.find(uint32(h>>32), key, s.gens); ok {
+		return Ref{ID: id}
 	}
 	before := sh.hot.Bytes()
 	i, _ := sh.hot.Intern(h, key)
@@ -199,63 +264,55 @@ func (s *Store) newSpillFile(prefix string) (*os.File, error) {
 }
 
 // flushTable spills every hot intern-table entry into one new
-// append-only generation file and replaces the hot tables with compact
-// sorted indexes over the mmap'd file. Must only run at a level
+// append-only generation file and moves it into its shard's cold index,
+// with the tag the hot table already holds. Must only run at a level
 // boundary: every hot entry must carry an assigned ID, because after
 // the flush the key bytes are reachable only through the file.
 func (s *Store) flushTable() error {
+	gen := len(s.gens)
+	if gen >= s.maxGens {
+		return fmt.Errorf("statestore: more than %d generation files; use a larger memory budget", s.maxGens)
+	}
 	f, err := s.newSpillFile("gen")
 	if err != nil {
 		return err
 	}
-	w := newSpillWriter(f)
-	var off int64
-	var freedBytes int64
-	var spilled int64
+	w := &s.genW
+	w.reset(f)
+	var off, delta int64
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
-		n := sh.hot.Len()
-		if n == 0 {
+		if sh.hot.Len() == 0 {
 			sh.mu.Unlock()
 			continue
 		}
-		sg := shardGen{
-			hashes: make([]uint32, 0, n),
-			offs:   make([]uint32, 0, n),
-			lens:   make([]uint16, 0, n),
-			ids:    make([]int32, 0, n),
-		}
-		for i := int32(0); i < int32(n); i++ {
+		delta -= sh.hot.Bytes() + sh.cold.bytes()
+		sh.cold.reserve(sh.hot.Len())
+		sh.hot.Tags(func(i int32, tag uint32) {
 			key, id := sh.hot.Key(i), sh.hot.ID(i)
-			if id < 0 {
-				sh.mu.Unlock()
-				f.Close()
-				return fmt.Errorf("statestore: internal error: flushing unnumbered entry")
+			switch {
+			case err != nil:
+				return
+			case id < 0:
+				err = fmt.Errorf("statestore: internal error: flushing unnumbered entry")
+			case len(key) > math.MaxUint16:
+				err = fmt.Errorf("statestore: state encoding of %d bytes exceeds generation record limit", len(key))
+			case off+int64(len(key)) > math.MaxUint32:
+				err = fmt.Errorf("statestore: generation file exceeds 4 GiB; use a larger memory budget")
+			default:
+				w.write(key)
+				sh.cold.put(tag, coldEntry{id: id, off: uint32(off), len: uint16(len(key)), gen: uint16(gen)})
+				off += int64(len(key))
 			}
-			if len(key) > math.MaxUint16 {
-				sh.mu.Unlock()
-				f.Close()
-				return fmt.Errorf("statestore: state encoding of %d bytes exceeds generation record limit", len(key))
-			}
-			if off+int64(len(key)) > math.MaxUint32 {
-				sh.mu.Unlock()
-				f.Close()
-				return fmt.Errorf("statestore: generation file exceeds 4 GiB; use a larger memory budget")
-			}
-			w.write(key)
-			sg.hashes = append(sg.hashes, uint32(statecodec.Hash64(key)>>32))
-			sg.offs = append(sg.offs, uint32(off))
-			sg.lens = append(sg.lens, uint16(len(key)))
-			sg.ids = append(sg.ids, id)
-			off += int64(len(key))
-		}
-		spilled += int64(n)
-		freedBytes += sh.hot.Bytes()
-		sortShardGen(&sg)
-		sh.gens = append(sh.gens, sg)
+		})
 		sh.hot = statecodec.Table{}
+		delta += sh.cold.bytes()
 		sh.mu.Unlock()
+		if err != nil {
+			f.Close()
+			return err
+		}
 	}
 	if err := w.flush(); err != nil {
 		f.Close()
@@ -267,16 +324,7 @@ func (s *Store) flushTable() error {
 		return fmt.Errorf("statestore: map generation: %w", err)
 	}
 	s.gens = append(s.gens, generation{f: f, data: data, mapped: mapped})
-	// Point this flush's shard indexes at the mapped file.
-	for si := range s.shards {
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		if n := len(sh.gens); n > 0 && sh.gens[n-1].data == nil {
-			sh.gens[n-1].data = data
-		}
-		sh.mu.Unlock()
-	}
-	s.addResident(genEntryOverhead*spilled - freedBytes)
+	s.addResident(delta)
 	s.stats.TableFlushes++
 	return nil
 }
@@ -348,27 +396,4 @@ func (s *Store) Close() error {
 		s.dir = ""
 	}
 	return first
-}
-
-// sortShardGen sorts the four parallel index arrays by hash (ties by
-// file offset, for determinism of the in-RAM index only — lookups are
-// order-insensitive).
-func sortShardGen(g *shardGen) {
-	sort.Sort((*genSort)(g))
-}
-
-type genSort shardGen
-
-func (g *genSort) Len() int { return len(g.hashes) }
-func (g *genSort) Less(i, j int) bool {
-	if g.hashes[i] != g.hashes[j] {
-		return g.hashes[i] < g.hashes[j]
-	}
-	return g.offs[i] < g.offs[j]
-}
-func (g *genSort) Swap(i, j int) {
-	g.hashes[i], g.hashes[j] = g.hashes[j], g.hashes[i]
-	g.offs[i], g.offs[j] = g.offs[j], g.offs[i]
-	g.lens[i], g.lens[j] = g.lens[j], g.lens[i]
-	g.ids[i], g.ids[j] = g.ids[j], g.ids[i]
 }
