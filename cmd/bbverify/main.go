@@ -191,7 +191,7 @@ func newFlags(name string) *commonFlags {
 }
 
 // job parses args and resolves the job of the given kind they describe
-// on the platform backend (spill-capable store, real RSS probe).
+// on the platform backend (spill filesystem, real RSS probe).
 func (c *commonFlags) job(kind string, args []string) (*api.Job, error) {
 	if err := c.fs.Parse(args); err != nil {
 		return nil, err

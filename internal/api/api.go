@@ -74,7 +74,7 @@ type JobSpec struct {
 	// exploration; past it, state storage spills to temp files (0 = all
 	// in RAM). Like Workers it tunes execution only — the explorer
 	// produces a byte-identical LTS under any budget — so it does not
-	// enter the cache key.
+	// enter the cache key. At most MaxMemBudgetMB.
 	MemBudgetMB int `json:"mem_budget_mb,omitempty"`
 	// ModelSource carries inline BBVL model text to verify instead of a
 	// packaged algorithm; mutually exclusive with Algorithm. The source
@@ -252,6 +252,12 @@ const MaxTotalOps = 64
 // explorer targets has more cores than this.
 const MaxWorkers = 1024
 
+// MaxMemBudgetMB bounds the memory budget, 1 PiB. The explorer counts
+// the budget in bytes, int64(MemBudgetMB) << 20, which an unbounded
+// value from an untrusted submission would wrap around to a small or
+// negative budget; no machine the explorer targets has this much memory.
+const MaxMemBudgetMB = 1 << 30
+
 // Validate rejects malformed specs before they reach a worker.
 func (s *JobSpec) Validate() error {
 	_, _, err := s.validate()
@@ -277,6 +283,9 @@ func (s *JobSpec) validate() (*algorithms.Algorithm, *bbvl.Model, error) {
 	}
 	if s.Workers > MaxWorkers {
 		return nil, nil, fmt.Errorf("api: workers must be at most %d (got %d)", MaxWorkers, s.Workers)
+	}
+	if s.MemBudgetMB > MaxMemBudgetMB {
+		return nil, nil, fmt.Errorf("api: mem_budget_mb must be at most %d (got %d)", MaxMemBudgetMB, s.MemBudgetMB)
 	}
 	switch s.Refiner {
 	case "", "auto", "signature", "splitter":
@@ -636,7 +645,7 @@ func RunBackend(ctx context.Context, spec JobSpec, backend statecodec.Backend, o
 // unwrapping to the context cause). A model that faults at run time (a
 // nil dereference, an exhausted heap) fails the job with the explorer's
 // positioned *machine.ModelFaultError, and a positive MemBudgetMB fails
-// on the zero backend, which has no spill store to honor it with.
+// on the zero backend, which has no spill filesystem to honor it with.
 //
 // When observe is non-nil, it is invoked with each pipeline stage's
 // instrumentation the moment the stage completes (cache-served stages

@@ -139,6 +139,30 @@ func TestValidateRejectsHugeWorkerCount(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsHugeMemBudget pins the bound on untrusted memory
+// budgets: 2^44+1 MiB is 2^64+2^20 bytes, which int64(MemBudgetMB) << 20
+// would wrap around to a 1 MiB budget. It fails validation before any
+// exploration starts; MaxMemBudgetMB itself is valid.
+func TestValidateRejectsHugeMemBudget(t *testing.T) {
+	defer machine.SetExploreObserver(func(*machine.Program) {
+		panic("a spec above MaxMemBudgetMB reached the explorer")
+	})()
+	spec, err := DecodeJobSpec(strings.NewReader(`{"kind":"check","algorithm":"treiber","threads":2,"ops":1,"mem_budget_mb":17592186044417}`))
+	if err != nil {
+		t.Fatalf("decoding must not judge the budget: %v", err)
+	}
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "mem_budget_mb must be at most 1073741824") {
+		t.Fatalf("Validate = %v, want the MaxMemBudgetMB error", err)
+	}
+	if _, err := RunBackend(context.Background(), spec, statestore.Runtime(), nil); err == nil || !strings.Contains(err.Error(), "mem_budget_mb must be at most") {
+		t.Errorf("RunBackend = %v, want the MaxMemBudgetMB error", err)
+	}
+	spec.MemBudgetMB = MaxMemBudgetMB
+	if err := spec.Validate(); err != nil {
+		t.Errorf("mem_budget_mb = MaxMemBudgetMB rejected: %v", err)
+	}
+}
+
 // TestRunKinds exercises each job kind on a small passing instance and
 // the check kind on the paper's buggy HM list, whose counterexample must
 // ride along in the result.
@@ -185,8 +209,8 @@ func TestRunKinds(t *testing.T) {
 }
 
 // TestRunMemBudgetSameVerdict pins that a memory-budgeted job (run on
-// the platform backend — the pure runner has no spill store to honor a
-// budget with) reports the same verdict and sizes as the unbudgeted
+// the platform backend — the pure runner has no spill filesystem to
+// honor a budget with) reports the same verdict and sizes as the unbudgeted
 // pure one, and that explore stages surface the storage telemetry.
 func TestRunMemBudgetSameVerdict(t *testing.T) {
 	ctx := context.Background()

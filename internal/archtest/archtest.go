@@ -53,7 +53,7 @@ var forbiddenExact = map[string]string{
 	"os":                        "operating-system access",
 	"syscall":                   "raw system calls",
 	"net":                       "network access",
-	"repro/internal/statestore": "the platform spill store (depend on internal/statecodec's Store interface instead)",
+	"repro/internal/statestore": "the platform spill filesystem (take it through statecodec.Backend's Spill seam instead)",
 	"repro/internal/artifact":   "the platform artifact store",
 	"repro/internal/serve":      "the platform HTTP service",
 }

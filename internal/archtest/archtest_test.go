@@ -9,7 +9,7 @@ import (
 // TestCoreLayerIsOSFree is the boundary: no core-layer package (nor any
 // repro package it reaches) may import os, net, syscall or the platform
 // packages. If this fails, either move the offending code behind the
-// statecodec.Backend seam (spilling, telemetry) or into the platform
+// statecodec.Backend seam (the spill filesystem, telemetry) or into the platform
 // layer — do not widen the allowlist.
 func TestCoreLayerIsOSFree(t *testing.T) {
 	root, err := filepath.Abs("../..")

@@ -13,5 +13,5 @@ import (
 )
 
 func bad() {
-	fmt.Println(os.Args, exec.Command("true"), http.DefaultClient, statestore.Config{})
+	fmt.Println(os.Args, exec.Command("true"), http.DefaultClient, statestore.Runtime())
 }

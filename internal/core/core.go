@@ -48,10 +48,11 @@ type Config struct {
 	// identical for any value. See machine.Options.Workers.
 	Workers int
 	// MemBudget bounds (in bytes) the resident state storage of each
-	// exploration; past it, a spill-capable Backend sheds intern-table
-	// generations and frontier levels to temp files. 0 keeps everything
-	// in RAM. Budgets never change any LTS, quotient or verdict — see
-	// machine.Options.MemBudget. A positive budget requires Backend.Open.
+	// exploration; past it, the store sheds intern-table generations and
+	// frontier levels to temp files through Backend.Spill. 0 keeps
+	// everything in RAM. Budgets never change any LTS, quotient or
+	// verdict — see machine.Options.MemBudget. A positive budget requires
+	// Backend.Spill.
 	MemBudget int64
 	// SpillDir is the parent directory for spill temp files; empty uses
 	// the OS temp dir.

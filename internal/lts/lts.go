@@ -149,14 +149,29 @@ func (b *Builder) Build() *LTS {
 // source state in increasing order, avoiding the sorting pass of Builder.
 // This is the natural order produced by breadth-first state-space
 // exploration.
+//
+// The transitions fill segments. A small system stays in one slice,
+// grown as a slice grows; once a slice holds csrSegment transitions it is
+// never copied to grow: it is sealed, and a new one takes the next rows.
+// Build copies the sealed segments once into the LTS's edge array.
+// Growing one large slice instead would keep the old array reachable
+// while the new one is allocated, and a collection that starts then
+// counts both as live, so the heap's peak would depend on when the
+// collector ran.
 type CSRBuilder struct {
 	acts    *Alphabet
 	labels  *Alphabet
 	init    int32
 	offsets []int32
-	edges   []Transition
+	sealed  [][]Transition // full segments, in order
+	nsealed int            // transitions in sealed
+	edges   []Transition   // the segment being filled
 	cur     int32
 }
+
+// csrSegment is the capacity, in transitions (768 KiB), from which a
+// CSRBuilder slice is sealed instead of grown.
+const csrSegment = 1 << 16
 
 // NewCSRBuilder returns a CSR builder over the given alphabets.
 func NewCSRBuilder(acts, labels *Alphabet) *CSRBuilder {
@@ -166,6 +181,9 @@ func NewCSRBuilder(acts, labels *Alphabet) *CSRBuilder {
 	return &CSRBuilder{acts: acts, labels: labels, cur: -1, offsets: []int32{0}}
 }
 
+// numEdges is the number of transitions emitted so far.
+func (b *CSRBuilder) numEdges() int32 { return int32(b.nsealed + len(b.edges)) }
+
 // BeginState starts emitting the transitions of state s. States must be
 // begun in strictly increasing order starting at 0.
 func (b *CSRBuilder) BeginState(s int32) error {
@@ -173,27 +191,53 @@ func (b *CSRBuilder) BeginState(s int32) error {
 		return fmt.Errorf("lts: BeginState(%d) out of order, expected %d", s, b.cur+1)
 	}
 	b.cur = s
-	b.offsets = append(b.offsets, int32(len(b.edges)))
+	b.offsets = append(b.offsets, b.numEdges())
 	return nil
 }
 
 // Emit adds a transition from the current state.
 func (b *CSRBuilder) Emit(act ActionID, label LabelID, dst int32) {
+	if len(b.edges) == cap(b.edges) {
+		b.seal(1, len(b.row()))
+	}
 	b.edges = append(b.edges, Transition{Action: act, Label: label, Dst: dst})
-	b.offsets[len(b.offsets)-1] = int32(len(b.edges))
+	b.offsets[len(b.offsets)-1] = b.numEdges()
+}
+
+// row is what Emit has added to the current state's row so far.
+func (b *CSRBuilder) row() []Transition {
+	return b.edges[int(b.offsets[len(b.offsets)-2])-b.nsealed:]
+}
+
+// seal starts a new segment when k more transitions do not fit in the
+// one being filled and that one has reached csrSegment; a smaller one is
+// left to grow. The last carry transitions, the row in progress, move to
+// the new segment: a row never spans two segments.
+func (b *CSRBuilder) seal(k, carry int) {
+	if len(b.edges)+k <= cap(b.edges) || cap(b.edges) < csrSegment {
+		return
+	}
+	n := len(b.edges) - carry
+	seg := make([]Transition, carry, max(carry+k, csrSegment))
+	copy(seg, b.edges[n:])
+	b.sealed = append(b.sealed, b.edges[:n])
+	b.nsealed += n
+	b.edges = seg
 }
 
 // Reserve grows the builder's capacity for at least states more states
 // and edges more transitions, so a bulk merge appends without regrowing.
 // A growth takes each capacity to max(need, 2·cap), so a merge that
 // reserves level by level copies every transition O(1) times amortized,
-// not once per level; Build trims the unused tail.
+// not once per level; Build trims the unused tail. The edges grow only
+// up to csrSegment: past it, EmitRow seals the segment when a row does
+// not fit.
 func (b *CSRBuilder) Reserve(states, edges int) {
 	if need := len(b.offsets) + states; need > cap(b.offsets) {
 		b.offsets = append(make([]int32, 0, max(need, 2*cap(b.offsets))), b.offsets...)
 	}
-	if need := len(b.edges) + edges; need > cap(b.edges) {
-		b.edges = append(make([]Transition, 0, max(need, 2*cap(b.edges))), b.edges...)
+	if need := len(b.edges) + edges; need > cap(b.edges) && cap(b.edges) < csrSegment {
+		b.edges = append(make([]Transition, 0, max(need, min(2*cap(b.edges), csrSegment))), b.edges...)
 	}
 }
 
@@ -206,8 +250,9 @@ func (b *CSRBuilder) EmitRow(s int32, row []Transition) error {
 		return fmt.Errorf("lts: EmitRow(%d) out of order, expected %d", s, b.cur+1)
 	}
 	b.cur = s
+	b.seal(len(row), 0)
 	b.edges = append(b.edges, row...)
-	b.offsets = append(b.offsets, int32(len(b.edges)))
+	b.offsets = append(b.offsets, b.numEdges())
 	return nil
 }
 
@@ -216,21 +261,29 @@ func (b *CSRBuilder) EmitRow(s int32, row []Transition) error {
 func (b *CSRBuilder) Build(numStates int, init int32) *LTS {
 	for int(b.cur) < numStates-1 {
 		b.cur++
-		b.offsets = append(b.offsets, int32(len(b.edges)))
+		b.offsets = append(b.offsets, b.numEdges())
 	}
-	if 4*cap(b.edges) > 5*len(b.edges) {
+	edges := b.edges
+	if len(b.sealed) > 0 {
+		edges = make([]Transition, 0, b.numEdges())
+		for _, seg := range b.sealed {
+			edges = append(edges, seg...)
+		}
+		edges = append(edges, b.edges...)
+	} else if 4*cap(edges) > 5*len(edges) {
 		// Trim a tail over a fifth of the capacity, as Reserve's doubling
 		// or append's growth (Emit, e.g. Lift's quotient) can leave: it is
 		// zeroed, so resident, for as long as the LTS lives.
-		b.edges = append([]Transition(nil), b.edges...)
+		edges = append([]Transition(nil), edges...)
 	}
+	b.sealed, b.edges = nil, nil
 	return &LTS{
 		Acts:      b.acts,
 		Labels:    b.labels,
 		Init:      init,
 		numStates: numStates,
 		offsets:   b.offsets,
-		edges:     b.edges,
+		edges:     edges,
 	}
 }
 

@@ -120,6 +120,60 @@ func TestCSRReserveGrowsGeometrically(t *testing.T) {
 	}
 }
 
+// TestCSRSegmentsKeepRowsWhole emits rows of 0 to 6 transitions past
+// three segments' worth, through EmitRow and through BeginState and
+// Emit. Rows are never split across segments, a segment is sealed only
+// when the next row does not fit, every segment after the first holds
+// csrSegment transitions, and Build returns every row in order in an
+// edge array of exactly the emitted length.
+func TestCSRSegmentsKeepRowsWhole(t *testing.T) {
+	for _, bulk := range []bool{true, false} {
+		b := NewCSRBuilder(nil, nil)
+		var want [][]Transition
+		for s := int32(0); b.numEdges() < 3*csrSegment+5; s++ {
+			row := make([]Transition, s%7)
+			for i := range row {
+				row[i] = Transition{Action: Tau, Label: LabelID(i), Dst: s}
+			}
+			if bulk {
+				b.Reserve(1, len(row))
+				if err := b.EmitRow(s, row); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if err := b.BeginState(s); err != nil {
+					t.Fatal(err)
+				}
+				for _, tr := range row {
+					b.Emit(tr.Action, tr.Label, tr.Dst)
+				}
+				if !slices.Equal(b.row(), row) {
+					t.Fatalf("Emit: row %d reads %v, want %v", s, b.row(), row)
+				}
+			}
+			want = append(want, row)
+		}
+		if len(b.sealed) < 2 {
+			t.Fatalf("bulk=%v: %d sealed segments for %d transitions", bulk, len(b.sealed), b.numEdges())
+		}
+		for i, seg := range b.sealed {
+			if (i > 0 && cap(seg) != csrSegment) || len(seg) <= cap(seg)-7 {
+				t.Fatalf("bulk=%v: segment %d holds %d transitions in a capacity of %d", bulk, i, len(seg), cap(seg))
+			}
+		}
+		n := int(b.numEdges())
+		l := b.Build(len(want), 0)
+		if len(l.edges) != n || cap(l.edges) != n {
+			t.Fatalf("bulk=%v: built %d transitions in a capacity of %d, want %d", bulk, len(l.edges), cap(l.edges), n)
+		}
+		for s, row := range want {
+			if got := l.Succ(int32(s)); !slices.Equal(got, row) {
+				t.Fatalf("bulk=%v: state %d has %v, want %v", bulk, s, got, row)
+			}
+		}
+	}
+}
+
 // TestCSRBuildTrimsLongTail checks Build's trim: an edge array whose
 // unused tail exceeds a fifth of its capacity, whether Reserve's doubling
 // or Emit's append growth left it, is cut once.

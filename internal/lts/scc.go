@@ -170,7 +170,7 @@ func Lift(l *LTS, classOf []int32, n int) *LTS {
 	seen := make(map[uint64]struct{})
 	for c := int32(0); int(c) < n; c++ {
 		b.BeginState(c) // classes arrive in increasing order, so it cannot fail
-		rowStart, mapped := len(b.edges), false
+		mapped := false
 		for _, s := range members[start[c]:start[c+1]] {
 			for _, t := range l.Succ(s) {
 				d := classOf[t.Dst]
@@ -182,18 +182,18 @@ func Lift(l *LTS, classOf []int32, n int) *LTS {
 						continue
 					}
 					seen[key(d, t.Action)] = struct{}{}
-				} else if rowHas(b.edges[rowStart:], d, t.Action) {
+				} else if rowHas(b.row(), d, t.Action) {
 					continue
 				}
 				b.Emit(t.Action, t.Label, d)
-				if !mapped && len(b.edges)-rowStart > shortRow {
+				if !mapped && len(b.row()) > shortRow {
 					mapped = true
 					if len(seen) > 64 {
 						seen = make(map[uint64]struct{}) // clear would cost the peak capacity
 					} else {
 						clear(seen)
 					}
-					for _, e := range b.edges[rowStart:] {
+					for _, e := range b.row() {
 						seen[key(e.Dst, e.Action)] = struct{}{}
 					}
 				}

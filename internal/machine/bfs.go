@@ -11,29 +11,28 @@ import (
 	"repro/internal/statecodec"
 )
 
-// State-space generation: a level-synchronized BFS over a
-// statecodec.Store (the in-memory store by default; the spilling
-// statestore when the platform wired one in via Options.Backend). Every
-// worker count, one included, runs this same loop.
+// State-space generation: a level-synchronized BFS over one
+// statecodec.Store. Every worker count, one included, and every memory
+// budget runs this same loop.
 //
 // The frontier of each BFS level is the sequence of state keys pushed
 // during the previous level's merge, served by the store either from a
-// hot in-RAM buffer or from an on-disk run file (invisible to this
-// file). Workers claim fixed-size chunks of the frontier (dynamic
-// scheduling via an atomic cursor), expand each state with fully
-// private scratch (expander, decode state, encode buffer, chunk
-// reader), intern successor encodings into the store's sharded table,
-// and append their transitions — in symbolic form — to a per-worker
-// buffer. A single-threaded merge then walks the frontier in state
-// order and assigns IDs to newly discovered states in one fixed order:
-// frontier states ascending, and within a state its transitions in
-// emission order (expandState). It resolves action and label IDs
-// through one memoized interner in that same order, and bulk-appends
-// each row to the CSR builder. After the merge the level is closed: if
-// the store is over its memory budget, the closed intern-table
-// generation spills to disk — at that point every entry of the
+// hot in-RAM buffer or from a run file (invisible to this file).
+// Workers claim fixed-size chunks of the frontier (dynamic scheduling
+// via an atomic cursor), expand each state with fully private scratch
+// (expander, decode state, encode buffer, chunk reader), intern
+// successor encodings into the store's sharded table, and append their
+// transitions — in symbolic form — to a per-worker buffer. A
+// single-threaded merge then walks the frontier in state order and
+// assigns IDs to newly discovered states in one fixed order: frontier
+// states ascending, and within a state its transitions in emission
+// order (expandState). It resolves action and label IDs through one
+// memoized interner in that same order, and bulk-appends each row to
+// the CSR builder. After the merge the level is closed: if the store is
+// over its memory budget, the closed intern-table generation spills
+// through Options.Backend.Spill — at that point every entry of the
 // generation carries its final ID, so the spill moves bytes, never
-// decisions.
+// decisions. With a zero budget nothing spills.
 //
 // Consequently the produced LTS — state numbering, transition order,
 // alphabet interning, deadlock list — is the same for every worker
@@ -70,7 +69,7 @@ type pworker struct {
 	buf   []byte
 	trs   []ptrans
 	cdc   codec
-	store statecodec.Store
+	store *statecodec.Store
 	chunk statecodec.ChunkReader
 	// fault is the model fault this worker hit in the current level, at
 	// frontier index faultAt; the worker stops there.
@@ -81,7 +80,7 @@ type pworker struct {
 // newPWorker builds one worker. Its struct and every scratch object it
 // writes per step sit on cache lines of their own (isolated), so no two
 // workers ever write to one line.
-func newPWorker(p *Program, opt Options, cdc codec, store statecodec.Store) *pworker {
+func newPWorker(p *Program, opt Options, cdc codec, store *statecodec.Store) *pworker {
 	w := isolatedNew[pworker]()
 	w.x = newExpander(p, opt.Threads)
 	// Every worker applies the identical pruning rule inside
@@ -109,11 +108,21 @@ func (w *pworker) emit(x *expander, tr symTrans) {
 const frontierChunk = 64
 
 func explore(ctx context.Context, p *Program, opt Options, cdc codec, acts, labels *lts.Alphabet, limit, workers int) (*lts.LTS, *Info, error) {
-	startTime := time.Now()
-	store, err := opt.Backend.OpenStore(statecodec.Config{MemBudget: opt.MemBudget, Dir: opt.SpillDir})
+	csr, numStates, info, err := exploreLevels(ctx, p, opt, cdc, acts, labels, limit, workers)
 	if err != nil {
 		return nil, nil, err
 	}
+	// The store is closed and unreachable by now, so a collection that
+	// starts while Build copies the edges does not count its tables as
+	// live.
+	return csr.Build(numStates, 0), info, nil
+}
+
+// exploreLevels runs the BFS and returns the CSR rows of every state
+// and the number of states.
+func exploreLevels(ctx context.Context, p *Program, opt Options, cdc codec, acts, labels *lts.Alphabet, limit, workers int) (*lts.CSRBuilder, int, *Info, error) {
+	startTime := time.Now()
+	store := statecodec.NewStore(statecodec.Config{MemBudget: opt.MemBudget, Dir: opt.SpillDir}, opt.Backend.Spill)
 	// Spill files and mmap regions are released on every exit path —
 	// success, cancellation, state-limit abort, I/O error.
 	defer store.Close()
@@ -122,12 +131,12 @@ func explore(ctx context.Context, p *Program, opt Options, cdc codec, acts, labe
 	// Intern the initial state as state 0 and seed the first frontier.
 	key, err := initialKey(p, opt, cdc)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	_, _, key = store.Number(store.Intern(key), 0)
 	numStates := 1
 	if err := store.PushFrontier(key); err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 
 	ws := make([]*pworker, workers)
@@ -143,7 +152,7 @@ func explore(ctx context.Context, p *Program, opt Options, cdc codec, acts, labe
 	for {
 		lvl, err := store.NextLevel()
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, nil, err
 		}
 		n := lvl.Len()
 		if n == 0 {
@@ -211,11 +220,11 @@ func explore(ctx context.Context, p *Program, opt Options, cdc codec, acts, labe
 		}
 		wg.Wait()
 		if ctx.Err() != nil {
-			return nil, nil, canceled(ctx, p.Name)
+			return nil, 0, nil, canceled(ctx, p.Name)
 		}
 		for _, e := range readErrs {
 			if e != nil {
-				return nil, nil, fmt.Errorf("machine: %s: frontier read: %w", p.Name, e)
+				return nil, 0, nil, fmt.Errorf("machine: %s: frontier read: %w", p.Name, e)
 			}
 		}
 
@@ -235,7 +244,7 @@ func explore(ctx context.Context, p *Program, opt Options, cdc codec, acts, labe
 		csr.Reserve(n, total)
 		for i := range rows {
 			if i&cancelCheckMask == 0 && ctx.Err() != nil {
-				return nil, nil, canceled(ctx, p.Name)
+				return nil, 0, nil, canceled(ctx, p.Name)
 			}
 			r := &rows[i]
 			trs := ws[r.worker].trs[r.start:r.end]
@@ -250,11 +259,11 @@ func explore(ctx context.Context, p *Program, opt Options, cdc codec, acts, labe
 						// earlier states are resident or spilled is
 						// irrelevant to the limit.
 						if numStates >= limit {
-							return nil, nil, &StateLimitError{Program: p.Name, Limit: limit}
+							return nil, 0, nil, &StateLimitError{Program: p.Name, Limit: limit}
 						}
 						numStates++
 						if err := store.PushFrontier(key); err != nil {
-							return nil, nil, err
+							return nil, 0, nil, err
 						}
 					}
 				}
@@ -262,10 +271,10 @@ func explore(ctx context.Context, p *Program, opt Options, cdc codec, acts, labe
 				row = append(row, lts.Transition{Action: act, Label: lbl, Dst: dst})
 			}
 			if err := csr.EmitRow(int32(base+i), row); err != nil {
-				return nil, nil, err
+				return nil, 0, nil, err
 			}
 			if i == faultAt {
-				return nil, nil, fault
+				return nil, 0, nil, fault
 			}
 			if r.deadlock {
 				info.Deadlocks = append(info.Deadlocks, int32(base+i))
@@ -273,7 +282,7 @@ func explore(ctx context.Context, p *Program, opt Options, cdc codec, acts, labe
 		}
 		base += n
 		if err := store.EndLevel(); err != nil {
-			return nil, nil, err
+			return nil, 0, nil, err
 		}
 	}
 
@@ -299,5 +308,5 @@ func explore(ctx context.Context, p *Program, opt Options, cdc codec, acts, labe
 		KeyPatched:        patched,
 		Elapsed:           time.Since(startTime),
 	}
-	return csr.Build(numStates, 0), info, nil
+	return csr, numStates, info, nil
 }

@@ -176,16 +176,16 @@ type Options struct {
 	// Labels supplies a shared diagnostic-label alphabet; nil allocates.
 	Labels *lts.Alphabet
 	// MemBudget bounds (approximately, in bytes) the resident state
-	// storage of the exploration; past it, a spill-capable Backend sheds
-	// closed intern-table generations and frontier levels to temp files.
-	// 0 keeps everything in RAM. The produced LTS is byte-identical for
-	// every budget. A positive budget requires Backend.Open — the pure
-	// in-memory default cannot honor a budget.
+	// storage of the exploration; past it, the store sheds closed
+	// intern-table generations and frontier levels to temp files through
+	// Backend.Spill. 0 keeps everything in RAM. The produced LTS is
+	// byte-identical for every budget. A positive budget requires
+	// Backend.Spill — the pure backend has nowhere to spill to.
 	MemBudget int64
 	// SpillDir is the parent directory for spill temp files; empty uses
 	// the OS temp dir. All spill files live in a private subdirectory
-	// removed when the exploration ends, on every exit path. Ignored by
-	// the in-memory backend.
+	// removed when the exploration ends, on every exit path. Unused
+	// without a budget.
 	SpillDir string
 	// Layout optionally supplies a narrowed state layout (vet interval
 	// facts via vet.StateLayout); nil uses StructuralLayout. It must be
@@ -207,11 +207,10 @@ type Options struct {
 	// ignored. Nil disables reduction.
 	Reduction *Reduction
 	// Backend supplies the platform services of the exploration: the
-	// state-store opener and the process peak-RSS probe. The zero value
-	// is fully functional and OS-free — states stay in RAM (the
-	// statecodec in-memory store) and RSS telemetry reads as unknown.
-	// Platform callers pass statestore.Runtime() to enable
-	// spill-to-disk storage and real telemetry. The choice never affects
+	// spill filesystem and the process peak-RSS probe. The zero value
+	// is fully functional and OS-free — states stay in RAM and RSS
+	// telemetry reads as unknown. Platform callers pass
+	// statestore.Runtime() to enable memory budgets and real telemetry. The choice never affects
 	// the produced LTS.
 	Backend statecodec.Backend
 }
@@ -317,7 +316,7 @@ func ExploreWithInfoContext(ctx context.Context, p *Program, opt Options) (*lts.
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opt.MemBudget > 0 && opt.Backend.Open == nil {
+	if opt.MemBudget > 0 && opt.Backend.Spill == nil {
 		return nil, nil, fmt.Errorf("machine: %s: Options.MemBudget requires a spill-capable Options.Backend (e.g. statestore.Runtime()); the in-memory default cannot honor a budget", p.Name)
 	}
 	return explore(ctx, p, opt, cdc, acts, labels, limit, workers)

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -9,59 +8,75 @@ import (
 )
 
 // TestDecodeKeysAllocFree pins the decode side of the BFS hot path: a
-// level of the in-memory store hands out its keys as slices of the level
+// hot level of the store hands out its keys as slices of the level
 // buffer, so reading every key of a level in frontier chunks and
-// decoding it must not allocate.
+// decoding it must not allocate. The test walks the state space level
+// by level through a store, as the explorer does.
 func TestDecodeKeysAllocFree(t *testing.T) {
 	p := counterProgram()
 	opt := Options{Threads: 2, Ops: 2, Workers: 1}
-	spy := &decodeSpy{t: t, cdc: newCodec(p, opt), cur: newScratchState(p, opt.Threads)}
-	opt.Backend.Open = func(cfg statecodec.Config) (statecodec.Store, error) {
-		st, err := statecodec.OpenMem(cfg)
-		spy.Store = st
-		return spy, err
-	}
-	if _, _, err := ExploreWithInfoContext(context.Background(), p, opt); err != nil {
+	cdc := newCodec(p, opt)
+	store := statecodec.NewStore(statecodec.Config{}, nil)
+	defer store.Close()
+	w := newPWorker(p, opt, cdc, store)
+	key, err := initialKey(p, opt, cdc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if spy.widest < 10 {
-		t.Fatalf("expected a level of at least 10 states, the widest has %d", spy.widest)
-	}
-}
-
-// decodeSpy wraps the explorer's store and, each time a level is
-// sealed, decodes all of its keys and fails the test if that allocates.
-type decodeSpy struct {
-	statecodec.Store
-	t      *testing.T
-	cdc    codec
-	cur    *state
-	cr     statecodec.ChunkReader
-	widest int
-}
-
-func (s *decodeSpy) NextLevel() (statecodec.Level, error) {
-	lvl, err := s.Store.NextLevel()
-	if err != nil || lvl.Len() == 0 {
-		return lvl, err
-	}
-	n := lvl.Len()
-	s.widest = max(s.widest, n)
-	allocs := testing.AllocsPerRun(10, func() {
-		for start := 0; start < n; start += frontierChunk {
-			keys, err := lvl.Chunk(start, min(start+frontierChunk, n), &s.cr)
-			if err != nil {
-				s.t.Fatal(err)
-			}
-			for _, key := range keys {
-				s.cdc.decode(key, s.cur)
+	seen := map[string]bool{string(key): true}
+	next := [][]byte{key}
+	widest := 0
+	for len(next) > 0 {
+		for _, k := range next {
+			if err := store.PushFrontier(k); err != nil {
+				t.Fatal(err)
 			}
 		}
-	})
-	if allocs != 0 {
-		s.t.Errorf("decoding all %d keys of a level allocated %.1f times per sweep; want 0", n, allocs)
+		lvl, err := store.NextLevel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := lvl.Len()
+		widest = max(widest, n)
+		var cr statecodec.ChunkReader
+		allocs := testing.AllocsPerRun(10, func() {
+			for start := 0; start < n; start += frontierChunk {
+				keys, err := lvl.Chunk(start, min(start+frontierChunk, n), &cr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, key := range keys {
+					w.cdc.decode(key, w.cur)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("decoding all %d keys of a level allocated %.1f times per sweep; want 0", n, allocs)
+		}
+		next = nil
+		for start := 0; start < n; start += frontierChunk {
+			keys, err := lvl.Chunk(start, min(start+frontierChunk, n), &cr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range keys {
+				sink := &keySink{w: w}
+				w.cdc.decode(key, w.cur)
+				if _, err := w.x.expand(w.cur, key, sink); err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range sink.keys {
+					if !seen[string(k)] {
+						seen[string(k)] = true
+						next = append(next, k)
+					}
+				}
+			}
+		}
 	}
-	return lvl, nil
+	if widest < 10 {
+		t.Fatalf("expected a level of at least 10 states, the widest has %d", widest)
+	}
 }
 
 // TestTransitionBuffersPointerFree guards the GC cost of the parallel

@@ -115,10 +115,7 @@ func TestWorkerScratchIsolated(t *testing.T) {
 	p := stackProgram()
 	opt := Options{Threads: 2, Ops: 2}
 	cdc := newCodec(p, opt)
-	store, err := statecodec.OpenMem(statecodec.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := statecodec.NewStore(statecodec.Config{}, nil)
 	defer store.Close()
 	const workers = 4
 	ws := make([]*pworker, workers)

@@ -2,6 +2,7 @@ package statecodec
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -9,7 +10,8 @@ import (
 // ParseBudget parses a human memory-budget string: a non-negative
 // number with an optional binary-size suffix (B, K/KB/KiB, M/MB/MiB,
 // G/GB/GiB, case-insensitive; K, M and G are binary multiples). Plain
-// numbers are bytes. "0" disables the budget.
+// numbers are bytes. "0" disables the budget. A value that is not finite
+// or does not fit in an int64 is an error.
 func ParseBudget(s string) (int64, error) {
 	t := strings.TrimSpace(s)
 	mult := int64(1)
@@ -33,10 +35,15 @@ func ParseBudget(s string) (int64, error) {
 		return 0, fmt.Errorf("statecodec: invalid memory budget %q", s)
 	}
 	v, err := strconv.ParseFloat(t, 64)
-	if err != nil || v < 0 {
+	if err != nil || !(v >= 0) {
 		return 0, fmt.Errorf("statecodec: invalid memory budget %q", s)
 	}
-	return int64(v * float64(mult)), nil
+	b := v * float64(mult)
+	// float64(math.MaxInt64) is 2^63, the first value past the range.
+	if b >= math.MaxInt64 {
+		return 0, fmt.Errorf("statecodec: memory budget %q exceeds %d bytes", s, int64(math.MaxInt64))
+	}
+	return int64(b), nil
 }
 
 // FormatBytes renders a byte count for humans ("1.5 MiB").

@@ -1,45 +1,46 @@
-// Package statecodec is the pure, OS-free half of the explorer's state
-// storage: fixed-width bit-packed state encodings derived from value
-// layouts (Slot, Layout, BitWriter, BitReader), the storage contract the
-// explorer programs against (Store, Level, Ref), the pointer-free intern
-// Table every store builds on, and an in-memory Store that keeps every
-// interned key and frontier level resident.
+// Package statecodec is the explorer's state storage, in OS-free Go:
+// fixed-width bit-packed state encodings derived from value
+// layouts (Slot, Layout, BitWriter, BitReader), the pointer-free intern
+// Table, and the one state Store the explorer programs against — a
+// sharded intern table plus the level-ordered BFS frontier, which past
+// a memory budget spills closed table generations and frontier levels
+// to files.
 //
 // The package belongs to the core layer: it imports no operating-system
 // facilities and compiles unchanged for every GOOS/GOARCH pair,
-// including js/wasm. The platform layer's internal/statestore implements
-// the same Store contract with a spill-to-disk backend (append-only
-// mmap'd generation files, on-disk frontier run files) for explorations
-// whose state space exceeds RAM; callers choose an implementation
-// through Backend.Open. Nothing behind the Store interface influences
-// state identity or discovery order, so the produced LTS is
-// byte-identical whichever implementation holds the bytes.
+// including js/wasm. The files a Store spills to come through the
+// SpillFS seam, which the platform layer's internal/statestore
+// implements with os and mmap; without it (the pure configuration) a
+// store holds no budget and never touches a filesystem. Nothing a
+// store does with its bytes influences state identity or discovery
+// order, so the produced LTS is byte-identical for every budget.
 package statecodec
+
+import "io"
 
 // Config bounds a Store.
 type Config struct {
 	// MemBudget is the approximate number of bytes of state storage the
 	// store may keep resident (interned keys plus hot frontier bytes plus
-	// bookkeeping); 0 means unlimited, everything stays in RAM. Stores
-	// without spill capability (OpenMem) ignore the budget.
+	// bookkeeping); 0 means unlimited: nothing ever spills, and the
+	// store never calls its SpillFS.
 	MemBudget int64
-	// Dir is the parent directory for a spilling store's private spill
-	// directory; empty uses the OS temp dir. Pure in-memory stores ignore
-	// it and never touch the filesystem.
+	// Dir is the parent directory of the store's private spill
+	// directory; empty uses the OS temp dir.
 	Dir string
 }
 
 // Ref is the result of an intern: a numbered state's final ID, or ID -1
 // and a Handle for Store.Number while the state awaits its number. Only
-// the merge numbers states, and stores shed entries only after it, so a
-// state no longer resident is always numbered. Ref holds no Go pointer,
+// the merge numbers states, and the store spills entries only after it,
+// so a state no longer resident is always numbered. Ref holds no Go pointer,
 // so the explorer's transition buffers stay noscan.
 type Ref struct {
 	ID     int32
 	Handle uint32
 }
 
-// Stats reports a store's lifetime telemetry.
+// Stats reports the store's lifetime telemetry.
 type Stats struct {
 	// Interned is the number of distinct states interned.
 	Interned int64
@@ -51,7 +52,7 @@ type Stats struct {
 	// frontier bytes).
 	PeakResidentBytes int64
 	// SpillFiles counts every temp file the store created (generation
-	// files plus frontier run files); always 0 for in-memory stores.
+	// files plus frontier run files); always 0 without a budget.
 	SpillFiles int
 	// TableFlushes counts intern-table generation flushes.
 	TableFlushes int
@@ -63,74 +64,49 @@ type Stats struct {
 func (s Stats) Spilled() bool { return s.SpillFiles > 0 }
 
 // ChunkReader is per-worker scratch for Level.Chunk: a reusable read
-// buffer and key-slice header array, shared across Store
-// implementations.
+// buffer and key-slice header array.
 type ChunkReader struct {
 	Scratch []byte
 	Keys    [][]byte
 }
 
-// Level is one sealed BFS frontier level, readable in chunks. Chunk
-// returns the encoded keys of states [start, end) of the level; the
-// returned slices alias the reader's scratch or the level's buffer and
-// are valid until the next Chunk call on the same reader. Chunk is safe
-// for concurrent use with distinct readers.
-type Level interface {
-	Len() int
-	Chunk(start, end int, cr *ChunkReader) ([][]byte, error)
+// SpillFS is the filesystem a Store spills to, the only operating-system
+// service state storage needs. The platform layer (internal/statestore)
+// implements it with os and mmap.
+type SpillFS interface {
+	// MkdirTemp creates a new private directory under parent (the OS
+	// temp dir when empty) and returns its path.
+	MkdirTemp(parent string) (string, error)
+	// Create creates the file name in dir, empty, for appending.
+	Create(dir, name string) (SpillFile, error)
+	// RemoveAll removes dir and everything in it.
+	RemoveAll(dir string) error
 }
 
-// Store is the explorer's state storage: a sharded intern table plus the
-// level-ordered frontier.
-//
-// Concurrency contract: Intern is safe for concurrent use (expansion
-// workers). Number, PushFrontier, NextLevel, EndLevel, Stats and Close
-// are single-threaded explorer-merge operations and must not race with
-// Intern calls (the level-synchronized explorer guarantees this: all
-// workers join before the merge runs).
-//
-// Whatever the implementation, keys must come back from levels in
-// exactly the order they were pushed, and Intern must return the same
-// identity for equal keys — state numbering never depends on the
-// backing storage.
-type Store interface {
-	// Intern returns the reference for key, creating an unnumbered
-	// resident entry on first sight. The key buffer may be reused by the
-	// caller after the call returns.
-	Intern(key []byte) Ref
-	// Number gives the unnumbered entry ref names the ID next, unless an
-	// earlier Number already gave it one, and returns the entry's ID,
-	// whether this call assigned it, and — when it did — the entry's key,
-	// valid until the next Intern. Single-threaded (merge only).
-	Number(ref Ref, next int32) (id int32, fresh bool, key []byte)
-	// PushFrontier appends one state key to the level under construction.
-	PushFrontier(key []byte) error
-	// NextLevel seals the level under construction for reading and
-	// releases the previously returned level.
-	NextLevel() (Level, error)
-	// EndLevel closes the level just merged; spilling stores use it to
-	// shed the closed intern-table generation once every entry carries
-	// its final ID.
-	EndLevel() error
-	// Stats snapshots the store's telemetry.
-	Stats() Stats
-	// Close releases every resource the store holds. It is idempotent
-	// and must run on every explorer exit path.
+// SpillFile is one spill file: appended to with Write, then read back
+// with ReadAt (safe for concurrent use) or Map.
+type SpillFile interface {
+	io.Writer
+	io.ReaderAt
+	// Map returns the file's first size bytes read-only: a mapping, or a
+	// heap copy where the platform cannot map. They stay valid until
+	// Close.
+	Map(size int64) ([]byte, error)
+	// Close releases the file and its mapping.
 	Close() error
+	// Remove closes the file and deletes it.
+	Remove() error
 }
-
-// Opener creates a Store for one exploration.
-type Opener func(Config) (Store, error)
 
 // Backend bundles the platform services an exploration may use. Its
 // zero value is the pure configuration: states stay in RAM and
 // process-level telemetry reads as unknown. The platform layer
-// (internal/statestore) supplies a spill-capable Open and a real RSS
+// (internal/statestore) supplies a spill filesystem and a real RSS
 // probe; core-layer code never needs either to produce correct results.
 type Backend struct {
-	// Open creates the exploration's state store; nil uses the in-memory
-	// store (OpenMem), which ignores any memory budget.
-	Open Opener
+	// Spill is the filesystem a memory-budgeted exploration spills to;
+	// nil means no budget can be honored.
+	Spill SpillFS
 	// PeakRSS reports the process's high-water resident set size in
 	// bytes, or 0 where the platform cannot tell; nil means unknown.
 	// Consumers must omit, not report, zero values.
@@ -144,13 +120,4 @@ func (b Backend) ProcessPeakRSS() int64 {
 		return 0
 	}
 	return b.PeakRSS()
-}
-
-// OpenStore resolves the backend's opener: Open when set, OpenMem
-// otherwise.
-func (b Backend) OpenStore(cfg Config) (Store, error) {
-	if b.Open == nil {
-		return OpenMem(cfg)
-	}
-	return b.Open(cfg)
 }

@@ -119,6 +119,9 @@ func TestParseBudget(t *testing.T) {
 		"2GiB":   2 << 30,
 		"2g":     2 << 30,
 		"1.5MiB": 3 << 19,
+		// The largest budgets below 2^63 bytes still fit.
+		"9223372036854774784": 9223372036854774784,
+		"8388607GiB":          8388607 << 30,
 	}
 	for in, want := range good {
 		got, err := statecodec.ParseBudget(in)
@@ -130,7 +133,8 @@ func TestParseBudget(t *testing.T) {
 			t.Errorf("ParseBudget(%q) = %d, want %d", in, got, want)
 		}
 	}
-	for _, bad := range []string{"", "-1", "-64MiB", "lots", "12QiB"} {
+	for _, bad := range []string{"", "-1", "-64MiB", "lots", "12QiB",
+		"inf", "+Inf", "-inf", "NaN", "nanMiB", "1e30", "1e30GiB", "9223372036854775808", "8589934592GiB"} {
 		if _, err := statecodec.ParseBudget(bad); err == nil {
 			t.Errorf("ParseBudget(%q): expected error", bad)
 		}

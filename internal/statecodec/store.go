@@ -1,43 +1,10 @@
-// Package statestore is the platform half of the explorer's state
-// storage: a statecodec.Store implementation whose sharded intern table
-// spills closed generations to append-only mmap'd temp files past a
-// configurable memory budget, and whose BFS frontier runs through a
-// two-queue structure (hot in-RAM buffer, cold on-disk run files)
-// replayed level by level. It also hosts the process telemetry probe
-// (peak RSS via /proc on Linux, zero elsewhere).
-//
-// The pure layout/codec types and the storage contract live in
-// internal/statecodec; this package owns only where the bytes go when
-// they leave RAM. Nothing here influences state identity or discovery
-// order, so the produced LTS is byte-identical for any memory budget.
-package statestore
+package statecodec
 
 import (
 	"bytes"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
-
-	"repro/internal/statecodec"
-)
-
-// Config bounds a Store: statecodec.Config with the budget semantics
-// this package implements. When the budget is exceeded, closed
-// intern-table generations flush to append-only temp files and the
-// frontier of the next level goes to an on-disk run file; the spill
-// directory and everything in it are removed by Close.
-type Config = statecodec.Config
-
-// Ref and Stats are the shared storage-contract types; see statecodec.
-// A hot entry's key lives in its shard's table until the table's
-// generation spills, at which point it lives in a generation file and
-// only its final ID comes back from Intern.
-type (
-	Ref   = statecodec.Ref
-	Stats = statecodec.Stats
 )
 
 // coldEntry is where one spilled entry lives: its state ID and its
@@ -49,6 +16,9 @@ type coldEntry struct {
 	gen uint16 // generation file, an index into Store.gens
 }
 
+// maxGens is the number of generation files a coldEntry can name.
+const maxGens = math.MaxUint16 + 1
+
 // coldIndex is one shard's index over every entry it has spilled, from
 // all generations at once: linear probing from the tag scaled to the
 // slot count, so a spilled hit or miss is one probe sequence however
@@ -57,12 +27,12 @@ type coldEntry struct {
 // that 0 can mark an empty slot (a key's length cannot: a layout whose
 // slots are all singletons encodes every state in 0 bytes), and a
 // coldEntry. The tags sit in their own slice, so a probe reads 4 bytes
-// a slot and touches an entry, and its key in the mmap'd file, only on
+// a slot and touches an entry, and its key in the mapped file, only on
 // a tag match.
 type coldIndex struct {
+	n    int // occupied slots
 	tags []uint32
 	ents []coldEntry
-	n    int // occupied slots
 }
 
 func (c *coldIndex) home(tag uint32) int {
@@ -73,9 +43,6 @@ func (c *coldIndex) home(tag uint32) int {
 // of its Hash64, and gens resolves an entry's generation to its file
 // bytes. The load stays below 1, so the probe ends at an empty slot.
 func (c *coldIndex) find(tag uint32, key []byte, gens []generation) (int32, bool) {
-	if len(c.tags) == 0 {
-		return 0, false
-	}
 	tag |= 1
 	for p := c.home(tag); ; {
 		switch c.tags[p] {
@@ -132,38 +99,53 @@ func (c *coldIndex) bytes() int64 { return 4*int64(len(c.tags)) + 12*int64(len(c
 // last flush, and the cold index of every entry spilled before it.
 type shard struct {
 	mu   sync.Mutex
-	hot  statecodec.Table
+	hot  Table
 	cold coldIndex
+	_    [32]byte // pad to three cache lines so shard locks don't false-share
 }
 
-// generation is one spilled generation file: its bytes, which cold
-// entries point into, and what Close must release.
+// generation is one spilled generation file and its mapped bytes, which
+// cold entries point into.
 type generation struct {
-	f      *os.File
-	data   []byte
-	mapped bool
+	f    SpillFile
+	data []byte
 }
 
 // Store is the explorer's state storage: the sharded intern table and
-// the level-ordered frontier, both subject to one shared memory budget.
+// the level-ordered frontier, both subject to one memory budget. While
+// the store is within its budget everything stays in RAM; past it,
+// EndLevel flushes the closed intern-table generation to an append-only
+// spill file, and PushFrontier sends the rest of the level under
+// construction to a run file. With a zero budget nothing ever spills.
 //
 // Concurrency contract: Intern is safe for concurrent use (expansion
 // workers). Number, PushFrontier, NextLevel, EndLevel, Stats and Close
 // are single-threaded explorer-merge operations and must not race with
 // Intern calls (the level-synchronized explorer guarantees this: all
-// workers join before the merge runs).
+// workers join before the merge runs). The interns of a level come
+// before its merge: PushFrontier reads the table sizes once per level.
+//
+// Keys come back from levels in exactly the order they were pushed,
+// and Intern returns the same identity for equal keys, so state
+// numbering never depends on the budget.
 type Store struct {
 	cfg    Config
+	fs     SpillFS
 	dir    string // private spill directory, created on first spill
-	shards [statecodec.NumShards]shard
+	shards [NumShards]shard
 
-	resident      atomic.Int64
-	peakResident  atomic.Int64
-	interned      atomic.Int64
-	internedBytes atomic.Int64
+	// The resident set is counted at the merge, never per intern: the
+	// hot tables' bytes (summed once a level, valid while tablesKnown),
+	// the cold indexes' bytes (which change only in a flush) and the hot
+	// frontier bytes.
+	tables, cold int64
+	tablesKnown  bool
+	peak         int64
+
+	// Entries and key bytes flushed out of the hot tables.
+	flushed, flushedBytes int64
 
 	gens    []generation
-	maxGens int // generation files a coldEntry can name
 	fileSeq int
 	stats   Stats
 
@@ -172,92 +154,99 @@ type Store struct {
 	genW, runW spillWriter
 
 	cur  *Level // level being expanded
-	next *levelWriter
+	next *Level // level under construction
 
 	closed bool
 }
 
-// Open creates an empty store. The caller must Close it to release any
-// spill files; Close is safe (and cheap) when nothing ever spilled.
-func Open(cfg Config) (*Store, error) {
-	s := &Store{cfg: cfg, maxGens: math.MaxUint16 + 1}
-	s.next = &levelWriter{s: s}
-	return s, nil
-}
-
-func (s *Store) addResident(delta int64) {
-	r := s.resident.Add(delta)
-	for {
-		p := s.peakResident.Load()
-		if r <= p || s.peakResident.CompareAndSwap(p, r) {
-			return
-		}
-	}
-}
-
-func (s *Store) overBudget() bool {
-	return s.cfg.MemBudget > 0 && s.resident.Load() > s.cfg.MemBudget
+// NewStore creates an empty store that spills to fs past cfg.MemBudget.
+// fs may be nil when the budget is 0. The caller must Close the store to
+// release any spill files; Close is cheap when nothing ever spilled.
+func NewStore(cfg Config, fs SpillFS) *Store {
+	return &Store{cfg: cfg, fs: fs, cur: &Level{}, next: &Level{}}
 }
 
 // Intern returns the reference for key, creating an unnumbered resident
 // entry on first sight. Safe for concurrent use; the key buffer may be
-// reused by the caller after the call returns.
+// reused by the caller after the call returns. Until its shard spills,
+// an intern is one probe of the shard's hot table.
 func (s *Store) Intern(key []byte) Ref {
-	h := statecodec.Hash64(key)
-	si := h & (statecodec.NumShards - 1)
+	h := Hash64(key)
+	si := h & (NumShards - 1)
 	sh := &s.shards[si]
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if i, ok := sh.hot.Find(h, key); ok {
-		return statecodec.ShardRef(si, &sh.hot, i)
+	i, ok := sh.hot.Find(h, key)
+	if !ok {
+		if sh.cold.n > 0 {
+			if id, ok := sh.cold.find(uint32(h>>32), key, s.gens); ok {
+				sh.mu.Unlock()
+				return Ref{ID: id}
+			}
+		}
+		i = sh.hot.add(h, key)
 	}
-	if id, ok := sh.cold.find(uint32(h>>32), key, s.gens); ok {
-		return Ref{ID: id}
-	}
-	before := sh.hot.Bytes()
-	i, _ := sh.hot.Intern(h, key)
-	s.interned.Add(1)
-	s.internedBytes.Add(int64(len(key)))
-	s.addResident(sh.hot.Bytes() - before)
-	return statecodec.ShardRef(si, &sh.hot, i)
+	ref := shardRef(si, &sh.hot, i)
+	sh.mu.Unlock()
+	return ref
 }
 
-// Number gives the unnumbered entry ref names the ID next unless it
-// already has one. Single-threaded (merge only).
+// Number gives the unnumbered entry ref names the ID next, unless an
+// earlier Number already gave it one, and returns the entry's ID,
+// whether this call assigned it, and — when it did — the entry's key,
+// valid until the next Intern. Single-threaded (merge only).
 func (s *Store) Number(ref Ref, next int32) (int32, bool, []byte) {
-	si, i := ref.Shard()
+	si, i := ref.shard()
 	return s.shards[si].hot.Number(i, next)
 }
 
+// resident is the store's resident set, and it raises the peak to it.
+func (s *Store) resident() int64 {
+	if !s.tablesKnown {
+		s.tables = 0
+		for i := range s.shards {
+			s.tables += s.shards[i].hot.Bytes()
+		}
+		s.tablesKnown = true
+	}
+	r := s.tables + s.cold + int64(len(s.cur.buf)+len(s.next.buf))
+	s.peak = max(s.peak, r)
+	return r
+}
+
+// overBudget reports whether the resident set exceeds the budget.
+func (s *Store) overBudget() bool {
+	r := s.resident()
+	return s.cfg.MemBudget > 0 && r > s.cfg.MemBudget
+}
+
 // ensureDir creates the store's private spill directory on first use.
-// A store with an unlimited budget must never get here: pure in-RAM
-// runs (and js builds routed through the in-memory backend) are
-// guaranteed to touch no filesystem, so an attempt to spill without a
-// budget is an internal invariant violation, not a reason to create
-// temp files.
+// A store without a budget never gets here: a run with everything in RAM
+// is guaranteed to touch no filesystem, so an attempt to spill without a
+// budget, or without a filesystem, is an internal invariant violation,
+// not a reason to create files.
 func (s *Store) ensureDir() error {
 	if s.dir != "" {
 		return nil
 	}
-	if s.cfg.MemBudget <= 0 {
-		return fmt.Errorf("statestore: internal error: spill attempted with an unlimited memory budget")
+	if s.cfg.MemBudget <= 0 || s.fs == nil {
+		return fmt.Errorf("statecodec: internal error: spill attempted without a memory budget and spill filesystem")
 	}
-	dir, err := os.MkdirTemp(s.cfg.Dir, "bbv-statestore-*")
+	dir, err := s.fs.MkdirTemp(s.cfg.Dir)
 	if err != nil {
-		return fmt.Errorf("statestore: create spill dir: %w", err)
+		return fmt.Errorf("statecodec: create spill dir: %w", err)
 	}
 	s.dir = dir
 	return nil
 }
 
-func (s *Store) newSpillFile(prefix string) (*os.File, error) {
+func (s *Store) newSpillFile(prefix string) (SpillFile, error) {
 	if err := s.ensureDir(); err != nil {
 		return nil, err
 	}
 	s.fileSeq++
-	f, err := os.Create(filepath.Join(s.dir, fmt.Sprintf("%s-%06d", prefix, s.fileSeq)))
+	f, err := s.fs.Create(s.dir, fmt.Sprintf("%s-%06d", prefix, s.fileSeq))
 	if err != nil {
-		return nil, fmt.Errorf("statestore: create spill file: %w", err)
+		return nil, fmt.Errorf("statecodec: create spill file: %w", err)
 	}
 	s.stats.SpillFiles++
 	return f, nil
@@ -270,8 +259,8 @@ func (s *Store) newSpillFile(prefix string) (*os.File, error) {
 // the flush the key bytes are reachable only through the file.
 func (s *Store) flushTable() error {
 	gen := len(s.gens)
-	if gen >= s.maxGens {
-		return fmt.Errorf("statestore: more than %d generation files; use a larger memory budget", s.maxGens)
+	if gen >= maxGens {
+		return fmt.Errorf("statecodec: more than %d generation files; use a larger memory budget", maxGens)
 	}
 	f, err := s.newSpillFile("gen")
 	if err != nil {
@@ -279,52 +268,51 @@ func (s *Store) flushTable() error {
 	}
 	w := &s.genW
 	w.reset(f)
-	var off, delta int64
+	var off int64
 	for si := range s.shards {
 		sh := &s.shards[si]
-		sh.mu.Lock()
 		if sh.hot.Len() == 0 {
-			sh.mu.Unlock()
 			continue
 		}
-		delta -= sh.hot.Bytes() + sh.cold.bytes()
+		s.cold -= sh.cold.bytes()
 		sh.cold.reserve(sh.hot.Len())
-		sh.hot.Tags(func(i int32, tag uint32) {
+		sh.hot.eachTag(func(i int32, tag uint32) {
 			key, id := sh.hot.Key(i), sh.hot.ID(i)
 			switch {
 			case err != nil:
 				return
 			case id < 0:
-				err = fmt.Errorf("statestore: internal error: flushing unnumbered entry")
+				err = fmt.Errorf("statecodec: internal error: flushing unnumbered entry")
 			case len(key) > math.MaxUint16:
-				err = fmt.Errorf("statestore: state encoding of %d bytes exceeds generation record limit", len(key))
+				err = fmt.Errorf("statecodec: state encoding of %d bytes exceeds generation record limit", len(key))
 			case off+int64(len(key)) > math.MaxUint32:
-				err = fmt.Errorf("statestore: generation file exceeds 4 GiB; use a larger memory budget")
+				err = fmt.Errorf("statecodec: generation file exceeds 4 GiB; use a larger memory budget")
 			default:
 				w.write(key)
 				sh.cold.put(tag, coldEntry{id: id, off: uint32(off), len: uint16(len(key)), gen: uint16(gen)})
 				off += int64(len(key))
 			}
 		})
-		sh.hot = statecodec.Table{}
-		delta += sh.cold.bytes()
-		sh.mu.Unlock()
+		s.flushed += int64(sh.hot.Len())
+		s.flushedBytes += sh.hot.KeyBytes()
+		sh.hot = Table{}
+		s.cold += sh.cold.bytes()
 		if err != nil {
 			f.Close()
 			return err
 		}
 	}
+	s.tables, s.tablesKnown = 0, true
 	if err := w.flush(); err != nil {
 		f.Close()
-		return fmt.Errorf("statestore: write generation: %w", err)
+		return fmt.Errorf("statecodec: write generation: %w", err)
 	}
-	data, mapped, err := mmapFile(f, off)
+	data, err := f.Map(off)
 	if err != nil {
 		f.Close()
-		return fmt.Errorf("statestore: map generation: %w", err)
+		return fmt.Errorf("statecodec: map generation: %w", err)
 	}
-	s.gens = append(s.gens, generation{f: f, data: data, mapped: mapped})
-	s.addResident(delta)
+	s.gens = append(s.gens, generation{f: f, data: data})
 	s.stats.TableFlushes++
 	return nil
 }
@@ -334,34 +322,43 @@ func (s *Store) flushTable() error {
 // generation flushes to disk. Called by the explorer after each merge,
 // when every interned entry carries its final ID.
 func (s *Store) EndLevel() error {
+	s.tablesKnown = false
 	if !s.overBudget() {
 		return nil
 	}
-	hot := int64(0)
+	hot := 0
 	for si := range s.shards {
-		s.shards[si].mu.Lock()
-		hot += int64(s.shards[si].hot.Len())
-		s.shards[si].mu.Unlock()
+		hot += s.shards[si].hot.Len()
 	}
 	if hot == 0 {
 		return nil
 	}
-	return s.flushTable()
+	if err := s.flushTable(); err != nil {
+		return err
+	}
+	// A flush can grow the cold indexes by more than it frees.
+	s.resident()
+	return nil
 }
 
 // Stats snapshots the store's telemetry.
 func (s *Store) Stats() Stats {
 	st := s.stats
-	st.Interned = s.interned.Load()
-	st.InternedBytes = s.internedBytes.Load()
-	st.PeakResidentBytes = s.peakResident.Load()
+	st.Interned, st.InternedBytes = s.flushed, s.flushedBytes
+	for i := range s.shards {
+		st.Interned += int64(s.shards[i].hot.Len())
+		st.InternedBytes += s.shards[i].hot.KeyBytes()
+	}
+	s.tablesKnown = false
+	s.resident()
+	st.PeakResidentBytes = s.peak
 	return st
 }
 
-// Close releases every resource the store holds: mmap regions, open
-// spill files, and the spill directory itself. It is idempotent and
-// must run on every explorer exit path — success, cancellation and
-// state-limit abort alike.
+// Close releases every resource the store holds: mappings, open spill
+// files, and the spill directory itself. It is idempotent and must run
+// on every explorer exit path — success, cancellation and state-limit
+// abort alike.
 func (s *Store) Close() error {
 	if s.closed {
 		return nil
@@ -374,25 +371,21 @@ func (s *Store) Close() error {
 		}
 	}
 	for i := range s.gens {
-		g := &s.gens[i]
-		if g.mapped {
-			keep(munmapFile(g.data))
-		}
-		g.data = nil
-		keep(g.f.Close())
+		s.gens[i].data = nil
+		keep(s.gens[i].f.Close())
 	}
 	s.gens = nil
-	if s.cur != nil && s.cur.f != nil {
-		keep(s.cur.f.Close())
+	if f := s.cur.f; f != nil {
+		keep(f.Close())
 		s.cur.f = nil
 	}
-	if s.next != nil && s.next.f != nil {
-		keep(s.next.w.flush())
-		keep(s.next.f.Close())
+	if f := s.next.f; f != nil {
+		keep(s.runW.flush())
+		keep(f.Close())
 		s.next.f = nil
 	}
 	if s.dir != "" {
-		keep(os.RemoveAll(s.dir))
+		keep(s.fs.RemoveAll(s.dir))
 		s.dir = ""
 	}
 	return first

@@ -8,14 +8,14 @@ import (
 // shardBits is log2 of NumShards.
 const shardBits = 6
 
-// NumShards is the number of intern-table lock stripes of both Store
-// implementations; a power of two so shard selection is a mask over the
-// low bits of Hash64. The hash only picks the stripe — it never
-// influences the produced LTS.
+// NumShards is the number of intern-table lock stripes of the Store; a
+// power of two so shard selection is a mask over the low bits of
+// Hash64. The hash only picks the stripe — it never influences the
+// produced LTS.
 const NumShards = 1 << shardBits
 
-// Hash64 is FNV-1a over b. Store implementations share it: its low bits
-// pick the shard, its high 32 bits are the Table tag.
+// Hash64 is FNV-1a over b. In the Store its low bits pick the shard and
+// its high 32 bits are the Table tag, which the cold index reuses.
 func Hash64(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
@@ -25,10 +25,10 @@ func Hash64(b []byte) uint64 {
 	return h
 }
 
-// Table is the intern table behind every state store: an open-addressing
-// index over one key arena, with an ID column. Entry i's key is
-// arena[ends[i-1]:ends[i]] and its state ID is ids[i], -1 until the
-// explorer's merge numbers it. Every slice holds plain integers, so the
+// Table is the intern table behind the state store's shards: an
+// open-addressing index over one key arena, with an ID column. Entry
+// i's key is arena[ends[i-1]:ends[i]] and its state ID is ids[i], -1
+// until the explorer's merge numbers it. Every slice holds plain integers, so the
 // runtime allocates them noscan and the GC never walks per-state data,
 // however many states the table holds. Callers pass each key's Hash64;
 // its high 32 bits are the entry's tag, which places the entry in the
@@ -103,6 +103,12 @@ func (t *Table) Intern(h uint64, key []byte) (i int32, fresh bool) {
 	if i, ok := t.Find(h, key); ok {
 		return i, false
 	}
+	return t.add(h, key), true
+}
+
+// add appends key, whose Hash64 is h and which the table does not hold,
+// as a new unnumbered entry.
+func (t *Table) add(h uint64, key []byte) int32 {
 	if uint64(len(t.arena))+uint64(len(key)) > math.MaxUint32 {
 		panic("statecodec: intern table exceeds 4 GiB of key bytes")
 	}
@@ -115,19 +121,19 @@ func (t *Table) Intern(h uint64, key []byte) (i int32, fresh bool) {
 			}
 		}
 	}
-	i = int32(len(t.ends))
+	i := int32(len(t.ends))
 	t.arena = append(t.arena, key...)
 	t.ends = append(t.ends, uint32(len(t.arena)))
 	t.ids = append(t.ids, -1)
 	t.place(h>>32<<32 | uint64(i+1))
-	return i, true
+	return i
 }
 
-// Tags calls fn with every entry and its tag, the high 32 bits of the
-// Hash64 it was interned under, in index order. A store that moves the
-// entries into another index takes their tags from here instead of
+// eachTag calls fn with every entry and its tag, the high 32 bits of
+// the Hash64 it was interned under, in index order. A flush that moves
+// the entries into the cold index takes their tags from here instead of
 // hashing every key again.
-func (t *Table) Tags(fn func(i int32, tag uint32)) {
+func (t *Table) eachTag(fn func(i int32, tag uint32)) {
 	for _, s := range t.index {
 		if s != 0 {
 			fn(int32(uint32(s))-1, uint32(s>>32))
@@ -145,9 +151,9 @@ func (t *Table) place(slot uint64) {
 	t.index[p] = slot
 }
 
-// ShardRef is the Ref of entry i of shard si's table t: the entry's ID
+// shardRef is the Ref of entry i of shard si's table t: the entry's ID
 // once numbered, else a handle naming shard and entry for Store.Number.
-func ShardRef(si uint64, t *Table, i int32) Ref {
+func shardRef(si uint64, t *Table, i int32) Ref {
 	if id := t.ids[i]; id >= 0 {
 		return Ref{ID: id}
 	}
@@ -157,7 +163,7 @@ func ShardRef(si uint64, t *Table, i int32) Ref {
 	return Ref{ID: -1, Handle: uint32(i)<<shardBits | uint32(si)}
 }
 
-// Shard splits an unnumbered Ref's handle into its shard and entry.
-func (r Ref) Shard() (si int, i int32) {
+// shard splits an unnumbered Ref's handle into its shard and entry.
+func (r Ref) shard() (si int, i int32) {
 	return int(r.Handle & (NumShards - 1)), int32(r.Handle >> shardBits)
 }

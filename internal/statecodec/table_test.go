@@ -3,7 +3,6 @@ package statecodec
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -111,62 +110,5 @@ func TestTableMatchesMapOracle(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestMemStoreConcurrentIntern has 8 goroutines intern overlapping key
-// sets into one in-memory store: every key must resolve to a single
-// handle, distinct keys to distinct ones, and numbering the handles must
-// hand back each key exactly once.
-func TestMemStoreConcurrentIntern(t *testing.T) {
-	s, err := OpenMem(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, span, stride = 8, 2000, 500
-	refs := make([]map[string]Ref, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		refs[w] = make(map[string]Ref)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, j := range rand.New(rand.NewSource(int64(w))).Perm(span) {
-				k := fmt.Sprintf("key-%d", w*stride+j)
-				refs[w][k] = s.Intern([]byte(k))
-			}
-		}(w)
-	}
-	wg.Wait()
-	handle := make(map[string]Ref)
-	for w := range refs {
-		for k, r := range refs[w] {
-			if r.ID != -1 {
-				t.Fatalf("unnumbered key %s interned as %+v", k, r)
-			}
-			if prev, ok := handle[k]; ok && prev != r {
-				t.Fatalf("key %s resolved to %+v and %+v", k, prev, r)
-			}
-			handle[k] = r
-		}
-	}
-	if want := (workers-1)*stride + span; len(handle) != want {
-		t.Fatalf("%d distinct keys, want %d", len(handle), want)
-	}
-	owner := make(map[Ref]string)
-	next := int32(0)
-	for k, r := range handle {
-		if other, ok := owner[r]; ok {
-			t.Fatalf("keys %s and %s share handle %+v", k, other, r)
-		}
-		owner[r] = k
-		id, fresh, key := s.Number(r, next)
-		if id != next || !fresh || string(key) != k {
-			t.Fatalf("Number(%+v): id %d fresh %v key %q, want %d true %q", r, id, fresh, key, next, k)
-		}
-		next++
-	}
-	if st := s.Stats(); st.Interned != int64(len(handle)) {
-		t.Fatalf("stats count %d interned, want %d", st.Interned, len(handle))
 	}
 }

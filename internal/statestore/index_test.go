@@ -1,7 +1,9 @@
-package statestore
+package statestore_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -13,15 +15,15 @@ import (
 // endLevel flushes the hot tables into a new generation.
 type oracleRun struct {
 	t   *testing.T
-	s   *Store
+	s   *statecodec.Store
 	ids map[string]int32
 }
 
 func newOracleRun(t *testing.T) *oracleRun {
-	s, err := Open(Config{MemBudget: 1, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	return newOracleRunOn(t, open(1, t.TempDir()))
+}
+
+func newOracleRunOn(t *testing.T, s *statecodec.Store) *oracleRun {
 	t.Cleanup(func() { s.Close() })
 	return &oracleRun{t: t, s: s, ids: make(map[string]int32)}
 }
@@ -158,21 +160,13 @@ func TestColdIndexOldestOfManyGenerations(t *testing.T) {
 		o.endLevel()
 		o.intern(first)
 	}
-	if got := len(o.s.gens); got != 48 {
+	if got := o.s.Stats().TableFlushes; got != 48 {
 		t.Fatalf("%d generations spilled, want 48", got)
 	}
 	if ref := o.s.Intern(first); ref.ID != 0 {
 		t.Fatalf("first key resolved to %+v after 48 generations", ref)
 	}
 	o.checkAll()
-	var entries, bytes int64
-	for i := range o.s.shards {
-		entries += int64(o.s.shards[i].cold.n)
-		bytes += o.s.shards[i].cold.bytes()
-	}
-	if entries != int64(len(o.ids)) || bytes > 20*entries+16*statecodec.NumShards {
-		t.Fatalf("cold indexes hold %d entries in %d bytes, oracle knows %d keys", entries, bytes, len(o.ids))
-	}
 }
 
 // TestColdIndexEmptyKey spills a zero-length key, the encoding of every
@@ -192,19 +186,40 @@ func TestColdIndexEmptyKey(t *testing.T) {
 	o.checkAll()
 }
 
-// TestGenerationLimit lowers the generation count a cold slot can name
-// and checks that the flush past it fails instead of wrapping the
-// slots' generation field.
+// TestGenerationLimit spills the most generations a cold slot can name,
+// 65,536, through an in-memory spill filesystem, and checks that the
+// flush past them fails instead of wrapping the slots' generation field.
 func TestGenerationLimit(t *testing.T) {
-	o := newOracleRun(t)
-	o.s.maxGens = 2
-	for g := uint64(0); g < 2; g++ {
+	const limit = 1 << 16
+	o := newOracleRunOn(t, statecodec.NewStore(statecodec.Config{MemBudget: 1}, memFS{}))
+	for g := uint64(0); g < limit; g++ {
 		o.intern(le64(g))
 		o.endLevel()
 	}
-	o.intern(le64(2))
+	o.intern(le64(limit))
 	err := o.s.EndLevel()
-	if err == nil || !strings.Contains(err.Error(), "more than 2 generation files") {
-		t.Fatalf("third flush under a 2-generation limit: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "more than 65536 generation files") {
+		t.Fatalf("flush past the generation limit: %v", err)
 	}
+	o.checkAll()
 }
+
+// memFS is a spill filesystem in memory: every file is a buffer, and
+// maps to its bytes.
+type memFS struct{}
+
+func (memFS) MkdirTemp(string) (string, error)                    { return "mem", nil }
+func (memFS) Create(string, string) (statecodec.SpillFile, error) { return &memFile{}, nil }
+func (memFS) RemoveAll(string) error                              { return nil }
+
+type memFile struct{ bytes.Buffer }
+
+func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	if off+int64(len(p)) > int64(f.Len()) {
+		return 0, errors.New("memFile: read past the end")
+	}
+	return copy(p, f.Bytes()[off:]), nil
+}
+func (f *memFile) Map(size int64) ([]byte, error) { return f.Bytes()[:size], nil }
+func (f *memFile) Close() error                   { return nil }
+func (f *memFile) Remove() error                  { return nil }

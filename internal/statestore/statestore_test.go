@@ -6,8 +6,15 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/statecodec"
 	"repro/internal/statestore"
 )
+
+// open opens a store spilling to the operating system's files under
+// dir, through the platform seam.
+func open(budget int64, dir string) *statecodec.Store {
+	return statecodec.NewStore(statecodec.Config{MemBudget: budget, Dir: dir}, statestore.Runtime().Spill)
+}
 
 // key makes a deterministic, variable-length test key.
 func key(i int) []byte {
@@ -18,10 +25,7 @@ func key(i int) []byte {
 // an entry with an unassigned ID, a repeat returns the same handle, and
 // once the merge numbers the entry its ID comes back directly.
 func TestStoreInternDedup(t *testing.T) {
-	s, err := statestore.Open(statestore.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(0, t.TempDir())
 	defer s.Close()
 	r1 := s.Intern(key(1))
 	if r1.ID != -1 {
@@ -53,10 +57,7 @@ func TestStoreInternDedup(t *testing.T) {
 // fresh entries.
 func TestStoreSpillLookup(t *testing.T) {
 	dir := t.TempDir()
-	s, err := statestore.Open(statestore.Config{MemBudget: 1, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(1, dir)
 	defer s.Close()
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -89,10 +90,7 @@ func TestStoreSpillLookup(t *testing.T) {
 // TestStoreMultiGeneration interleaves flushes and fresh interning
 // across several levels, mimicking the explorer's merge loop.
 func TestStoreMultiGeneration(t *testing.T) {
-	s, err := statestore.Open(statestore.Config{MemBudget: 1, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(1, t.TempDir())
 	defer s.Close()
 	next := int32(0)
 	for level := 0; level < 5; level++ {
@@ -126,10 +124,7 @@ func TestStoreMultiGeneration(t *testing.T) {
 // replay returns byte-identical keys in identical order.
 func TestFrontierHotColdIdentical(t *testing.T) {
 	run := func(budget int64) [][]byte {
-		s, err := statestore.Open(statestore.Config{MemBudget: budget, Dir: t.TempDir()})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := open(budget, t.TempDir())
 		defer s.Close()
 		const n = 500
 		for i := 0; i < n; i++ {
@@ -145,7 +140,7 @@ func TestFrontierHotColdIdentical(t *testing.T) {
 			t.Fatalf("level has %d states, want %d", lvl.Len(), n)
 		}
 		var out [][]byte
-		var cr statestore.ChunkReader
+		var cr statecodec.ChunkReader
 		for start := 0; start < n; start += 64 {
 			end := start + 64
 			if end > n {
@@ -186,10 +181,7 @@ func TestFrontierHotColdIdentical(t *testing.T) {
 // state-limit path relies on.
 func TestCloseRemovesSpillDir(t *testing.T) {
 	dir := t.TempDir()
-	s, err := statestore.Open(statestore.Config{MemBudget: 1, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(1, dir)
 	for i := 0; i < 300; i++ {
 		s.Number(s.Intern(key(i)), int32(i))
 		if err := s.PushFrontier(key(i)); err != nil {
